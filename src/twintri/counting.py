@@ -4,11 +4,15 @@ The count runs in O(d^2*n + m) for a sequence of width d.  While the
 trigraph shrinks, three numbers are maintained per live vertex or red
 edge:
 
-    part_size[x]    original vertices merged into x
-    inner_edges[x]  original edges with both ends merged into x
-    cross_edges[x,y]  original edges between the two groups, kept for
-                      red edges only (black pairs are complete bipartite,
-                      absent pairs are empty, so neither needs a count)
+    g.size[x]         original vertices merged into x
+    inner_edges[x]    original edges with both ends merged into x
+    g.red_adj[x][y]   original edges between the two groups, the weight
+                      of the red edge {x, y} (black pairs are complete
+                      bipartite, absent pairs are empty, so neither needs
+                      a count)
+
+The trigraph keeps the group sizes and the red weights up to date as it
+contracts; counting keeps only the inner-edge counts.
 
 A fixed original triangle occupies one of seven configurations relative
 to the live vertices: its corners sit in three, two, or one group, with
@@ -36,32 +40,24 @@ class InternalInvariantError(RuntimeError):
     """A bookkeeping invariant broke; the counting state is unusable."""
 
 
-def _pair(a, b):
-    return (a, b) if a < b else (b, a)
+def red_weight(g: Trigraph, a, b) -> int:
+    """Cross-edge count of the red edge {a, b}, read from g's red map."""
+    try:
+        return g.red_adj[a][b]
+    except KeyError:
+        raise InternalInvariantError(
+            f"no cross-edge count for red edge {{{a}, {b}}}") from None
 
 
 @dataclass
 class AuxValues:
     """Per-group counts maintained alongside the shrinking trigraph."""
 
-    part_size: dict
     inner_edges: dict
-    cross_edges: dict
 
     @classmethod
     def initial(cls, n: int) -> "AuxValues":
-        return cls(
-            part_size={v: 1 for v in range(1, n + 1)},
-            inner_edges={v: 0 for v in range(1, n + 1)},
-            cross_edges={},
-        )
-
-    def cross(self, a, b) -> int:
-        try:
-            return self.cross_edges[_pair(a, b)]
-        except KeyError:
-            raise InternalInvariantError(
-                f"no cross-edge count for red edge {{{a}, {b}}}")
+        return cls(inner_edges={v: 0 for v in range(1, n + 1)})
 
 
 @dataclass
@@ -147,77 +143,32 @@ def classify_triangle(g: Trigraph, group_of, tri) -> TriangleCase:
 
 
 def update_auxiliary_values(g: Trigraph, aux: AuxValues, u, v, w,
-                            merged=None, uv_color=None, counters=None):
-    """Fold u's and v's counts into w's, using the current colors of g.
+                            uv_color=None):
+    """Fold u's and v's inner-edge counts into w's, using the current colors.
 
-    Must run before the contraction mutates g.  Entries for u and v are
-    removed; cross-edge counts are created for exactly the pairs that
-    will be red edges at w.
+    Must run before the contraction mutates g, which then sets w's group
+    size and the cross-edge counts of w's red edges itself.
     """
-    if merged is None:
-        merged = g.merge_neighborhoods(u, v)
-    _, red_entries = merged
     if uv_color is None:
         uv_color = g.edge_color(u, v)
-    size = aux.part_size
-    inner = aux.inner_edges
-    cross = aux.cross_edges
-    nu, nv = size[u], size[v]
     if uv_color is BLACK:
-        between = nu * nv
+        between = g.size[u] * g.size[v]
     elif uv_color is RED:
-        between = aux.cross(u, v)
+        between = red_weight(g, u, v)
     else:
         between = 0
-    mw = inner[u] + inner[v] + between
-    new_cross = []
-    for x, cu, cv in red_entries:
-        if cu is BLACK:
-            if cv is NONE:
-                val = nu * size[x]
-            elif cv is RED:
-                val = aux.cross(v, x) + nu * size[x]
-            else:
-                raise InternalInvariantError(
-                    f"vertex {x} black to both {u} and {v} classified red")
-        elif cu is RED:
-            if cv is NONE:
-                val = aux.cross(u, x)
-            elif cv is BLACK:
-                val = aux.cross(u, x) + nv * size[x]
-            else:  # red to both
-                val = aux.cross(u, x) + aux.cross(v, x)
-        else:  # cu is NONE
-            if cv is BLACK:
-                val = nv * size[x]
-            elif cv is RED:
-                val = aux.cross(v, x)
-            else:
-                raise InternalInvariantError(
-                    f"vertex {x} adjacent to neither {u} nor {v} classified red")
-        new_cross.append((_pair(w, x), val))
-    for x in g.red_adj[u]:
-        del cross[_pair(u, x)]
-    for x in g.red_adj[v]:
-        if x != u:  # the u-v entry, if red, is already gone
-            del cross[_pair(v, x)]
-    del size[u], size[v], inner[u], inner[v]
-    size[w] = nu + nv
-    inner[w] = mw
-    for key, val in new_cross:
-        cross[key] = val
-    if counters is not None:
-        counters.aux_updates += 1 + len(red_entries)
+    inner = aux.inner_edges
+    inner[w] = inner.pop(u) + inner.pop(v) + between
 
 
-def count_black_edge_collapse(aux: AuxValues, u, v) -> int:
+def count_black_edge_collapse(g: Trigraph, aux: AuxValues, u, v) -> int:
     """Triangles with an edge inside one endpoint of the black pair {u, v}.
 
     They sit entirely inside the merged group afterwards.  Caller
     guarantees {u, v} is black.
     """
-    return (aux.part_size[u] * aux.inner_edges[v]
-            + aux.part_size[v] * aux.inner_edges[u])
+    return (g.size[u] * aux.inner_edges[v]
+            + g.size[v] * aux.inner_edges[u])
 
 
 def tri_count_one_neighbor(g: Trigraph, aux: AuxValues, u, v, w, x,
@@ -235,17 +186,17 @@ def tri_count_one_neighbor(g: Trigraph, aux: AuxValues, u, v, w, x,
         cv = g.edge_color(v, x)
     if uv_color is None:
         uv_color = g.edge_color(u, v)
-    size = aux.part_size
+    size = g.size
     inner = aux.inner_edges
     inc = 0
     if cu is BLACK:
         inc += size[u] * inner[x] + size[x] * inner[u]
         if uv_color is BLACK and cv is RED:
-            inc += aux.cross(v, x) * size[u]
+            inc += red_weight(g, v, x) * size[u]
     elif cv is BLACK:
         inc += size[v] * inner[x] + size[x] * inner[v]
         if uv_color is BLACK and cu is RED:
-            inc += aux.cross(u, x) * size[v]
+            inc += red_weight(g, u, x) * size[v]
     return inc
 
 
@@ -264,48 +215,49 @@ def tri_count_two_neighbors(g: Trigraph, aux: AuxValues, u, v, w,
     if red_entries is None or black_neighbors is None:
         black_list, red_entries = g.merge_neighborhoods(u, v)
         black_neighbors = black_list
-    size = aux.part_size
+    size = g.size
+    red_adj, black_adj = g.red_adj, g.black_adj
     inc = 0
     black_set = set(black_neighbors)
     # wedge shapes: x red at w, y black at w, {x, y} red in the current
     # trigraph; the corner in u (or v) must see both groups in black
     for x, cu, cv in red_entries:
-        for y in g.red_adj[x]:
+        for y, exy in red_adj[x].items():
             if counters is not None:
                 counters.red_wedge_visits += 1
             if y == u or y == v:
                 continue
             if y in black_set:
                 if cu is BLACK:
-                    inc += aux.cross(x, y) * size[u]
+                    inc += exy * size[u]
                 elif cv is BLACK:
-                    inc += aux.cross(x, y) * size[v]
+                    inc += exy * size[v]
     # pairs of red neighbors of w
     for i in range(len(red_entries)):
         x, cux, cvx = red_entries[i]
+        bx, rx = black_adj[x], red_adj[x]
         for j in range(i + 1, len(red_entries)):
             y, cuy, cvy = red_entries[j]
             if counters is not None:
                 counters.two_neighbor_pair_visits += 1
-            xy = g.edge_color(x, y)
-            if xy is BLACK:
+            if y in bx:
                 if cux is BLACK and cuy is BLACK:
                     inc += size[u] * size[x] * size[y]
                 if cvx is BLACK and cvy is BLACK:
                     inc += size[v] * size[x] * size[y]
                 if cux is RED and cuy is BLACK:
-                    inc += aux.cross(u, x) * size[y]
+                    inc += red_weight(g, u, x) * size[y]
                 if cux is BLACK and cuy is RED:
-                    inc += aux.cross(u, y) * size[x]
+                    inc += red_weight(g, u, y) * size[x]
                 if cvx is RED and cvy is BLACK:
-                    inc += aux.cross(v, x) * size[y]
+                    inc += red_weight(g, v, x) * size[y]
                 if cvx is BLACK and cvy is RED:
-                    inc += aux.cross(v, y) * size[x]
-            elif xy is RED:
+                    inc += red_weight(g, v, y) * size[x]
+            elif y in rx:
                 if cux is BLACK and cuy is BLACK:
-                    inc += aux.cross(x, y) * size[u]
+                    inc += rx[y] * size[u]
                 if cvx is BLACK and cvy is BLACK:
-                    inc += aux.cross(x, y) * size[v]
+                    inc += rx[y] * size[v]
     return inc
 
 
@@ -313,19 +265,35 @@ def tri_count_two_neighbors(g: Trigraph, aux: AuxValues, u, v, w,
 
 
 def check_conservation(g: Trigraph, aux: AuxValues, n: int, m: int):
-    """Raise unless the aux values still account for every vertex and edge."""
-    live = set(g.live_vertices())
-    if set(aux.part_size) != live or set(aux.inner_edges) != live:
+    """Raise unless the counts still account for every vertex and edge.
+
+    Every red weight must be symmetric and lie strictly between 0 and the
+    product of the group sizes: a red pair hides at least one original
+    edge and at least one non-edge.
+    """
+    live = g.live_vertices()
+    if set(aux.inner_edges) != set(live):
         raise InternalInvariantError("aux entries out of sync with live vertices")
-    total = sum(aux.part_size.values())
+    size = g.size
+    total = sum(size)
     if total != n:
         raise InternalInvariantError(f"group sizes sum to {total}, expected {n}")
-    red_pairs = {_pair(a, b) for a, b in g.red_edges()}
-    if set(aux.cross_edges) != red_pairs:
-        raise InternalInvariantError("cross-edge entries out of sync with red edges")
-    mass = sum(aux.inner_edges.values()) + sum(aux.cross_edges.values())
-    for x, y in g.black_edges():
-        mass += aux.part_size[x] * aux.part_size[y]
+    mass = sum(aux.inner_edges.values())
+    for x in live:
+        for y in g.black_adj[x]:
+            if y > x:
+                mass += size[x] * size[y]
+        for y, weight in g.red_adj[x].items():
+            if g.red_adj[y].get(x) != weight:
+                raise InternalInvariantError(
+                    f"red edge {{{x}, {y}}} weighs {weight} at {x} "
+                    f"but {g.red_adj[y].get(x)} at {y}")
+            if not 0 < weight < size[x] * size[y]:
+                raise InternalInvariantError(
+                    f"red edge {{{x}, {y}}} weighs {weight} between groups "
+                    f"of {size[x]} and {size[y]}")
+            if y > x:
+                mass += weight
     if mass != m:
         raise InternalInvariantError(f"edge mass {mass} != m = {m}")
 
@@ -340,28 +308,21 @@ def evaluate_invariant(g: Trigraph, aux: AuxValues, t: int,
     cross count, and black edges weighted by the inner edges of their
     endpoints.  Brute-force enumeration; intended for small inputs.
     """
-    size = aux.part_size
+    size = g.size
     inner = aux.inner_edges
     pending = 0
     black_edges = list(g.black_edges())
     for x, y in black_edges:
         # all-black triangles, x < y < z exactly once
-        ax, ay = g.black_adj[x], g.black_adj[y]
-        i = j = 0
-        while i < len(ax) and j < len(ay):
-            if ax[i] < ay[j]:
-                i += 1
-            elif ax[i] > ay[j]:
-                j += 1
-            else:
-                if ax[i] > y:
-                    pending += size[x] * size[y] * size[ax[i]]
-                i += 1
-                j += 1
+        by = g.black_adj[y]
+        for z in g.black_adj[x]:
+            if z > y and z in by:
+                pending += size[x] * size[y] * size[z]
     for x, z in g.red_edges():
-        exz = aux.cross(x, z)
+        exz = red_weight(g, x, z)
+        bz = g.black_adj[z]
         for y in g.black_adj[x]:
-            if y != z and g.edge_color(y, z) is BLACK:
+            if y in bz:
                 pending += exz * size[y]
     for x, y in black_edges:
         pending += size[x] * inner[y] + inner[x] * size[y]
@@ -410,7 +371,7 @@ def count_triangles(graph, seq: ContractionSequence, mode: str = "fast",
         black_list, red_entries = merged
         uv_color = g.edge_color(u, v)
         if uv_color is BLACK:
-            state.t += count_black_edge_collapse(aux, u, v)
+            state.t += count_black_edge_collapse(g, aux, u, v)
         if red_entries:
             state.counters.one_neighbor_calls += len(red_entries)
             for x, cu, cv in red_entries:
@@ -418,9 +379,9 @@ def count_triangles(graph, seq: ContractionSequence, mode: str = "fast",
                     g, aux, u, v, w, x, cu=cu, cv=cv, uv_color=uv_color)
             state.t += tri_count_two_neighbors(
                 g, aux, u, v, w, red_entries, black_list, state.counters)
-        update_auxiliary_values(
-            g, aux, u, v, w, merged=merged, uv_color=uv_color,
-            counters=state.counters)
+        update_auxiliary_values(g, aux, u, v, w, uv_color=uv_color)
+        # one update for w's inner edges, one per red edge the contraction weighs
+        state.counters.aux_updates += 1 + len(red_entries)
 
     def after(step, g, u, v, w):
         nonlocal sum_d_sq

@@ -7,15 +7,19 @@ red edge otherwise.  Black edges therefore always stand for "all pairs
 across the two merged vertex groups are original edges", absent edges
 for "no pair is", and red edges for the mixed leftovers.
 
-Adjacency lists are kept strictly sorted so each contraction is a linear
-merge of four lists.  The structure is single-writer: queries may run
-concurrently between contractions, but mutation is not thread safe.
+Each vertex holds two hash maps: its black neighbours (mapped to None)
+and its red neighbours, each mapped to the red edge's cross-edge count,
+the number of original edges between the two groups.  With the group
+sizes kept alongside, a contraction patches every neighbour in O(1) and
+computes the new red weights itself.  The structure is single-writer:
+queries may run concurrently between contractions, but mutation is not
+thread safe.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from enum import Enum
+from types import MappingProxyType
 
 
 class EdgeColor(Enum):
@@ -28,81 +32,80 @@ NONE = EdgeColor.NONE
 BLACK = EdgeColor.BLACK
 RED = EdgeColor.RED
 
-
-def _remove_sorted(lst, val):
-    i = bisect_left(lst, val)
-    if i >= len(lst) or lst[i] != val:
-        raise RuntimeError(f"adjacency desync: {val} missing from a neighbor list")
-    del lst[i]
+# Shared by every vertex with no neighbour of a colour and by every dead
+# vertex, so only vertices that have edges pay for a map.  Read-only, so
+# a stray write raises instead of giving all those vertices an edge.
+EMPTY = MappingProxyType({})
 
 
 class Trigraph:
     """Trigraph over vertex ids 1..2n-1, where n is the original vertex count.
 
     Original vertices are 1..n; the vertex created by the k-th contraction
-    (counting from 1) gets id n+k.  Dead vertices keep empty adjacency
-    lists as tombstones so liveness checks stay O(1) and ids stay stable.
+    (counting from 1) gets id n+k.  size[v] is the number of original
+    vertices merged into v, 0 for dead and not yet created ids, so
+    liveness checks stay O(1) and ids stay stable.
     """
 
     def __init__(self, n_original: int):
         if n_original < 1:
             raise ValueError("vertex count must be at least 1")
-        size = 2 * n_original  # ids run 1 .. 2n-1
+        ids = 2 * n_original  # ids run 1 .. 2n-1
         self.n_original = n_original
-        self.black_adj: list[list[int]] = [[] for _ in range(size)]
-        self.red_adj: list[list[int]] = [[] for _ in range(size)]
-        self._live = set(range(1, n_original + 1))
+        self.black_adj: list = [EMPTY] * ids
+        self.red_adj: list = [EMPTY] * ids
+        self.size = [0] + [1] * n_original + [0] * (n_original - 1)
         self._next_id = n_original + 1
         # histogram of red degrees, so the maximum is O(1) amortized
-        self._red_hist = [0] * (size + 1)
+        self._red_hist = [0] * (ids + 1)
         self._red_hist[0] = n_original
         self._max_red = 0
-        self.update_work = 0  # adjacency entries scanned plus neighbor lists patched
+        self.update_work = 0  # adjacency entries scanned plus neighbor maps patched
 
     @classmethod
     def from_graph(cls, edges, n: int) -> "Trigraph":
         """Build a red-free trigraph from an undirected edge list.
 
-        Pairs are symmetrized and deduplicated; self-loops and endpoints
-        outside 1..n are rejected.  Construction is O(n+m): the adjacency
-        lists come out sorted from a two-pass bucket fill, not a sort.
+        Repeated and mirrored pairs collapse into one edge; self-loops
+        and endpoints outside 1..n are rejected.  Construction is O(n+m).
         """
         g = cls(n)
-        seen = set()
+        adj = g.black_adj
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u}, {v}) leaves the vertex range 1..{n}")
-            seen.add((u, v) if u < v else (v, u))
-        incident = [[] for _ in range(n + 1)]
-        for a, b in seen:
-            incident[a].append(b)
-            incident[b].append(a)
-        adj = g.black_adj
-        for u in range(1, n + 1):  # ascending u keeps every list sorted
-            for v in incident[u]:
-                adj[v].append(u)
+            au = adj[u]
+            if au is EMPTY:
+                adj[u] = au = {}
+            au[v] = None
+            av = adj[v]
+            if av is EMPTY:
+                adj[v] = av = {}
+            av[u] = None
         return g
 
     # -- queries ---------------------------------------------------------
 
     @property
     def live_count(self) -> int:
-        return len(self._live)
+        return 2 * self.n_original + 1 - self._next_id
 
     @property
     def next_id(self) -> int:
         return self._next_id
 
     def is_live(self, v: int) -> bool:
-        return v in self._live
+        return 0 < v < len(self.size) and self.size[v] > 0
 
     def live_vertices(self) -> list[int]:
-        return sorted(self._live)
+        size = self.size
+        return [v for v in range(1, self._next_id) if size[v]]
 
     def _require_live(self, v):
-        if v not in self._live:
+        size = self.size
+        if not (0 < v < len(size) and size[v]):
             raise ValueError(f"vertex {v} is not live")
 
     def edge_color(self, u: int, v: int) -> EdgeColor:
@@ -111,13 +114,9 @@ class Trigraph:
         self._require_live(v)
         if u == v:
             raise ValueError("self-pairs have no color")
-        lst = self.black_adj[u]
-        i = bisect_left(lst, v)
-        if i < len(lst) and lst[i] == v:
+        if v in self.black_adj[u]:
             return BLACK
-        lst = self.red_adj[u]
-        i = bisect_left(lst, v)
-        if i < len(lst) and lst[i] == v:
+        if v in self.red_adj[u]:
             return RED
         return NONE
 
@@ -136,16 +135,14 @@ class Trigraph:
         return self._max_red
 
     def black_edges(self):
-        for u in sorted(self._live):
-            for x in self.black_adj[u]:
-                if x > u:
-                    yield u, x
+        for u in self.live_vertices():
+            for x in sorted(x for x in self.black_adj[u] if x > u):
+                yield u, x
 
     def red_edges(self):
-        for u in sorted(self._live):
-            for x in self.red_adj[u]:
-                if x > u:
-                    yield u, x
+        for u in self.live_vertices():
+            for x in sorted(x for x in self.red_adj[u] if x > u):
+                yield u, x
 
     # -- contraction -----------------------------------------------------
 
@@ -155,57 +152,27 @@ class Trigraph:
         Returns (black, red): black lists the vertices black-adjacent to
         both u and v; red lists (x, color_ux, color_vx) for the vertices
         that would end up red-adjacent to the contraction of u and v.
-        Both lists ascend in x; u and v themselves are skipped.  The
-        trigraph is not modified.
+        u and v themselves are skipped.  The trigraph is not modified.
         """
-        au = self._annotate(u)
-        av = self._annotate(v)
+        bu, ru = self.black_adj[u], self.red_adj[u]
+        bv, rv = self.black_adj[v], self.red_adj[v]
         black = []
         red = []
-        i = j = 0
-        len_u, len_v = len(au), len(av)
-        while i < len_u or j < len_v:
-            if j >= len_v or (i < len_u and au[i][0] < av[j][0]):
-                x, cu = au[i]
-                cv = NONE
-                i += 1
-            elif i >= len_u or av[j][0] < au[i][0]:
-                x, cv = av[j]
-                cu = NONE
-                j += 1
-            else:
-                x, cu = au[i]
-                cv = av[j][1]
-                i += 1
-                j += 1
-            if x == u or x == v:
-                continue
-            if cu is BLACK and cv is BLACK:
+        for x in bu:
+            if x in bv:
                 black.append(x)
-            else:
-                red.append((x, cu, cv))
+            elif x != v:
+                red.append((x, BLACK, RED if x in rv else NONE))
+        for x in ru:
+            if x != v:
+                red.append((x, RED, BLACK if x in bv else RED if x in rv else NONE))
+        for x in bv:
+            if x != u and x not in bu and x not in ru:
+                red.append((x, NONE, BLACK))
+        for x in rv:
+            if x != u and x not in bu and x not in ru:
+                red.append((x, NONE, RED))
         return black, red
-
-    def _annotate(self, v):
-        # interleave the two disjoint sorted lists, tagging each entry
-        out = []
-        b, r = self.black_adj[v], self.red_adj[v]
-        i = j = 0
-        len_b, len_r = len(b), len(r)
-        while i < len_b and j < len_r:
-            if b[i] < r[j]:
-                out.append((b[i], BLACK))
-                i += 1
-            else:
-                out.append((r[j], RED))
-                j += 1
-        while i < len_b:
-            out.append((b[i], BLACK))
-            i += 1
-        while j < len_r:
-            out.append((r[j], RED))
-            j += 1
-        return out
 
     def contract(self, u: int, v: int, w: int | None = None, merged=None) -> int:
         """Contract live vertices u and v into a fresh vertex, returning its id.
@@ -213,7 +180,9 @@ class Trigraph:
         w, when given, must equal the id the numbering scheme assigns next
         (n_original + contractions performed + 1).  merged, when given,
         must be the output of merge_neighborhoods(u, v); this lets a
-        caller that already ran the merge avoid a second scan.
+        caller that already ran the merge avoid a second scan.  The red
+        edge {w, x} weighs size[u]*size[x] for a black {u, x}, the weight
+        of a red {u, x}, and nothing for an absent one, plus the same for v.
         """
         self._require_live(u)
         self._require_live(v)
@@ -227,50 +196,55 @@ class Trigraph:
         if merged is None:
             merged = self.merge_neighborhoods(u, v)
         black, red = merged
+        black_adj, red_adj, size = self.black_adj, self.red_adj, self.size
+        ru, rv = red_adj[u], red_adj[v]
         self.update_work += (
-            len(self.black_adj[u]) + len(self.red_adj[u])
-            + len(self.black_adj[v]) + len(self.red_adj[v])
+            len(black_adj[u]) + len(ru) + len(black_adj[v]) + len(rv)
             + len(black) + len(red)
         )
         hist = self._red_hist
         for x in black:
-            bx = self.black_adj[x]
-            _remove_sorted(bx, u)
-            _remove_sorted(bx, v)
-            bx.append(w)  # w exceeds every id present, so append keeps order
+            bx = black_adj[x]
+            del bx[u], bx[v]
+            bx[w] = None
+        su, sv = size[u], size[v]
+        red_w = {}
         for x, cu, cv in red:
-            rx = self.red_adj[x]
+            rx = red_adj[x]
             old = len(rx)
+            weight = 0
             if cu is BLACK:
-                _remove_sorted(self.black_adj[x], u)
+                del black_adj[x][u]
+                weight = su * size[x]
             elif cu is RED:
-                _remove_sorted(rx, u)
+                weight = rx.pop(u)
             if cv is BLACK:
-                _remove_sorted(self.black_adj[x], v)
+                del black_adj[x][v]
+                weight += sv * size[x]
             elif cv is RED:
-                _remove_sorted(rx, v)
-            rx.append(w)
+                weight += rx.pop(v)
+            if rx is EMPTY:
+                red_adj[x] = rx = {}
+            rx[w] = red_w[x] = weight
             new = len(rx)
             if new != old:
                 hist[old] -= 1
                 hist[new] += 1
                 if new > self._max_red:
                     self._max_red = new
-        hist[len(self.red_adj[u])] -= 1
-        hist[len(self.red_adj[v])] -= 1
-        self.black_adj[u] = []
-        self.red_adj[u] = []
-        self.black_adj[v] = []
-        self.red_adj[v] = []
-        self._live.discard(u)
-        self._live.discard(v)
-        self.black_adj[w] = list(black)
-        self.red_adj[w] = [x for x, _, _ in red]
-        red_deg_w = len(red)
+        hist[len(ru)] -= 1
+        hist[len(rv)] -= 1
+        black_adj[u] = red_adj[u] = black_adj[v] = red_adj[v] = EMPTY
+        size[w] = su + sv
+        size[u] = size[v] = 0
+        if black:
+            black_adj[w] = dict.fromkeys(black)
+        if red_w:
+            red_adj[w] = red_w
+        red_deg_w = len(red_w)
         hist[red_deg_w] += 1
         if red_deg_w > self._max_red:
             self._max_red = red_deg_w
-        self._live.add(w)
         self._next_id += 1
         return w
 
@@ -278,7 +252,7 @@ class Trigraph:
 
     def serialize(self) -> str:
         """Canonical text form; equal trigraphs serialize identically."""
-        lines = ["live " + " ".join(map(str, sorted(self._live)))]
+        lines = ["live " + " ".join(map(str, self.live_vertices()))]
         for u, v in self.black_edges():
             lines.append(f"b {u} {v}")
         for u, v in self.red_edges():
@@ -287,23 +261,28 @@ class Trigraph:
 
     def check_consistent(self):
         """Raise if any structural invariant is broken (test support)."""
+        size = self.size
         for v in range(1, 2 * self.n_original):
             b, r = self.black_adj[v], self.red_adj[v]
-            if v not in self._live:
-                assert not b and not r, f"dead vertex {v} has edges"
+            if not size[v]:
+                assert b is EMPTY and r is EMPTY, f"dead vertex {v} holds its own map"
                 continue
-            for lst in (b, r):
-                assert all(lst[i] < lst[i + 1] for i in range(len(lst) - 1)), \
-                    f"unsorted adjacency at {v}"
-                for x in lst:
-                    assert x in self._live, f"edge from {v} to dead vertex {x}"
-                    assert x != v, f"self-loop at {v}"
-            assert not (set(b) & set(r)), f"pair both black and red at {v}"
+            assert not (b.keys() & r.keys()), f"pair both black and red at {v}"
             for x in b:
+                assert size[x], f"edge from {v} to dead vertex {x}"
+                assert x != v, f"self-loop at {v}"
                 assert v in self.black_adj[x], f"asymmetric black edge {v},{x}"
-            for x in r:
-                assert v in self.red_adj[x], f"asymmetric red edge {v},{x}"
-        degrees = sorted(len(self.red_adj[v]) for v in self._live)
+            for x, weight in r.items():
+                assert size[x], f"edge from {v} to dead vertex {x}"
+                assert x != v, f"self-loop at {v}"
+                assert self.red_adj[x].get(v) == weight, \
+                    f"asymmetric red edge {v},{x}"
+                assert 0 < weight < size[v] * size[x], \
+                    f"red edge {v},{x} weighs {weight} for groups of {size[v]} and {size[x]}"
+        live = self.live_vertices()
+        assert len(live) == self.live_count, "live count desync"
+        assert sum(size) == self.n_original, "group sizes do not sum to n"
+        degrees = sorted(len(self.red_adj[v]) for v in live)
         hist_degrees = []
         for d, cnt in enumerate(self._red_hist):
             hist_degrees.extend([d] * cnt)

@@ -125,6 +125,14 @@ def test_criterion_5_complexity_counters():
     edgeless = Cotree("union", children=tuple(
         Cotree("leaf", vertex=v) for v in range(1, 301)))
     runs.append(("cograph", cotree_graph(edgeless, 300), twin_sequence(edgeless, 300)))
+    # one vertex black to all others: every step patches its neighbor map
+    for leaves in (1000, 2000, 4000):
+        graph, cotree = star(leaves)
+        runs.append(("star", graph, twin_sequence(cotree, graph.n)))
+    for n in (1000, 2000, 4000):
+        _, blocks = cograph(n, seed=n + 1, block_size=8)
+        hub = Cotree("join", children=(blocks, Cotree("leaf", vertex=n + 1)))
+        runs.append(("hub", cotree_graph(hub, n + 1), twin_sequence(hub, n + 1)))
     for n in (200, 500):
         runs.append(("path", path(n), chain_sequence(n)))
         runs.append(("cycle", cycle(n), chain_sequence(n)))
@@ -142,12 +150,12 @@ def test_criterion_5_complexity_counters():
         assert c.two_neighbor_pair_visits <= result.sum_red_degree_sq, family
         assert c.red_wedge_visits <= result.sum_red_degree_sq, family
         assert c.graph_update_work <= 8 * (d * n + m), (family, d, n, m)
-        if family == "cograph":
+        if family in ("cograph", "star", "hub"):
             assert d == 0
             assert c.aux_updates <= 4 * n, family
     print(f"\nACCEPTANCE 5 PASS: {len(runs)} instrumented runs satisfy "
           "pair visits <= sum d_k^2, update work <= 8(dn+m), "
-          "and width-0 aux work <= 4n")
+          "and width-0 aux work <= 4n (cograph, star and hub)")
 
 
 def test_criterion_6_conservation_invariants():

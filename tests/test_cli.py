@@ -1,6 +1,7 @@
 import csv
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -234,7 +235,12 @@ def test_console_script_runs():
     result = subprocess.run([sys.executable, "-m", "twintri", "--help"],
                             capture_output=True, text=True, env=env)
     assert result.returncode == 0
-    assert "count" in result.stdout and "bench" in result.stdout
+    # the subcommand choices of the usage line; "count" alone also matches
+    # help prose such as "count triangles of a graph"
+    usage = result.stdout.split("\n\n")[0]
+    choices = re.search(r"\{([^}]*)\}", usage)
+    assert choices, usage
+    assert {"count", "bench"} <= set(choices.group(1).split(","))
 
 
 def test_bench_empty_sweep(tmp_path, capsys):

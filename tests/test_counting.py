@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -15,6 +16,7 @@ from twintri.counting import (
     count_black_edge_collapse,
     count_triangles,
     evaluate_invariant,
+    red_weight,
     tri_count_one_neighbor,
     tri_count_two_neighbors,
     update_auxiliary_values,
@@ -31,7 +33,7 @@ from twintri.generate import (
 )
 from twintri.oracle import PlainGraph, count_naive
 from twintri.sequence import ContractionSequence, SequenceError
-from twintri.trigraph import Trigraph
+from twintri.trigraph import EMPTY, RED, Trigraph
 
 import helpers
 
@@ -42,10 +44,18 @@ def _aux_after(graph, pairs):
     aux = AuxValues.initial(graph.n)
     for step, (u, v) in enumerate(pairs):
         w = graph.n + 1 + step
-        merged = g.merge_neighborhoods(u, v)
-        update_auxiliary_values(g, aux, u, v, w, merged=merged)
-        g.contract(u, v, w, merged)
+        update_auxiliary_values(g, aux, u, v, w)
+        g.contract(u, v, w)
     return g, aux
+
+
+def _red_weights(g):
+    """{(x, y): weight} over the red edges, x < y; checks both ends agree."""
+    weights = {}
+    for x, y in g.red_edges():
+        assert g.red_adj[x][y] == g.red_adj[y][x]
+        weights[(x, y)] = g.red_adj[x][y]
+    return weights
 
 
 # -- auxiliary value updates ----------------------------------------------
@@ -53,24 +63,30 @@ def _aux_after(graph, pairs):
 
 def test_aux_update_path():
     g, aux = _aux_after(path(3), [(1, 2)])
-    assert aux.part_size[4] == 2
+    assert g.size[4] == 2
     assert aux.inner_edges[4] == 1
-    assert aux.cross_edges == {(3, 4): 1}
-    assert 1 not in aux.part_size and 2 not in aux.part_size
+    assert g.red_adj[4] == {3: 1} and g.red_adj[3] == {4: 1}
+    assert _red_weights(g) == {(3, 4): 1}
+    assert g.size[1] == g.size[2] == 0
+    assert 1 not in aux.inner_edges and 2 not in aux.inner_edges
+    assert g.red_adj[1] is g.red_adj[2] is EMPTY
 
 
 def test_aux_update_triangle():
     g, aux = _aux_after(PlainGraph(3, [(1, 2), (2, 3), (1, 3)]), [(1, 2)])
-    assert aux.part_size[4] == 2
+    assert g.size[4] == 2
     assert aux.inner_edges[4] == 1  # the contracted black edge moves inside
-    assert aux.cross_edges == {}
+    assert _red_weights(g) == {}
+    assert g.red_adj[3] is g.red_adj[4] is EMPTY
 
 
 def test_aux_update_disjoint_edges():
     g, aux = _aux_after(PlainGraph(4, [(1, 2), (3, 4)]), [(1, 3)])
-    assert aux.part_size[5] == 2
+    assert g.size[5] == 2
     assert aux.inner_edges[5] == 0
-    assert aux.cross_edges == {(2, 5): 1, (4, 5): 1}
+    assert g.red_adj[5] == {2: 1, 4: 1}
+    assert g.red_adj[2] == {5: 1} and g.red_adj[4] == {5: 1}
+    assert _red_weights(g) == {(2, 5): 1, (4, 5): 1}
 
 
 def test_aux_update_merges_both_red_sides():
@@ -78,24 +94,43 @@ def test_aux_update_merges_both_red_sides():
     inst = helpers.CASE_CROSS_BOTH_RED
     g, aux = _aux_after(PlainGraph(inst["n"], inst["edges"]),
                         inst["pairs"][:3])
-    assert aux.cross_edges[(3, 9)] == 2
+    assert g.red_adj[3][9] == g.red_adj[9][3] == 2
 
 
 def test_missing_cross_entry_is_diagnosed():
     g, aux = _aux_after(path(3), [(1, 2)])
-    del aux.cross_edges[(3, 4)]
-    with pytest.raises(InternalInvariantError):
-        aux.cross(3, 4)
+    del g.red_adj[3][4]
+    with pytest.raises(InternalInvariantError, match=r"\{3, 4\}"):
+        red_weight(g, 3, 4)
+    # a step that saw {3, 4} red gets the pair named, not a KeyError
+    with pytest.raises(InternalInvariantError, match=r"\{3, 4\}"):
+        update_auxiliary_values(g, aux, 3, 4, 5, uv_color=RED)
+    with pytest.raises(InternalInvariantError, match="weighs 1 at 4 but None at 3"):
+        check_conservation(g, aux, 3, 2)
+
+
+def test_conservation_rejects_bad_weights():
+    g, aux = _aux_after(path(3), [(1, 2)])
+    check_conservation(g, aux, 3, 2)
+    g.red_adj[3][4] = g.red_adj[4][3] = 2  # groups of 1 and 2: black, not red
+    with pytest.raises(InternalInvariantError, match="weighs 2 between groups of 1 and 2"):
+        check_conservation(g, aux, 3, 2)
+    g.red_adj[3][4] = g.red_adj[4][3] = 1
+    aux.inner_edges[4] = 0
+    with pytest.raises(InternalInvariantError, match="edge mass 1 != m = 2"):
+        check_conservation(g, aux, 3, 2)
 
 
 # -- counting procedures ---------------------------------------------------
 
 
 def test_black_edge_collapse_values():
-    aux = AuxValues({1: 1, 2: 2}, {1: 0, 2: 1}, {})
-    assert count_black_edge_collapse(aux, 1, 2) == 1
-    aux = AuxValues({1: 1, 2: 1}, {1: 0, 2: 0}, {})
-    assert count_black_edge_collapse(aux, 1, 2) == 0
+    # 1 alone, 4 = {2, 3} holding one inner edge, black to 1
+    g, aux = _aux_after(PlainGraph(3, [(1, 2), (2, 3), (1, 3)]), [(2, 3)])
+    assert (g.size[1], g.size[4], aux.inner_edges[1], aux.inner_edges[4]) == (1, 2, 0, 1)
+    assert count_black_edge_collapse(g, aux, 1, 4) == 1
+    g, aux = _aux_after(PlainGraph(2, [(1, 2)]), [])
+    assert count_black_edge_collapse(g, aux, 1, 2) == 0
 
 
 def test_collapse_counts_all_k4_triangles():
@@ -119,7 +154,7 @@ def test_one_neighbor_split_black_edge():
     graph = PlainGraph(4, [(3, 4), (1, 3), (1, 4)])
     g, aux = _aux_after(graph, [(3, 4)])
     got = tri_count_one_neighbor(g, aux, 1, 2, 6, 5)
-    assert got == aux.part_size[1] * aux.inner_edges[5] == 1
+    assert got == g.size[1] * aux.inner_edges[5] == 1
 
 
 def test_one_neighbor_nothing_black():
@@ -133,9 +168,9 @@ def test_one_neighbor_with_red_side_of_black_pair():
     # the wedge contributes those two edges on top of the inner-edge term
     edges = [(3, 4), (2, 3), (5, 4), (1, 3), (1, 4), (1, 2), (1, 5)]
     g, aux = _aux_after(PlainGraph(6, edges), [(3, 4), (2, 5)])
-    assert aux.cross_edges[(7, 8)] == 2
+    assert g.red_adj[7][8] == g.red_adj[8][7] == 2
     got = tri_count_one_neighbor(g, aux, 1, 8, 9, 7)
-    base = aux.part_size[1] * aux.inner_edges[7] + aux.part_size[7] * aux.inner_edges[1]
+    base = g.size[1] * aux.inner_edges[7] + g.size[7] * aux.inner_edges[1]
     assert got == base + 2 and base == 1
 
 
@@ -245,6 +280,40 @@ def test_conservation_on_random_runs():
             check_conservation(g, aux, n, m)
 
         count_triangles(graph, seq, step_callback=check)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 10 ** 6),
+       st.sampled_from([0.1, 0.3, 0.5, 0.8]))
+def test_red_weights_match_brute_force_cross_counts(n, seed, p):
+    # after every step, each live pair's color, each red weight, each group
+    # size and each inner-edge count against the original edges of the groups
+    graph = gnp(n, p, seed=seed)
+    seq, _ = greedy_sequence(graph)
+    adj = {v: set() for v in range(1, n + 1)}
+    for a, b in graph.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    members = {v: [v] for v in range(1, n + 1)}
+
+    def on_step(step, g, aux, state):
+        u, v = seq.pairs[step]
+        members[seq.new_id(step)] = members.pop(u) + members.pop(v)
+        assert sorted(members) == g.live_vertices()
+        for x, group in members.items():
+            assert g.size[x] == len(group)
+            assert 2 * aux.inner_edges[x] == sum(len(adj[a].intersection(group))
+                                                 for a in group)
+        for x, y in itertools.combinations(sorted(members), 2):
+            crossing = sum(len(adj[a].intersection(members[y])) for a in members[x])
+            if crossing == 0:
+                assert y not in g.black_adj[x] and y not in g.red_adj[x]
+            elif crossing == g.size[x] * g.size[y]:
+                assert y in g.black_adj[x] and y not in g.red_adj[x]
+            else:
+                assert g.red_adj[x][y] == g.red_adj[y][x] == crossing, (step, x, y)
+
+    count_triangles(graph, seq, step_callback=on_step)
 
 
 def test_per_step_counter_budgets():

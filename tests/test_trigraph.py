@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twintri.trigraph import BLACK, NONE, RED, EdgeColor, Trigraph
+from twintri.trigraph import BLACK, EMPTY, NONE, RED, EdgeColor, Trigraph
 
 import helpers
 
@@ -165,11 +165,46 @@ def test_vertex_count_decreases_to_one():
         assert g.live_count == 1
 
 
-def test_adjacency_stays_sorted_with_isolated_vertices():
+def test_isolated_vertices_share_the_empty_map():
     # disconnected input with isolated vertices is allowed
     g = Trigraph.from_graph([(1, 2)], 5)
+    assert g.black_adj[3] is g.red_adj[3] is EMPTY
     g.contract(3, 4)
+    assert g.black_adj[6] is g.red_adj[6] is EMPTY
     g.contract(6, 5)
     g.contract(1, 7)
     g.check_consistent()
     assert g.live_count == 2
+    assert g.live_vertices() == [2, 8]
+    assert g.red_adj[8] == {2: 1} and g.red_adj[2] == {8: 1}
+    assert g.size[8] == 4
+    assert all(g.black_adj[v] is g.red_adj[v] is EMPTY for v in range(3, 8))
+
+
+def _set_red(g, x, y, weight):
+    if g.red_adj[x] is EMPTY:
+        g.red_adj[x] = {}
+    g.red_adj[x][y] = weight
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda g: _set_red(g, 4, 5, 2), "asymmetric red edge 4,5"),
+    (lambda g: g.black_adj[5].pop(2), "asymmetric black edge 2,5"),
+    (lambda g: (_set_red(g, 4, 5, 2), _set_red(g, 5, 4, 2)),
+     "red edge 4,5 weighs 2 for groups of 1 and 2"),
+    (lambda g: (_set_red(g, 4, 5, 0), _set_red(g, 5, 4, 0)),
+     "red edge 4,5 weighs 0 for groups of 1 and 2"),
+    (lambda g: (_set_red(g, 2, 5, 1), _set_red(g, 5, 2, 1)),
+     "pair both black and red at 2"),
+    (lambda g: g.black_adj.__setitem__(1, {}), "dead vertex 1 holds its own map"),
+])
+def test_check_consistent_catches_each_broken_invariant(mutate, message):
+    # path 1-2-3-4 after contracting 1 and 3: 5 = {1, 3} is black to 2
+    # and red to 4 with one hidden edge
+    g = Trigraph.from_graph([(1, 2), (2, 3), (3, 4)], 4)
+    g.contract(1, 3)
+    g.check_consistent()
+    assert g.black_adj[5] == {2: None} and g.red_adj[5] == {4: 1}
+    mutate(g)
+    with pytest.raises(AssertionError, match=message):
+        g.check_consistent()
