@@ -264,9 +264,15 @@ def greedy_sequence(graph: PlainGraph):
     degree; ties fall to the smallest resulting total of red edges, then
     to the smallest id pair.  Returns (sequence, witnessed width).
 
-    Candidate evaluation works on bitmask neighborhoods: each pair costs
-    a few word operations plus a scan of the affected vertices, and pairs
-    that already exceed the best key are dropped early.
+    Candidates are scored a row at a time on bitmask neighborhoods: for
+    each slot a, one comprehension popcounts the red set the product with
+    every later slot b would have (counting a and b themselves when they
+    are adjacent, so the score overshoots by at most 2).  A row whose
+    smallest score already exceeds the best worst degree by more than 2
+    is skipped whole; the remaining pairs get the exact red degree, the
+    scan of the affected vertices and the full key.  Every skipped pair
+    is strictly worse than the best key, so the result is the global
+    minimum whatever the order of evaluation.
     """
     n = graph.n
     if n == 1:
@@ -288,19 +294,27 @@ def greedy_sequence(graph: PlainGraph):
     while len(live) > 1:
         live.sort(key=lambda s: ids[s])
         by_degree = sorted(live, key=lambda s: (-red_deg[s], ids[s]))
-        best_key = None
+        blk = [black[s] for s in live]
+        nbr = [black[s] | red[s] for s in live]
+        # sorts after every real key: no red degree reaches n
+        best_key = (n,)
         best = None
-        for ai in range(len(live)):
+        for ai in range(len(live) - 1):
             a = live[ai]
-            ba, ra = black[a], red[a]
+            ba, na, ra = blk[ai], nbr[ai], red[a]
+            row = [((na | nb) & ~(ba & bb)).bit_count()
+                   for nb, bb in zip(nbr[ai + 1:], blk[ai + 1:])]
+            if min(row) > best_key[0] + 2:
+                continue
             bit_a = 1 << a
-            for bi in range(ai + 1, len(live)):
+            for bi in [bi for bi, score in enumerate(row, ai + 1)
+                       if score <= best_key[0] + 2]:
                 b = live[bi]
-                bb_mask = ba & black[b]
-                union = (ba | ra | black[b] | red[b]) & ~bit_a & ~(1 << b)
+                bb_mask = ba & blk[bi]
+                union = (na | nbr[bi]) & ~bit_a & ~(1 << b)
                 rr_mask = union & ~bb_mask
-                wdeg = bin(rr_mask).count("1")
-                if best_key is not None and wdeg > best_key[0]:
+                wdeg = rr_mask.bit_count()
+                if wdeg > best_key[0]:
                     continue
                 worst = wdeg
                 affected = union
@@ -319,7 +333,7 @@ def greedy_sequence(graph: PlainGraph):
                         deg += 1
                     if deg > worst:
                         worst = deg
-                        if best_key is not None and worst > best_key[0]:
+                        if worst > best_key[0]:
                             good = False
                             break
                 if not good:
@@ -333,7 +347,7 @@ def greedy_sequence(graph: PlainGraph):
                 new_total = (red_total - red_deg[a] - red_deg[b]
                              + ((ra >> b) & 1) + wdeg)
                 key = (worst, new_total, ids[a], ids[b])
-                if best_key is None or key < best_key:
+                if key < best_key:
                     best_key = key
                     best = (a, b, bb_mask, rr_mask, union)
         a, b, bb_mask, rr_mask, union = best
@@ -341,7 +355,7 @@ def greedy_sequence(graph: PlainGraph):
         # fold b into slot a; every red edge at a or b disappears and the
         # product's red edges (rr_mask) take their place
         bit_a, bit_b = 1 << a, 1 << b
-        wdeg = bin(rr_mask).count("1")
+        wdeg = rr_mask.bit_count()
         red_total += wdeg - red_deg[a] - red_deg[b] + ((red[a] >> b) & 1)
         scan = union
         while scan:
@@ -354,7 +368,7 @@ def greedy_sequence(graph: PlainGraph):
                 red[x] |= bit_a
             else:
                 black[x] |= bit_a
-            red_deg[x] = bin(red[x]).count("1")
+            red_deg[x] = red[x].bit_count()
         black[a] = bb_mask
         red[a] = rr_mask
         red_deg[a] = wdeg
@@ -403,7 +417,7 @@ def exact_sequence(graph: PlainGraph, max_n: int = EXACT_MAX_N):
     def size_of(mask):
         s = sizes.get(mask)
         if s is None:
-            s = bin(mask).count("1")
+            s = mask.bit_count()
             sizes[mask] = s
         return s
 
@@ -416,7 +430,7 @@ def exact_sequence(graph: PlainGraph, max_n: int = EXACT_MAX_N):
             while m:
                 low = m & -m
                 m ^= low
-                crossing += bin(adj[low.bit_length() - 1] & q).count("1")
+                crossing += (adj[low.bit_length() - 1] & q).bit_count()
             if crossing == 0:
                 c = 0
             elif crossing == size_of(p) * size_of(q):

@@ -251,12 +251,20 @@ class Trigraph:
     # -- diagnostics -----------------------------------------------------
 
     def serialize(self) -> str:
-        """Canonical text form; equal trigraphs serialize identically."""
-        lines = ["live " + " ".join(map(str, self.live_vertices()))]
+        """Canonical text form; equal trigraphs serialize identically.
+
+        Lists the live vertices, their group sizes in the same order, the
+        black edges and the red edges with their cross-edge counts
+        ("r u v weight"), so trigraphs that differ only in sizes or red
+        weights differ in text too.
+        """
+        live = self.live_vertices()
+        lines = ["live " + " ".join(map(str, live)),
+                 "size " + " ".join(str(self.size[v]) for v in live)]
         for u, v in self.black_edges():
             lines.append(f"b {u} {v}")
         for u, v in self.red_edges():
-            lines.append(f"r {u} {v}")
+            lines.append(f"r {u} {v} {self.red_adj[u][v]}")
         return "\n".join(lines) + "\n"
 
     def check_consistent(self):

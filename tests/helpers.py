@@ -3,10 +3,14 @@
 Nothing here touches the library's trigraph or counting internals.
 Colors, auxiliary counts and triangle configurations are recomputed from
 first principles (edge lists and vertex partitions), so a bug in the
-package cannot leak into its own check.
+package cannot leak into its own check.  The one exception is
+`greedy_reference`, the package's earlier greedy loop, kept as the
+yardstick its faster rewrite must match.
 """
 
 import itertools
+
+from twintri.sequence import ContractionSequence
 
 
 def key(a, b):
@@ -342,3 +346,115 @@ TARGETED_INSTANCES = {
     "symmetric-black-pair": (CASE_SYMMETRIC_BLACK_PAIR, "ordered-pairs"),
     "symmetric-red-pair": (CASE_SYMMETRIC_RED_PAIR, "ordered-pairs"),
 }
+
+
+# -- greedy sequence reference ---------------------------------------------
+
+
+def greedy_reference(graph):
+    """The pair-by-pair greedy loop that `greedy_sequence` replaced.
+
+    Kept word for word, popcounts and all, so the rewrite can be held to
+    the same output: the pair minimizing (worst red degree, red-edge
+    total, ids) at every step.  Returns (sequence, witnessed width).
+    """
+    n = graph.n
+    if n == 1:
+        return ContractionSequence(1, ()), 0
+    # slot i (0-based) holds a live vertex; masks index slots
+    black = [0] * n
+    red = [0] * n
+    for u, v in graph.edges:
+        black[u - 1] |= 1 << (v - 1)
+        black[v - 1] |= 1 << (u - 1)
+    ids = list(range(1, n + 1))
+    live = list(range(n))
+    red_deg = [0] * n
+    red_total = 0
+    next_id = n + 1
+    pairs = []
+    width = 0
+
+    while len(live) > 1:
+        live.sort(key=lambda s: ids[s])
+        by_degree = sorted(live, key=lambda s: (-red_deg[s], ids[s]))
+        best_key = None
+        best = None
+        for ai in range(len(live)):
+            a = live[ai]
+            ba, ra = black[a], red[a]
+            bit_a = 1 << a
+            for bi in range(ai + 1, len(live)):
+                b = live[bi]
+                bb_mask = ba & black[b]
+                union = (ba | ra | black[b] | red[b]) & ~bit_a & ~(1 << b)
+                rr_mask = union & ~bb_mask
+                wdeg = bin(rr_mask).count("1")
+                if best_key is not None and wdeg > best_key[0]:
+                    continue
+                worst = wdeg
+                affected = union
+                rb = red[b]
+                good = True
+                while affected:
+                    low = affected & -affected
+                    affected ^= low
+                    x = low.bit_length() - 1
+                    deg = red_deg[x]
+                    if ra & low:
+                        deg -= 1
+                    if rb & low:
+                        deg -= 1
+                    if rr_mask & low:
+                        deg += 1
+                    if deg > worst:
+                        worst = deg
+                        if best_key is not None and worst > best_key[0]:
+                            good = False
+                            break
+                if not good:
+                    continue
+                excluded = union | bit_a | (1 << b)
+                for x in by_degree:
+                    if not (excluded >> x) & 1:
+                        if red_deg[x] > worst:
+                            worst = red_deg[x]
+                        break
+                new_total = (red_total - red_deg[a] - red_deg[b]
+                             + ((ra >> b) & 1) + wdeg)
+                key = (worst, new_total, ids[a], ids[b])
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = (a, b, bb_mask, rr_mask, union)
+        a, b, bb_mask, rr_mask, union = best
+        pairs.append((min(ids[a], ids[b]), max(ids[a], ids[b])))
+        # fold b into slot a; every red edge at a or b disappears and the
+        # product's red edges (rr_mask) take their place
+        bit_a, bit_b = 1 << a, 1 << b
+        wdeg = bin(rr_mask).count("1")
+        red_total += wdeg - red_deg[a] - red_deg[b] + ((red[a] >> b) & 1)
+        scan = union
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            x = low.bit_length() - 1
+            black[x] &= ~(bit_a | bit_b)
+            red[x] &= ~(bit_a | bit_b)
+            if rr_mask & low:
+                red[x] |= bit_a
+            else:
+                black[x] |= bit_a
+            red_deg[x] = bin(red[x]).count("1")
+        black[a] = bb_mask
+        red[a] = rr_mask
+        red_deg[a] = wdeg
+        black[b] = 0
+        red[b] = 0
+        red_deg[b] = 0
+        ids[a] = next_id
+        next_id += 1
+        live.remove(b)
+        step_width = max(red_deg[s] for s in live)
+        if step_width > width:
+            width = step_width
+    return ContractionSequence(n, tuple(pairs)), width

@@ -130,7 +130,7 @@ def test_gen_graph_deterministic(tmp_path):
                  "--seed", "7", "-o", out1]) == 0
     assert main(["gen", "graph", "--family", "gnp", "--n", "20", "--p", "0.3",
                  "--seed", "7", "-o", out2]) == 0
-    assert open(out1).read() == open(out2).read()
+    assert Path(out1).read_text() == Path(out2).read_text()
 
 
 def test_gen_graph_grid_needs_dimensions(tmp_path, capsys):
@@ -202,8 +202,8 @@ def test_env_var_supplies_default_seed(tmp_path, monkeypatch):
     assert main(["gen", "graph", "--family", "gnp", "--n", "15", "-o", out2]) == 0
     monkeypatch.setenv("TWINTRI_SEED", "6")
     assert main(["gen", "graph", "--family", "gnp", "--n", "15", "-o", out3]) == 0
-    assert open(out1).read() == open(out2).read()
-    assert open(out1).read() != open(out3).read()
+    assert Path(out1).read_text() == Path(out2).read_text()
+    assert Path(out1).read_text() != Path(out3).read_text()
 
 
 def _pyproject_script(name):
@@ -246,7 +246,7 @@ def test_console_script_runs():
 def test_bench_empty_sweep(tmp_path, capsys):
     out = str(tmp_path / "empty.csv")
     assert main(["bench", "-o", out]) == 0
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("family,")
 
 
@@ -254,7 +254,8 @@ def test_bench_small_sweep(tmp_path):
     out = str(tmp_path / "sweep.csv")
     assert main(["bench", "-o", out, "--sweep", "gnp:n=12:p=0.3:seeds=2",
                  "--sweep", "cograph:n=30:seeds=1", "--seed", "0"]) == 0
-    rows = list(csv.DictReader(open(out)))
+    with open(out, newline="") as handle:
+        rows = list(csv.DictReader(handle))
     assert len(rows) == 3
     assert {r["family"] for r in rows} == {"gnp", "cograph"}
     out2 = str(tmp_path / "sweep2.csv")
@@ -263,10 +264,11 @@ def test_bench_small_sweep(tmp_path):
     # identical apart from the wall-clock columns
     def stripped(path):
         rows = []
-        for row in csv.DictReader(open(path)):
-            row.pop("wall_time_count")
-            row.pop("wall_time_oracle")
-            rows.append(row)
+        with open(path, newline="") as handle:
+            for row in csv.DictReader(handle):
+                row.pop("wall_time_count")
+                row.pop("wall_time_oracle")
+                rows.append(row)
         return rows
 
     assert stripped(out) == stripped(out2)

@@ -1,7 +1,10 @@
+import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twintri.generate import (
     Cotree,
@@ -21,8 +24,10 @@ from twintri.generate import (
     twin_sequence,
 )
 from twintri.oracle import PlainGraph, count_naive
-from twintri.sequence import replay, verify_width
+from twintri.sequence import format_sequence, replay, verify_width
 from twintri.trigraph import Trigraph
+
+import helpers
 
 
 def _fresh(graph):
@@ -169,6 +174,41 @@ def test_greedy_single_vertex():
 def test_greedy_deterministic():
     g = gnp(16, 0.4, seed=2)
     assert greedy_sequence(g) == greedy_sequence(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40), st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5, 0.8]),
+       st.integers(0, 10**6))
+def test_greedy_matches_reference_on_gnp(n, p, seed):
+    g = gnp(n, p, seed=seed)
+    assert greedy_sequence(g) == helpers.greedy_reference(g)
+
+
+FIXED_GRAPHS = {
+    "cograph-blocks": cograph(60, seed=4, block_size=8)[0],
+    "K20": complete(20)[0],
+    "grid6x7": grid(6, 7),
+    "petersen": petersen(),
+    "star": star(15)[0],
+    "cycle": cycle(17),
+    "path": path(20),
+    "single": PlainGraph(1, []),
+    "edgeless": PlainGraph(12, []),
+}
+
+
+@pytest.mark.parametrize("name", FIXED_GRAPHS)
+def test_greedy_matches_reference_on_fixed_graphs(name):
+    graph = FIXED_GRAPHS[name]
+    assert greedy_sequence(graph) == helpers.greedy_reference(graph)
+
+
+def test_greedy_pinned_on_benchmark_graph():
+    """The benchmark's seed-1 gnp-greedy input keeps its exact sequence."""
+    seq, width = greedy_sequence(gnp(200, 0.1, seed=1))
+    assert width == 39
+    digest = hashlib.sha256(format_sequence(seq).encode()).hexdigest()
+    assert digest == "a985a977615a08b7847e43b1742cf323b364566314217cfdae8bb82eb2b93184"
 
 
 # -- exact --------------------------------------------------------------------

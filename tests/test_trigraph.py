@@ -104,7 +104,27 @@ def test_serialize_is_canonical():
     g1.contract(1, 2)
     g2.contract(1, 2)
     assert g1.serialize() == g2.serialize()
-    assert "r 3 4" in g1.serialize()
+    assert "r 3 4 1" in g1.serialize()
+
+
+def test_serialize_shows_red_weights_and_sizes():
+    # same colours, red weight 1 against 2
+    g1 = Trigraph.from_graph([(1, 3)], 4)
+    g2 = Trigraph.from_graph([(1, 3), (2, 4)], 4)
+    for g in (g1, g2):
+        g.contract(1, 2)
+        g.contract(3, 4)
+    assert list(g1.red_edges()) == list(g2.red_edges()) == [(5, 6)]
+    assert g1.serialize() != g2.serialize()
+    assert "r 5 6 1" in g1.serialize() and "r 5 6 2" in g2.serialize()
+    # same live ids on an edgeless graph, group sizes 1, 3, 2 against 1, 2, 3
+    g3, g4 = Trigraph(6), Trigraph(6)
+    for g, steps in ((g3, [(1, 2), (7, 3), (4, 5)]), (g4, [(1, 2), (3, 4), (7, 5)])):
+        for u, v in steps:
+            g.contract(u, v)
+    assert g3.live_vertices() == g4.live_vertices() == [6, 8, 9]
+    assert g3.serialize() == "live 6 8 9\nsize 1 3 2\n"
+    assert g4.serialize() == "live 6 8 9\nsize 1 2 3\n"
 
 
 def _random_graph(rng, n):
