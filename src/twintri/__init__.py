@@ -5,7 +5,6 @@ from .counting import (
     Counters,
     CountResult,
     InternalInvariantError,
-    TriangleCase,
     count_triangles,
     evaluate_invariant,
 )
@@ -26,7 +25,7 @@ from .generate import (
     twin_sequence,
 )
 from .graphio import GraphFormatError, format_graph, load_graph, parse_graph, save_graph
-from .oracle import PlainGraph, count_naive, count_triples, cross_check
+from .oracle import PlainGraph, count_naive
 from .sequence import (
     ContractionSequence,
     SequenceError,

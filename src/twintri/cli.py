@@ -132,7 +132,9 @@ def _cmd_width(args) -> int:
     seq = load_sequence(args.sequence)
     report = replay(Trigraph.from_graph(graph.edges, graph.n), seq)
     if not report.valid:
-        print(f"invalid sequence at step {report.failing_step}", file=sys.stderr)
+        u, v = seq.pairs[report.failing_step]
+        print(f"invalid sequence at step {report.failing_step} ({u}, {v})",
+              file=sys.stderr)
         return EXIT_SEMANTIC
     print(f"width {report.width}")
     return EXIT_OK
@@ -146,7 +148,8 @@ def _cmd_verify(args) -> int:
     if report.valid:
         print(f"valid width {report.width}")
         return EXIT_OK
-    print(f"invalid step {report.failing_step} width {report.width}")
+    u, v = seq.pairs[report.failing_step]
+    print(f"invalid step {report.failing_step} ({u}, {v}) width {report.width}")
     return EXIT_SEMANTIC
 
 

@@ -30,10 +30,9 @@ inputs may execute concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
-from .sequence import ContractionSequence, SequenceError, replay
-from .trigraph import BLACK, NONE, RED, Trigraph
+from .sequence import ContractionSequence, SequenceError
+from .trigraph import BLACK, RED, Trigraph
 
 
 class InternalInvariantError(RuntimeError):
@@ -87,164 +86,76 @@ class CountResult:
     sum_red_degree_sq: int  # sum over steps of (max red degree after the step)^2
 
 
-class TriangleCase(Enum):
-    """Configuration of one original triangle relative to the live groups."""
-
-    THREE_BLACK = "three groups, all edges black"
-    TWO_BLACK = "three groups, two black one red"
-    ONE_BLACK = "three groups, one black two red"
-    ALL_RED = "three groups, all edges red"
-    SPLIT_BLACK = "two groups joined by a black edge"
-    SPLIT_RED = "two groups joined by a red edge"
-    INSIDE = "one group"
+# -- the per-step routine -----------------------------------------------
 
 
-ABSORBED_CASES = frozenset(
-    {TriangleCase.ONE_BLACK, TriangleCase.ALL_RED,
-     TriangleCase.SPLIT_RED, TriangleCase.INSIDE}
-)
+def _count_step(g: Trigraph, aux: AuxValues, u, v, w, merged,
+                counters: Counters) -> int:
+    """Triangles that first reach an absorbing configuration as u and v
+    contract into w; also folds u's and v's inner-edge counts into w's.
 
-
-def classify_triangle(g: Trigraph, group_of, tri) -> TriangleCase:
-    """Place an original triangle in one of the seven configurations.
-
-    group_of maps original vertices to live vertices of g.  Raises if the
-    colors contradict the triangle's existence, which would mean the
-    trigraph itself is corrupt.
+    Runs on the still-unmodified trigraph; merged is
+    g.merge_neighborhoods(u, v), whose red entries (x, color_ux,
+    color_vx) are the red neighbors of w.  The contraction then sets w's
+    group size and red weights itself.  The increment has four parts:
+    triangles with an edge inside u or v when {u, v} is black (they end
+    inside w); triangles that collapse onto a single red edge {w, x};
+    wedges x-y with x red and y black at w; and pairs of red neighbors
+    of w, each visited once, with the asymmetric subcases evaluated in
+    both orientations in that one visit.
     """
-    a, b, c = tri
-    groups = {group_of[a], group_of[b], group_of[c]}
-    if len(groups) == 1:
-        return TriangleCase.INSIDE
-    if len(groups) == 2:
-        x, y = groups
-        color = g.edge_color(x, y)
-        if color is BLACK:
-            return TriangleCase.SPLIT_BLACK
-        if color is RED:
-            return TriangleCase.SPLIT_RED
-        raise InternalInvariantError(
-            f"triangle {tri} spans groups {x},{y} with no edge between them")
-    x, y, z = groups
-    colors = [g.edge_color(x, y), g.edge_color(y, z), g.edge_color(x, z)]
-    if NONE in colors:
-        raise InternalInvariantError(
-            f"triangle {tri} spans a group pair with no edge")
-    blacks = colors.count(BLACK)
-    return {
-        3: TriangleCase.THREE_BLACK,
-        2: TriangleCase.TWO_BLACK,
-        1: TriangleCase.ONE_BLACK,
-        0: TriangleCase.ALL_RED,
-    }[blacks]
-
-
-# -- per-step procedures -------------------------------------------------
-
-
-def update_auxiliary_values(g: Trigraph, aux: AuxValues, u, v, w,
-                            uv_color=None):
-    """Fold u's and v's inner-edge counts into w's, using the current colors.
-
-    Must run before the contraction mutates g, which then sets w's group
-    size and the cross-edge counts of w's red edges itself.
-    """
-    if uv_color is None:
-        uv_color = g.edge_color(u, v)
-    if uv_color is BLACK:
-        between = g.size[u] * g.size[v]
-    elif uv_color is RED:
+    black_list, red_entries = merged
+    size, black_adj, red_adj = g.size, g.black_adj, g.red_adj
+    inner = aux.inner_edges
+    su, sv = size[u], size[v]
+    iu, iv = inner.pop(u), inner.pop(v)
+    uv_black = v in black_adj[u]
+    inc = 0
+    if uv_black:
+        between = su * sv
+        inc += su * iv + sv * iu
+    elif v in red_adj[u] or u in red_adj[v]:
+        # either end marks the pair red; a weight missing at u is
+        # diagnosed instead of being read as no edge
         between = red_weight(g, u, v)
     else:
         between = 0
-    inner = aux.inner_edges
-    inner[w] = inner.pop(u) + inner.pop(v) + between
-
-
-def count_black_edge_collapse(g: Trigraph, aux: AuxValues, u, v) -> int:
-    """Triangles with an edge inside one endpoint of the black pair {u, v}.
-
-    They sit entirely inside the merged group afterwards.  Caller
-    guarantees {u, v} is black.
-    """
-    return (g.size[u] * aux.inner_edges[v]
-            + g.size[v] * aux.inner_edges[u])
-
-
-def tri_count_one_neighbor(g: Trigraph, aux: AuxValues, u, v, w, x,
-                           cu=None, cv=None, uv_color=None) -> int:
-    """Triangles that collapse onto the single red edge {w, x}.
-
-    x is a red neighbor of w in the contracted trigraph; colors refer to
-    the current one.  Two shapes arrive here: triangles living inside the
-    two ends of a black edge from u (or v) to x, and triangles with one
-    corner in each of u, v, x when {u, v} is black and the third side red.
-    """
-    if cu is None:
-        cu = g.edge_color(u, x)
-    if cv is None:
-        cv = g.edge_color(v, x)
-    if uv_color is None:
-        uv_color = g.edge_color(u, v)
-    size = g.size
-    inner = aux.inner_edges
-    inc = 0
-    if cu is BLACK:
-        inc += size[u] * inner[x] + size[x] * inner[u]
-        if uv_color is BLACK and cv is RED:
-            inc += red_weight(g, v, x) * size[u]
-    elif cv is BLACK:
-        inc += size[v] * inner[x] + size[x] * inner[v]
-        if uv_color is BLACK and cu is RED:
-            inc += red_weight(g, u, x) * size[v]
-    return inc
-
-
-def tri_count_two_neighbors(g: Trigraph, aux: AuxValues, u, v, w,
-                            red_entries=None, black_neighbors=None,
-                            counters=None) -> int:
-    """Triangles that end up spanning w and two other groups.
-
-    Handles every triangle whose configuration gains a second or third
-    red side at this contraction: one corner in u or v, the others in two
-    groups x, y that are both neighbors of w afterwards.  Red-neighbor
-    pairs are visited unordered, once; the asymmetric subcases are
-    evaluated in both orientations within that single visit, which keeps
-    the pair budget at d^2 per step without losing a configuration.
-    """
-    if red_entries is None or black_neighbors is None:
-        black_list, red_entries = g.merge_neighborhoods(u, v)
-        black_neighbors = black_list
-    size = g.size
-    red_adj, black_adj = g.red_adj, g.black_adj
-    inc = 0
-    black_set = set(black_neighbors)
-    # wedge shapes: x red at w, y black at w, {x, y} red in the current
-    # trigraph; the corner in u (or v) must see both groups in black
+    inner[w] = iu + iv + between
+    # one update for w's inner edges, one per red edge the contraction weighs
+    counters.aux_updates += 1 + len(red_entries)
+    if not red_entries:
+        return inc
+    counters.one_neighbor_calls += len(red_entries)
+    black_set = set(black_list)
     for x, cu, cv in red_entries:
-        for y, exy in red_adj[x].items():
-            if counters is not None:
-                counters.red_wedge_visits += 1
-            if y == u or y == v:
-                continue
-            if y in black_set:
-                if cu is BLACK:
-                    inc += exy * size[u]
-                elif cv is BLACK:
-                    inc += exy * size[v]
-    # pairs of red neighbors of w
-    for i in range(len(red_entries)):
+        rx = red_adj[x]
+        counters.red_wedge_visits += len(rx)
+        if cu is BLACK:
+            inc += su * inner[x] + size[x] * iu
+            if uv_black and cv is RED:
+                inc += red_weight(g, v, x) * su
+            corner = su
+        elif cv is BLACK:
+            inc += sv * inner[x] + size[x] * iv
+            if uv_black and cu is RED:
+                inc += red_weight(g, u, x) * sv
+            corner = sv
+        else:
+            continue
+        # the corner in u (or v) sees x and y in black, {x, y} is red
+        inc += corner * sum(exy for y, exy in rx.items() if y in black_set)
+    k = len(red_entries)
+    counters.two_neighbor_pair_visits += k * (k - 1) // 2
+    for i in range(k):
         x, cux, cvx = red_entries[i]
         bx, rx = black_adj[x], red_adj[x]
-        for j in range(i + 1, len(red_entries)):
+        for j in range(i + 1, k):
             y, cuy, cvy = red_entries[j]
-            if counters is not None:
-                counters.two_neighbor_pair_visits += 1
             if y in bx:
                 if cux is BLACK and cuy is BLACK:
-                    inc += size[u] * size[x] * size[y]
+                    inc += su * size[x] * size[y]
                 if cvx is BLACK and cvy is BLACK:
-                    inc += size[v] * size[x] * size[y]
+                    inc += sv * size[x] * size[y]
                 if cux is RED and cuy is BLACK:
                     inc += red_weight(g, u, x) * size[y]
                 if cux is BLACK and cuy is RED:
@@ -255,9 +166,9 @@ def tri_count_two_neighbors(g: Trigraph, aux: AuxValues, u, v, w,
                     inc += red_weight(g, v, y) * size[x]
             elif y in rx:
                 if cux is BLACK and cuy is BLACK:
-                    inc += rx[y] * size[u]
+                    inc += rx[y] * su
                 if cvx is BLACK and cvy is BLACK:
-                    inc += rx[y] * size[v]
+                    inc += rx[y] * sv
     return inc
 
 
@@ -360,32 +271,26 @@ def count_triangles(graph, seq: ContractionSequence, mode: str = "fast",
     g = Trigraph.from_graph(graph.edges, n)
     aux = AuxValues.initial(n)
     state = CountState()
-    sum_d_sq = 0
+    counters = state.counters
+    width = sum_d_sq = 0
 
     if checked:
         check_conservation(g, aux, n, m)
         if not evaluate_invariant(g, aux, state.t, reference_count):
             raise InternalInvariantError("invariant fails before any contraction")
 
-    def before(step, g, u, v, w, merged):
-        black_list, red_entries = merged
-        uv_color = g.edge_color(u, v)
-        if uv_color is BLACK:
-            state.t += count_black_edge_collapse(g, aux, u, v)
-        if red_entries:
-            state.counters.one_neighbor_calls += len(red_entries)
-            for x, cu, cv in red_entries:
-                state.t += tri_count_one_neighbor(
-                    g, aux, u, v, w, x, cu=cu, cv=cv, uv_color=uv_color)
-            state.t += tri_count_two_neighbors(
-                g, aux, u, v, w, red_entries, black_list, state.counters)
-        update_auxiliary_values(g, aux, u, v, w, uv_color=uv_color)
-        # one update for w's inner edges, one per red edge the contraction weighs
-        state.counters.aux_updates += 1 + len(red_entries)
-
-    def after(step, g, u, v, w):
-        nonlocal sum_d_sq
+    for step, (u, v) in enumerate(seq.pairs):
+        if not (g.is_live(u) and g.is_live(v)):
+            dead = v if g.is_live(u) else u
+            raise SequenceError(
+                f"step {step} contracts ({u}, {v}) but vertex {dead} is not live")
+        w = n + 1 + step
+        merged = g.merge_neighborhoods(u, v)
+        state.t += _count_step(g, aux, u, v, w, merged, counters)
+        g.contract(u, v, w, merged)
         d = g.max_red_degree()
+        if d > width:
+            width = d
         sum_d_sq += d * d
         if checked:
             check_conservation(g, aux, n, m)
@@ -395,16 +300,12 @@ def count_triangles(graph, seq: ContractionSequence, mode: str = "fast",
         if step_callback is not None:
             step_callback(step, g, aux, state)
 
-    report = replay(g, seq, observer=before, after=after)
-    if not report.valid:
-        raise SequenceError(
-            f"sequence references a dead vertex at step {report.failing_step}")
-    state.counters.contractions = len(seq.pairs)
-    state.counters.graph_update_work = g.update_work
+    counters.contractions = len(seq.pairs)
+    counters.graph_update_work = g.update_work
     return CountResult(
         triangles=state.t,
-        width=report.width,
+        width=width,
         steps=len(seq.pairs),
-        counters=state.counters,
+        counters=counters,
         sum_red_degree_sq=sum_d_sq,
     )

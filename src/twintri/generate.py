@@ -38,11 +38,14 @@ class Cotree:
     children: tuple["Cotree", ...] = ()
 
     def leaves(self) -> list[int]:
-        if self.kind == "leaf":
-            return [self.vertex]
         out = []
-        for child in self.children:
-            out.extend(child.leaves())
+        todo = [self]
+        while todo:
+            node = todo.pop()
+            if node.kind == "leaf":
+                out.append(node.vertex)
+            else:
+                todo.extend(reversed(node.children))
         return out
 
 
@@ -51,26 +54,36 @@ def _leaf(v):
 
 
 def cotree_graph(root: Cotree, n: int) -> PlainGraph:
-    """Materialize the graph a cotree describes."""
+    """Materialize the graph a cotree describes.
+
+    The walk keeps its own stack, so a cotree of any depth is fine.
+    """
     if sorted(root.leaves()) != list(range(1, n + 1)):
         raise ValueError("cotree leaves must be exactly 1..n")
     edges = []
-
-    def walk(node):
-        if node.kind == "leaf":
-            return [node.vertex]
-        mine = []
-        for child in node.children:
-            verts = walk(child)
-            if node.kind == "join":
+    stack = []  # (kind, remaining children, leaves so far) of the open nodes
+    kind, children, mine = None, iter((root,)), []
+    while True:
+        for node in children:
+            if node.kind != "leaf":
+                stack.append((kind, children, mine))
+                kind, children, mine = node.kind, iter(node.children), []
+                break
+            v = node.vertex
+            if kind == "join":
+                for a in mine:
+                    edges.append((a, v))
+            mine.append(v)
+        else:
+            if not stack:
+                return PlainGraph(n, edges)
+            verts = mine
+            kind, children, mine = stack.pop()
+            if kind == "join":
                 for a in mine:
                     for b in verts:
                         edges.append((a, b))
             mine.extend(verts)
-        return mine
-
-    walk(root)
-    return PlainGraph(n, edges)
 
 
 def twin_sequence(root: Cotree, n: int) -> ContractionSequence:
@@ -78,26 +91,40 @@ def twin_sequence(root: Cotree, n: int) -> ContractionSequence:
 
     Once a node's children are each reduced to a single vertex, those
     vertices are mutual twins and fold together without creating a red
-    edge.
+    edge.  Children fold in left to right, each as soon as it is reduced;
+    the walk keeps its own stack, so a cotree of any depth is fine, and
+    checks the leaves it meets rather than walking the tree twice.
     """
-    if sorted(root.leaves()) != list(range(1, n + 1)):
-        raise ValueError("cotree leaves must be exactly 1..n")
     pairs = []
-    next_id = n + 1
-
-    def reduce(node):
-        nonlocal next_id
-        if node.kind == "leaf":
-            return node.vertex
-        rep = reduce(node.children[0])
-        for child in node.children[1:]:
-            other = reduce(child)
-            pairs.append((rep, other) if rep < other else (other, rep))
-            rep = next_id
-            next_id += 1
-        return rep
-
-    reduce(root)
+    leaves = []
+    stack = []  # (remaining children, representative so far) of the open nodes
+    children, rep = iter((root,)), None
+    while True:
+        for node in children:
+            if node.kind == "leaf":
+                other = node.vertex
+                leaves.append(other)
+            else:
+                stack.append((children, rep))
+                children, rep = iter(node.children), None
+                break
+            if rep is None:
+                rep = other
+            else:
+                pairs.append((rep, other) if rep < other else (other, rep))
+                rep = n + len(pairs)
+        else:
+            if not stack:
+                break
+            other = rep
+            children, rep = stack.pop()
+            if rep is None:
+                rep = other
+            else:
+                pairs.append((rep, other) if rep < other else (other, rep))
+                rep = n + len(pairs)
+    if sorted(leaves) != list(range(1, n + 1)):
+        raise ValueError("cotree leaves must be exactly 1..n")
     return ContractionSequence(n, tuple(pairs))
 
 

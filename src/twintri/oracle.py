@@ -1,4 +1,4 @@
-"""Brute-force triangle counters used as ground truth.
+"""Brute-force triangle counter used as ground truth.
 
 This module is deliberately independent of the contraction machinery:
 adjacency is rebuilt here from the raw edge list, so a bug in the fast
@@ -74,26 +74,3 @@ def count_naive(g: PlainGraph) -> int:
     # every triangle was seen once per incident edge
     return total // 3
 
-
-def count_triples(g: PlainGraph) -> int:
-    """Second, independent counter: test all vertex triples."""
-    n = g.n
-    neighbor_sets = [set(nbrs) for nbrs in g.adjacency]
-    total = 0
-    for x in range(1, n + 1):
-        nx = neighbor_sets[x]
-        for y in range(x + 1, n + 1):
-            if y not in nx:
-                continue
-            ny = neighbor_sets[y]
-            for z in range(y + 1, n + 1):
-                if z in nx and z in ny:
-                    total += 1
-    return total
-
-
-def cross_check(g: PlainGraph, seq) -> bool:
-    """True iff the contraction-sequence counter agrees with brute force."""
-    from .counting import count_triangles
-
-    return count_triangles(g, seq).triangles == count_naive(g)

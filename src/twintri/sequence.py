@@ -48,10 +48,6 @@ class ContractionSequence:
             if not (1 <= u <= top and 1 <= v <= top):
                 raise ValueError(f"pair ({u}, {v}) leaves the id range 1..{top}")
 
-    def new_id(self, step: int) -> int:
-        """Id assigned to the vertex created by 0-based step `step`."""
-        return self.n + 1 + step
-
 
 @dataclass
 class SequenceReport:
@@ -118,35 +114,30 @@ def save_sequence(seq: ContractionSequence, path):
         handle.write(format_sequence(seq))
 
 
-def replay(g: Trigraph, seq: ContractionSequence, observer=None, after=None) -> SequenceReport:
+def replay(g: Trigraph, seq: ContractionSequence, bound: int | None = None) -> SequenceReport:
     """Apply every contraction in order, tracking the largest red degree seen.
 
     g must be freshly built from the n-vertex graph the sequence targets.
-    observer(step, g, u, v, w, merged) runs on the still-unmodified
-    trigraph together with the merge preview for the step, so callers can
-    inspect the pre-contraction colors; after(step, g, u, v, w) runs once
-    the contraction is applied.  A step naming a dead or unknown vertex
-    stops the replay and is reported through failing_step rather than
-    raised.
+    A step naming a dead or unknown vertex stops the replay and is
+    reported through failing_step rather than raised.  With a bound, the
+    first step whose trigraph has a red degree above it fails the report
+    too, but the replay runs on, so width is the whole sequence's.
     """
     if g.n_original != seq.n:
         raise SequenceError(
             f"sequence is for {seq.n} vertices, trigraph has {g.n_original}")
     width = 0
+    over = None
     for step, (u, v) in enumerate(seq.pairs):
-        if u == v or not (g.is_live(u) and g.is_live(v)):
+        if not (g.is_live(u) and g.is_live(v)):
             return SequenceReport(width, False, step)
-        w = seq.n + 1 + step
-        merged = g.merge_neighborhoods(u, v)
-        if observer is not None:
-            observer(step, g, u, v, w, merged)
-        g.contract(u, v, w, merged)
+        g.contract(u, v)
         d = g.max_red_degree()
         if d > width:
             width = d
-        if after is not None:
-            after(step, g, u, v, w)
-    return SequenceReport(width, True, None)
+            if over is None and bound is not None and d > bound:
+                over = step
+    return SequenceReport(width, over is None, over)
 
 
 def verify_width(g: Trigraph, seq: ContractionSequence, bound: int) -> SequenceReport:
@@ -155,16 +146,4 @@ def verify_width(g: Trigraph, seq: ContractionSequence, bound: int) -> SequenceR
     A width overshoot is a failed verification (valid=False with the
     first offending step), not an exception.
     """
-    exceeded = None
-
-    def watch(step, g2, u, v, w):
-        nonlocal exceeded
-        if exceeded is None and g2.max_red_degree() > bound:
-            exceeded = step
-
-    report = replay(g, seq, after=watch)
-    if not report.valid:
-        return report
-    if exceeded is not None:
-        return SequenceReport(report.width, False, exceeded)
-    return report
+    return replay(g, seq, bound)

@@ -88,14 +88,6 @@ class Trigraph:
 
     # -- queries ---------------------------------------------------------
 
-    @property
-    def live_count(self) -> int:
-        return 2 * self.n_original + 1 - self._next_id
-
-    @property
-    def next_id(self) -> int:
-        return self._next_id
-
     def is_live(self, v: int) -> bool:
         return 0 < v < len(self.size) and self.size[v] > 0
 
@@ -119,14 +111,6 @@ class Trigraph:
         if v in self.red_adj[u]:
             return RED
         return NONE
-
-    def red_degree(self, v: int) -> int:
-        self._require_live(v)
-        return len(self.red_adj[v])
-
-    def black_degree(self, v: int) -> int:
-        self._require_live(v)
-        return len(self.black_adj[v])
 
     def max_red_degree(self) -> int:
         hist = self._red_hist
@@ -247,52 +231,3 @@ class Trigraph:
             self._max_red = red_deg_w
         self._next_id += 1
         return w
-
-    # -- diagnostics -----------------------------------------------------
-
-    def serialize(self) -> str:
-        """Canonical text form; equal trigraphs serialize identically.
-
-        Lists the live vertices, their group sizes in the same order, the
-        black edges and the red edges with their cross-edge counts
-        ("r u v weight"), so trigraphs that differ only in sizes or red
-        weights differ in text too.
-        """
-        live = self.live_vertices()
-        lines = ["live " + " ".join(map(str, live)),
-                 "size " + " ".join(str(self.size[v]) for v in live)]
-        for u, v in self.black_edges():
-            lines.append(f"b {u} {v}")
-        for u, v in self.red_edges():
-            lines.append(f"r {u} {v} {self.red_adj[u][v]}")
-        return "\n".join(lines) + "\n"
-
-    def check_consistent(self):
-        """Raise if any structural invariant is broken (test support)."""
-        size = self.size
-        for v in range(1, 2 * self.n_original):
-            b, r = self.black_adj[v], self.red_adj[v]
-            if not size[v]:
-                assert b is EMPTY and r is EMPTY, f"dead vertex {v} holds its own map"
-                continue
-            assert not (b.keys() & r.keys()), f"pair both black and red at {v}"
-            for x in b:
-                assert size[x], f"edge from {v} to dead vertex {x}"
-                assert x != v, f"self-loop at {v}"
-                assert v in self.black_adj[x], f"asymmetric black edge {v},{x}"
-            for x, weight in r.items():
-                assert size[x], f"edge from {v} to dead vertex {x}"
-                assert x != v, f"self-loop at {v}"
-                assert self.red_adj[x].get(v) == weight, \
-                    f"asymmetric red edge {v},{x}"
-                assert 0 < weight < size[v] * size[x], \
-                    f"red edge {v},{x} weighs {weight} for groups of {size[v]} and {size[x]}"
-        live = self.live_vertices()
-        assert len(live) == self.live_count, "live count desync"
-        assert sum(size) == self.n_original, "group sizes do not sum to n"
-        degrees = sorted(len(self.red_adj[v]) for v in live)
-        hist_degrees = []
-        for d, cnt in enumerate(self._red_hist):
-            hist_degrees.extend([d] * cnt)
-        assert degrees == sorted(hist_degrees), "red degree histogram desync"
-        assert self.max_red_degree() == (max(degrees) if degrees else 0)

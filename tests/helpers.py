@@ -1,16 +1,21 @@
 """Shared test support: independent reimplementations used as oracles.
 
-Nothing here touches the library's trigraph or counting internals.
 Colors, auxiliary counts and triangle configurations are recomputed from
 first principles (edge lists and vertex partitions), so a bug in the
-package cannot leak into its own check.  The one exception is
-`greedy_reference`, the package's earlier greedy loop, kept as the
-yardstick its faster rewrite must match.
+package cannot leak into its own check.  Three groups of code are not
+independent on purpose: `serialize` and `check_consistent` read a
+trigraph's own maps to print or audit them; `greedy_reference` is the
+package's earlier greedy loop; and the `*_recursive` cotree walks are
+the package's earlier recursive versions.  The last two are kept as the
+yardsticks their rewrites must match.
 """
 
 import itertools
 
+from twintri.generate import Cotree
+from twintri.oracle import PlainGraph
 from twintri.sequence import ContractionSequence
+from twintri.trigraph import EMPTY
 
 
 def key(a, b):
@@ -27,6 +32,58 @@ def brute_triangles(n, edges):
         if y in adj[x] and z in adj[x] and z in adj[y]:
             out.append((x, y, z))
     return out
+
+
+# -- trigraph diagnostics --------------------------------------------------
+
+
+def serialize(g):
+    """Canonical text form of a trigraph; equal trigraphs serialize identically.
+
+    Lists the live vertices, their group sizes in the same order, the
+    black edges and the red edges with their cross-edge counts
+    ("r u v weight"), so trigraphs that differ only in sizes or red
+    weights differ in text too.
+    """
+    live = g.live_vertices()
+    lines = ["live " + " ".join(map(str, live)),
+             "size " + " ".join(str(g.size[v]) for v in live)]
+    for u, v in g.black_edges():
+        lines.append(f"b {u} {v}")
+    for u, v in g.red_edges():
+        lines.append(f"r {u} {v} {g.red_adj[u][v]}")
+    return "\n".join(lines) + "\n"
+
+
+def check_consistent(g):
+    """Raise AssertionError if any structural invariant of g is broken."""
+    size = g.size
+    for v in range(1, 2 * g.n_original):
+        b, r = g.black_adj[v], g.red_adj[v]
+        if not size[v]:
+            assert b is EMPTY and r is EMPTY, f"dead vertex {v} holds its own map"
+            continue
+        assert not (b.keys() & r.keys()), f"pair both black and red at {v}"
+        for x in b:
+            assert size[x], f"edge from {v} to dead vertex {x}"
+            assert x != v, f"self-loop at {v}"
+            assert v in g.black_adj[x], f"asymmetric black edge {v},{x}"
+        for x, weight in r.items():
+            assert size[x], f"edge from {v} to dead vertex {x}"
+            assert x != v, f"self-loop at {v}"
+            assert g.red_adj[x].get(v) == weight, f"asymmetric red edge {v},{x}"
+            assert 0 < weight < size[v] * size[x], \
+                f"red edge {v},{x} weighs {weight} for groups of {size[v]} and {size[x]}"
+    live = g.live_vertices()
+    # ids n+1 .. _next_id-1 were created, each by one contraction
+    assert len(live) == 2 * g.n_original + 1 - g._next_id, "live count desync"
+    assert sum(size) == g.n_original, "group sizes do not sum to n"
+    degrees = sorted(len(g.red_adj[v]) for v in live)
+    hist_degrees = []
+    for d, cnt in enumerate(g._red_hist):
+        hist_degrees.extend([d] * cnt)
+    assert degrees == sorted(hist_degrees), "red degree histogram desync"
+    assert g.max_red_degree() == (max(degrees) if degrees else 0)
 
 
 # -- pairwise contraction rule --------------------------------------------
@@ -458,3 +515,71 @@ def greedy_reference(graph):
         if step_width > width:
             width = step_width
     return ContractionSequence(n, tuple(pairs)), width
+
+
+# -- recursive cotree walks --------------------------------------------------
+
+
+def leaves_recursive(node):
+    """The recursive `Cotree.leaves` the iterative walk replaced."""
+    if node.kind == "leaf":
+        return [node.vertex]
+    out = []
+    for child in node.children:
+        out.extend(leaves_recursive(child))
+    return out
+
+
+def cotree_graph_recursive(root, n):
+    """The recursive `cotree_graph` the iterative fold replaced."""
+    if sorted(leaves_recursive(root)) != list(range(1, n + 1)):
+        raise ValueError("cotree leaves must be exactly 1..n")
+    edges = []
+
+    def walk(node):
+        if node.kind == "leaf":
+            return [node.vertex]
+        mine = []
+        for child in node.children:
+            verts = walk(child)
+            if node.kind == "join":
+                for a in mine:
+                    for b in verts:
+                        edges.append((a, b))
+            mine.extend(verts)
+        return mine
+
+    walk(root)
+    return PlainGraph(n, edges)
+
+
+def twin_sequence_recursive(root, n):
+    """The recursive `twin_sequence` the iterative fold replaced."""
+    if sorted(leaves_recursive(root)) != list(range(1, n + 1)):
+        raise ValueError("cotree leaves must be exactly 1..n")
+    pairs = []
+    next_id = n + 1
+
+    def reduce(node):
+        nonlocal next_id
+        if node.kind == "leaf":
+            return node.vertex
+        rep = reduce(node.children[0])
+        for child in node.children[1:]:
+            other = reduce(child)
+            pairs.append((rep, other) if rep < other else (other, rep))
+            rep = next_id
+            next_id += 1
+        return rep
+
+    reduce(root)
+    return ContractionSequence(n, tuple(pairs))
+
+
+def caterpillar(n, kind_of):
+    """Cotree of depth n-1: leaf 1 at the bottom, and level k (k = 2..n)
+    combines everything below it with leaf k by kind_of(k)."""
+    node = Cotree("leaf", vertex=1)
+    for k in range(2, n + 1):
+        node = Cotree(kind_of(k), children=(node, Cotree("leaf", vertex=k)))
+    return node

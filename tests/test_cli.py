@@ -114,7 +114,20 @@ def test_verify_command(tmp_path, capsys):
     assert main(["verify", gpath, "--sequence", spath, "--max-width", "1"]) == 0
     assert capsys.readouterr().out.startswith("valid")
     assert main(["verify", gpath, "--sequence", spath, "--max-width", "0"]) == 3
-    assert capsys.readouterr().out.startswith("invalid step 0")
+    assert capsys.readouterr().out == "invalid step 0 (1, 2) width 1\n"
+
+
+def test_width_and_verify_name_the_failing_pair(tmp_path, capsys):
+    from twintri.generate import path
+    gpath = _write(tmp_path, "p4.gr", format_graph(path(4)))
+    spath = _write(tmp_path, "dead.seq", "s 4\n1 2\n1 3\n5 4\n")
+    assert main(["width", gpath, "--sequence", spath]) == 3
+    assert capsys.readouterr().err == "invalid sequence at step 1 (1, 3)\n"
+    assert main(["verify", gpath, "--sequence", spath, "--max-width", "3"]) == 3
+    assert capsys.readouterr().out == "invalid step 1 (1, 3) width 1\n"
+    assert main(["count", gpath, "--sequence", spath]) == 3
+    assert capsys.readouterr().err == (
+        "error: step 1 contracts (1, 3) but vertex 1 is not live\n")
 
 
 def test_oracle_command(k4_files, capsys):

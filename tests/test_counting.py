@@ -9,20 +9,14 @@ from hypothesis import strategies as st
 from twintri.counting import (
     AuxValues,
     InternalInvariantError,
-    TriangleCase,
-    ABSORBED_CASES,
     check_conservation,
-    classify_triangle,
-    count_black_edge_collapse,
     count_triangles,
     evaluate_invariant,
     red_weight,
-    tri_count_one_neighbor,
-    tri_count_two_neighbors,
-    update_auxiliary_values,
 )
 from twintri.generate import (
     chain_sequence,
+    cograph,
     complete,
     cycle,
     gnp,
@@ -33,20 +27,9 @@ from twintri.generate import (
 )
 from twintri.oracle import PlainGraph, count_naive
 from twintri.sequence import ContractionSequence, SequenceError
-from twintri.trigraph import EMPTY, RED, Trigraph
+from twintri.trigraph import EMPTY, Trigraph
 
 import helpers
-
-
-def _aux_after(graph, pairs):
-    """Build trigraph plus aux values and apply the given contractions."""
-    g = Trigraph.from_graph(graph.edges, graph.n)
-    aux = AuxValues.initial(graph.n)
-    for step, (u, v) in enumerate(pairs):
-        w = graph.n + 1 + step
-        update_auxiliary_values(g, aux, u, v, w)
-        g.contract(u, v, w)
-    return g, aux
 
 
 def _red_weights(g):
@@ -58,59 +41,133 @@ def _red_weights(g):
     return weights
 
 
-# -- auxiliary value updates ----------------------------------------------
+# -- per-step bookkeeping, through count_triangles ---------------------------
+
+# name -> (n, edges, pairs, {step: (sizes, inner-edge counts, red weights)}):
+# after the listed steps, the given group sizes and inner-edge counts and
+# the complete map of red weights must hold
+STEP_CASES = {
+    # the contracted path edge moves inside, the other turns red
+    "aux-update-path": (3, [(1, 2), (2, 3)], [(1, 2), (4, 3)],
+                        {0: ({4: 2}, {4: 1}, {(3, 4): 1})}),
+    # the contracted black edge moves inside, 3 stays black to the product
+    "aux-update-triangle": (3, [(1, 2), (2, 3), (1, 3)], [(1, 2), (4, 3)],
+                            {0: ({4: 2}, {4: 1}, {})}),
+    "aux-update-disjoint-edges": (4, [(1, 2), (3, 4)], [(1, 3), (5, 2), (6, 4)],
+                                  {0: ({5: 2}, {5: 0}, {(2, 5): 1, (4, 5): 1})}),
+    # 4 = {2, 3} holds one inner edge and is black to 1: collapsing {1, 4}
+    # absorbs the triangle
+    "black-edge-collapse": (3, [(1, 2), (2, 3), (1, 3)], [(2, 3), (1, 4)],
+                            {0: ({1: 1, 4: 2}, {1: 0, 4: 1}, {})}),
+    # x = 5 holds one inner edge and u = 1 sees it in black
+    "one-neighbor-split-black-edge": (4, [(3, 4), (1, 3), (1, 4)],
+                                      [(3, 4), (1, 2), (6, 5)],
+                                      {0: ({5: 2}, {5: 1}, {})}),
+    "one-neighbor-nothing-black": (4, [(3, 4)], [(3, 4), (1, 2), (6, 5)],
+                                   {0: ({5: 2}, {5: 1}, {})}),
+    # u = 1 black to x = 7, v = 8 red to it with two hidden edges, {u, v}
+    # black: the wedge adds those two edges to the inner-edge term
+    "one-neighbor-with-red-side-of-black-pair": (
+        6, [(3, 4), (2, 3), (5, 4), (1, 3), (1, 4), (1, 2), (1, 5)],
+        [(3, 4), (2, 5), (1, 8), (9, 7), (10, 6)],
+        {1: ({7: 2, 8: 2}, {7: 1, 8: 0}, {(7, 8): 2})}),
+    "two-neighbors-no-red-neighbors": (3, [(1, 2), (2, 3), (1, 3)],
+                                       [(1, 2), (3, 4)], {}),
+}
+TARGETED_STATES = {
+    # u and v each red to 3: the merged weight is the sum of both sides
+    "cross-both-red": {2: ({9: 4}, {9: 4}, {(3, 9): 2})},
+    "symmetric-black-pair": {0: ({5: 2}, {5: 0}, {(3, 5): 1, (4, 5): 1})},
+    "symmetric-red-pair": {0: ({6: 2}, {6: 0}, {(3, 6): 1})},
+}
+STEP_CASES.update({
+    name: (inst["n"], inst["edges"], inst["pairs"], TARGETED_STATES.get(name, {}))
+    for name, (inst, _) in helpers.TARGETED_INSTANCES.items()})
 
 
-def test_aux_update_path():
-    g, aux = _aux_after(path(3), [(1, 2)])
-    assert g.size[4] == 2
-    assert aux.inner_edges[4] == 1
-    assert g.red_adj[4] == {3: 1} and g.red_adj[3] == {4: 1}
-    assert _red_weights(g) == {(3, 4): 1}
-    assert g.size[1] == g.size[2] == 0
-    assert 1 not in aux.inner_edges and 2 not in aux.inner_edges
-    assert g.red_adj[1] is g.red_adj[2] is EMPTY
+def _check_steps(n, edges, pairs, states):
+    """Run count_triangles on the sequence; each step must add exactly the
+    triangles an independent replay sees entering an absorbing
+    configuration at that step, and the listed states must hold."""
+    graph = PlainGraph(n, edges)
+    schedule = helpers.absorbed_schedule(n, edges, pairs)
+    increments = []
+
+    def on_step(step, g, aux, state):
+        increments.append(state.t - sum(increments))
+        for end in pairs[step]:
+            assert g.size[end] == 0 and end not in aux.inner_edges
+            assert g.black_adj[end] is g.red_adj[end] is EMPTY
+        if step in states:
+            sizes, inner, red = states[step]
+            assert {x: g.size[x] for x in sizes} == sizes
+            assert {x: aux.inner_edges[x] for x in inner} == inner
+            assert _red_weights(g) == red
+
+    result = count_triangles(graph, ContractionSequence(n, tuple(pairs)),
+                             step_callback=on_step)
+    assert increments == [len(s) for s in schedule]
+    assert result.triangles == count_naive(graph)
 
 
-def test_aux_update_triangle():
-    g, aux = _aux_after(PlainGraph(3, [(1, 2), (2, 3), (1, 3)]), [(1, 2)])
-    assert g.size[4] == 2
-    assert aux.inner_edges[4] == 1  # the contracted black edge moves inside
-    assert _red_weights(g) == {}
-    assert g.red_adj[3] is g.red_adj[4] is EMPTY
+@pytest.mark.parametrize("name", STEP_CASES)
+def test_step_increments_match_schedule(name):
+    # each pair is also run as (v, u), which swaps the roles of the two
+    # ends and so drives the v-side terms of every configuration
+    n, edges, pairs, states = STEP_CASES[name]
+    _check_steps(n, edges, pairs, states)
+    _check_steps(n, edges, [(v, u) for u, v in pairs], states)
 
 
-def test_aux_update_disjoint_edges():
-    g, aux = _aux_after(PlainGraph(4, [(1, 2), (3, 4)]), [(1, 3)])
-    assert g.size[5] == 2
-    assert aux.inner_edges[5] == 0
-    assert g.red_adj[5] == {2: 1, 4: 1}
-    assert g.red_adj[2] == {5: 1} and g.red_adj[4] == {5: 1}
-    assert _red_weights(g) == {(2, 5): 1, (4, 5): 1}
+def test_count_does_not_depend_on_merge_order(monkeypatch):
+    # merge_neighborhoods promises no order, but lists every vertex black
+    # to u before any red to u, so the pair loop never meets a red-to-u x
+    # before a black-to-u y; reversing its lists reaches that orientation
+    merge = Trigraph.merge_neighborhoods
+
+    def reversed_merge(g, u, v):
+        black, red = merge(g, u, v)
+        return black[::-1], red[::-1]
+
+    monkeypatch.setattr(Trigraph, "merge_neighborhoods", reversed_merge)
+    for name, (n, edges, pairs, states) in STEP_CASES.items():
+        _check_steps(n, edges, pairs, states)
+    rng = random.Random(12)
+    for trial in range(60):
+        n = rng.randint(3, 20)
+        graph = gnp(n, rng.choice([0.3, 0.5, 0.8]), seed=trial + 1200)
+        seq = _random_sequence(n, rng)
+        assert count_triangles(graph, seq).triangles == count_naive(graph)
 
 
-def test_aux_update_merges_both_red_sides():
-    # u and v each red to x: the merged count is the sum of both sides
-    inst = helpers.CASE_CROSS_BOTH_RED
-    g, aux = _aux_after(PlainGraph(inst["n"], inst["edges"]),
-                        inst["pairs"][:3])
-    assert g.red_adj[3][9] == g.red_adj[9][3] == 2
+def _path3_after_first_step():
+    """Path 1-2-3 with 1 and 2 contracted: 4 holds one inner edge and is
+    red to 3 with weight 1."""
+    g = Trigraph.from_graph(path(3).edges, 3)
+    g.contract(1, 2)
+    return g, AuxValues({3: 0, 4: 1})
 
 
 def test_missing_cross_entry_is_diagnosed():
-    g, aux = _aux_after(path(3), [(1, 2)])
+    g, aux = _path3_after_first_step()
     del g.red_adj[3][4]
     with pytest.raises(InternalInvariantError, match=r"\{3, 4\}"):
         red_weight(g, 3, 4)
-    # a step that saw {3, 4} red gets the pair named, not a KeyError
-    with pytest.raises(InternalInvariantError, match=r"\{3, 4\}"):
-        update_auxiliary_values(g, aux, 3, 4, 5, uv_color=RED)
     with pytest.raises(InternalInvariantError, match="weighs 1 at 4 but None at 3"):
         check_conservation(g, aux, 3, 2)
 
+    # a step contracting the pair gets it named, not read as no edge
+    def drop(step, g, aux, state):
+        if step == 0:
+            del g.red_adj[3][4]
+
+    with pytest.raises(InternalInvariantError, match=r"\{3, 4\}"):
+        count_triangles(path(3), ContractionSequence(3, ((1, 2), (3, 4))),
+                        step_callback=drop)
+
 
 def test_conservation_rejects_bad_weights():
-    g, aux = _aux_after(path(3), [(1, 2)])
+    g, aux = _path3_after_first_step()
     check_conservation(g, aux, 3, 2)
     g.red_adj[3][4] = g.red_adj[4][3] = 2  # groups of 1 and 2: black, not red
     with pytest.raises(InternalInvariantError, match="weighs 2 between groups of 1 and 2"):
@@ -119,18 +176,6 @@ def test_conservation_rejects_bad_weights():
     aux.inner_edges[4] = 0
     with pytest.raises(InternalInvariantError, match="edge mass 1 != m = 2"):
         check_conservation(g, aux, 3, 2)
-
-
-# -- counting procedures ---------------------------------------------------
-
-
-def test_black_edge_collapse_values():
-    # 1 alone, 4 = {2, 3} holding one inner edge, black to 1
-    g, aux = _aux_after(PlainGraph(3, [(1, 2), (2, 3), (1, 3)]), [(2, 3)])
-    assert (g.size[1], g.size[4], aux.inner_edges[1], aux.inner_edges[4]) == (1, 2, 0, 1)
-    assert count_black_edge_collapse(g, aux, 1, 4) == 1
-    g, aux = _aux_after(PlainGraph(2, [(1, 2)]), [])
-    assert count_black_edge_collapse(g, aux, 1, 2) == 0
 
 
 def test_collapse_counts_all_k4_triangles():
@@ -147,51 +192,6 @@ def test_collapse_counts_all_k4_triangles():
     assert result.triangles == 4
     # the final merge of two pairs (sizes 2, inner edges 1 each) counts 2+2
     assert increments == [0, 0, 4]
-
-
-def test_one_neighbor_split_black_edge():
-    # x holds two originals and one inner edge; u sees it in black
-    graph = PlainGraph(4, [(3, 4), (1, 3), (1, 4)])
-    g, aux = _aux_after(graph, [(3, 4)])
-    got = tri_count_one_neighbor(g, aux, 1, 2, 6, 5)
-    assert got == g.size[1] * aux.inner_edges[5] == 1
-
-
-def test_one_neighbor_nothing_black():
-    graph = PlainGraph(4, [(3, 4)])
-    g, aux = _aux_after(graph, [(3, 4)])
-    assert tri_count_one_neighbor(g, aux, 1, 2, 6, 5) == 0
-
-
-def test_one_neighbor_with_red_side_of_black_pair():
-    # u black to x, v red to x with two hidden edges, u-v black:
-    # the wedge contributes those two edges on top of the inner-edge term
-    edges = [(3, 4), (2, 3), (5, 4), (1, 3), (1, 4), (1, 2), (1, 5)]
-    g, aux = _aux_after(PlainGraph(6, edges), [(3, 4), (2, 5)])
-    assert g.red_adj[7][8] == g.red_adj[8][7] == 2
-    got = tri_count_one_neighbor(g, aux, 1, 8, 9, 7)
-    base = g.size[1] * aux.inner_edges[7] + g.size[7] * aux.inner_edges[1]
-    assert got == base + 2 and base == 1
-
-
-def test_two_neighbors_no_red_neighbors():
-    graph, _ = complete(3)
-    g = Trigraph.from_graph(graph.edges, 3)
-    aux = AuxValues.initial(3)
-    assert tri_count_two_neighbors(g, aux, 1, 2, 4) == 0
-
-
-def test_two_neighbors_black_pair_product():
-    inst = helpers.CASE_SYMMETRIC_BLACK_PAIR
-    g = Trigraph.from_graph(PlainGraph(inst["n"], inst["edges"]).edges, inst["n"])
-    aux = AuxValues.initial(inst["n"])
-    assert tri_count_two_neighbors(g, aux, 1, 2, 5) == 1
-
-
-def test_two_neighbors_red_pair_cross():
-    inst = helpers.CASE_SYMMETRIC_RED_PAIR
-    g, aux = _aux_after(PlainGraph(inst["n"], inst["edges"]), inst["pairs"][:1])
-    assert tri_count_two_neighbors(g, aux, 1, 2, 7) == 1
 
 
 # -- whole runs ------------------------------------------------------------
@@ -228,6 +228,30 @@ def test_rejects_wrong_sequence():
         count_triangles(graph, ContractionSequence(3, ((1, 2), (4, 3))))
     with pytest.raises(SequenceError):
         count_triangles(graph, ContractionSequence(4, ((1, 2), (1, 3), (5, 4))))
+
+
+def test_dead_vertex_error_names_step_and_pair():
+    graph = path(4)
+    for pairs, message in [
+        (((1, 2), (1, 3), (5, 4)), r"step 1 contracts \(1, 3\) but vertex 1 is"),
+        (((1, 2), (3, 2), (5, 4)), r"step 1 contracts \(3, 2\) but vertex 2 is"),
+        (((1, 2), (3, 6), (5, 4)), r"step 1 contracts \(3, 6\) but vertex 6 is"),
+    ]:
+        with pytest.raises(SequenceError, match=message):
+            count_triangles(graph, ContractionSequence(4, pairs))
+
+
+def test_counters_pinned_on_benchmark_graph():
+    # the benchmark's seed-1 gnp-greedy input; the figures are those of
+    # the per-procedure counting code the single per-step routine replaced
+    graph = gnp(200, 0.1, seed=1)
+    seq, _ = greedy_sequence(graph)
+    result = count_triangles(graph, seq)
+    c = result.counters
+    assert (result.triangles, result.width) == (count_naive(graph), 39)
+    assert (c.aux_updates, c.one_neighbor_calls, c.two_neighbor_pair_visits,
+            c.red_wedge_visits, c.graph_update_work, result.sum_red_degree_sq) \
+        == (5809, 5610, 83618, 123190, 13998, 174553)
 
 
 def test_checked_mode_gate():
@@ -298,7 +322,7 @@ def test_red_weights_match_brute_force_cross_counts(n, seed, p):
 
     def on_step(step, g, aux, state):
         u, v = seq.pairs[step]
-        members[seq.new_id(step)] = members.pop(u) + members.pop(v)
+        members[n + 1 + step] = members.pop(u) + members.pop(v)
         assert sorted(members) == g.live_vertices()
         for x, group in members.items():
             assert g.size[x] == len(group)
@@ -422,6 +446,41 @@ def test_counter_matches_reference_pipeline():
         assert lib == ref == count_naive(graph)
 
 
+# -- complement, no oracle -------------------------------------------------
+
+
+def _complement(graph):
+    n, edges = graph.n, set(graph.edges)
+    return PlainGraph(n, [e for e in itertools.combinations(range(1, n + 1), 2)
+                          if e not in edges])
+
+
+def _assert_complement_pair(graph, seq):
+    """The same sequence has the same width on G and its complement (red
+    pairs stay red when black and absent swap), and t(G) + t(complement)
+    = C(n,3) - 1/2 sum d(n-1-d) (Goodman 1959)."""
+    n = graph.n
+    mixed = sum(len(nbrs) * (n - 1 - len(nbrs)) for nbrs in graph.adjacency[1:])
+    assert mixed % 2 == 0
+    ours, theirs = count_triangles(graph, seq), count_triangles(_complement(graph), seq)
+    assert ours.width == theirs.width
+    assert ours.triangles + theirs.triangles == math.comb(n, 3) - mixed // 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 150), st.integers(0, 10 ** 6),
+       st.sampled_from([0.05, 0.1, 0.3, 0.5, 0.9]))
+def test_complement_keeps_width_and_goodman_sum_gnp(n, seed, p):
+    graph = gnp(n, p, seed=seed)
+    _assert_complement_pair(graph, greedy_sequence(graph)[0])
+
+
+def test_complement_keeps_width_and_goodman_sum_cograph():
+    # the complement has about half a million edges; no brute force runs
+    graph, cotree = cograph(1000, seed=1, block_size=8)
+    _assert_complement_pair(graph, twin_sequence(cotree, 1000))
+
+
 # -- attribution -----------------------------------------------------------
 
 
@@ -448,50 +507,3 @@ def test_each_triangle_counted_exactly_once():
         assert increments == [len(s) for s in schedule], (trial, n)
         assert result.triangles == sum(len(s) for s in schedule) == count_naive(graph)
 
-
-def test_classify_triangle_matches_independent_rule():
-    rng = random.Random(41)
-    for trial in range(30):
-        n = rng.randint(3, 7)
-        graph = gnp(n, 0.6, seed=trial + 90)
-        seq, _ = greedy_sequence(graph)
-        triangles = helpers.brute_triangles(n, list(graph.edges))
-        if not triangles:
-            continue
-        g = Trigraph.from_graph(graph.edges, n)
-        group_of = {v: v for v in range(1, n + 1)}
-        members = {v: [v] for v in range(1, n + 1)}
-        name = {
-            TriangleCase.THREE_BLACK: "three_black",
-            TriangleCase.TWO_BLACK: "two_black",
-            TriangleCase.ONE_BLACK: "one_black",
-            TriangleCase.ALL_RED: "all_red",
-            TriangleCase.SPLIT_BLACK: "split_black",
-            TriangleCase.SPLIT_RED: "split_red",
-            TriangleCase.INSIDE: "inside",
-        }
-        adj = {v: set() for v in range(1, n + 1)}
-        for a, b in graph.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-
-        def pair_color(x, y):
-            gx, gy = members[x], members[y]
-            crossing = sum(1 for a in gx for b in gy if b in adj[a])
-            if crossing == 0:
-                return None
-            if crossing == len(gx) * len(gy):
-                return "b"
-            return "r"
-
-        for step, (u, v) in enumerate(seq.pairs):
-            w = n + 1 + step
-            g.contract(u, v, w)
-            members[w] = members.pop(u) + members.pop(v)
-            for a in members[w]:
-                group_of[a] = w
-            for tri in triangles:
-                case = classify_triangle(g, group_of, tri)
-                assert name[case] == helpers.triangle_case(tri, group_of, pair_color)
-                assert (case in ABSORBED_CASES) == \
-                    (name[case] in helpers.ABSORBING)

@@ -23,6 +23,8 @@ from twintri.generate import (
     star,
     twin_sequence,
 )
+from twintri.counting import count_triangles
+from twintri.graphio import format_graph
 from twintri.oracle import PlainGraph, count_naive
 from twintri.sequence import format_sequence, replay, verify_width
 from twintri.trigraph import Trigraph
@@ -96,6 +98,12 @@ def test_cotree_graph_rejects_bad_leaves():
     bad = Cotree("union", children=(Cotree("leaf", vertex=1), Cotree("leaf", vertex=3)))
     with pytest.raises(ValueError):
         cotree_graph(bad, 2)
+    # twin_sequence checks the leaves during its walk
+    with pytest.raises(ValueError, match="exactly 1..n"):
+        twin_sequence(bad, 2)
+    twice = Cotree("join", children=(Cotree("leaf", vertex=1), Cotree("leaf", vertex=1)))
+    with pytest.raises(ValueError, match="exactly 1..n"):
+        twin_sequence(twice, 2)
 
 
 def test_cograph_block_variant_is_sparse():
@@ -129,6 +137,49 @@ def test_twin_sequence_large_random_cotree():
     g, root = cograph(40, seed=9)
     report = replay(_fresh(g), twin_sequence(root, 40))
     assert report.valid and report.width == 0
+
+
+def test_cotree_walks_match_recursive_reference():
+    # the iterative walks give the same leaves, graph text and sequence as
+    # the recursive ones did, on binary, n-ary and block-union cotrees
+    rng = random.Random(21)
+    trees = []
+    for seed in range(40):
+        n = rng.randint(1, 60)
+        _, root = cograph(n, seed=seed, join_prob=rng.random(),
+                          block_size=rng.choice([None, 3, 8]))
+        trees.append((n, root))
+    for n in (1, 2, 7):
+        trees.append((n, complete(n)[1]))
+    for leaves in (1, 2, 9):
+        trees.append((leaves + 1, star(leaves)[1]))
+    _, blocks = cograph(50, seed=3, block_size=8)
+    trees.append((51, Cotree("join", children=(blocks, Cotree("leaf", vertex=51)))))
+    for n, root in trees:
+        assert root.leaves() == helpers.leaves_recursive(root)
+        assert (format_graph(cotree_graph(root, n))
+                == format_graph(helpers.cotree_graph_recursive(root, n)))
+        assert twin_sequence(root, n) == helpers.twin_sequence_recursive(root, n)
+
+
+def test_deep_cotrees_do_not_recurse():
+    # a caterpillar is as deep as it has leaves; the recursive walks
+    # raised RecursionError at 3000
+    n = 5000
+    alternating = helpers.caterpillar(n, lambda k: "join" if k % 2 else "union")
+    assert alternating.leaves() == list(range(1, n + 1))
+    # every level folds the product of the levels below with its own leaf
+    assert twin_sequence(alternating, n) == chain_sequence(n)
+    # its graph has about n^2/4 edges, so the graph is built from one that
+    # joins at every 100th level only: such a leaf k is adjacent to 1..k-1
+    joins = range(100, n + 1, 100)
+    sparse = helpers.caterpillar(n, lambda k: "join" if k % 100 == 0 else "union")
+    graph = cotree_graph(sparse, n)
+    assert graph.m == sum(k - 1 for k in joins)
+    # a triangle's highest corner is a join leaf over an edge below it
+    triangles = sum(j - 1 for k in joins for j in joins if j < k)
+    result = count_triangles(graph, twin_sequence(sparse, n))
+    assert (result.triangles, result.width) == (triangles, 0)
 
 
 # -- chain sequences ----------------------------------------------------------

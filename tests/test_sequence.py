@@ -14,6 +14,8 @@ from twintri.sequence import (
 )
 from twintri.trigraph import Trigraph
 
+import helpers
+
 
 def _fresh(graph):
     return Trigraph.from_graph(graph.edges, graph.n)
@@ -23,8 +25,6 @@ def test_parse_basic():
     seq = parse_sequence("s 3\n1 2\n4 3\n")
     assert seq.n == 3
     assert seq.pairs == ((1, 2), (4, 3))
-    assert seq.new_id(0) == 4
-    assert seq.new_id(1) == 5
 
 
 def test_parse_rejects_self_contraction():
@@ -62,7 +62,7 @@ def test_replay_triangle_twins():
     g = _fresh_complete(3)
     report = replay(g, parse_sequence("s 3\n1 2\n4 3\n"))
     assert report.valid and report.width == 0
-    assert g.live_count == 1
+    assert g.live_vertices() == [5]
 
 
 def _fresh_complete(n):
@@ -94,21 +94,6 @@ def test_replay_rejects_wrong_n():
         replay(g, ContractionSequence(3, ((1, 2), (4, 3))))
 
 
-def test_observer_sees_pre_contraction_state():
-    g = Trigraph.from_graph([(1, 2), (2, 3)], 3)
-    seen = []
-
-    def observer(step, g2, u, v, w, merged):
-        assert g2.is_live(u) and g2.is_live(v)
-        assert not g2.is_live(w)
-        seen.append((step, u, v, w, merged))
-
-    replay(g, ContractionSequence(3, ((1, 2), (4, 3))), observer=observer)
-    assert [s[:4] for s in seen] == [(0, 1, 2, 4), (1, 4, 3, 5)]
-    black, red = seen[0][4]
-    assert black == [] and [x for x, _, _ in red] == [3]
-
-
 def test_verify_width_path():
     seq = ContractionSequence(4, ((1, 2), (5, 3), (6, 4)))
     graph_edges = [(1, 2), (2, 3), (3, 4)]
@@ -133,28 +118,30 @@ def test_replay_determinism():
     for _ in range(2):
         g = _fresh(graph)
         report = replay(g, seq)
-        runs.append((report.width, g.serialize()))
+        runs.append((report.width, helpers.serialize(g)))
     assert runs[0] == runs[1]
     assert runs[0][0] == width
 
 
 def test_prefix_width_is_monotone():
+    # replay's width is the largest red degree after any step, and
+    # verify_width fails at the first step whose degree passes the bound
     rng = random.Random(5)
     for trial in range(12):
         graph = gnp(rng.randint(4, 16), rng.choice([0.25, 0.5]), seed=trial)
         seq, _ = greedy_sequence(graph)
-        widths = []
-
-        def record(step, g2, u, v, w):
-            widths.append(g2.max_red_degree())
-
-        replay(_fresh(graph), seq, after=record)
-        running = 0
-        prefix = []
-        for d in widths:
-            running = max(running, d)
-            prefix.append(running)
-        assert prefix == sorted(prefix)
+        g = _fresh(graph)
+        degrees = []
+        for u, v in seq.pairs:
+            g.contract(u, v)
+            degrees.append(g.max_red_degree())
+        width = replay(_fresh(graph), seq).width
+        assert width == max(degrees)
+        for bound in range(width + 1):
+            report = verify_width(_fresh(graph), seq, bound)
+            first = next((i for i, d in enumerate(degrees) if d > bound), None)
+            assert (report.valid, report.failing_step, report.width) \
+                == (first is None, first, width)
 
 
 def test_cograph_twin_sequences_have_width_zero():
