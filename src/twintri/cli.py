@@ -38,6 +38,11 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
 EXIT_INTERNAL = 4
+# Largest vertex count the reading commands accept by default.  A count
+# allocates about 150 bytes per vertex before it reads an edge and the
+# oracle about 64, so a tiny file with a huge p line would otherwise end
+# in a memory blow-up instead of an error.
+DEFAULT_MAX_N = 1_000_000
 
 
 def _default_seed() -> int:
@@ -98,6 +103,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("--exact-max-n", type=int, default=EXACT_MAX_N)
     p_seq.add_argument("-o", "--output", help="sequence file (stdout when absent)")
 
+    for reader in (p_count, p_width, p_verify, p_oracle, p_seq):
+        reader.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
+                            help="refuse graphs whose p line declares more "
+                                 f"vertices (exit 3; default {DEFAULT_MAX_N})")
+
     p_bench = sub.add_parser("bench", help="run instrumented sweeps, write CSV")
     p_bench.add_argument("-o", "--output", required=True)
     p_bench.add_argument("--sweep", action="append", default=[],
@@ -108,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_count(args) -> int:
-    graph = load_graph(args.graph)
+    graph = load_graph(args.graph, args.max_n)
     seq = load_sequence(args.sequence)
     mode = "checked" if args.checked else "fast"
     result = count_triangles(graph, seq, mode=mode, checked_limit=args.checked_limit)
@@ -128,7 +138,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_width(args) -> int:
-    graph = load_graph(args.graph)
+    graph = load_graph(args.graph, args.max_n)
     seq = load_sequence(args.sequence)
     report = replay(Trigraph.from_graph(graph.edges, graph.n), seq)
     if not report.valid:
@@ -141,7 +151,7 @@ def _cmd_width(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    graph = load_graph(args.graph)
+    graph = load_graph(args.graph, args.max_n)
     seq = load_sequence(args.sequence)
     report = verify_width(Trigraph.from_graph(graph.edges, graph.n), seq,
                           args.max_width)
@@ -154,7 +164,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    graph = load_graph(args.graph)
+    graph = load_graph(args.graph, args.max_n)
     print(f"triangles {count_naive(graph)}")
     return EXIT_OK
 
@@ -193,7 +203,7 @@ def _cmd_gen_graph(args) -> int:
 
 
 def _cmd_gen_seq(args) -> int:
-    graph = load_graph(args.graph)
+    graph = load_graph(args.graph, args.max_n)
     if args.strategy == "twin":
         print("the twin strategy needs the generating cotree; regenerate the "
               "graph with 'gen graph --sequence-out' or use greedy",

@@ -31,22 +31,62 @@ GRAPH_FAMILIES = ("gnp", "cograph", "complete", "path", "cycle", "grid",
 @dataclass(frozen=True)
 class Cotree:
     """Binary-or-wider construction tree: leaves are vertices, internal
-    nodes combine their children by disjoint union or complete join."""
+    nodes combine their children by disjoint union or complete join.
+
+    An internal node needs at least one child.  Equality, hashing and
+    repr walk the tree with their own stack, as every other cotree walk
+    does, so a cotree of any depth is fine; the dataclass keeps the
+    methods defined here.
+    """
 
     kind: str  # "leaf", "union", "join"
     vertex: int | None = None
     children: tuple["Cotree", ...] = ()
 
-    def leaves(self) -> list[int]:
-        out = []
+    def __post_init__(self):
+        if self.kind != "leaf" and not self.children:
+            raise ValueError(f"{self.kind} node has no children")
+
+    def _preorder(self):
         todo = [self]
         while todo:
             node = todo.pop()
-            if node.kind == "leaf":
-                out.append(node.vertex)
-            else:
-                todo.extend(reversed(node.children))
-        return out
+            yield node
+            todo.extend(reversed(node.children))
+
+    def leaves(self) -> list[int]:
+        return [node.vertex for node in self._preorder() if node.kind == "leaf"]
+
+    def _shape(self) -> tuple:
+        """Kind, vertex and child count of every node in preorder, which
+        determine the tree."""
+        return tuple((node.kind, node.vertex, len(node.children))
+                     for node in self._preorder())
+
+    def __eq__(self, other):
+        if not isinstance(other, Cotree):
+            return NotImplemented
+        return self is other or self._shape() == other._shape()
+
+    def __hash__(self):
+        return hash(self._shape())
+
+    def __repr__(self):
+        parts = []
+        todo = [self]  # nodes still to write, and the text that follows them
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            parts.append(f"Cotree(kind={item.kind!r}, vertex={item.vertex!r}, children=(")
+            kids = item.children
+            todo.append(",))" if len(kids) == 1 else "))")
+            for i in range(len(kids) - 1, -1, -1):
+                todo.append(kids[i])
+                if i:
+                    todo.append(", ")
+        return "".join(parts)
 
 
 def _leaf(v):

@@ -9,11 +9,31 @@ Format, one record per line:
 Written files are canonical: edges normalized to (low, high), duplicates
 dropped, sorted.  parse(format(g)) reproduces g and format(parse(text))
 reproduces canonical text byte for byte.
+
+parse_graph reads text shaped like format_graph's output (a first line
+"p <n> <m>", then only "e <u> <v>" lines, single spaces, ASCII digits,
+every line ending in a newline) in bulk: it tokenizes the body in slices
+of about 64 KiB, cut at newlines, and hands the pairs to PlainGraph,
+which keeps an already canonical edge list as it is.  Any other text,
+and shaped text whose pairs fail a check (wrong count, self-loop,
+endpoint out of range), goes to the per-line parser, so every error
+carries the same message and line number on either path.
 """
 
 from __future__ import annotations
 
+import re
+
 from .oracle import PlainGraph
+
+# The shape format_graph writes, with [0-9], not \d, which admits other
+# digits.  The body is checked by searching for a line that breaks it:
+# one fullmatch with a repeated group would keep a backtracking frame per
+# line (about 90 MiB on K_800) unless the repeat is possessive, which
+# Python 3.10 lacks.
+_WRITTEN_HEADER = re.compile(r"p ([0-9]+) ([0-9]+)\n")
+_UNWRITTEN_LINE = re.compile(r"^(?!e [0-9]+ [0-9]+\n|\Z)", re.MULTILINE)
+SLICE_CHARS = 1 << 16
 
 
 class GraphFormatError(ValueError):
@@ -24,7 +44,48 @@ class GraphFormatError(ValueError):
         self.line = line
 
 
-def parse_graph(text: str) -> PlainGraph:
+def parse_graph(text: str, max_n: int | None = None) -> PlainGraph:
+    """Parse a graph file's text; see the module docstring.
+
+    With max_n set, a p line declaring more vertices raises ValueError
+    (not GraphFormatError: the file is well formed, only too large)
+    before anything of size n is allocated.
+    """
+    header = _WRITTEN_HEADER.match(text)
+    if header is not None and _UNWRITTEN_LINE.search(text, header.end()) is None:
+        n, declared_m = int(header[1]), int(header[2])
+        _check_size(n, max_n)
+        edges = []
+        for tokens in split_slices(text, header.end()):
+            edges += zip(map(int, tokens[1::3]), map(int, tokens[2::3]))
+        if len(edges) == declared_m:
+            try:
+                return PlainGraph(n, edges)
+            except ValueError:
+                pass  # the per-line parser names the line
+    return _parse_lines(text, max_n)
+
+
+def split_slices(text: str, start: int):
+    """Yield text[start:].split() in pieces of about SLICE_CHARS characters.
+
+    Each piece ends at a newline, so no token is cut in two, and only one
+    piece's tokens are alive at a time.
+    """
+    end = len(text)
+    while start < end:
+        stop = text.find("\n", start + SLICE_CHARS) + 1 or end
+        yield text[start:stop].split()
+        start = stop
+
+
+def _check_size(n: int, max_n: int | None):
+    if max_n is not None and n > max_n:
+        raise ValueError(f"graph declares n = {n} vertices, more than max_n = {max_n}")
+
+
+def _parse_lines(text: str, max_n: int | None = None) -> PlainGraph:
+    """The per-line parser: any valid text, errors with line numbers."""
     n = None
     declared_m = 0
     edges = []
@@ -46,6 +107,7 @@ def parse_graph(text: str) -> PlainGraph:
                 raise GraphFormatError("vertex count must be at least 1", lineno)
             if declared_m < 0:
                 raise GraphFormatError("edge count cannot be negative", lineno)
+            _check_size(n, max_n)
         elif fields[0] == "e":
             if n is None:
                 raise GraphFormatError("e line before the p line", lineno)
@@ -76,9 +138,9 @@ def format_graph(g: PlainGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_graph(path) -> PlainGraph:
+def load_graph(path, max_n: int | None = None) -> PlainGraph:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_graph(handle.read())
+        return parse_graph(handle.read(), max_n)
 
 
 def save_graph(g: PlainGraph, path):

@@ -2,8 +2,11 @@
 
 This module is deliberately independent of the contraction machinery:
 adjacency is rebuilt here from the raw edge list, so a bug in the fast
-path cannot hide inside shared code.  Everything is a pure function of
-its inputs and safe to call concurrently.
+path cannot hide inside shared code.  It is built lazily, on the first
+read of PlainGraph.adjacency, so the count path, which reads only the
+edge list, never pays for it.  Everything is a pure function of its
+inputs and safe to call concurrently: two threads that race on the first
+read build equal lists, and either may be kept.
 """
 
 from __future__ import annotations
@@ -13,30 +16,45 @@ class PlainGraph:
     """Simple undirected graph: vertices 1..n plus a normalized edge list.
 
     Input pairs are symmetrized and deduplicated.  Self-loops and
-    endpoints outside 1..n are rejected.
+    endpoints outside 1..n are rejected.  An edge list that is already
+    canonical, tuples (u, v) with 1 <= u < v <= n in strictly increasing
+    order, as parse_graph reads from a written file, is kept as it is.
     """
 
-    __slots__ = ("n", "edges", "adjacency")
+    __slots__ = ("n", "edges", "_adjacency")
 
     def __init__(self, n, edges=()):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        normalized = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge ({u}, {v}) leaves the vertex range 1..{n}")
-            normalized.add((u, v) if u < v else (v, u))
+        edges = tuple(edges)
+        if not _is_canonical(n, edges):
+            normalized = set()
+            for u, v in edges:
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise ValueError(f"edge ({u}, {v}) leaves the vertex range 1..{n}")
+                normalized.add((u, v) if u < v else (v, u))
+            edges = tuple(sorted(normalized))
         self.n = n
-        self.edges = tuple(sorted(normalized))
-        adjacency = [[] for _ in range(n + 1)]
-        for u, v in self.edges:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        for neighbors in adjacency:
-            neighbors.sort()
-        self.adjacency = adjacency
+        self.edges = edges
+        self._adjacency = None
+
+    @property
+    def adjacency(self):
+        """Sorted neighbour lists, indexed by vertex (entry 0 is empty).
+
+        Built from the edge list on first access and cached.
+        """
+        if self._adjacency is None:
+            adjacency = [[] for _ in range(self.n + 1)]
+            for u, v in self.edges:
+                adjacency[u].append(v)
+                adjacency[v].append(u)
+            for neighbors in adjacency:
+                neighbors.sort()
+            self._adjacency = adjacency
+        return self._adjacency
 
     @property
     def m(self):
@@ -52,6 +70,19 @@ class PlainGraph:
 
     def __repr__(self):
         return f"PlainGraph(n={self.n}, m={self.m})"
+
+
+def _is_canonical(n, edges) -> bool:
+    """True when edges are tuples (u, v), 1 <= u < v <= n, strictly increasing."""
+    prev = (0, 0)
+    for edge in edges:
+        if type(edge) is not tuple:
+            return False
+        u, v = edge
+        if not (prev < edge and 0 < u < v <= n):
+            return False
+        prev = edge
+    return True
 
 
 def count_naive(g: PlainGraph) -> int:

@@ -10,13 +10,26 @@ File format, one record per line:
     c <free text>    comment, ignored
     s <n>            original vertex count, exactly once, first
     <u> <v>          one line per contraction, n-1 lines total
+
+parse_sequence reads text shaped like format_sequence's output ("s <n>",
+then only "<u> <v>" lines, single spaces, ASCII digits, every line
+ending in a newline) in bulk, in slices as parse_graph does, and lets
+ContractionSequence check the pairs.  Any other text, and shaped text
+whose pairs fail a check, goes to the per-line parser, so every error
+carries the same message and line number on either path.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
+from .graphio import split_slices
 from .trigraph import Trigraph
+
+# the shape format_sequence writes, checked as graphio checks a graph's
+_WRITTEN_HEADER = re.compile(r"s ([0-9]+)\n")
+_UNWRITTEN_LINE = re.compile(r"^(?![0-9]+ [0-9]+\n|\Z)", re.MULTILINE)
 
 
 class SequenceFormatError(ValueError):
@@ -57,6 +70,22 @@ class SequenceReport:
 
 
 def parse_sequence(text: str) -> ContractionSequence:
+    """Parse a sequence file's text; see the module docstring."""
+    header = _WRITTEN_HEADER.match(text)
+    if header is not None and _UNWRITTEN_LINE.search(text, header.end()) is None:
+        pairs = []
+        for tokens in split_slices(text, header.end()):
+            ids = map(int, tokens)
+            pairs += zip(ids, ids)
+        try:
+            return ContractionSequence(int(header[1]), tuple(pairs))
+        except ValueError:
+            pass  # the per-line parser names the line
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> ContractionSequence:
+    """The per-line parser: any valid text, errors with line numbers."""
     n = None
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

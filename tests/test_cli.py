@@ -136,6 +136,29 @@ def test_oracle_command(k4_files, capsys):
     assert capsys.readouterr().out == "triangles 4\n"
 
 
+def test_max_n_refuses_huge_headers(tmp_path, capsys):
+    # the guard fires on the p line; without it the sequence file would
+    # still fail (it lists no pairs), so nothing of size n is allocated
+    gpath = _write(tmp_path, "huge.gr", "p 1000000000000 0\n")
+    spath = _write(tmp_path, "huge.seq", "s 1000000000000\n")
+    for argv in (["count", gpath, "--sequence", spath],
+                 ["width", gpath, "--sequence", spath],
+                 ["verify", gpath, "--sequence", spath, "--max-width", "0"]):
+        assert main(argv) == 3
+        assert "n = 1000000000000" in capsys.readouterr().err
+
+
+def test_max_n_sets_the_limit(k4_files, capsys):
+    gpath, spath = k4_files
+    assert main(["count", gpath, "--sequence", spath, "--max-n", "4"]) == 0
+    assert main(["oracle", gpath, "--max-n", "4"]) == 0
+    capsys.readouterr()
+    assert main(["oracle", gpath, "--max-n", "3"]) == 3
+    assert "n = 4" in capsys.readouterr().err
+    assert main(["width", gpath, "--sequence", spath, "--max-n", "3"]) == 3
+    assert main(["gen", "seq", gpath, "--strategy", "greedy", "--max-n", "3"]) == 3
+
+
 def test_gen_graph_deterministic(tmp_path):
     out1 = str(tmp_path / "a.gr")
     out2 = str(tmp_path / "b.gr")

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
+from twintri import graphio
+from twintri.generate import complete
 from twintri.graphio import GraphFormatError, format_graph, parse_graph
-from twintri.oracle import PlainGraph
+from twintri.oracle import PlainGraph, count_naive
 
 
 def test_parse_basic():
@@ -55,3 +59,107 @@ def test_single_vertex_graph():
     g = parse_graph("p 1 0\n")
     assert g.n == 1 and g.m == 0
     assert format_graph(g) == "p 1 0\n"
+
+
+# -- the bulk path against the per-line parser --------------------------------
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphFormatError as err:
+        return str(err), err.line
+
+
+def _both_paths(text):
+    """parse_graph's and _parse_lines' result, or message and line."""
+    return _outcome(parse_graph, text), _outcome(graphio._parse_lines, text)
+
+
+def _k400_text():
+    return format_graph(complete(400)[0])
+
+
+def _with_last_edge(text, edge):
+    head, _ = text[:-1].rsplit("\n", 1)
+    return f"{head}\ne {edge}\n"
+
+
+@pytest.mark.parametrize("text", [
+    "p 4 2\ne 1\n2 e 3 4\n",  # tokens line up in threes, lines do not
+    "p 3 2\r\ne 1 2\r\ne 2 3\r\n",
+    "p 3 2\ne 1 2\ne 2 3",
+    "c a path\np 3 2\n\ne 1 2\nc middle\ne 2 3\n",
+    "p 3 1\ne +1 2\n",
+    "p 03 01\ne 001 003\n",
+    "p 3 2\ne 1 2\n",
+    "p 3 1\ne 1 2\ne 2 3\n",
+    "p 3 2\ne 1 2\ne 1 2\n",
+    "p 3 3\ne 2 1\ne 1 2\ne 3 2\n",
+    "p 0 0\n",
+    "p 1 0\n",
+    "p 3 1\ne 1 2 \n",
+    "p 3 1\ne  1 2\n",
+    "p 3 1\ne 1 ٢\n",
+])
+def test_bulk_path_agrees_with_per_line_parser(text):
+    bulk, lines = _both_paths(text)
+    assert bulk == lines
+
+
+@pytest.mark.parametrize("edge, line, message", [
+    ("400 400", 79801, "self-loop at vertex 400"),
+    ("399 401", 79801, "endpoint outside 1..400"),
+])
+def test_bad_late_edge_in_written_text(edge, line, message):
+    # the text has the written shape and spans many slices, so the bulk
+    # path reads it all before the per-line parser names the line
+    text = _with_last_edge(_k400_text(), edge)
+    assert len(text) > 8 * graphio.SLICE_CHARS
+    bulk, lines = _both_paths(text)
+    assert bulk == lines == (f"line {line}: {message}", line)
+
+
+def test_written_text_takes_the_bulk_path(monkeypatch):
+    text = _k400_text()
+
+    def refuse(*args):
+        raise AssertionError("fell back to the per-line parser")
+
+    monkeypatch.setattr(graphio, "_parse_lines", refuse)
+    g = parse_graph(text)
+    assert g == complete(400)[0]
+    assert format_graph(g) == text
+
+
+def test_round_trip_spanning_many_slices():
+    text = _k400_text()
+    assert len(text) > 8 * graphio.SLICE_CHARS
+    g = parse_graph(text)
+    assert (g.n, g.m) == (400, 400 * 399 // 2)
+    assert g == graphio._parse_lines(text)
+    assert format_graph(g) == text
+
+
+def test_canonical_and_shuffled_edge_lists_agree():
+    canonical = complete(60)[0].edges
+    mixed = [(v, u) if i % 3 else (u, v) for i, (u, v) in enumerate(canonical)]
+    mixed += mixed[:50]  # duplicates
+    random.Random(4).shuffle(mixed)
+    a, b = PlainGraph(60, canonical), PlainGraph(60, mixed)
+    assert a == b and hash(a) == hash(b)
+    assert a.adjacency == b.adjacency
+    assert count_naive(a) == count_naive(b) == 60 * 59 * 58 // 6
+    # sorted but repeated, and pairs that are lists: not kept as given
+    repeated = PlainGraph(60, sorted(canonical + canonical[:50]))
+    as_lists = PlainGraph(60, [list(edge) for edge in canonical])
+    for g in (repeated, as_lists):
+        assert g == a and hash(g) == hash(a) and g.edges == canonical
+
+
+def test_max_n_is_checked_on_the_p_line():
+    for text in ("p 1000000000000 0\n", "c huge\np 1000000000000 0\n"):
+        with pytest.raises(ValueError, match="n = 1000000000000") as err:
+            parse_graph(text, max_n=10 ** 6)
+        assert not isinstance(err.value, GraphFormatError)
+    assert parse_graph("p 5 0\n", max_n=5).n == 5

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from twintri import sequence as sequence_module
 from twintri.generate import cograph, complete, gnp, greedy_sequence, twin_sequence
+from twintri.graphio import SLICE_CHARS
 from twintri.sequence import (
     ContractionSequence,
     SequenceError,
@@ -150,3 +152,52 @@ def test_cograph_twin_sequences_have_width_zero():
         seq = twin_sequence(cotree, graph.n)
         report = replay(_fresh(graph), seq)
         assert report.valid and report.width == 0
+
+
+# -- the bulk path against the per-line parser --------------------------------
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except SequenceFormatError as err:
+        return str(err), err.line
+
+
+@pytest.mark.parametrize("text", [
+    "s 3\n1\n2 4 3\n",  # tokens line up in pairs, lines do not
+    "s 3\r\n1 2\r\n4 3\r\n",
+    "s 3\n1 2\n4 3",
+    "c fold\ns 3\n\n1 2\nc next\n4 3\n",
+    "s 3\n+1 2\n4 3\n",
+    "s 03\n01 002\n4 3\n",
+    "s 3\n1 2\n",
+    "s 0\n",
+    "s 1\n",
+    "s 3\n1 2\n5 5\n",
+    "s 3\n1 2\n4 6\n",
+])
+def test_bulk_path_agrees_with_per_line_parser(text):
+    assert (_outcome(parse_sequence, text)
+            == _outcome(sequence_module._parse_lines, text))
+
+
+def test_written_text_takes_the_bulk_path(monkeypatch):
+    graph, cotree = cograph(20000, seed=2, block_size=8)
+    seq = twin_sequence(cotree, graph.n)
+    text = format_sequence(seq)
+    assert len(text) > 2 * SLICE_CHARS
+
+    def refuse(*args):
+        raise AssertionError("fell back to the per-line parser")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sequence_module, "_parse_lines", refuse)
+        assert parse_sequence(text) == seq
+    # a bad pair on the last line: read in bulk, then named by line
+    head, _ = text[:-1].rsplit("\n", 1)
+    bad = f"{head}\n1 {2 * graph.n}\n"
+    with pytest.raises(SequenceFormatError) as err:
+        parse_sequence(bad)
+    assert err.value.line == graph.n
+    assert _outcome(parse_sequence, bad) == _outcome(sequence_module._parse_lines, bad)
