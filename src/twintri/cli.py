@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 
-from .bench import run_sweeps, write_csv
 from .counting import InternalInvariantError, count_triangles
 from .generate import (
     EXACT_MAX_N,
@@ -21,7 +20,7 @@ from .generate import (
     greedy_sequence,
     twin_sequence,
 )
-from .graphio import GraphFormatError, format_graph, load_graph
+from .graphio import GraphFormatError, format_graph, load_graph, save_graph
 from .oracle import count_naive
 from .sequence import (
     SequenceError,
@@ -108,12 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="refuse graphs whose p line declares more "
                                  f"vertices (exit 3; default {DEFAULT_MAX_N})")
 
-    p_bench = sub.add_parser("bench", help="run instrumented sweeps, write CSV")
-    p_bench.add_argument("-o", "--output", required=True)
-    p_bench.add_argument("--sweep", action="append", default=[],
-                         help="family:key=v1/v2:... (repeatable); "
-                              "example gnp:n=30/60:p=0.2:seeds=3")
-    p_bench.add_argument("--seed", type=int, default=None)
     return parser
 
 
@@ -187,17 +180,15 @@ def _cmd_gen_graph(args) -> int:
     if args.family == "cograph" and args.block is not None:
         params["block_size"] = args.block
     graph, cotree = generate_graph(args.family, seed=seed, **params)
-    text = format_graph(graph)
+    if args.sequence_out and cotree is None:
+        print(f"family {args.family} carries no cotree, cannot emit a "
+              "width-0 sequence", file=sys.stderr)
+        return EXIT_SEMANTIC
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        save_graph(graph, args.output)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_graph(graph))
     if args.sequence_out:
-        if cotree is None:
-            print(f"family {args.family} carries no cotree, cannot emit a "
-                  "width-0 sequence", file=sys.stderr)
-            return EXIT_SEMANTIC
         save_sequence(twin_sequence(cotree, graph.n), args.sequence_out)
     return EXIT_OK
 
@@ -213,22 +204,11 @@ def _cmd_gen_seq(args) -> int:
         seq, width = exact_sequence(graph, max_n=args.exact_max_n)
     else:
         seq, width = greedy_sequence(graph)
-    text = format_sequence(seq)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        save_sequence(seq, args.output)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_sequence(seq))
     print(f"width {width}", file=sys.stderr)
-    return EXIT_OK
-
-
-def _cmd_bench(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    records = run_sweeps(args.sweep, base_seed=seed)
-    with open(args.output, "w", encoding="utf-8", newline="") as handle:
-        write_csv(records, handle)
-    print(f"wrote {len(records)} records to {args.output}")
     return EXIT_OK
 
 
@@ -240,7 +220,6 @@ def main(argv=None) -> int:
         "width": _cmd_width,
         "verify": _cmd_verify,
         "oracle": _cmd_oracle,
-        "bench": _cmd_bench,
     }
     try:
         if args.command == "gen":

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .oracle import count_naive
 from .sequence import ContractionSequence, SequenceError
 from .trigraph import BLACK, RED, Trigraph
 
@@ -241,15 +242,14 @@ def evaluate_invariant(g: Trigraph, aux: AuxValues, t: int,
 
 
 def count_triangles(graph, seq: ContractionSequence, mode: str = "fast",
-                    checked_limit: int = 64, reference_count=None,
-                    step_callback=None) -> CountResult:
+                    checked_limit: int = 64, step_callback=None) -> CountResult:
     """Count the triangles of graph by replaying its contraction sequence.
 
     graph provides n, m and an edge list (a PlainGraph works).  In
     "checked" mode the conservation identities and the running-total
     invariant are verified after every contraction, which costs O(n^3)
     per step and is therefore gated to n <= checked_limit; the reference
-    triangle count is taken from the brute-force oracle unless supplied.
+    triangle count is taken from the brute-force oracle.
     step_callback(step, g, aux, state), when given, runs after each
     applied contraction.
     """
@@ -263,10 +263,7 @@ def count_triangles(graph, seq: ContractionSequence, mode: str = "fast",
         if graph.n > checked_limit:
             raise ValueError(
                 f"checked mode is gated to {checked_limit} vertices, got {graph.n}")
-        if reference_count is None:
-            from .oracle import count_naive
-
-            reference_count = count_naive(graph)
+        reference_count = count_naive(graph)
     n, m = graph.n, graph.m
     g = Trigraph.from_graph(graph.edges, n)
     aux = AuxValues.initial(n)

@@ -297,7 +297,7 @@ def chain_sequence(n: int) -> ContractionSequence:
 
 
 def generate_graph(family: str, seed: int = 0, **params):
-    """Dispatcher used by the CLI and the benchmark harness.
+    """Dispatcher used by the CLI and the benchmark.
 
     Returns (graph, cotree-or-None); families built from a cotree return
     it so a width-0 sequence can be derived.
@@ -305,8 +305,7 @@ def generate_graph(family: str, seed: int = 0, **params):
     if family == "gnp":
         return gnp(params["n"], params.get("p", 0.5), seed), None
     if family == "cograph":
-        return cograph(params["n"], seed, params.get("join_prob", 0.5),
-                       params.get("block_size"))
+        return cograph(params["n"], seed, block_size=params.get("block_size"))
     if family == "complete":
         return complete(params["n"])
     if family == "star":
@@ -316,8 +315,7 @@ def generate_graph(family: str, seed: int = 0, **params):
     if family == "cycle":
         return cycle(params["n"]), None
     if family == "grid":
-        return grid(params.get("rows", params.get("n", 4)),
-                    params.get("cols", params.get("n", 4))), None
+        return grid(params["rows"], params["cols"]), None
     if family == "petersen":
         return petersen(), None
     raise ValueError(f"unknown family {family!r}; known: {', '.join(GRAPH_FAMILIES)}")

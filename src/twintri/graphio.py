@@ -138,9 +138,20 @@ def format_graph(g: PlainGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_text(path, error) -> str:
+    """A file's contents decoded as UTF-8; a byte that does not decode
+    raises error naming its line."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"not UTF-8 text: byte 0x{data[exc.start]:02x} at offset "
+                    f"{exc.start}", data.count(b"\n", 0, exc.start) + 1) from None
+
+
 def load_graph(path, max_n: int | None = None) -> PlainGraph:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_graph(handle.read(), max_n)
+    return parse_graph(read_text(path, GraphFormatError), max_n)
 
 
 def save_graph(g: PlainGraph, path):

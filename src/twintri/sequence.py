@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .graphio import split_slices
+from .graphio import read_text, split_slices
 from .trigraph import Trigraph
 
 # the shape format_sequence writes, checked as graphio checks a graph's
@@ -134,8 +134,7 @@ def format_sequence(seq: ContractionSequence) -> str:
 
 
 def load_sequence(path) -> ContractionSequence:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_sequence(handle.read())
+    return parse_sequence(read_text(path, SequenceFormatError))
 
 
 def save_sequence(seq: ContractionSequence, path):

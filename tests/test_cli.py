@@ -1,4 +1,3 @@
-import csv
 import importlib
 import os
 import re
@@ -68,6 +67,20 @@ def test_count_wrong_n_is_semantic_error(tmp_path, capsys):
     gpath = _write(tmp_path, "p4.gr", format_graph(PlainGraph(4, [(1, 2), (2, 3), (3, 4)])))
     spath = _write(tmp_path, "n3.seq", "s 3\n1 2\n4 3\n")
     assert main(["count", gpath, "--sequence", spath]) == 3
+
+
+def test_non_utf8_files_are_parse_errors(tmp_path, capsys):
+    gpath = _write(tmp_path, "k1.gr", "p 1 0\n")
+    spath = _write(tmp_path, "k1.seq", "s 1\n")
+    bad_graph = tmp_path / "bad.gr"
+    bad_graph.write_bytes(b"p 3 1\ne 1 \xff2\n")
+    bad_seq = tmp_path / "bad.seq"
+    bad_seq.write_bytes(b"s 3\n1 2\n4 \xfe3\n")
+    assert main(["oracle", str(bad_graph)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: line 2: not UTF-8")
+    assert main(["count", gpath, "--sequence", str(bad_seq)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: line 3: not UTF-8")
+    assert main(["count", gpath, "--sequence", spath]) == 0
 
 
 def test_count_missing_file_is_io_error(tmp_path):
@@ -187,10 +200,15 @@ def test_gen_graph_cograph_with_sequence(tmp_path, capsys):
     assert stats["width"] == "0"
 
 
-def test_gen_graph_sequence_out_needs_cotree(tmp_path):
-    assert main(["gen", "graph", "--family", "path", "--n", "6",
-                 "-o", str(tmp_path / "p.gr"),
-                 "--sequence-out", str(tmp_path / "p.seq")]) == 3
+def test_gen_graph_sequence_out_needs_cotree(tmp_path, capsys):
+    # refused before anything is written, to a file or to stdout
+    for output in (["-o", str(tmp_path / "x.gr")], []):
+        assert main(["gen", "graph", "--family", "gnp", "--n", "5", *output,
+                     "--sequence-out", str(tmp_path / "x.seq")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "carries no cotree" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gen_seq_strategies(tmp_path, capsys):
@@ -276,35 +294,5 @@ def test_console_script_runs():
     usage = result.stdout.split("\n\n")[0]
     choices = re.search(r"\{([^}]*)\}", usage)
     assert choices, usage
-    assert {"count", "bench"} <= set(choices.group(1).split(","))
+    assert set(choices.group(1).split(",")) == {"count", "width", "verify", "oracle", "gen"}
 
-
-def test_bench_empty_sweep(tmp_path, capsys):
-    out = str(tmp_path / "empty.csv")
-    assert main(["bench", "-o", out]) == 0
-    lines = Path(out).read_text().strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("family,")
-
-
-def test_bench_small_sweep(tmp_path):
-    out = str(tmp_path / "sweep.csv")
-    assert main(["bench", "-o", out, "--sweep", "gnp:n=12:p=0.3:seeds=2",
-                 "--sweep", "cograph:n=30:seeds=1", "--seed", "0"]) == 0
-    with open(out, newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    assert len(rows) == 3
-    assert {r["family"] for r in rows} == {"gnp", "cograph"}
-    out2 = str(tmp_path / "sweep2.csv")
-    assert main(["bench", "-o", out2, "--sweep", "gnp:n=12:p=0.3:seeds=2",
-                 "--sweep", "cograph:n=30:seeds=1", "--seed", "0"]) == 0
-    # identical apart from the wall-clock columns
-    def stripped(path):
-        rows = []
-        with open(path, newline="") as handle:
-            for row in csv.DictReader(handle):
-                row.pop("wall_time_count")
-                row.pop("wall_time_oracle")
-                rows.append(row)
-        return rows
-
-    assert stripped(out) == stripped(out2)

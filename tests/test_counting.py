@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -252,6 +253,27 @@ def test_counters_pinned_on_benchmark_graph():
     assert (c.aux_updates, c.one_neighbor_calls, c.two_neighbor_pair_visits,
             c.red_wedge_visits, c.graph_update_work, result.sum_red_degree_sq) \
         == (5809, 5610, 83618, 123190, 13998, 174553)
+
+
+def test_cograph_aux_work_grows_linearly():
+    # width-0 runs do a fixed amount of aux work per vertex, whatever n
+    ratios = []
+    for n in (1000, 2000, 4000):
+        graph, cotree = cograph(n, seed=0, block_size=8)
+        result = count_triangles(graph, twin_sequence(cotree, n))
+        assert result.triangles == count_naive(graph)
+        assert result.width == 0
+        assert result.counters.graph_update_work <= 8 * graph.m
+        ratios.append(result.counters.aux_updates / n)
+    assert max(ratios) <= 1.1 * min(ratios)
+
+
+def test_greedy_width_rises_with_density_up_to_half():
+    medians = [statistics.median(greedy_sequence(gnp(24, p, seed=s))[1]
+                                 for s in range(7))
+               for p in (0.1, 0.3, 0.5)]
+    assert medians[0] <= medians[1] <= medians[2]
+    assert medians[0] < medians[2]
 
 
 def test_checked_mode_gate():

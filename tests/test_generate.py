@@ -67,6 +67,10 @@ def test_generate_graph_dispatch():
     assert g.n == 12 and cot is not None
     g2, cot2 = generate_graph("path", n=5)
     assert g2.m == 4 and cot2 is None
+    g3, _ = generate_graph("grid", rows=3, cols=4)
+    assert (g3.n, g3.m) == (12, 17)
+    with pytest.raises(KeyError):  # a grid takes no default size
+        generate_graph("grid", n=4)
     with pytest.raises(ValueError):
         generate_graph("mystery", n=3)
 
