@@ -44,12 +44,19 @@ EXIT_INTERNAL = 4
 DEFAULT_MAX_N = 1_000_000
 
 
+# The size flags of `gen graph` each family reads; giving it any other
+# one is refused rather than dropped.
+FAMILY_FLAGS = {"gnp": ("n", "p"), "cograph": ("n", "block"),
+                "grid": ("rows", "cols"), "petersen": ()}
+SIZE_FLAGS = ("n", "p", "rows", "cols", "block")
+
+
 def _default_seed() -> int:
     raw = os.environ.get("TWINTRI_SEED", "0")
     try:
         return int(raw)
     except ValueError:
-        return 0
+        raise ValueError(f"TWINTRI_SEED={raw!r} is not an integer") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_graph = gen_sub.add_parser("graph", help="generate a graph file")
     p_graph.add_argument("--family", required=True, choices=GRAPH_FAMILIES)
     p_graph.add_argument("--n", type=int)
-    p_graph.add_argument("--p", type=float, default=0.5)
+    p_graph.add_argument("--p", type=float, help="edge probability (gnp; default 0.5)")
     p_graph.add_argument("--rows", type=int)
     p_graph.add_argument("--cols", type=int)
     p_graph.add_argument("--block", type=int, help="cograph block size")
@@ -164,6 +171,12 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_gen_graph(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
+    used = FAMILY_FLAGS.get(args.family, ("n",))
+    for flag in SIZE_FLAGS:
+        if getattr(args, flag) is not None and flag not in used:
+            print(f"--{flag} does not apply to family {args.family}",
+                  file=sys.stderr)
+            return EXIT_SEMANTIC
     params = {}
     if args.family == "grid":
         if args.rows is None or args.cols is None:
@@ -175,9 +188,9 @@ def _cmd_gen_graph(args) -> int:
             print(f"{args.family} needs --n", file=sys.stderr)
             return EXIT_SEMANTIC
         params["n"] = args.n
-    if args.family == "gnp":
+    if args.p is not None:
         params["p"] = args.p
-    if args.family == "cograph" and args.block is not None:
+    if args.block is not None:
         params["block_size"] = args.block
     graph, cotree = generate_graph(args.family, seed=seed, **params)
     if args.sequence_out and cotree is None:

@@ -30,6 +30,7 @@ inputs may execute concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from .oracle import count_naive
 from .sequence import ContractionSequence, SequenceError
@@ -62,7 +63,14 @@ class AuxValues:
 
 @dataclass
 class Counters:
-    """Instrumentation: unit-cost operations per counting run."""
+    """Instrumentation: unit-cost operations per counting run.
+
+    two_neighbor_pair_visits and red_wedge_visits count the pairs of red
+    neighbors and the red wedges a step accounts for, the paper's unit
+    costs: k*(k-1)/2 for a step whose new vertex has k red neighbors,
+    and the sum of those neighbors' red degrees.  Both are computed from
+    k and the red degrees, not counted as loop iterations.
+    """
 
     contractions: int = 0
     aux_updates: int = 0
@@ -97,13 +105,31 @@ def _count_step(g: Trigraph, aux: AuxValues, u, v, w, merged,
 
     Runs on the still-unmodified trigraph; merged is
     g.merge_neighborhoods(u, v), whose red entries (x, color_ux,
-    color_vx) are the red neighbors of w.  The contraction then sets w's
-    group size and red weights itself.  The increment has four parts:
+    color_vx) are the k red neighbors of w.  The contraction then sets
+    w's group size and red weights itself.  The increment counts
     triangles with an edge inside u or v when {u, v} is black (they end
-    inside w); triangles that collapse onto a single red edge {w, x};
-    wedges x-y with x red and y black at w; and pairs of red neighbors
-    of w, each visited once, with the asymmetric subcases evaluated in
-    both orientations in that one visit.
+    inside w), triangles that collapse onto a single red edge {w, x},
+    and triangles with a corner in u (or v) and the other two in
+    distinct neighbors of w.
+
+    The last kind is summed per side over dict-key intersections, not
+    pair by pair.  On the u side, with e(a, b) the weight of the red
+    edge {a, b} and B(y), R(y) the black and red maps of y, let c map
+    each red neighbor x of w that is black to u to size[u]*size[x] and
+    each one red to u to 2*e(u, x); let m map the red neighbors black to
+    u to 1 and the common black neighbors of u and v to 2.  Then
+
+        2 * (u side) = sum over red neighbors y of w black to u of
+                       size[y] * sum(c[x] for x in B(y) & c)
+                       + size[u] * sum(e(y, z) * m[z] for z in R(y) & m)
+
+    and the v side is the same with size[v] and e(v, .).  A pair of red
+    neighbors black to u is reached from both ends, a pair with one end
+    red to u from its black end at weight 2, and a wedge through a
+    common black neighbor once at weight 2, so the sum is even.  Each
+    intersection walks its smaller operand in C, so for red degree d a
+    step costs O(k*(k + d)) C-level operations, not k*(k-1)/2
+    interpreted pair visits.
     """
     black_list, red_entries = merged
     size, black_adj, red_adj = g.size, g.black_adj, g.red_adj
@@ -126,51 +152,53 @@ def _count_step(g: Trigraph, aux: AuxValues, u, v, w, merged,
     counters.aux_updates += 1 + len(red_entries)
     if not red_entries:
         return inc
-    counters.one_neighbor_calls += len(red_entries)
-    black_set = set(black_list)
+    k = len(red_entries)
+    counters.one_neighbor_calls += k
+    counters.two_neighbor_pair_visits += k * (k - 1) // 2
+    # the docstring's c and m maps for each side, and the red neighbors
+    # of w black to u (to v) that the per-side sums run over
+    c_u, c_v = {}, {}
+    m_u = dict.fromkeys(black_list, 2)
+    m_v = m_u.copy()
+    black_to_u, black_to_v = [], []
+    wedges = 0
     for x, cu, cv in red_entries:
-        rx = red_adj[x]
-        counters.red_wedge_visits += len(rx)
+        wedges += len(red_adj[x])
+        wu = red_weight(g, u, x) if cu is RED else 0
+        wv = red_weight(g, v, x) if cv is RED else 0
         if cu is BLACK:
             inc += su * inner[x] + size[x] * iu
-            if uv_black and cv is RED:
-                inc += red_weight(g, v, x) * su
-            corner = su
-        elif cv is BLACK:
+            if uv_black:
+                inc += wv * su
+            c_u[x] = su * size[x]
+            m_u[x] = 1
+            black_to_u.append(x)
+        elif cu is RED:
+            c_u[x] = 2 * wu
+        if cv is BLACK:
             inc += sv * inner[x] + size[x] * iv
-            if uv_black and cu is RED:
-                inc += red_weight(g, u, x) * sv
-            corner = sv
-        else:
-            continue
-        # the corner in u (or v) sees x and y in black, {x, y} is red
-        inc += corner * sum(exy for y, exy in rx.items() if y in black_set)
-    k = len(red_entries)
-    counters.two_neighbor_pair_visits += k * (k - 1) // 2
-    for i in range(k):
-        x, cux, cvx = red_entries[i]
-        bx, rx = black_adj[x], red_adj[x]
-        for j in range(i + 1, k):
-            y, cuy, cvy = red_entries[j]
-            if y in bx:
-                if cux is BLACK and cuy is BLACK:
-                    inc += su * size[x] * size[y]
-                if cvx is BLACK and cvy is BLACK:
-                    inc += sv * size[x] * size[y]
-                if cux is RED and cuy is BLACK:
-                    inc += red_weight(g, u, x) * size[y]
-                if cux is BLACK and cuy is RED:
-                    inc += red_weight(g, u, y) * size[x]
-                if cvx is RED and cvy is BLACK:
-                    inc += red_weight(g, v, x) * size[y]
-                if cvx is BLACK and cvy is RED:
-                    inc += red_weight(g, v, y) * size[x]
-            elif y in rx:
-                if cux is BLACK and cuy is BLACK:
-                    inc += rx[y] * su
-                if cvx is BLACK and cvy is BLACK:
-                    inc += rx[y] * sv
-    return inc
+            if uv_black:
+                inc += wu * sv
+            c_v[x] = sv * size[x]
+            m_v[x] = 1
+            black_to_v.append(x)
+        elif cv is RED:
+            c_v[x] = 2 * wv
+    counters.red_wedge_visits += wedges
+    twice = 0  # the pair and wedge terms, each reached twice
+    for corner, c, m, ys in ((su, c_u, m_u, black_to_u),
+                             (sv, c_v, m_v, black_to_v)):
+        c_keys, m_keys = c.keys(), m.keys()
+        for y in ys:
+            hits = black_adj[y].keys() & c_keys
+            if hits:
+                twice += size[y] * sum(map(c.__getitem__, hits))
+            ry = red_adj[y]
+            hits = ry.keys() & m_keys
+            if hits:
+                twice += corner * sum(map(mul, map(ry.__getitem__, hits),
+                                          map(m.__getitem__, hits)))
+    return inc + twice // 2
 
 
 # -- whole-run driver ----------------------------------------------------

@@ -332,7 +332,10 @@ def greedy_sequence(graph: PlainGraph):
     Candidates are scored a row at a time on bitmask neighborhoods: for
     each slot a, one comprehension popcounts the red set the product with
     every later slot b would have (counting a and b themselves when they
-    are adjacent, so the score overshoots by at most 2).  A row whose
+    are adjacent, so the score overshoots by at most 2).  The red set is
+    the union of the two neighbor masks less their common black mask,
+    a subset of that union, so its size is a difference of two
+    popcounts and no negative mask is built.  A row whose
     smallest score already exceeds the best worst degree by more than 2
     is skipped whole; the remaining pairs get the exact red degree, the
     scan of the affected vertices and the full key.  Every skipped pair
@@ -367,7 +370,7 @@ def greedy_sequence(graph: PlainGraph):
         for ai in range(len(live) - 1):
             a = live[ai]
             ba, na, ra = blk[ai], nbr[ai], red[a]
-            row = [((na | nb) & ~(ba & bb)).bit_count()
+            row = [(na | nb).bit_count() - (ba & bb).bit_count()
                    for nb, bb in zip(nbr[ai + 1:], blk[ai + 1:])]
             if min(row) > best_key[0] + 2:
                 continue

@@ -4,18 +4,20 @@ Colors, auxiliary counts and triangle configurations are recomputed from
 first principles (edge lists and vertex partitions), so a bug in the
 package cannot leak into its own check.  Three groups of code are not
 independent on purpose: `serialize` and `check_consistent` read a
-trigraph's own maps to print or audit them; `greedy_reference` is the
-package's earlier greedy loop; and the `*_recursive` cotree walks are
-the package's earlier recursive versions.  The last two are kept as the
-yardsticks their rewrites must match.
+trigraph's own maps to print or audit them; `greedy_reference` and
+`count_step_reference` are the package's earlier greedy loop and
+per-step pair loop; and the `*_recursive` cotree walks are the
+package's earlier recursive versions.  The last two groups are kept as
+the yardsticks their rewrites must match.
 """
 
 import itertools
 
+from twintri.counting import AuxValues, Counters, red_weight
 from twintri.generate import Cotree
 from twintri.oracle import PlainGraph
 from twintri.sequence import ContractionSequence
-from twintri.trigraph import EMPTY
+from twintri.trigraph import BLACK, EMPTY, RED, Trigraph
 
 
 def key(a, b):
@@ -515,6 +517,95 @@ def greedy_reference(graph):
         if step_width > width:
             width = step_width
     return ContractionSequence(n, tuple(pairs)), width
+
+
+# -- counting step reference -------------------------------------------------
+
+
+def count_step_reference(g: Trigraph, aux: AuxValues, u, v, w, merged,
+                         counters: Counters) -> int:
+    """The pair-by-pair `counting._count_step` that the per-side
+    dict-key intersections replaced, kept word for word as the yardstick.
+
+    Triangles that first reach an absorbing configuration as u and v
+    contract into w; also folds u's and v's inner-edge counts into w's.
+
+    Runs on the still-unmodified trigraph; merged is
+    g.merge_neighborhoods(u, v), whose red entries (x, color_ux,
+    color_vx) are the red neighbors of w.  The contraction then sets w's
+    group size and red weights itself.  The increment has four parts:
+    triangles with an edge inside u or v when {u, v} is black (they end
+    inside w); triangles that collapse onto a single red edge {w, x};
+    wedges x-y with x red and y black at w; and pairs of red neighbors
+    of w, each visited once, with the asymmetric subcases evaluated in
+    both orientations in that one visit.
+    """
+    black_list, red_entries = merged
+    size, black_adj, red_adj = g.size, g.black_adj, g.red_adj
+    inner = aux.inner_edges
+    su, sv = size[u], size[v]
+    iu, iv = inner.pop(u), inner.pop(v)
+    uv_black = v in black_adj[u]
+    inc = 0
+    if uv_black:
+        between = su * sv
+        inc += su * iv + sv * iu
+    elif v in red_adj[u] or u in red_adj[v]:
+        # either end marks the pair red; a weight missing at u is
+        # diagnosed instead of being read as no edge
+        between = red_weight(g, u, v)
+    else:
+        between = 0
+    inner[w] = iu + iv + between
+    # one update for w's inner edges, one per red edge the contraction weighs
+    counters.aux_updates += 1 + len(red_entries)
+    if not red_entries:
+        return inc
+    counters.one_neighbor_calls += len(red_entries)
+    black_set = set(black_list)
+    for x, cu, cv in red_entries:
+        rx = red_adj[x]
+        counters.red_wedge_visits += len(rx)
+        if cu is BLACK:
+            inc += su * inner[x] + size[x] * iu
+            if uv_black and cv is RED:
+                inc += red_weight(g, v, x) * su
+            corner = su
+        elif cv is BLACK:
+            inc += sv * inner[x] + size[x] * iv
+            if uv_black and cu is RED:
+                inc += red_weight(g, u, x) * sv
+            corner = sv
+        else:
+            continue
+        # the corner in u (or v) sees x and y in black, {x, y} is red
+        inc += corner * sum(exy for y, exy in rx.items() if y in black_set)
+    k = len(red_entries)
+    counters.two_neighbor_pair_visits += k * (k - 1) // 2
+    for i in range(k):
+        x, cux, cvx = red_entries[i]
+        bx, rx = black_adj[x], red_adj[x]
+        for j in range(i + 1, k):
+            y, cuy, cvy = red_entries[j]
+            if y in bx:
+                if cux is BLACK and cuy is BLACK:
+                    inc += su * size[x] * size[y]
+                if cvx is BLACK and cvy is BLACK:
+                    inc += sv * size[x] * size[y]
+                if cux is RED and cuy is BLACK:
+                    inc += red_weight(g, u, x) * size[y]
+                if cux is BLACK and cuy is RED:
+                    inc += red_weight(g, u, y) * size[x]
+                if cvx is RED and cvy is BLACK:
+                    inc += red_weight(g, v, x) * size[y]
+                if cvx is BLACK and cvy is RED:
+                    inc += red_weight(g, v, y) * size[x]
+            elif y in rx:
+                if cux is BLACK and cuy is BLACK:
+                    inc += rx[y] * su
+                if cvx is BLACK and cvy is BLACK:
+                    inc += rx[y] * sv
+    return inc
 
 
 # -- recursive cotree walks --------------------------------------------------

@@ -260,6 +260,46 @@ def test_env_var_supplies_default_seed(tmp_path, monkeypatch):
     assert Path(out1).read_text() != Path(out3).read_text()
 
 
+def test_bad_env_seed_is_refused(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "g.gr"
+    monkeypatch.setenv("TWINTRI_SEED", "abc")
+    assert main(["gen", "graph", "--family", "gnp", "--n", "12", "--p", "0.3",
+                 "-o", str(out)]) == 3
+    assert "TWINTRI_SEED='abc'" in capsys.readouterr().err
+    assert not out.exists()
+    # an explicit --seed never reads the variable
+    assert main(["gen", "graph", "--family", "gnp", "--n", "12", "--p", "0.3",
+                 "--seed", "0", "-o", str(out)]) == 0
+
+
+@pytest.mark.parametrize("family, flags, named", [
+    ("petersen", ["--n", "50", "--p", "0.9", "--block", "3"], "--n"),
+    ("petersen", ["--block", "3"], "--block"),
+    ("complete", ["--n", "5", "--p", "0.9"], "--p"),
+    ("gnp", ["--n", "5", "--block", "2"], "--block"),
+    ("cograph", ["--n", "5", "--rows", "2"], "--rows"),
+    ("path", ["--n", "5", "--cols", "2"], "--cols"),
+    ("grid", ["--rows", "2", "--cols", "3", "--n", "6"], "--n"),
+])
+def test_gen_graph_refuses_flags_its_family_ignores(tmp_path, capsys,
+                                                     family, flags, named):
+    out = tmp_path / "g.gr"
+    assert main(["gen", "graph", "--family", family, *flags, "-o", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{named} does not apply to family {family}" in captured.err
+    assert not out.exists()
+
+
+def test_gen_graph_p_defaults_to_half(tmp_path):
+    out1, out2 = tmp_path / "a.gr", tmp_path / "b.gr"
+    assert main(["gen", "graph", "--family", "gnp", "--n", "20", "--seed", "3",
+                 "-o", str(out1)]) == 0
+    assert main(["gen", "graph", "--family", "gnp", "--n", "20", "--p", "0.5",
+                 "--seed", "3", "-o", str(out2)]) == 0
+    assert out1.read_text() == out2.read_text()
+
+
 def _pyproject_script(name):
     """The ``[project.scripts]`` entry ``name`` from the repository's pyproject.toml.
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twintri import counting
 from twintri.counting import (
     AuxValues,
     InternalInvariantError,
@@ -433,6 +434,32 @@ def test_arbitrary_sequences_match_oracle():
         graph = gnp(n, rng.random(), seed=trial + 700)
         seq = _random_sequence(n, rng)
         assert count_triangles(graph, seq).triangles == count_naive(graph)
+
+
+def _totals_and_result(graph, seq):
+    """The running total after every step, and the final result."""
+    totals = []
+    result = count_triangles(
+        graph, seq,
+        step_callback=lambda step, g, aux, state: totals.append(state.t))
+    return totals, result
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40), st.sampled_from((0.1, 0.3, 0.5, 0.8)),
+       st.integers(0, 10 ** 6), st.booleans())
+def test_count_step_matches_pair_loop_reference(n, p, seed, greedy):
+    # random orders reach red degrees near n, greedy ones stay low
+    graph = gnp(n, p, seed=seed)
+    if greedy:
+        seq = greedy_sequence(graph)[0]
+    else:
+        seq = _random_sequence(n, random.Random(seed))
+    shipped = _totals_and_result(graph, seq)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "_count_step", helpers.count_step_reference)
+        reference = _totals_and_result(graph, seq)
+    assert shipped == reference
 
 
 def test_arbitrary_sequences_survive_checked_mode():
