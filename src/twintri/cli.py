@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 file parse error, 3 semantic error (bad or
 failing sequences, unusable arguments), 4 internal invariant violation.
-The TWINTRI_SEED environment variable supplies the default RNG seed.
+The TWINTRI_SEED environment variable supplies the default RNG seed of
+the random graph families (gnp, cograph).
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ EXIT_INTERNAL = 4
 DEFAULT_MAX_N = 1_000_000
 
 
-# The size flags of `gen graph` each family reads; giving it any other
-# one is refused rather than dropped.
-FAMILY_FLAGS = {"gnp": ("n", "p"), "cograph": ("n", "block"),
+# The flags of `gen graph` each family reads; giving it any other one is
+# refused rather than dropped.  Only the random families read a seed.
+FAMILY_FLAGS = {"gnp": ("n", "p", "seed"), "cograph": ("n", "block", "seed"),
                 "grid": ("rows", "cols"), "petersen": ()}
-SIZE_FLAGS = ("n", "p", "rows", "cols", "block")
+GEN_FLAGS = ("n", "p", "rows", "cols", "block", "seed")
 
 
 def _default_seed() -> int:
@@ -97,7 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("--rows", type=int)
     p_graph.add_argument("--cols", type=int)
     p_graph.add_argument("--block", type=int, help="cograph block size")
-    p_graph.add_argument("--seed", type=int, default=None)
+    p_graph.add_argument("--seed", type=int,
+                         help="RNG seed (gnp, cograph; default TWINTRI_SEED or 0)")
     p_graph.add_argument("-o", "--output", help="graph file (stdout when absent)")
     p_graph.add_argument("--sequence-out",
                          help="also write the cotree's width-0 sequence here "
@@ -170,14 +172,15 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen_graph(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     used = FAMILY_FLAGS.get(args.family, ("n",))
-    for flag in SIZE_FLAGS:
+    for flag in GEN_FLAGS:
         if getattr(args, flag) is not None and flag not in used:
             print(f"--{flag} does not apply to family {args.family}",
                   file=sys.stderr)
             return EXIT_SEMANTIC
     params = {}
+    if "seed" in used:
+        params["seed"] = args.seed if args.seed is not None else _default_seed()
     if args.family == "grid":
         if args.rows is None or args.cols is None:
             print("grid needs --rows and --cols", file=sys.stderr)
@@ -192,7 +195,7 @@ def _cmd_gen_graph(args) -> int:
         params["p"] = args.p
     if args.block is not None:
         params["block_size"] = args.block
-    graph, cotree = generate_graph(args.family, seed=seed, **params)
+    graph, cotree = generate_graph(args.family, **params)
     if args.sequence_out and cotree is None:
         print(f"family {args.family} carries no cotree, cannot emit a "
               "width-0 sequence", file=sys.stderr)

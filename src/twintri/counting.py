@@ -304,31 +304,37 @@ def count_triangles(graph, seq: ContractionSequence, mode: str = "fast",
         if not evaluate_invariant(g, aux, state.t, reference_count):
             raise InternalInvariantError("invariant fails before any contraction")
 
+    # ContractionSequence keeps ids in 1..2n-1, so size[] indexes them all
+    size = g.size
+    merge, contract = g.merge_neighborhoods, g.contract
+    max_red_degree = g.max_red_degree
+    t = 0
     for step, (u, v) in enumerate(seq.pairs):
-        if not (g.is_live(u) and g.is_live(v)):
-            dead = v if g.is_live(u) else u
+        if not (size[u] and size[v]):
+            dead = v if size[u] else u
             raise SequenceError(
                 f"step {step} contracts ({u}, {v}) but vertex {dead} is not live")
         w = n + 1 + step
-        merged = g.merge_neighborhoods(u, v)
-        state.t += _count_step(g, aux, u, v, w, merged, counters)
-        g.contract(u, v, w, merged)
-        d = g.max_red_degree()
+        merged = merge(u, v)
+        t += _count_step(g, aux, u, v, w, merged, counters)
+        contract(u, v, w, merged)
+        d = max_red_degree()
         if d > width:
             width = d
         sum_d_sq += d * d
         if checked:
             check_conservation(g, aux, n, m)
-            if not evaluate_invariant(g, aux, state.t, reference_count):
+            if not evaluate_invariant(g, aux, t, reference_count):
                 raise InternalInvariantError(
                     f"invariant fails after step {step} ({u},{v})->{w}")
         if step_callback is not None:
+            state.t = t
             step_callback(step, g, aux, state)
 
     counters.contractions = len(seq.pairs)
     counters.graph_update_work = g.update_work
     return CountResult(
-        triangles=state.t,
+        triangles=t,
         width=width,
         steps=len(seq.pairs),
         counters=counters,

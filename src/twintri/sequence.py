@@ -149,18 +149,25 @@ def replay(g: Trigraph, seq: ContractionSequence, bound: int | None = None) -> S
     A step naming a dead or unknown vertex stops the replay and is
     reported through failing_step rather than raised.  With a bound, the
     first step whose trigraph has a red degree above it fails the report
-    too, but the replay runs on, so width is the whole sequence's.
+    too, but the replay runs on, so width is the whole sequence's.  A
+    negative bound raises ValueError before any step, since no trigraph
+    can meet it.
     """
     if g.n_original != seq.n:
         raise SequenceError(
             f"sequence is for {seq.n} vertices, trigraph has {g.n_original}")
+    if bound is not None and bound < 0:
+        raise ValueError(f"width bound {bound} is negative; widths start at 0")
+    # ContractionSequence keeps ids in 1..2n-1, so size[] indexes them all
+    size = g.size
+    contract, max_red_degree = g.contract, g.max_red_degree
     width = 0
     over = None
     for step, (u, v) in enumerate(seq.pairs):
-        if not (g.is_live(u) and g.is_live(v)):
+        if not (size[u] and size[v]):
             return SequenceReport(width, False, step)
-        g.contract(u, v)
-        d = g.max_red_degree()
+        contract(u, v)
+        d = max_red_degree()
         if d > width:
             width = d
             if over is None and bound is not None and d > bound:

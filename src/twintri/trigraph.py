@@ -88,9 +88,6 @@ class Trigraph:
 
     # -- queries ---------------------------------------------------------
 
-    def is_live(self, v: int) -> bool:
-        return 0 < v < len(self.size) and self.size[v] > 0
-
     def live_vertices(self) -> list[int]:
         size = self.size
         return [v for v in range(1, self._next_id) if size[v]]
@@ -161,18 +158,29 @@ class Trigraph:
     def contract(self, u: int, v: int, w: int | None = None, merged=None) -> int:
         """Contract live vertices u and v into a fresh vertex, returning its id.
 
-        w, when given, must equal the id the numbering scheme assigns next
+        A vertex is live when 0 < id < the next id to be assigned and its
+        group is not empty; any other id, dead, not yet created or out of
+        range, raises ValueError("vertex X is not live").  w, when given,
+        must equal the id the numbering scheme assigns next
         (n_original + contractions performed + 1).  merged, when given,
         must be the output of merge_neighborhoods(u, v); this lets a
         caller that already ran the merge avoid a second scan.  The red
         edge {w, x} weighs size[u]*size[x] for a black {u, x}, the weight
         of a red {u, x}, and nothing for an absent one, plus the same for v.
+
+        A red-free step, one whose merge has no red entries while neither
+        u nor v has a red edge, touches no red map: it only retires two
+        red-degree-0 vertices for one, so the histogram loses one count
+        at 0 and the maximum red degree stays put.
         """
-        self._require_live(u)
-        self._require_live(v)
+        size = self.size
+        expected = self._next_id
+        if not (0 < u < expected and size[u]):
+            raise ValueError(f"vertex {u} is not live")
+        if not (0 < v < expected and size[v]):
+            raise ValueError(f"vertex {v} is not live")
         if u == v:
             raise ValueError("cannot contract a vertex with itself")
-        expected = self._next_id
         if w is None:
             w = expected
         elif w != expected:
@@ -180,54 +188,56 @@ class Trigraph:
         if merged is None:
             merged = self.merge_neighborhoods(u, v)
         black, red = merged
-        black_adj, red_adj, size = self.black_adj, self.red_adj, self.size
+        black_adj, red_adj = self.black_adj, self.red_adj
         ru, rv = red_adj[u], red_adj[v]
-        self.update_work += (
-            len(black_adj[u]) + len(ru) + len(black_adj[v]) + len(rv)
-            + len(black) + len(red)
-        )
-        hist = self._red_hist
+        work = len(black_adj[u]) + len(black_adj[v]) + len(black)
         for x in black:
             bx = black_adj[x]
             del bx[u], bx[v]
             bx[w] = None
         su, sv = size[u], size[v]
-        red_w = {}
-        for x, cu, cv in red:
-            rx = red_adj[x]
-            old = len(rx)
-            weight = 0
-            if cu is BLACK:
-                del black_adj[x][u]
-                weight = su * size[x]
-            elif cu is RED:
-                weight = rx.pop(u)
-            if cv is BLACK:
-                del black_adj[x][v]
-                weight += sv * size[x]
-            elif cv is RED:
-                weight += rx.pop(v)
-            if rx is EMPTY:
-                red_adj[x] = rx = {}
-            rx[w] = red_w[x] = weight
-            new = len(rx)
-            if new != old:
-                hist[old] -= 1
-                hist[new] += 1
-                if new > self._max_red:
-                    self._max_red = new
-        hist[len(ru)] -= 1
-        hist[len(rv)] -= 1
+        hist = self._red_hist
+        if red or ru or rv:
+            work += len(ru) + len(rv) + len(red)
+            red_w = {}
+            for x, cu, cv in red:
+                rx = red_adj[x]
+                old = len(rx)
+                weight = 0
+                if cu is BLACK:
+                    del black_adj[x][u]
+                    weight = su * size[x]
+                elif cu is RED:
+                    weight = rx.pop(u)
+                if cv is BLACK:
+                    del black_adj[x][v]
+                    weight += sv * size[x]
+                elif cv is RED:
+                    weight += rx.pop(v)
+                if rx is EMPTY:
+                    red_adj[x] = rx = {}
+                rx[w] = red_w[x] = weight
+                new = len(rx)
+                if new != old:
+                    hist[old] -= 1
+                    hist[new] += 1
+                    if new > self._max_red:
+                        self._max_red = new
+            hist[len(ru)] -= 1
+            hist[len(rv)] -= 1
+            red_deg_w = len(red_w)
+            hist[red_deg_w] += 1
+            if red_deg_w > self._max_red:
+                self._max_red = red_deg_w
+            if red_w:
+                red_adj[w] = red_w
+        else:
+            hist[0] -= 1
+        self.update_work += work
         black_adj[u] = red_adj[u] = black_adj[v] = red_adj[v] = EMPTY
         size[w] = su + sv
         size[u] = size[v] = 0
         if black:
             black_adj[w] = dict.fromkeys(black)
-        if red_w:
-            red_adj[w] = red_w
-        red_deg_w = len(red_w)
-        hist[red_deg_w] += 1
-        if red_deg_w > self._max_red:
-            self._max_red = red_deg_w
         self._next_id += 1
         return w

@@ -12,12 +12,19 @@ the yardsticks their rewrites must match.
 """
 
 import itertools
+import types
 
 from twintri.counting import AuxValues, Counters, red_weight
 from twintri.generate import Cotree
 from twintri.oracle import PlainGraph
 from twintri.sequence import ContractionSequence
 from twintri.trigraph import BLACK, EMPTY, RED, Trigraph
+
+
+def unchecked_sequence(n, pairs):
+    """A sequence-shaped object that skips ContractionSequence's checks,
+    for feeding ids it refuses (0, negatives) to replay and counting."""
+    return types.SimpleNamespace(n=n, pairs=tuple(pairs))
 
 
 def key(a, b):

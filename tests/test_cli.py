@@ -130,6 +130,19 @@ def test_verify_command(tmp_path, capsys):
     assert capsys.readouterr().out == "invalid step 0 (1, 2) width 1\n"
 
 
+def test_verify_refuses_a_negative_bound(tmp_path, capsys):
+    # the repro: a width-0 sequence used to pass --max-width -1
+    gpath, spath = str(tmp_path / "k.txt"), str(tmp_path / "k.seq")
+    assert main(["gen", "graph", "--family", "complete", "--n", "5", "-o", gpath,
+                 "--sequence-out", spath]) == 0
+    assert main(["verify", gpath, "--sequence", spath, "--max-width", "-1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "width bound -1" in captured.err
+    assert main(["verify", gpath, "--sequence", spath, "--max-width", "0"]) == 0
+    assert capsys.readouterr().out == "valid width 0\n"
+
+
 def test_width_and_verify_name_the_failing_pair(tmp_path, capsys):
     from twintri.generate import path
     gpath = _write(tmp_path, "p4.gr", format_graph(path(4)))
@@ -272,6 +285,17 @@ def test_bad_env_seed_is_refused(tmp_path, monkeypatch, capsys):
                  "--seed", "0", "-o", str(out)]) == 0
 
 
+def test_env_seed_is_read_only_by_seeded_families(tmp_path, monkeypatch):
+    # petersen and complete ignore any seed, so a bad variable is not theirs
+    monkeypatch.setenv("TWINTRI_SEED", "abc")
+    assert main(["gen", "graph", "--family", "petersen",
+                 "-o", str(tmp_path / "p.gr")]) == 0
+    assert main(["gen", "graph", "--family", "complete", "--n", "4",
+                 "-o", str(tmp_path / "k.gr")]) == 0
+    assert main(["gen", "graph", "--family", "cograph", "--n", "4",
+                 "-o", str(tmp_path / "c.gr")]) == 3
+
+
 @pytest.mark.parametrize("family, flags, named", [
     ("petersen", ["--n", "50", "--p", "0.9", "--block", "3"], "--n"),
     ("petersen", ["--block", "3"], "--block"),
@@ -280,6 +304,12 @@ def test_bad_env_seed_is_refused(tmp_path, monkeypatch, capsys):
     ("cograph", ["--n", "5", "--rows", "2"], "--rows"),
     ("path", ["--n", "5", "--cols", "2"], "--cols"),
     ("grid", ["--rows", "2", "--cols", "3", "--n", "6"], "--n"),
+    ("complete", ["--n", "4", "--seed", "3"], "--seed"),
+    ("star", ["--n", "4", "--seed", "3"], "--seed"),
+    ("path", ["--n", "4", "--seed", "3"], "--seed"),
+    ("cycle", ["--n", "4", "--seed", "3"], "--seed"),
+    ("grid", ["--rows", "2", "--cols", "3", "--seed", "3"], "--seed"),
+    ("petersen", ["--seed", "3"], "--seed"),
 ])
 def test_gen_graph_refuses_flags_its_family_ignores(tmp_path, capsys,
                                                      family, flags, named):

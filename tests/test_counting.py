@@ -25,6 +25,7 @@ from twintri.generate import (
     greedy_sequence,
     path,
     petersen,
+    star,
     twin_sequence,
 )
 from twintri.oracle import PlainGraph, count_naive
@@ -235,12 +236,23 @@ def test_rejects_wrong_sequence():
 def test_dead_vertex_error_names_step_and_pair():
     graph = path(4)
     for pairs, message in [
-        (((1, 2), (1, 3), (5, 4)), r"step 1 contracts \(1, 3\) but vertex 1 is"),
-        (((1, 2), (3, 2), (5, 4)), r"step 1 contracts \(3, 2\) but vertex 2 is"),
-        (((1, 2), (3, 6), (5, 4)), r"step 1 contracts \(3, 6\) but vertex 6 is"),
+        (((1, 2), (1, 3), (5, 4)), "step 1 contracts (1, 3) but vertex 1 is not live"),
+        (((1, 2), (3, 2), (5, 4)), "step 1 contracts (3, 2) but vertex 2 is not live"),
+        (((1, 2), (3, 6), (5, 4)), "step 1 contracts (3, 6) but vertex 6 is not live"),
+        (((1, 6), (2, 3), (5, 4)), "step 0 contracts (1, 6) but vertex 6 is not live"),
     ]:
-        with pytest.raises(SequenceError, match=message):
+        with pytest.raises(SequenceError) as err:
             count_triangles(graph, ContractionSequence(4, pairs))
+        assert str(err.value) == message
+    # ContractionSequence refuses ids below 1, so they can only arrive
+    # through an object that skips its checks
+    for pairs, message in [
+        (((0, 2), (3, 4), (5, 6)), "step 0 contracts (0, 2) but vertex 0 is not live"),
+        (((1, 2), (3, -1), (5, 6)), "step 1 contracts (3, -1) but vertex -1 is not live"),
+    ]:
+        with pytest.raises(SequenceError) as err:
+            count_triangles(graph, helpers.unchecked_sequence(4, pairs))
+        assert str(err.value) == message
 
 
 def test_counters_pinned_on_benchmark_graph():
@@ -254,6 +266,73 @@ def test_counters_pinned_on_benchmark_graph():
     assert (c.aux_updates, c.one_neighbor_calls, c.two_neighbor_pair_visits,
             c.red_wedge_visits, c.graph_update_work, result.sum_red_degree_sq) \
         == (5809, 5610, 83618, 123190, 13998, 174553)
+
+
+def _twin_or_random_sequence(graph, rng):
+    """A sequence whose steps are, at random, a pair of false twins with
+    no red edge, when the trigraph still has one, or any live pair; the
+    first kind is red-free, the second mostly is not."""
+    g = Trigraph.from_graph(graph.edges, graph.n)
+    pairs = []
+    for _ in range(graph.n - 1):
+        live = g.live_vertices()
+        pair = None
+        if rng.random() < 0.5:
+            groups = {}
+            for x in live:
+                if not g.red_adj[x]:
+                    groups.setdefault(frozenset(g.black_adj[x]), []).append(x)
+            twins = [group for group in groups.values() if len(group) > 1]
+            if twins:
+                pair = tuple(rng.sample(rng.choice(twins), 2))
+        if pair is None:
+            pair = tuple(rng.sample(live, 2))
+        g.contract(*pair)
+        pairs.append(pair)
+    return ContractionSequence(graph.n, tuple(pairs))
+
+
+def _red_free_cases():
+    star_graph, star_tree = star(300)
+    co_graph, co_tree = cograph(300, seed=0, block_size=8)
+    yield "star", star_graph, twin_sequence(star_tree, star_graph.n)
+    yield "cograph", co_graph, twin_sequence(co_tree, co_graph.n)
+    for seed in range(4):
+        graph, _ = cograph(48, seed=seed, block_size=8)
+        yield f"mixed-{seed}", graph, _twin_or_random_sequence(graph, random.Random(seed))
+
+
+# (graph_update_work, aux_updates, width, red-free steps) of each case,
+# taken before contract had a separate red-free path
+RED_FREE_PINS = {
+    "star": (899, 300, 0, 300),
+    "cograph": (844, 299, 0, 299),
+    "mixed-0": (450, 233, 11, 12),
+    "mixed-1": (553, 266, 12, 8),
+    "mixed-2": (370, 201, 11, 10),
+    "mixed-3": (285, 156, 10, 18),
+}
+
+
+RED_FREE_CASES = list(_red_free_cases())
+
+
+@pytest.mark.parametrize("name, graph, seq", RED_FREE_CASES,
+                         ids=[case[0] for case in RED_FREE_CASES])
+def test_red_free_steps_keep_the_trigraph_and_counters(name, graph, seq):
+    g = Trigraph.from_graph(graph.edges, graph.n)
+    width = red_free = 0
+    for u, v in seq.pairs:
+        _, red = g.merge_neighborhoods(u, v)
+        red_free += not (red or g.red_adj[u] or g.red_adj[v])
+        g.contract(u, v)
+        helpers.check_consistent(g)
+        width = max(width, g.max_red_degree())
+    result = count_triangles(graph, seq)
+    assert result.triangles == count_naive(graph)
+    assert (result.counters.graph_update_work, result.width) == (g.update_work, width)
+    assert (g.update_work, result.counters.aux_updates, width, red_free) \
+        == RED_FREE_PINS[name]
 
 
 def test_cograph_aux_work_grows_linearly():

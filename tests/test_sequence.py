@@ -90,6 +90,29 @@ def test_replay_reports_dead_reference():
     assert not report.valid and report.failing_step == 1
 
 
+@pytest.mark.parametrize("pairs, step", [
+    (((1, 6), (2, 3), (5, 4)), 0),  # not yet created: step 0 makes 5
+    (((0, 2), (3, 4), (5, 6)), 0),
+    (((1, 2), (3, -1), (5, 6)), 1),
+])
+def test_replay_reports_every_vertex_that_is_not_live(pairs, step):
+    # ContractionSequence refuses ids below 1, so the sequence here skips
+    # its checks; replay must still stop at the step, not raise
+    g = Trigraph.from_graph([(1, 2), (2, 3), (3, 4)], 4)
+    report = replay(g, helpers.unchecked_sequence(4, pairs))
+    assert (report.valid, report.failing_step) == (False, step)
+    helpers.check_consistent(g)
+
+
+def test_replay_refuses_a_negative_bound_before_any_step():
+    graph, cotree = complete(5)
+    g = _fresh(graph)
+    with pytest.raises(ValueError, match="width bound -1"):
+        verify_width(g, twin_sequence(cotree, 5), -1)
+    assert g.live_vertices() == [1, 2, 3, 4, 5]
+    assert verify_width(g, twin_sequence(cotree, 5), 0).valid
+
+
 def test_replay_rejects_wrong_n():
     g = Trigraph.from_graph([(1, 2)], 2)
     with pytest.raises(SequenceError):

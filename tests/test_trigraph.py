@@ -67,10 +67,19 @@ def test_contract_path_endpoints_black():
 
 
 def test_contract_rejects_dead_vertex():
+    # n = 3: after one contraction 1 and 2 are dead, 4 is live, 5 is not
+    # yet created, and 6 = 2n is past every id the trigraph hands out
     g = Trigraph.from_graph([(1, 2), (2, 3)], 3)
     g.contract(1, 2)
-    with pytest.raises(ValueError):
-        g.contract(1, 3)
+    for u, v, bad in [(1, 3, 1), (3, 2, 2), (0, 3, 0), (3, -1, -1), (5, 3, 5),
+                      (3, 6, 6), (4, 99, 99)]:
+        with pytest.raises(ValueError, match=rf"^vertex {bad} is not live$"):
+            g.contract(u, v)
+    helpers.check_consistent(g)
+    assert g.contract(3, 4) == 5
+    # -1 would index the last vertex, 5 = 2n - 1, which is now live
+    with pytest.raises(ValueError, match=r"^vertex -1 is not live$"):
+        g.contract(-1, 5)
 
 
 def test_contract_rejects_wrong_new_id():
