@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .counting import InternalInvariantError, count_triangles
+from .counting import CHECKED_LIMIT, InternalInvariantError, count_triangles
 from .generate import (
     EXACT_MAX_N,
     GRAPH_FAMILIES,
@@ -73,8 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="print the instrumentation counters")
     p_count.add_argument("--checked", action="store_true",
                          help="verify the counting invariants after every step")
-    p_count.add_argument("--checked-limit", type=int, default=64,
-                         help="largest n allowed in checked mode (default 64)")
+    p_count.add_argument("--checked-limit", type=int, default=CHECKED_LIMIT,
+                         help=f"largest n allowed in checked mode (default {CHECKED_LIMIT})")
 
     p_width = sub.add_parser("width", help="width of a contraction sequence")
     p_width.add_argument("graph")

@@ -37,6 +37,10 @@ from .sequence import ContractionSequence, SequenceError
 from .trigraph import BLACK, RED, Trigraph
 
 
+# checked mode costs O(n^3) per step, so it is refused above this n
+CHECKED_LIMIT = 64
+
+
 class InternalInvariantError(RuntimeError):
     """A bookkeeping invariant broke; the counting state is unusable."""
 
@@ -270,7 +274,7 @@ def evaluate_invariant(g: Trigraph, aux: AuxValues, t: int,
 
 
 def count_triangles(graph, seq: ContractionSequence, mode: str = "fast",
-                    checked_limit: int = 64, step_callback=None) -> CountResult:
+                    checked_limit: int = CHECKED_LIMIT, step_callback=None) -> CountResult:
     """Count the triangles of graph by replaying its contraction sequence.
 
     graph provides n, m and an edge list (a PlainGraph works).  In
@@ -304,20 +308,17 @@ def count_triangles(graph, seq: ContractionSequence, mode: str = "fast",
         if not evaluate_invariant(g, aux, state.t, reference_count):
             raise InternalInvariantError("invariant fails before any contraction")
 
-    # ContractionSequence keeps ids in 1..2n-1, so size[] indexes them all
-    size = g.size
     merge, contract = g.merge_neighborhoods, g.contract
     max_red_degree = g.max_red_degree
     t = 0
     for step, (u, v) in enumerate(seq.pairs):
-        if not (size[u] and size[v]):
-            dead = v if size[u] else u
-            raise SequenceError(
-                f"step {step} contracts ({u}, {v}) but vertex {dead} is not live")
+        try:
+            merged = merge(u, v)
+        except ValueError as exc:
+            raise SequenceError(f"step {step} contracts ({u}, {v}) but {exc}") from None
         w = n + 1 + step
-        merged = merge(u, v)
         t += _count_step(g, aux, u, v, w, merged, counters)
-        contract(u, v, w, merged)
+        contract(u, v, merged)
         d = max_red_degree()
         if d > width:
             width = d

@@ -28,15 +28,14 @@ GRAPH_FAMILIES = ("gnp", "cograph", "complete", "path", "cycle", "grid",
 # -- cotrees and cographs --------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Cotree:
     """Binary-or-wider construction tree: leaves are vertices, internal
     nodes combine their children by disjoint union or complete join.
 
-    An internal node needs at least one child.  Equality, hashing and
-    repr walk the tree with their own stack, as every other cotree walk
-    does, so a cotree of any depth is fine; the dataclass keeps the
-    methods defined here.
+    An internal node needs at least one child.  Every walk keeps its own
+    stack, so a cotree of any depth is fine; equality and hashing are by
+    identity and repr is object's, so none of them walks the children.
     """
 
     kind: str  # "leaf", "union", "join"
@@ -56,37 +55,6 @@ class Cotree:
 
     def leaves(self) -> list[int]:
         return [node.vertex for node in self._preorder() if node.kind == "leaf"]
-
-    def _shape(self) -> tuple:
-        """Kind, vertex and child count of every node in preorder, which
-        determine the tree."""
-        return tuple((node.kind, node.vertex, len(node.children))
-                     for node in self._preorder())
-
-    def __eq__(self, other):
-        if not isinstance(other, Cotree):
-            return NotImplemented
-        return self is other or self._shape() == other._shape()
-
-    def __hash__(self):
-        return hash(self._shape())
-
-    def __repr__(self):
-        parts = []
-        todo = [self]  # nodes still to write, and the text that follows them
-        while todo:
-            item = todo.pop()
-            if isinstance(item, str):
-                parts.append(item)
-                continue
-            parts.append(f"Cotree(kind={item.kind!r}, vertex={item.vertex!r}, children=(")
-            kids = item.children
-            todo.append(",))" if len(kids) == 1 else "))")
-            for i in range(len(kids) - 1, -1, -1):
-                todo.append(kids[i])
-                if i:
-                    todo.append(", ")
-        return "".join(parts)
 
 
 def _leaf(v):

@@ -15,9 +15,10 @@ parse_graph reads text shaped like format_graph's output (a first line
 every line ending in a newline) in bulk: it tokenizes the body in slices
 of about 64 KiB, cut at newlines, and hands the pairs to PlainGraph,
 which keeps an already canonical edge list as it is.  Any other text,
-and shaped text whose pairs fail a check (wrong count, self-loop,
-endpoint out of range), goes to the per-line parser, so every error
-carries the same message and line number on either path.
+and shaped text that fails anywhere on the bulk path (a number int()
+refuses, wrong count, self-loop, endpoint out of range), goes to the
+per-line parser, so every error carries the same message and line
+number on either path.
 """
 
 from __future__ import annotations
@@ -53,16 +54,16 @@ def parse_graph(text: str, max_n: int | None = None) -> PlainGraph:
     """
     header = _WRITTEN_HEADER.match(text)
     if header is not None and _UNWRITTEN_LINE.search(text, header.end()) is None:
-        n, declared_m = int(header[1]), int(header[2])
-        _check_size(n, max_n)
-        edges = []
-        for tokens in split_slices(text, header.end()):
-            edges += zip(map(int, tokens[1::3]), map(int, tokens[2::3]))
-        if len(edges) == declared_m:
-            try:
+        try:
+            n, declared_m = int(header[1]), int(header[2])
+            _check_size(n, max_n)
+            edges = []
+            for tokens in split_slices(text, header.end()):
+                edges += zip(map(int, tokens[1::3]), map(int, tokens[2::3]))
+            if len(edges) == declared_m:
                 return PlainGraph(n, edges)
-            except ValueError:
-                pass  # the per-line parser names the line
+        except ValueError:
+            pass  # the per-line parser names the line, or refuses max_n again
     return _parse_lines(text, max_n)
 
 

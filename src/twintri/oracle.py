@@ -2,11 +2,10 @@
 
 This module is deliberately independent of the contraction machinery:
 adjacency is rebuilt here from the raw edge list, so a bug in the fast
-path cannot hide inside shared code.  It is built lazily, on the first
-read of PlainGraph.adjacency, so the count path, which reads only the
-edge list, never pays for it.  Everything is a pure function of its
-inputs and safe to call concurrently: two threads that race on the first
-read build equal lists, and either may be kept.
+path cannot hide inside shared code.  Only count_naive builds it, so the
+count path, which reads only the edge list, never pays for it.
+Everything is a pure function of its inputs and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ class PlainGraph:
     order, as parse_graph reads from a written file, is kept as it is.
     """
 
-    __slots__ = ("n", "edges", "_adjacency")
+    __slots__ = ("n", "edges")
 
     def __init__(self, n, edges=()):
         if n < 1:
@@ -38,23 +37,6 @@ class PlainGraph:
             edges = tuple(sorted(normalized))
         self.n = n
         self.edges = edges
-        self._adjacency = None
-
-    @property
-    def adjacency(self):
-        """Sorted neighbour lists, indexed by vertex (entry 0 is empty).
-
-        Built from the edge list on first access and cached.
-        """
-        if self._adjacency is None:
-            adjacency = [[] for _ in range(self.n + 1)]
-            for u, v in self.edges:
-                adjacency[u].append(v)
-                adjacency[v].append(u)
-            for neighbors in adjacency:
-                neighbors.sort()
-            self._adjacency = adjacency
-        return self._adjacency
 
     @property
     def m(self):
@@ -87,7 +69,12 @@ def _is_canonical(n, edges) -> bool:
 
 def count_naive(g: PlainGraph) -> int:
     """Exact triangle count by intersecting sorted neighbor lists per edge."""
-    adjacency = g.adjacency
+    adjacency = [[] for _ in range(g.n + 1)]
+    for u, v in g.edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    for neighbors in adjacency:
+        neighbors.sort()
     total = 0
     for u, v in g.edges:
         a, b = adjacency[u], adjacency[v]

@@ -15,8 +15,9 @@ parse_sequence reads text shaped like format_sequence's output ("s <n>",
 then only "<u> <v>" lines, single spaces, ASCII digits, every line
 ending in a newline) in bulk, in slices as parse_graph does, and lets
 ContractionSequence check the pairs.  Any other text, and shaped text
-whose pairs fail a check, goes to the per-line parser, so every error
-carries the same message and line number on either path.
+that fails anywhere on the bulk path, a number int() refuses included,
+goes to the per-line parser, so every error carries the same message
+and line number on either path.
 """
 
 from __future__ import annotations
@@ -73,11 +74,11 @@ def parse_sequence(text: str) -> ContractionSequence:
     """Parse a sequence file's text; see the module docstring."""
     header = _WRITTEN_HEADER.match(text)
     if header is not None and _UNWRITTEN_LINE.search(text, header.end()) is None:
-        pairs = []
-        for tokens in split_slices(text, header.end()):
-            ids = map(int, tokens)
-            pairs += zip(ids, ids)
         try:
+            pairs = []
+            for tokens in split_slices(text, header.end()):
+                ids = map(int, tokens)
+                pairs += zip(ids, ids)
             return ContractionSequence(int(header[1]), tuple(pairs))
         except ValueError:
             pass  # the per-line parser names the line
@@ -146,27 +147,26 @@ def replay(g: Trigraph, seq: ContractionSequence, bound: int | None = None) -> S
     """Apply every contraction in order, tracking the largest red degree seen.
 
     g must be freshly built from the n-vertex graph the sequence targets.
-    A step naming a dead or unknown vertex stops the replay and is
-    reported through failing_step rather than raised.  With a bound, the
-    first step whose trigraph has a red degree above it fails the report
-    too, but the replay runs on, so width is the whole sequence's.  A
-    negative bound raises ValueError before any step, since no trigraph
-    can meet it.
+    A step the trigraph refuses, one naming a vertex that is not live or
+    the same vertex twice, stops the replay and is reported through
+    failing_step rather than raised.  With a bound, the first step whose
+    trigraph has a red degree above it fails the report too, but the
+    replay runs on, so width is the whole sequence's.  A negative bound
+    raises ValueError before any step, since no trigraph can meet it.
     """
     if g.n_original != seq.n:
         raise SequenceError(
             f"sequence is for {seq.n} vertices, trigraph has {g.n_original}")
     if bound is not None and bound < 0:
         raise ValueError(f"width bound {bound} is negative; widths start at 0")
-    # ContractionSequence keeps ids in 1..2n-1, so size[] indexes them all
-    size = g.size
     contract, max_red_degree = g.contract, g.max_red_degree
     width = 0
     over = None
     for step, (u, v) in enumerate(seq.pairs):
-        if not (size[u] and size[v]):
+        try:
+            contract(u, v)
+        except ValueError:
             return SequenceReport(width, False, step)
-        contract(u, v)
         d = max_red_degree()
         if d > width:
             width = d

@@ -128,13 +128,27 @@ class Trigraph:
     # -- contraction -----------------------------------------------------
 
     def merge_neighborhoods(self, u: int, v: int):
-        """Classify every vertex adjacent to u or v by its pair of colors.
+        """Check the step (u, v) and classify every vertex adjacent to u
+        or v by its pair of colors.
+
+        This is the one place a step is checked.  A vertex is live when
+        0 < id < the next id to be assigned and its group is not empty;
+        any other id, dead, not yet created or out of range, raises
+        ValueError("vertex X is not live"), and u == v raises too.
 
         Returns (black, red): black lists the vertices black-adjacent to
         both u and v; red lists (x, color_ux, color_vx) for the vertices
         that would end up red-adjacent to the contraction of u and v.
         u and v themselves are skipped.  The trigraph is not modified.
         """
+        size = self.size
+        next_id = self._next_id
+        if not (0 < u < next_id and size[u]):
+            raise ValueError(f"vertex {u} is not live")
+        if not (0 < v < next_id and size[v]):
+            raise ValueError(f"vertex {v} is not live")
+        if u == v:
+            raise ValueError("cannot contract a vertex with itself")
         bu, ru = self.black_adj[u], self.red_adj[u]
         bv, rv = self.black_adj[v], self.red_adj[v]
         black = []
@@ -155,38 +169,28 @@ class Trigraph:
                 red.append((x, NONE, RED))
         return black, red
 
-    def contract(self, u: int, v: int, w: int | None = None, merged=None) -> int:
+    def contract(self, u: int, v: int, merged=None) -> int:
         """Contract live vertices u and v into a fresh vertex, returning its id.
 
-        A vertex is live when 0 < id < the next id to be assigned and its
-        group is not empty; any other id, dead, not yet created or out of
-        range, raises ValueError("vertex X is not live").  w, when given,
-        must equal the id the numbering scheme assigns next
+        The new id w is the next one the numbering scheme assigns
         (n_original + contractions performed + 1).  merged, when given,
-        must be the output of merge_neighborhoods(u, v); this lets a
-        caller that already ran the merge avoid a second scan.  The red
-        edge {w, x} weighs size[u]*size[x] for a black {u, x}, the weight
-        of a red {u, x}, and nothing for an absent one, plus the same for v.
+        must be the output of merge_neighborhoods(u, v), which has
+        checked the step; this lets a caller that already ran the merge
+        avoid a second scan.  Without it the merge runs here, so an
+        invalid step raises its ValueError before anything changes.  The
+        red edge {w, x} weighs size[u]*size[x] for a black {u, x}, the
+        weight of a red {u, x}, and nothing for an absent one, plus the
+        same for v.
 
         A red-free step, one whose merge has no red entries while neither
         u nor v has a red edge, touches no red map: it only retires two
         red-degree-0 vertices for one, so the histogram loses one count
         at 0 and the maximum red degree stays put.
         """
-        size = self.size
-        expected = self._next_id
-        if not (0 < u < expected and size[u]):
-            raise ValueError(f"vertex {u} is not live")
-        if not (0 < v < expected and size[v]):
-            raise ValueError(f"vertex {v} is not live")
-        if u == v:
-            raise ValueError("cannot contract a vertex with itself")
-        if w is None:
-            w = expected
-        elif w != expected:
-            raise ValueError(f"new vertex id must be {expected}, got {w}")
         if merged is None:
             merged = self.merge_neighborhoods(u, v)
+        w = self._next_id
+        size = self.size
         black, red = merged
         black_adj, red_adj = self.black_adj, self.red_adj
         ru, rv = red_adj[u], red_adj[v]

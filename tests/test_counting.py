@@ -244,11 +244,15 @@ def test_dead_vertex_error_names_step_and_pair():
         with pytest.raises(SequenceError) as err:
             count_triangles(graph, ContractionSequence(4, pairs))
         assert str(err.value) == message
-    # ContractionSequence refuses ids below 1, so they can only arrive
-    # through an object that skips its checks
+    # ContractionSequence refuses ids below 1, equal pairs and ids past
+    # 2n - 1, so they can only arrive through an object that skips its checks
     for pairs, message in [
         (((0, 2), (3, 4), (5, 6)), "step 0 contracts (0, 2) but vertex 0 is not live"),
         (((1, 2), (3, -1), (5, 6)), "step 1 contracts (3, -1) but vertex -1 is not live"),
+        (((1, 2), (3, 4), (5, -2)), "step 2 contracts (5, -2) but vertex -2 is not live"),
+        (((1, 2), (3, 3), (5, 4)),
+         "step 1 contracts (3, 3) but cannot contract a vertex with itself"),
+        (((1, 2), (3, 100), (5, 4)), "step 1 contracts (3, 100) but vertex 100 is not live"),
     ]:
         with pytest.raises(SequenceError) as err:
             count_triangles(graph, helpers.unchecked_sequence(4, pairs))
@@ -588,7 +592,11 @@ def _assert_complement_pair(graph, seq):
     pairs stay red when black and absent swap), and t(G) + t(complement)
     = C(n,3) - 1/2 sum d(n-1-d) (Goodman 1959)."""
     n = graph.n
-    mixed = sum(len(nbrs) * (n - 1 - len(nbrs)) for nbrs in graph.adjacency[1:])
+    degree = [0] * (n + 1)
+    for u, v in graph.edges:
+        degree[u] += 1
+        degree[v] += 1
+    mixed = sum(d * (n - 1 - d) for d in degree[1:])
     assert mixed % 2 == 0
     ours, theirs = count_triangles(graph, seq), count_triangles(_complement(graph), seq)
     assert ours.width == theirs.width

@@ -101,6 +101,9 @@ def _with_last_edge(text, edge):
     "p 3 1\ne 1 2 \n",
     "p 3 1\ne  1 2\n",
     "p 3 1\ne 1 ٢\n",
+    # past CPython's int-string limit, int() raises on the bulk path too
+    pytest.param("p 3 1\ne 1 " + "9" * 5000 + "\n", id="5000-digit-endpoint"),
+    pytest.param("p " + "9" * 5000 + " 1\ne 1 2\n", id="5000-digit-p-count"),
 ])
 def test_bulk_path_agrees_with_per_line_parser(text):
     bulk, lines = _both_paths(text)
@@ -148,7 +151,6 @@ def test_canonical_and_shuffled_edge_lists_agree():
     random.Random(4).shuffle(mixed)
     a, b = PlainGraph(60, canonical), PlainGraph(60, mixed)
     assert a == b and hash(a) == hash(b)
-    assert a.adjacency == b.adjacency
     assert count_naive(a) == count_naive(b) == 60 * 59 * 58 // 6
     # sorted but repeated, and pairs that are lists: not kept as given
     repeated = PlainGraph(60, sorted(canonical + canonical[:50]))

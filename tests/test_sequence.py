@@ -94,6 +94,9 @@ def test_replay_reports_dead_reference():
     (((1, 6), (2, 3), (5, 4)), 0),  # not yet created: step 0 makes 5
     (((0, 2), (3, 4), (5, 6)), 0),
     (((1, 2), (3, -1), (5, 6)), 1),
+    (((1, 2), (3, 4), (5, -2)), 2),  # -2 would index 6, live at step 2
+    (((1, 2), (3, 3), (5, 4)), 1),
+    (((1, 2), (3, 100), (5, 4)), 1),
 ])
 def test_replay_reports_every_vertex_that_is_not_live(pairs, step):
     # ContractionSequence refuses ids below 1, so the sequence here skips
@@ -199,6 +202,8 @@ def _outcome(parse, text):
     "s 1\n",
     "s 3\n1 2\n5 5\n",
     "s 3\n1 2\n4 6\n",
+    # past CPython's int-string limit, int() raises on the bulk path too
+    pytest.param("s 3\n1 " + "9" * 5000 + "\n4 3\n", id="5000-digit-id"),
 ])
 def test_bulk_path_agrees_with_per_line_parser(text):
     assert (_outcome(parse_sequence, text)
