@@ -108,7 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_seq = gen_sub.add_parser("seq", help="generate a contraction sequence")
     p_seq.add_argument("graph")
     p_seq.add_argument("--strategy", required=True, choices=("exact", "greedy", "twin"))
-    p_seq.add_argument("--exact-max-n", type=int, default=EXACT_MAX_N)
+    p_seq.add_argument("--exact-max-n", type=int, default=EXACT_MAX_N,
+                       help="largest n the exact strategy searches "
+                            f"(exit 3 above it; default {EXACT_MAX_N})")
     p_seq.add_argument("-o", "--output", help="sequence file (stdout when absent)")
 
     for reader in (p_count, p_width, p_verify, p_oracle, p_seq):

@@ -437,7 +437,7 @@ def exact_sequence(graph: PlainGraph, max_n: int = EXACT_MAX_N):
     if n > max_n:
         raise ValueError(
             f"exact search is limited to {max_n} vertices ({n} given); "
-            "use greedy_sequence instead")
+            "use the greedy strategy instead")
     if n == 1:
         return ContractionSequence(1, ()), 0
     greedy_seq, upper = greedy_sequence(graph)

@@ -12,28 +12,34 @@ reproduces canonical text byte for byte.
 
 parse_graph reads text shaped like format_graph's output (a first line
 "p <n> <m>", then only "e <u> <v>" lines, single spaces, ASCII digits,
-every line ending in a newline) in bulk: it tokenizes the body in slices
-of about 64 KiB, cut at newlines, and hands the pairs to PlainGraph,
-which keeps an already canonical edge list as it is.  Any other text,
-and shaped text that fails anywhere on the bulk path (a number int()
-refuses, wrong count, self-loop, endpoint out of range), goes to the
-per-line parser, so every error carries the same message and line
-number on either path.
+every line ending in a newline) in bulk: it cuts the body into slices of
+about 64 KiB at newlines, rewrites each slice into a JSON array of its
+endpoints and reads it with one json.loads, whose C scanner makes the
+ints without a str per token, and hands the pairs to PlainGraph, which
+keeps an already canonical edge list as it is.  The shape check stays in
+front of the scanner, because JSON alone would also read "1e5" (a float)
+or "-1".  Any other text, and shaped text that fails anywhere on the
+bulk path (a number the scanner refuses, such as one with a leading zero
+or past CPython's int-string limit, a wrong count, a self-loop, an
+endpoint out of range), goes to the per-line parser, so every error
+carries the same message and line number on either path.
 """
 
 from __future__ import annotations
 
+import json
 import re
 
 from .oracle import PlainGraph
 
 # The shape format_graph writes, with [0-9], not \d, which admits other
-# digits.  The body is checked by searching for a line that breaks it:
+# digits.  The body is checked by searching, from the header's newline,
+# for a newline not followed by a written line or the end of the text:
 # one fullmatch with a repeated group would keep a backtracking frame per
 # line (about 90 MiB on K_800) unless the repeat is possessive, which
-# Python 3.10 lacks.
+# Python 3.10 lacks, and a literal newline is found faster than ^.
 _WRITTEN_HEADER = re.compile(r"p ([0-9]+) ([0-9]+)\n")
-_UNWRITTEN_LINE = re.compile(r"^(?!e [0-9]+ [0-9]+\n|\Z)", re.MULTILINE)
+_UNWRITTEN_LINE = re.compile(r"\n(?!e [0-9]+ [0-9]+\n|\Z)")
 SLICE_CHARS = 1 << 16
 
 
@@ -53,13 +59,11 @@ def parse_graph(text: str, max_n: int | None = None) -> PlainGraph:
     before anything of size n is allocated.
     """
     header = _WRITTEN_HEADER.match(text)
-    if header is not None and _UNWRITTEN_LINE.search(text, header.end()) is None:
+    if header is not None and _UNWRITTEN_LINE.search(text, header.end() - 1) is None:
         try:
             n, declared_m = int(header[1]), int(header[2])
             _check_size(n, max_n)
-            edges = []
-            for tokens in split_slices(text, header.end()):
-                edges += zip(map(int, tokens[1::3]), map(int, tokens[2::3]))
+            edges = read_pairs(text, header.end(), "e ")
             if len(edges) == declared_m:
                 return PlainGraph(n, edges)
         except ValueError:
@@ -67,17 +71,23 @@ def parse_graph(text: str, max_n: int | None = None) -> PlainGraph:
     return _parse_lines(text, max_n)
 
 
-def split_slices(text: str, start: int):
-    """Yield text[start:].split() in pieces of about SLICE_CHARS characters.
+def read_pairs(text: str, start: int, mark: str = "") -> list:
+    """The int pairs of the written lines "<mark><a> <b>\n" in text[start:].
 
-    Each piece ends at a newline, so no token is cut in two, and only one
-    piece's tokens are alive at a time.
+    The text must already have the written shape.  Each slice of about
+    SLICE_CHARS characters, cut at a newline, becomes one JSON array,
+    so only one slice's ints are alive besides the pairs.  A number the
+    JSON scanner refuses raises ValueError.
     """
-    end = len(text)
+    pairs = []
+    end, skip, line_break = len(text), len(mark), "\n" + mark
     while start < end:
         stop = text.find("\n", start + SLICE_CHARS) + 1 or end
-        yield text[start:stop].split()
+        body = text[start + skip:stop - 1].replace(line_break, ",").replace(" ", ",")
+        ids = iter(json.loads(f"[{body}]"))
+        pairs += zip(ids, ids)
         start = stop
+    return pairs
 
 
 def _check_size(n: int, max_n: int | None):

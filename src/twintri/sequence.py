@@ -13,11 +13,14 @@ File format, one record per line:
 
 parse_sequence reads text shaped like format_sequence's output ("s <n>",
 then only "<u> <v>" lines, single spaces, ASCII digits, every line
-ending in a newline) in bulk, in slices as parse_graph does, and lets
-ContractionSequence check the pairs.  Any other text, and shaped text
-that fails anywhere on the bulk path, a number int() refuses included,
-goes to the per-line parser, so every error carries the same message
-and line number on either path.
+ending in a newline) in bulk, as parse_graph does: each slice of about
+64 KiB becomes a JSON array read by the json C scanner, and
+ContractionSequence checks the pairs.  The shape check stays in front of
+the scanner, which alone would also read floats and negative numbers.
+Any other text, and shaped text that fails anywhere on the bulk path, a
+number the scanner refuses (a leading zero, more digits than CPython's
+int-string limit) included, goes to the per-line parser, so every error
+carries the same message and line number on either path.
 """
 
 from __future__ import annotations
@@ -25,12 +28,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .graphio import read_text, split_slices
+from .graphio import read_pairs, read_text
 from .trigraph import Trigraph
 
 # the shape format_sequence writes, checked as graphio checks a graph's
 _WRITTEN_HEADER = re.compile(r"s ([0-9]+)\n")
-_UNWRITTEN_LINE = re.compile(r"^(?![0-9]+ [0-9]+\n|\Z)", re.MULTILINE)
+_UNWRITTEN_LINE = re.compile(r"\n(?![0-9]+ [0-9]+\n|\Z)")
 
 
 class SequenceFormatError(ValueError):
@@ -73,12 +76,9 @@ class SequenceReport:
 def parse_sequence(text: str) -> ContractionSequence:
     """Parse a sequence file's text; see the module docstring."""
     header = _WRITTEN_HEADER.match(text)
-    if header is not None and _UNWRITTEN_LINE.search(text, header.end()) is None:
+    if header is not None and _UNWRITTEN_LINE.search(text, header.end() - 1) is None:
         try:
-            pairs = []
-            for tokens in split_slices(text, header.end()):
-                ids = map(int, tokens)
-                pairs += zip(ids, ids)
+            pairs = read_pairs(text, header.end())
             return ContractionSequence(int(header[1]), tuple(pairs))
         except ValueError:
             pass  # the per-line parser names the line

@@ -12,6 +12,7 @@ the yardsticks their rewrites must match.
 """
 
 import itertools
+import random
 import types
 
 from twintri.counting import AuxValues, Counters, red_weight
@@ -681,3 +682,15 @@ def caterpillar(n, kind_of):
     for k in range(2, n + 1):
         node = Cotree(kind_of(k), children=(node, Cotree("leaf", vertex=k)))
     return node
+
+
+def banded(n, b, seed=0):
+    """Each pair {i, j} with 0 < j - i <= b is an edge with probability 0.5.
+
+    Under chain_sequence the red degree stays within b: the folded group
+    reaches only the next b vertices.
+    """
+    rng = random.Random(seed)
+    return PlainGraph(n, [(i, j) for i in range(1, n + 1)
+                          for j in range(i + 1, min(i + b, n) + 1)
+                          if rng.random() < 0.5])

@@ -243,10 +243,17 @@ def test_gen_seq_twin_refused_for_plain_files(tmp_path):
     assert main(["gen", "seq", gpath, "--strategy", "twin"]) == 3
 
 
-def test_gen_seq_exact_respects_limit(tmp_path):
+def test_gen_seq_exact_respects_limit(tmp_path, capsys):
     from twintri.generate import gnp
     gpath = _write(tmp_path, "big.gr", format_graph(gnp(12, 0.5, seed=1)))
     assert main(["gen", "seq", gpath, "--strategy", "exact"]) == 3
+    # the message names what a CLI user can run, not a library function
+    err = capsys.readouterr().err
+    assert "limited to 9 vertices (12 given)" in err
+    assert "use the greedy strategy instead" in err
+    assert "greedy_sequence" not in err
+    assert main(["gen", "seq", gpath, "--strategy", "exact",
+                 "--exact-max-n", "12"]) == 0
 
 
 def test_internal_invariant_maps_to_exit_4(k4_files, monkeypatch):

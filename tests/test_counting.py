@@ -643,3 +643,56 @@ def test_each_triangle_counted_exactly_once():
         assert increments == [len(s) for s in schedule], (trial, n)
         assert result.triangles == sum(len(s) for s in schedule) == count_naive(graph)
 
+
+
+def _relabelled(graph, seq, perm):
+    """graph and seq with original vertex x renamed perm[x - 1]; ids above
+    n, the contracted vertices, keep their numbers."""
+    n = graph.n
+
+    def name(x):
+        return perm[x - 1] if x <= n else x
+
+    edges = [(name(u), name(v)) for u, v in graph.edges]
+    pairs = tuple((name(u), name(v)) for u, v in seq.pairs)
+    return PlainGraph(n, edges), ContractionSequence(n, pairs)
+
+
+def _outcome_of_count(graph, seq):
+    result = count_triangles(graph, seq)
+    return result.triangles, result.width, result.sum_red_degree_sq, result.counters
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.sampled_from((0.1, 0.3, 0.5, 0.8)),
+       st.integers(0, 10 ** 6), st.booleans(), st.randoms(use_true_random=False))
+def test_relabelling_changes_no_count_or_counter(n, p, seed, greedy, rng):
+    graph = gnp(n, p, seed=seed)
+    seq = greedy_sequence(graph)[0] if greedy else _random_sequence(n, random.Random(seed))
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    assert (_outcome_of_count(*_relabelled(graph, seq, perm))
+            == _outcome_of_count(graph, seq))
+
+
+def test_relabelling_a_cograph_changes_no_count_or_counter():
+    graph, cotree = cograph(600, seed=5, block_size=8)
+    seq = twin_sequence(cotree, graph.n)
+    perm = list(range(1, graph.n + 1))
+    random.Random(5).shuffle(perm)
+    outcome = _outcome_of_count(graph, seq)
+    assert outcome[1] == 0
+    assert _outcome_of_count(*_relabelled(graph, seq, perm)) == outcome
+
+
+@pytest.mark.parametrize("n", [2000, 4000])
+@pytest.mark.parametrize("b", [2, 5, 10])
+def test_banded_counts_within_the_papers_bound(n, b):
+    # the paper's O(d^2 n + m), checked on counters, not on the clock
+    graph = helpers.banded(n, b, seed=n + b)
+    result = count_triangles(graph, chain_sequence(n))
+    c = result.counters
+    assert result.width == b
+    assert c.two_neighbor_pair_visits <= result.sum_red_degree_sq
+    assert c.graph_update_work <= 8 * (b * n + graph.m)
+    assert result.triangles == count_naive(graph)

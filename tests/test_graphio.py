@@ -101,13 +101,22 @@ def _with_last_edge(text, edge):
     "p 3 1\ne 1 2 \n",
     "p 3 1\ne  1 2\n",
     "p 3 1\ne 1 ٢\n",
-    # past CPython's int-string limit, int() raises on the bulk path too
+    # past CPython's int-string limit, the JSON scanner raises on the bulk path too
     pytest.param("p 3 1\ne 1 " + "9" * 5000 + "\n", id="5000-digit-endpoint"),
     pytest.param("p " + "9" * 5000 + " 1\ne 1 2\n", id="5000-digit-p-count"),
+    "p 4 3\ne 1 2\ne 1 3\ne 2 4\n",  # written text the bulk path keeps
+    # where JSON's number grammar differs from int(): the scanner reads 0
+    # and a 4000-digit int, which PlainGraph's range check refuses, and
+    # refuses a leading zero that int() reads, here late in a long file
+    "p 3 1\ne 0 1\n",
+    pytest.param("p 3 1\ne 1 " + "9" * 4000 + "\n", id="4000-digit-endpoint"),
+    pytest.param(_with_last_edge(_k400_text(), "0399 400"), id="k400-leading-zero-last"),
 ])
 def test_bulk_path_agrees_with_per_line_parser(text):
     bulk, lines = _both_paths(text)
     assert bulk == lines
+    if isinstance(bulk, PlainGraph):
+        assert all(type(x) is int for edge in bulk.edges for x in edge)
 
 
 @pytest.mark.parametrize("edge, line, message", [

@@ -3,7 +3,14 @@ import random
 import pytest
 
 from twintri import sequence as sequence_module
-from twintri.generate import cograph, complete, gnp, greedy_sequence, twin_sequence
+from twintri.generate import (
+    chain_sequence,
+    cograph,
+    complete,
+    gnp,
+    greedy_sequence,
+    twin_sequence,
+)
 from twintri.graphio import SLICE_CHARS
 from twintri.sequence import (
     ContractionSequence,
@@ -190,6 +197,12 @@ def _outcome(parse, text):
         return str(err), err.line
 
 
+def _chain_with_leading_zero_last(n):
+    """chain_sequence(n)'s text, its last pair written with a leading zero."""
+    head, last = format_sequence(chain_sequence(n))[:-1].rsplit("\n", 1)
+    return f"{head}\n0{last}\n"
+
+
 @pytest.mark.parametrize("text", [
     "s 3\n1\n2 4 3\n",  # tokens line up in pairs, lines do not
     "s 3\r\n1 2\r\n4 3\r\n",
@@ -202,12 +215,21 @@ def _outcome(parse, text):
     "s 1\n",
     "s 3\n1 2\n5 5\n",
     "s 3\n1 2\n4 6\n",
-    # past CPython's int-string limit, int() raises on the bulk path too
+    # past CPython's int-string limit, the JSON scanner raises on the bulk path too
     pytest.param("s 3\n1 " + "9" * 5000 + "\n4 3\n", id="5000-digit-id"),
+    "s 3\n1 2\n4 3\n",  # written text the bulk path keeps
+    # where JSON's number grammar differs from int(): the scanner reads 0
+    # and a 4000-digit int, which ContractionSequence refuses, and refuses
+    # a leading zero that int() reads, here late in a long file
+    "s 3\n0 2\n4 3\n",
+    pytest.param("s 3\n1 " + "9" * 4000 + "\n4 3\n", id="4000-digit-id"),
+    pytest.param(_chain_with_leading_zero_last(20000), id="chain-leading-zero-last"),
 ])
 def test_bulk_path_agrees_with_per_line_parser(text):
-    assert (_outcome(parse_sequence, text)
-            == _outcome(sequence_module._parse_lines, text))
+    bulk = _outcome(parse_sequence, text)
+    assert bulk == _outcome(sequence_module._parse_lines, text)
+    if isinstance(bulk, ContractionSequence):
+        assert all(type(x) is int for pair in bulk.pairs for x in pair)
 
 
 def test_written_text_takes_the_bulk_path(monkeypatch):
