@@ -1,7 +1,6 @@
 """Triangle counting on graphs equipped with a twin-width contraction sequence."""
 
 from .counting import (
-    AuxValues,
     Counters,
     CountResult,
     InternalInvariantError,

@@ -2,12 +2,13 @@
 
 The count runs in O(d^2*n + m) for a sequence of width d.  While the
 trigraph shrinks, three numbers are maintained per live vertex or red
-edge:
+edge, all indexed by the vertex's representative r (see trigraph):
 
-    g.size[x]         original vertices merged into x
-    inner_edges[x]    original edges with both ends merged into x
-    g.red_adj[x][y]   original edges between the two groups, the weight
-                      of the red edge {x, y} (black pairs are complete
+    g.size[r]         original vertices merged into r's group
+    inner[r]          original edges with both ends in r's group, a list
+                      of n + 1 counts, 0 once r is merged away
+    g.red_adj[r][y]   original edges between the two groups, the weight
+                      of the red edge {r, y} (black pairs are complete
                       bipartite, absent pairs are empty, so neither needs
                       a count)
 
@@ -46,23 +47,13 @@ class InternalInvariantError(RuntimeError):
 
 
 def red_weight(g: Trigraph, a, b) -> int:
-    """Cross-edge count of the red edge {a, b}, read from g's red map."""
+    """Cross-edge count of the red edge between representatives a and b,
+    read from g's red map; a missing one is named by the ids of a and b."""
     try:
         return g.red_adj[a][b]
     except KeyError:
         raise InternalInvariantError(
-            f"no cross-edge count for red edge {{{a}, {b}}}") from None
-
-
-@dataclass
-class AuxValues:
-    """Per-group counts maintained alongside the shrinking trigraph."""
-
-    inner_edges: dict
-
-    @classmethod
-    def initial(cls, n: int) -> "AuxValues":
-        return cls(inner_edges={v: 0 for v in range(1, n + 1)})
+            f"no cross-edge count for red edge {{{g.id_of[a]}, {g.id_of[b]}}}") from None
 
 
 @dataclass
@@ -102,15 +93,17 @@ class CountResult:
 # -- the per-step routine -----------------------------------------------
 
 
-def _count_step(g: Trigraph, aux: AuxValues, u, v, w, merged,
-                counters: Counters) -> int:
-    """Triangles that first reach an absorbing configuration as u and v
-    contract into w; also folds u's and v's inner-edge counts into w's.
+def _count_step(g: Trigraph, inner: list, merged, counters: Counters) -> int:
+    """Triangles that first reach an absorbing configuration as the step
+    merged contracts two vertices into w; also folds their inner-edge
+    counts into w's.
 
-    Runs on the still-unmodified trigraph; merged is
-    g.merge_neighborhoods(u, v), whose red entries (x, color_ux,
-    color_vx) are the k red neighbors of w.  The contraction then sets
-    w's group size and red weights itself.  The increment counts
+    Runs on the still-unmodified trigraph; merged is the step's
+    g.merge_neighborhoods, which names the two sides by representative:
+    u, the one that will name w, and v, the one merged away.  Its red
+    entries (x, color_ux, color_vx) are the k red neighbors of w.  The
+    count is symmetric in u and v.  The contraction then sets w's group
+    size and red weights itself.  The increment counts
     triangles with an edge inside u or v when {u, v} is black (they end
     inside w), triangles that collapse onto a single red edge {w, x},
     and triangles with a corner in u (or v) and the other two in
@@ -135,11 +128,10 @@ def _count_step(g: Trigraph, aux: AuxValues, u, v, w, merged,
     step costs O(k*(k + d)) C-level operations, not k*(k-1)/2
     interpreted pair visits.
     """
-    black_list, red_entries = merged
+    u, v, red_entries = merged
     size, black_adj, red_adj = g.size, g.black_adj, g.red_adj
-    inner = aux.inner_edges
     su, sv = size[u], size[v]
-    iu, iv = inner.pop(u), inner.pop(v)
+    iu, iv = inner[u], inner[v]
     uv_black = v in black_adj[u]
     inc = 0
     if uv_black:
@@ -151,7 +143,8 @@ def _count_step(g: Trigraph, aux: AuxValues, u, v, w, merged,
         between = red_weight(g, u, v)
     else:
         between = 0
-    inner[w] = iu + iv + between
+    inner[u] = iu + iv + between
+    inner[v] = 0
     # one update for w's inner edges, one per red edge the contraction weighs
     counters.aux_updates += 1 + len(red_entries)
     if not red_entries:
@@ -162,7 +155,7 @@ def _count_step(g: Trigraph, aux: AuxValues, u, v, w, merged,
     # the docstring's c and m maps for each side, and the red neighbors
     # of w black to u (to v) that the per-side sums run over
     c_u, c_v = {}, {}
-    m_u = dict.fromkeys(black_list, 2)
+    m_u = dict.fromkeys(black_adj[u].keys() & black_adj[v].keys(), 2)
     m_v = m_u.copy()
     black_to_u, black_to_v = [], []
     wedges = 0
@@ -208,41 +201,41 @@ def _count_step(g: Trigraph, aux: AuxValues, u, v, w, merged,
 # -- whole-run driver ----------------------------------------------------
 
 
-def check_conservation(g: Trigraph, aux: AuxValues, n: int, m: int):
+def check_conservation(g: Trigraph, inner: list, n: int, m: int):
     """Raise unless the counts still account for every vertex and edge.
 
     Every red weight must be symmetric and lie strictly between 0 and the
     product of the group sizes: a red pair hides at least one original
-    edge and at least one non-edge.
+    edge and at least one non-edge.  Messages name vertices by id.
     """
-    live = g.live_vertices()
-    if set(aux.inner_edges) != set(live):
+    size, id_of = g.size, g.id_of
+    if len(inner) != n + 1 or any(inner[r] for r in range(n + 1) if not id_of[r]):
         raise InternalInvariantError("aux entries out of sync with live vertices")
-    size = g.size
     total = sum(size)
     if total != n:
         raise InternalInvariantError(f"group sizes sum to {total}, expected {n}")
-    mass = sum(aux.inner_edges.values())
-    for x in live:
+    mass = sum(inner)
+    rep = g.rep
+    for x in map(rep.__getitem__, g.live_vertices()):
         for y in g.black_adj[x]:
             if y > x:
                 mass += size[x] * size[y]
         for y, weight in g.red_adj[x].items():
             if g.red_adj[y].get(x) != weight:
                 raise InternalInvariantError(
-                    f"red edge {{{x}, {y}}} weighs {weight} at {x} "
-                    f"but {g.red_adj[y].get(x)} at {y}")
+                    f"red edge {{{id_of[x]}, {id_of[y]}}} weighs {weight} at "
+                    f"{id_of[x]} but {g.red_adj[y].get(x)} at {id_of[y]}")
             if not 0 < weight < size[x] * size[y]:
                 raise InternalInvariantError(
-                    f"red edge {{{x}, {y}}} weighs {weight} between groups "
-                    f"of {size[x]} and {size[y]}")
+                    f"red edge {{{id_of[x]}, {id_of[y]}}} weighs {weight} between "
+                    f"groups of {size[x]} and {size[y]}")
             if y > x:
                 mass += weight
     if mass != m:
         raise InternalInvariantError(f"edge mass {mass} != m = {m}")
 
 
-def evaluate_invariant(g: Trigraph, aux: AuxValues, t: int,
+def evaluate_invariant(g: Trigraph, inner: list, t: int,
                        triangle_count: int) -> bool:
     """Check the running-total identity on the current trigraph.
 
@@ -252,24 +245,25 @@ def evaluate_invariant(g: Trigraph, aux: AuxValues, t: int,
     cross count, and black edges weighted by the inner edges of their
     endpoints.  Brute-force enumeration; intended for small inputs.
     """
-    size = g.size
-    inner = aux.inner_edges
+    size, black_adj = g.size, g.black_adj
     pending = 0
-    black_edges = list(g.black_edges())
-    for x, y in black_edges:
-        # all-black triangles, x < y < z exactly once
-        by = g.black_adj[y]
-        for z in g.black_adj[x]:
-            if z > y and z in by:
-                pending += size[x] * size[y] * size[z]
-    for x, z in g.red_edges():
-        exz = red_weight(g, x, z)
-        bz = g.black_adj[z]
-        for y in g.black_adj[x]:
-            if y in bz:
-                pending += exz * size[y]
-    for x, y in black_edges:
-        pending += size[x] * inner[y] + inner[x] * size[y]
+    for x in (r for r, i in enumerate(g.id_of) if i):
+        bx = black_adj[x]
+        for y in bx:
+            if y > x:
+                # all-black triangles, x < y < z exactly once
+                by = black_adj[y]
+                for z in bx:
+                    if z > y and z in by:
+                        pending += size[x] * size[y] * size[z]
+                pending += size[x] * inner[y] + inner[x] * size[y]
+        for z in g.red_adj[x]:
+            if z > x:
+                exz = red_weight(g, x, z)
+                bz = black_adj[z]
+                for y in bx:
+                    if y in bz:
+                        pending += exz * size[y]
     return triangle_count == t + pending
 
 
@@ -282,8 +276,9 @@ def count_triangles(graph, seq: ContractionSequence, mode: str = "fast",
     invariant are verified after every contraction, which costs O(n^3)
     per step and is therefore gated to n <= checked_limit; the reference
     triangle count is taken from the brute-force oracle.
-    step_callback(step, g, aux, state), when given, runs after each
-    applied contraction.
+    step_callback(step, g, inner, state), when given, runs after each
+    applied contraction; inner is the list of inner-edge counts, indexed
+    like g.size by representative.
     """
     if mode not in ("fast", "checked"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -298,14 +293,14 @@ def count_triangles(graph, seq: ContractionSequence, mode: str = "fast",
         reference_count = count_naive(graph)
     n, m = graph.n, graph.m
     g = Trigraph.from_graph(graph.edges, n)
-    aux = AuxValues.initial(n)
+    inner = [0] * (n + 1)
     state = CountState()
     counters = state.counters
     width = sum_d_sq = 0
 
     if checked:
-        check_conservation(g, aux, n, m)
-        if not evaluate_invariant(g, aux, state.t, reference_count):
+        check_conservation(g, inner, n, m)
+        if not evaluate_invariant(g, inner, state.t, reference_count):
             raise InternalInvariantError("invariant fails before any contraction")
 
     merge, contract = g.merge_neighborhoods, g.contract
@@ -316,21 +311,20 @@ def count_triangles(graph, seq: ContractionSequence, mode: str = "fast",
             merged = merge(u, v)
         except ValueError as exc:
             raise SequenceError(f"step {step} contracts ({u}, {v}) but {exc}") from None
-        w = n + 1 + step
-        t += _count_step(g, aux, u, v, w, merged, counters)
+        t += _count_step(g, inner, merged, counters)
         contract(u, v, merged)
         d = max_red_degree()
         if d > width:
             width = d
         sum_d_sq += d * d
         if checked:
-            check_conservation(g, aux, n, m)
-            if not evaluate_invariant(g, aux, t, reference_count):
+            check_conservation(g, inner, n, m)
+            if not evaluate_invariant(g, inner, t, reference_count):
                 raise InternalInvariantError(
-                    f"invariant fails after step {step} ({u},{v})->{w}")
+                    f"invariant fails after step {step} ({u},{v})->{n + 1 + step}")
         if step_callback is not None:
             state.t = t
-            step_callback(step, g, aux, state)
+            step_callback(step, g, inner, state)
 
     counters.contractions = len(seq.pairs)
     counters.graph_update_work = g.update_work

@@ -7,13 +7,30 @@ red edge otherwise.  Black edges therefore always stand for "all pairs
 across the two merged vertex groups are original edges", absent edges
 for "no pair is", and red edges for the mixed leftovers.
 
-Each vertex holds two hash maps: its black neighbours (mapped to None)
-and its red neighbours, each mapped to the red edge's cross-edge count,
-the number of original edges between the two groups.  With the group
-sizes kept alongside, a contraction patches every neighbour in O(1) and
-computes the new red weights itself.  The structure is single-writer:
-queries may run concurrently between contractions, but mutation is not
-thread safe.
+Vertices are named by ids, but inside the trigraph every live vertex is
+named by its representative, one original vertex of its group.  Each
+representative holds two hash maps keyed by representatives: its black
+neighbours (mapped to None) and its red neighbours, each mapped to the
+red edge's cross-edge count, the number of original edges between the
+two groups.  With the group sizes kept alongside, a contraction computes
+the new red weights itself.
+
+A contraction keeps the representative with the larger black map, u's on
+a tie, as the name of w, and merges the other one away.  Only the merged
+side's black neighbours are rewritten, one deletion each; the kept
+side's neighbours already name w, and w needs no map of its own.
+
+update_work charges a step |B(u)| + |B(v)| + |common black neighbours|,
+plus |R(u)| + |R(v)| + |red neighbours of w| when a red edge is
+involved: the cost of scanning both maps and renaming both ends in
+every neighbour.  The work actually done is less: one C-level
+comparison or symmetric difference of the two black maps, one deletion
+per black neighbour of the merged side, and the red entries.  The
+counter keeps its definition so that it stays comparable across
+versions and bounds what is done.
+
+The structure is single-writer: queries may run concurrently between
+contractions, but mutation is not thread safe.
 """
 
 from __future__ import annotations
@@ -32,9 +49,10 @@ NONE = EdgeColor.NONE
 BLACK = EdgeColor.BLACK
 RED = EdgeColor.RED
 
-# Shared by every vertex with no neighbour of a colour and by every dead
-# vertex, so only vertices that have edges pay for a map.  Read-only, so
-# a stray write raises instead of giving all those vertices an edge.
+# Stands in for the map of every vertex that starts with no neighbour of
+# a colour and of every merged-away representative, so only vertices
+# that have edges pay for a map.  Read-only, so a stray write raises
+# instead of giving all those vertices an edge.
 EMPTY = MappingProxyType({})
 
 
@@ -42,25 +60,38 @@ class Trigraph:
     """Trigraph over vertex ids 1..2n-1, where n is the original vertex count.
 
     Original vertices are 1..n; the vertex created by the k-th contraction
-    (counting from 1) gets id n+k.  size[v] is the number of original
-    vertices merged into v, 0 for dead and not yet created ids, so
-    liveness checks stay O(1) and ids stay stable.
+    (counting from 1) gets id n+k.  Ids are the interface; the state is
+    indexed by representative, an original vertex 1..n:
+
+        black_adj[r], red_adj[r]   r's maps, keyed by representative
+        size[r]                    original vertices in r's group, 0 once
+                                   r is merged away
+        rep[id]                    the representative of id's group
+        id_of[r]                   the id r stands for now, 0 once r is
+                                   merged away
+
+    An id is live when 0 < id < the next id and id_of[rep[id]] == id, so
+    an id whose group lives on under a newer id is dead, and liveness
+    checks stay O(1).
     """
 
     def __init__(self, n_original: int):
         if n_original < 1:
             raise ValueError("vertex count must be at least 1")
-        ids = 2 * n_original  # ids run 1 .. 2n-1
-        self.n_original = n_original
-        self.black_adj: list = [EMPTY] * ids
-        self.red_adj: list = [EMPTY] * ids
-        self.size = [0] + [1] * n_original + [0] * (n_original - 1)
-        self._next_id = n_original + 1
+        n = n_original
+        self.n_original = n
+        self.black_adj: list = [EMPTY] * (n + 1)
+        self.red_adj: list = [EMPTY] * (n + 1)
+        self.size = [0] + [1] * n
+        self.id_of = list(range(n + 1))
+        # ids run 1 .. 2n-1; ids not yet created map to 0
+        self.rep = self.id_of + [0] * (n - 1)
+        self._next_id = n + 1
         # histogram of red degrees, so the maximum is O(1) amortized
-        self._red_hist = [0] * (ids + 1)
-        self._red_hist[0] = n_original
+        self._red_hist = [0] * (n + 1)
+        self._red_hist[0] = n
         self._max_red = 0
-        self.update_work = 0  # adjacency entries scanned plus neighbor maps patched
+        self.update_work = 0  # see the module docstring
 
     @classmethod
     def from_graph(cls, edges, n: int) -> "Trigraph":
@@ -89,23 +120,23 @@ class Trigraph:
     # -- queries ---------------------------------------------------------
 
     def live_vertices(self) -> list[int]:
-        size = self.size
-        return [v for v in range(1, self._next_id) if size[v]]
+        return sorted(filter(None, self.id_of))
 
-    def _require_live(self, v):
-        size = self.size
-        if not (0 < v < len(size) and size[v]):
+    def _rep_of_live(self, v):
+        """v's representative; ValueError unless v is live."""
+        if not (0 < v < self._next_id and self.id_of[self.rep[v]] == v):
             raise ValueError(f"vertex {v} is not live")
+        return self.rep[v]
 
     def edge_color(self, u: int, v: int) -> EdgeColor:
         """Color of the pair {u, v}: black, red, or none."""
-        self._require_live(u)
-        self._require_live(v)
+        ru = self._rep_of_live(u)
+        rv = self._rep_of_live(v)
         if u == v:
             raise ValueError("self-pairs have no color")
-        if v in self.black_adj[u]:
+        if rv in self.black_adj[ru]:
             return BLACK
-        if v in self.red_adj[u]:
+        if rv in self.red_adj[ru]:
             return RED
         return NONE
 
@@ -115,59 +146,77 @@ class Trigraph:
             self._max_red -= 1
         return self._max_red
 
-    def black_edges(self):
+    def _edges(self, maps):
+        id_of, rep = self.id_of, self.rep
         for u in self.live_vertices():
-            for x in sorted(x for x in self.black_adj[u] if x > u):
+            for x in sorted(id_of[r] for r in maps[rep[u]] if id_of[r] > u):
                 yield u, x
 
+    def black_edges(self):
+        """Black edges as id pairs (u, x), u < x, in increasing order."""
+        return self._edges(self.black_adj)
+
     def red_edges(self):
-        for u in self.live_vertices():
-            for x in sorted(x for x in self.red_adj[u] if x > u):
-                yield u, x
+        """Red edges as id pairs (u, x), u < x, in increasing order."""
+        return self._edges(self.red_adj)
 
     # -- contraction -----------------------------------------------------
 
     def merge_neighborhoods(self, u: int, v: int):
-        """Check the step (u, v) and classify every vertex adjacent to u
-        or v by its pair of colors.
+        """Check the step (u, v), pick the representative that will name
+        the merged group, and classify every vertex adjacent to u or v by
+        its pair of colors.
 
-        This is the one place a step is checked.  A vertex is live when
-        0 < id < the next id to be assigned and its group is not empty;
-        any other id, dead, not yet created or out of range, raises
-        ValueError("vertex X is not live"), and u == v raises too.
+        This is the one place a step is checked.  An id is live as the
+        class docstring says; any other id, dead, not yet created or out
+        of range, raises ValueError("vertex X is not live"), and u == v
+        raises too.
 
-        Returns (black, red): black lists the vertices black-adjacent to
-        both u and v; red lists (x, color_ux, color_vx) for the vertices
-        that would end up red-adjacent to the contraction of u and v.
-        u and v themselves are skipped.  The trigraph is not modified.
+        Returns (s, l, red), all named by representative.  s is the
+        representative that stays, the one of u or v with the larger
+        black map, u's on a tie, and l the one merged away.  red lists
+        (x, color_sx, color_lx) for the vertices that would end up
+        red-adjacent to the contraction, s and l skipped.  The vertices
+        black to both sides stay black to w and need no entry.  The
+        trigraph is not modified.
         """
-        size = self.size
+        rep, id_of = self.rep, self.id_of
         next_id = self._next_id
-        if not (0 < u < next_id and size[u]):
+        if not (0 < u < next_id and id_of[rep[u]] == u):
             raise ValueError(f"vertex {u} is not live")
-        if not (0 < v < next_id and size[v]):
+        if not (0 < v < next_id and id_of[rep[v]] == v):
             raise ValueError(f"vertex {v} is not live")
         if u == v:
             raise ValueError("cannot contract a vertex with itself")
-        bu, ru = self.black_adj[u], self.red_adj[u]
-        bv, rv = self.black_adj[v], self.red_adj[v]
-        black = []
+        s, l = rep[u], rep[v]
+        black_adj = self.black_adj
+        bs, bl = black_adj[s], black_adj[l]
+        if len(bl) > len(bs):
+            s, l, bs, bl = l, s, bl, bs
+        rs, rl = self.red_adj[s], self.red_adj[l]
+        if bs == bl and not (rs or rl):
+            # non-adjacent twins, the usual width-0 step: black maps map
+            # every key to None, so equal maps have equal neighbours
+            return s, l, ()
+        # neighbours black to exactly one side, in C: one set, no second
+        # one for bl, which the symmetric difference reads as a dict
+        one_side = set(bs)
+        one_side.symmetric_difference_update(bl)
+        one_side.discard(s)
+        one_side.discard(l)
         red = []
-        for x in bu:
-            if x in bv:
-                black.append(x)
-            elif x != v:
-                red.append((x, BLACK, RED if x in rv else NONE))
-        for x in ru:
-            if x != v:
-                red.append((x, RED, BLACK if x in bv else RED if x in rv else NONE))
-        for x in bv:
-            if x != u and x not in bu and x not in ru:
-                red.append((x, NONE, BLACK))
-        for x in rv:
-            if x != u and x not in bu and x not in ru:
+        for x in one_side:
+            if x in bs:
+                red.append((x, BLACK, RED if x in rl else NONE))
+            else:
+                red.append((x, RED if x in rs else NONE, BLACK))
+        for x in rs:
+            if x != l and x not in bl:
+                red.append((x, RED, RED if x in rl else NONE))
+        for x in rl:
+            if x != s and x not in bs and x not in rs:
                 red.append((x, NONE, RED))
-        return black, red
+        return s, l, red
 
     def contract(self, u: int, v: int, merged=None) -> int:
         """Contract live vertices u and v into a fresh vertex, returning its id.
@@ -177,71 +226,80 @@ class Trigraph:
         must be the output of merge_neighborhoods(u, v), which has
         checked the step; this lets a caller that already ran the merge
         avoid a second scan.  Without it the merge runs here, so an
-        invalid step raises its ValueError before anything changes.  The
-        red edge {w, x} weighs size[u]*size[x] for a black {u, x}, the
-        weight of a red {u, x}, and nothing for an absent one, plus the
-        same for v.
+        invalid step raises its ValueError before anything changes.
 
-        A red-free step, one whose merge has no red entries while neither
-        u nor v has a red edge, touches no red map: it only retires two
+        w takes over the representative s that merge_neighborhoods kept,
+        with s's maps: each black neighbour of the merged-away l loses
+        its entry for l, and each vertex that turns red to w loses its
+        black entry for s.  The red edge {w, x} weighs size[s]*size[x]
+        for a black {s, x}, the weight of a red {s, x}, and nothing for
+        an absent one, plus the same for l.
+
+        A red-free step touches no red map: it only retires two
         red-degree-0 vertices for one, so the histogram loses one count
         at 0 and the maximum red degree stays put.
         """
         if merged is None:
             merged = self.merge_neighborhoods(u, v)
+        s, l, red = merged
         w = self._next_id
-        size = self.size
-        black, red = merged
-        black_adj, red_adj = self.black_adj, self.red_adj
-        ru, rv = red_adj[u], red_adj[v]
-        work = len(black_adj[u]) + len(black_adj[v]) + len(black)
-        for x in black:
-            bx = black_adj[x]
-            del bx[u], bx[v]
-            bx[w] = None
-        su, sv = size[u], size[v]
+        size, black_adj, red_adj = self.size, self.black_adj, self.red_adj
+        bs, bl = black_adj[s], black_adj[l]
+        rs, rl = red_adj[s], red_adj[l]
+        work = len(bs) + len(bl)
+        if l in bs:
+            del bs[l], bl[s]
+        for x in bl:
+            del black_adj[x][l]
+        ss, sl = size[s], size[l]
         hist = self._red_hist
-        if red or ru or rv:
-            work += len(ru) + len(rv) + len(red)
+        if red or rs or rl:
+            work += len(rs) + len(rl) + len(red)
+            black_to_s = len(bs)
             red_w = {}
-            for x, cu, cv in red:
+            for x, cs, cl in red:
                 rx = red_adj[x]
                 old = len(rx)
                 weight = 0
-                if cu is BLACK:
-                    del black_adj[x][u]
-                    weight = su * size[x]
-                elif cu is RED:
-                    weight = rx.pop(u)
-                if cv is BLACK:
-                    del black_adj[x][v]
-                    weight += sv * size[x]
-                elif cv is RED:
-                    weight += rx.pop(v)
+                if cs is BLACK:
+                    del black_adj[x][s], bs[x]
+                    weight = ss * size[x]
+                elif cs is RED:
+                    weight = rx.pop(s)
+                # a black {l, x} went with l's map above
+                if cl is BLACK:
+                    weight += sl * size[x]
+                elif cl is RED:
+                    weight += rx.pop(l)
                 if rx is EMPTY:
                     red_adj[x] = rx = {}
-                rx[w] = red_w[x] = weight
+                rx[s] = red_w[x] = weight
                 new = len(rx)
                 if new != old:
                     hist[old] -= 1
                     hist[new] += 1
                     if new > self._max_red:
                         self._max_red = new
-            hist[len(ru)] -= 1
-            hist[len(rv)] -= 1
+            hist[len(rs)] -= 1
+            hist[len(rl)] -= 1
             red_deg_w = len(red_w)
             hist[red_deg_w] += 1
             if red_deg_w > self._max_red:
                 self._max_red = red_deg_w
-            if red_w:
-                red_adj[w] = red_w
+            red_adj[s] = red_w if red_w else EMPTY
+            if len(bs) < black_to_s:
+                # deletions never shrink a dict, so w's map is rebuilt to
+                # fit once some of its entries turned red
+                black_adj[s] = dict.fromkeys(bs) if bs else EMPTY
         else:
             hist[0] -= 1
-        self.update_work += work
-        black_adj[u] = red_adj[u] = black_adj[v] = red_adj[v] = EMPTY
-        size[w] = su + sv
-        size[u] = size[v] = 0
-        if black:
-            black_adj[w] = dict.fromkeys(black)
-        self._next_id += 1
+        # bs now holds the common black neighbours
+        self.update_work += work + len(bs)
+        black_adj[l] = red_adj[l] = EMPTY
+        size[s] = ss + sl
+        size[l] = 0
+        self.rep[w] = s
+        self.id_of[s] = w
+        self.id_of[l] = 0
+        self._next_id = w + 1
         return w

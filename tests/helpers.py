@@ -3,29 +3,43 @@
 Colors, auxiliary counts and triangle configurations are recomputed from
 first principles (edge lists and vertex partitions), so a bug in the
 package cannot leak into its own check.  Three groups of code are not
-independent on purpose: `serialize` and `check_consistent` read a
-trigraph's own maps to print or audit them; `greedy_reference` and
-`count_step_reference` are the package's earlier greedy loop and
-per-step pair loop; and the `*_recursive` cotree walks are the
-package's earlier recursive versions.  The last two groups are kept as
-the yardsticks their rewrites must match.
+independent on purpose: `serialize`, `check_consistent` and `by_id`
+read a trigraph's own maps to print, audit or translate them;
+`IdKeyedTrigraph`, `greedy_reference` and `count_step_reference` are the
+package's earlier id-keyed contraction, greedy loop and per-step pair
+loop; and the `*_recursive` cotree walks are the package's earlier
+recursive versions.  The last two groups are kept as the yardsticks
+their rewrites must match.
 """
 
 import itertools
 import random
 import types
 
-from twintri.counting import AuxValues, Counters, red_weight
+from twintri.counting import Counters, red_weight
 from twintri.generate import Cotree
 from twintri.oracle import PlainGraph
 from twintri.sequence import ContractionSequence
-from twintri.trigraph import BLACK, EMPTY, RED, Trigraph
+from twintri.trigraph import BLACK, EMPTY, NONE, RED, Trigraph
 
 
 def unchecked_sequence(n, pairs):
     """A sequence-shaped object that skips ContractionSequence's checks,
     for feeding ids it refuses (0, negatives) to replay and counting."""
     return types.SimpleNamespace(n=n, pairs=tuple(pairs))
+
+
+def random_sequence(n, rng):
+    """Uniformly random contraction order, no width control at all."""
+    live = list(range(1, n + 1))
+    pairs = []
+    for j in range(n - 1):
+        u, v = rng.sample(live, 2)
+        pairs.append((u, v))
+        live.remove(u)
+        live.remove(v)
+        live.append(n + 1 + j)
+    return ContractionSequence(n, tuple(pairs))
 
 
 def key(a, b):
@@ -57,43 +71,245 @@ def serialize(g):
     """
     live = g.live_vertices()
     lines = ["live " + " ".join(map(str, live)),
-             "size " + " ".join(str(g.size[v]) for v in live)]
+             "size " + " ".join(str(g.size[g.rep[v]]) for v in live)]
     for u, v in g.black_edges():
         lines.append(f"b {u} {v}")
     for u, v in g.red_edges():
-        lines.append(f"r {u} {v} {g.red_adj[u][v]}")
+        lines.append(f"r {u} {v} {g.red_adj[g.rep[u]][g.rep[v]]}")
     return "\n".join(lines) + "\n"
 
 
 def check_consistent(g):
-    """Raise AssertionError if any structural invariant of g is broken."""
-    size = g.size
-    for v in range(1, 2 * g.n_original):
-        b, r = g.black_adj[v], g.red_adj[v]
-        if not size[v]:
-            assert b is EMPTY and r is EMPTY, f"dead vertex {v} holds its own map"
-            continue
-        assert not (b.keys() & r.keys()), f"pair both black and red at {v}"
+    """Raise AssertionError if any structural invariant of g is broken.
+
+    Messages name live vertices by id and merged-away representatives
+    by their own number."""
+    size, id_of = g.size, g.id_of
+    for r in range(1, g.n_original + 1):
+        v = id_of[r]
+        if v:
+            assert g.rep[v] == r, f"vertex {v} and representative {r} disagree"
+        else:
+            assert g.black_adj[r] is EMPTY and g.red_adj[r] is EMPTY, \
+                f"dead vertex {r} holds its own map"
+            assert not size[r], f"dead vertex {r} holds a group"
+    for v in g.live_vertices():
+        r = g.rep[v]
+        b, red = g.black_adj[r], g.red_adj[r]
+        assert size[r], f"live vertex {v} has an empty group"
+        assert not (b.keys() & red.keys()), f"pair both black and red at {v}"
         for x in b:
-            assert size[x], f"edge from {v} to dead vertex {x}"
-            assert x != v, f"self-loop at {v}"
-            assert v in g.black_adj[x], f"asymmetric black edge {v},{x}"
-        for x, weight in r.items():
-            assert size[x], f"edge from {v} to dead vertex {x}"
-            assert x != v, f"self-loop at {v}"
-            assert g.red_adj[x].get(v) == weight, f"asymmetric red edge {v},{x}"
-            assert 0 < weight < size[v] * size[x], \
-                f"red edge {v},{x} weighs {weight} for groups of {size[v]} and {size[x]}"
+            assert id_of[x], f"edge from {v} to dead vertex {x}"
+            assert x != r, f"self-loop at {v}"
+            assert r in g.black_adj[x], f"asymmetric black edge {v},{id_of[x]}"
+        for x, weight in red.items():
+            assert id_of[x], f"edge from {v} to dead vertex {x}"
+            assert x != r, f"self-loop at {v}"
+            assert g.red_adj[x].get(r) == weight, f"asymmetric red edge {v},{id_of[x]}"
+            assert 0 < weight < size[r] * size[x], \
+                (f"red edge {v},{id_of[x]} weighs {weight} "
+                 f"for groups of {size[r]} and {size[x]}")
     live = g.live_vertices()
     # ids n+1 .. _next_id-1 were created, each by one contraction
     assert len(live) == 2 * g.n_original + 1 - g._next_id, "live count desync"
     assert sum(size) == g.n_original, "group sizes do not sum to n"
-    degrees = sorted(len(g.red_adj[v]) for v in live)
+    degrees = sorted(len(g.red_adj[g.rep[v]]) for v in live)
     hist_degrees = []
     for d, cnt in enumerate(g._red_hist):
         hist_degrees.extend([d] * cnt)
     assert degrees == sorted(hist_degrees), "red degree histogram desync"
     assert g.max_red_degree() == (max(degrees) if degrees else 0)
+
+
+# -- id-keyed contraction reference -----------------------------------------
+
+
+class IdKeyedTrigraph:
+    """The id-keyed trigraph that representatives replaced, its merge and
+    contraction kept word for word as the yardstick.
+
+    Every vertex, original or created, holds its own maps under its own
+    id, and a contraction renames both ends in every neighbour's map and
+    builds fresh maps for the new vertex.
+    """
+
+    def __init__(self, n_original: int):
+        if n_original < 1:
+            raise ValueError("vertex count must be at least 1")
+        ids = 2 * n_original  # ids run 1 .. 2n-1
+        self.n_original = n_original
+        self.black_adj: list = [EMPTY] * ids
+        self.red_adj: list = [EMPTY] * ids
+        self.size = [0] + [1] * n_original + [0] * (n_original - 1)
+        self._next_id = n_original + 1
+        # histogram of red degrees, so the maximum is O(1) amortized
+        self._red_hist = [0] * (ids + 1)
+        self._red_hist[0] = n_original
+        self._max_red = 0
+        self.update_work = 0  # adjacency entries scanned plus neighbor maps patched
+
+    @classmethod
+    def from_graph(cls, edges, n: int) -> "IdKeyedTrigraph":
+        """Build a red-free trigraph from an undirected edge list.
+
+        Repeated and mirrored pairs collapse into one edge; self-loops
+        and endpoints outside 1..n are rejected.  Construction is O(n+m).
+        """
+        g = cls(n)
+        adj = g.black_adj
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ValueError(f"edge ({u}, {v}) leaves the vertex range 1..{n}")
+            au = adj[u]
+            if au is EMPTY:
+                adj[u] = au = {}
+            au[v] = None
+            av = adj[v]
+            if av is EMPTY:
+                adj[v] = av = {}
+            av[u] = None
+        return g
+
+    def max_red_degree(self) -> int:
+        hist = self._red_hist
+        while self._max_red > 0 and hist[self._max_red] == 0:
+            self._max_red -= 1
+        return self._max_red
+
+    def merge_neighborhoods(self, u: int, v: int):
+        """Check the step (u, v) and classify every vertex adjacent to u
+        or v by its pair of colors.
+
+        This is the one place a step is checked.  A vertex is live when
+        0 < id < the next id to be assigned and its group is not empty;
+        any other id, dead, not yet created or out of range, raises
+        ValueError("vertex X is not live"), and u == v raises too.
+
+        Returns (black, red): black lists the vertices black-adjacent to
+        both u and v; red lists (x, color_ux, color_vx) for the vertices
+        that would end up red-adjacent to the contraction of u and v.
+        u and v themselves are skipped.  The trigraph is not modified.
+        """
+        size = self.size
+        next_id = self._next_id
+        if not (0 < u < next_id and size[u]):
+            raise ValueError(f"vertex {u} is not live")
+        if not (0 < v < next_id and size[v]):
+            raise ValueError(f"vertex {v} is not live")
+        if u == v:
+            raise ValueError("cannot contract a vertex with itself")
+        bu, ru = self.black_adj[u], self.red_adj[u]
+        bv, rv = self.black_adj[v], self.red_adj[v]
+        black = []
+        red = []
+        for x in bu:
+            if x in bv:
+                black.append(x)
+            elif x != v:
+                red.append((x, BLACK, RED if x in rv else NONE))
+        for x in ru:
+            if x != v:
+                red.append((x, RED, BLACK if x in bv else RED if x in rv else NONE))
+        for x in bv:
+            if x != u and x not in bu and x not in ru:
+                red.append((x, NONE, BLACK))
+        for x in rv:
+            if x != u and x not in bu and x not in ru:
+                red.append((x, NONE, RED))
+        return black, red
+
+    def contract(self, u: int, v: int, merged=None) -> int:
+        """Contract live vertices u and v into a fresh vertex, returning its id.
+
+        The new id w is the next one the numbering scheme assigns
+        (n_original + contractions performed + 1).  merged, when given,
+        must be the output of merge_neighborhoods(u, v), which has
+        checked the step; this lets a caller that already ran the merge
+        avoid a second scan.  Without it the merge runs here, so an
+        invalid step raises its ValueError before anything changes.  The
+        red edge {w, x} weighs size[u]*size[x] for a black {u, x}, the
+        weight of a red {u, x}, and nothing for an absent one, plus the
+        same for v.
+
+        A red-free step, one whose merge has no red entries while neither
+        u nor v has a red edge, touches no red map: it only retires two
+        red-degree-0 vertices for one, so the histogram loses one count
+        at 0 and the maximum red degree stays put.
+        """
+        if merged is None:
+            merged = self.merge_neighborhoods(u, v)
+        w = self._next_id
+        size = self.size
+        black, red = merged
+        black_adj, red_adj = self.black_adj, self.red_adj
+        ru, rv = red_adj[u], red_adj[v]
+        work = len(black_adj[u]) + len(black_adj[v]) + len(black)
+        for x in black:
+            bx = black_adj[x]
+            del bx[u], bx[v]
+            bx[w] = None
+        su, sv = size[u], size[v]
+        hist = self._red_hist
+        if red or ru or rv:
+            work += len(ru) + len(rv) + len(red)
+            red_w = {}
+            for x, cu, cv in red:
+                rx = red_adj[x]
+                old = len(rx)
+                weight = 0
+                if cu is BLACK:
+                    del black_adj[x][u]
+                    weight = su * size[x]
+                elif cu is RED:
+                    weight = rx.pop(u)
+                if cv is BLACK:
+                    del black_adj[x][v]
+                    weight += sv * size[x]
+                elif cv is RED:
+                    weight += rx.pop(v)
+                if rx is EMPTY:
+                    red_adj[x] = rx = {}
+                rx[w] = red_w[x] = weight
+                new = len(rx)
+                if new != old:
+                    hist[old] -= 1
+                    hist[new] += 1
+                    if new > self._max_red:
+                        self._max_red = new
+            hist[len(ru)] -= 1
+            hist[len(rv)] -= 1
+            red_deg_w = len(red_w)
+            hist[red_deg_w] += 1
+            if red_deg_w > self._max_red:
+                self._max_red = red_deg_w
+            if red_w:
+                red_adj[w] = red_w
+        else:
+            hist[0] -= 1
+        self.update_work += work
+        black_adj[u] = red_adj[u] = black_adj[v] = red_adj[v] = EMPTY
+        size[w] = su + sv
+        size[u] = size[v] = 0
+        if black:
+            black_adj[w] = dict.fromkeys(black)
+        self._next_id += 1
+        return w
+
+
+def by_id(g):
+    """{id: (size, black ids, {red id: weight})} over g's live vertices.
+
+    Reads a representative Trigraph through id_of, or an IdKeyedTrigraph
+    as it is, so the two can be compared."""
+    if isinstance(g, IdKeyedTrigraph):
+        return {v: (g.size[v], set(g.black_adj[v]), dict(g.red_adj[v]))
+                for v in range(1, g._next_id) if g.size[v]}
+    id_of = g.id_of
+    return {id_of[r]: (g.size[r], {id_of[x] for x in g.black_adj[r]},
+                       {id_of[x]: weight for x, weight in g.red_adj[r].items()})
+            for r in range(1, g.n_original + 1) if id_of[r]}
 
 
 # -- pairwise contraction rule --------------------------------------------
@@ -530,17 +746,20 @@ def greedy_reference(graph):
 # -- counting step reference -------------------------------------------------
 
 
-def count_step_reference(g: Trigraph, aux: AuxValues, u, v, w, merged,
+def count_step_reference(g: Trigraph, inner: list, merged,
                          counters: Counters) -> int:
     """The pair-by-pair `counting._count_step` that the per-side
-    dict-key intersections replaced, kept word for word as the yardstick.
+    dict-key intersections replaced, kept word for word as the yardstick
+    but for reading the two sides from merged and keeping the
+    inner-edge counts in a list indexed by representative.
 
     Triangles that first reach an absorbing configuration as u and v
     contract into w; also folds u's and v's inner-edge counts into w's.
 
-    Runs on the still-unmodified trigraph; merged is
-    g.merge_neighborhoods(u, v), whose red entries (x, color_ux,
-    color_vx) are the red neighbors of w.  The contraction then sets w's
+    Runs on the still-unmodified trigraph; merged is the step's
+    g.merge_neighborhoods, which names the sides by representative, u
+    the one that names w and v the one merged away, and whose red
+    entries (x, color_ux, color_vx) are the red neighbors of w.  The contraction then sets w's
     group size and red weights itself.  The increment has four parts:
     triangles with an edge inside u or v when {u, v} is black (they end
     inside w); triangles that collapse onto a single red edge {w, x};
@@ -548,11 +767,10 @@ def count_step_reference(g: Trigraph, aux: AuxValues, u, v, w, merged,
     of w, each visited once, with the asymmetric subcases evaluated in
     both orientations in that one visit.
     """
-    black_list, red_entries = merged
+    u, v, red_entries = merged
     size, black_adj, red_adj = g.size, g.black_adj, g.red_adj
-    inner = aux.inner_edges
     su, sv = size[u], size[v]
-    iu, iv = inner.pop(u), inner.pop(v)
+    iu, iv = inner[u], inner[v]
     uv_black = v in black_adj[u]
     inc = 0
     if uv_black:
@@ -564,13 +782,14 @@ def count_step_reference(g: Trigraph, aux: AuxValues, u, v, w, merged,
         between = red_weight(g, u, v)
     else:
         between = 0
-    inner[w] = iu + iv + between
+    inner[u] = iu + iv + between
+    inner[v] = 0
     # one update for w's inner edges, one per red edge the contraction weighs
     counters.aux_updates += 1 + len(red_entries)
     if not red_entries:
         return inc
     counters.one_neighbor_calls += len(red_entries)
-    black_set = set(black_list)
+    black_set = black_adj[u].keys() & black_adj[v].keys()
     for x, cu, cv in red_entries:
         rx = red_adj[x]
         counters.red_wedge_visits += len(rx)

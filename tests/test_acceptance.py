@@ -162,9 +162,9 @@ def test_criterion_6_conservation_invariants():
     steps = 0
 
     def make_checker(n, m):
-        def check(step, g, aux, state):
+        def check(step, g, inner, state):
             nonlocal steps
-            check_conservation(g, aux, n, m)
+            check_conservation(g, inner, n, m)
             steps += 1
         return check
 
@@ -220,7 +220,7 @@ def test_criterion_8_targeted_branch_instances():
         increments = []
         last = [0]
 
-        def on_step(step, g, aux, state):
+        def on_step(step, g, inner, state):
             increments.append(state.t - last[0])
             last[0] = state.t
 

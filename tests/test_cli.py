@@ -9,10 +9,12 @@ import pytest
 
 import twintri
 from twintri.cli import main
-from twintri.generate import complete, cycle, greedy_sequence, twin_sequence
+from twintri.counting import count_triangles
+from twintri.generate import complete, cycle, greedy_sequence, star, twin_sequence
 from twintri.graphio import format_graph, load_graph
 from twintri.oracle import PlainGraph
-from twintri.sequence import format_sequence, load_sequence, verify_width
+from twintri.sequence import (ContractionSequence, SequenceError, format_sequence,
+                              load_sequence, replay, verify_width)
 from twintri.trigraph import Trigraph
 
 
@@ -154,6 +156,28 @@ def test_width_and_verify_name_the_failing_pair(tmp_path, capsys):
     assert main(["count", gpath, "--sequence", spath]) == 3
     assert capsys.readouterr().err == (
         "error: step 1 contracts (1, 3) but vertex 1 is not live\n")
+
+
+@pytest.mark.parametrize("pairs, message", [
+    # 2 names 6, so the id 2 is dead though its group lives on
+    (((2, 3), (2, 4), (6, 5), (1, 7)), "step 1 contracts (2, 4) but vertex 2 is not live"),
+    (((2, 3), (3, 4), (6, 5), (1, 7)), "step 1 contracts (3, 4) but vertex 3 is not live"),
+    # the hub's map is the larger, so 1, the v side, names 6
+    (((2, 1), (1, 3), (6, 4), (7, 5)), "step 1 contracts (1, 3) but vertex 1 is not live"),
+])
+def test_an_id_whose_group_lives_on_is_not_live(tmp_path, capsys, pairs, message):
+    # star(4): hub 1, leaves 2..5
+    graph, _ = star(4)
+    seq = ContractionSequence(5, pairs)
+    with pytest.raises(SequenceError) as err:
+        count_triangles(graph, seq)
+    assert str(err.value) == message
+    report = replay(Trigraph.from_graph(graph.edges, 5), seq)
+    assert (report.valid, report.failing_step) == (False, 1)
+    gpath = _write(tmp_path, "star.gr", format_graph(graph))
+    spath = _write(tmp_path, "dead.seq", format_sequence(seq))
+    assert main(["count", gpath, "--sequence", spath]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_oracle_command(k4_files, capsys):

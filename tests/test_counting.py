@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from twintri import counting
 from twintri.counting import (
-    AuxValues,
     InternalInvariantError,
     check_conservation,
     count_triangles,
@@ -39,8 +38,9 @@ def _red_weights(g):
     """{(x, y): weight} over the red edges, x < y; checks both ends agree."""
     weights = {}
     for x, y in g.red_edges():
-        assert g.red_adj[x][y] == g.red_adj[y][x]
-        weights[(x, y)] = g.red_adj[x][y]
+        rx, ry = g.rep[x], g.rep[y]
+        assert g.red_adj[rx][ry] == g.red_adj[ry][rx]
+        weights[(x, y)] = g.red_adj[rx][ry]
     return weights
 
 
@@ -96,15 +96,18 @@ def _check_steps(n, edges, pairs, states):
     schedule = helpers.absorbed_schedule(n, edges, pairs)
     increments = []
 
-    def on_step(step, g, aux, state):
+    def on_step(step, g, inner, state):
         increments.append(state.t - sum(increments))
-        for end in pairs[step]:
-            assert g.size[end] == 0 and end not in aux.inner_edges
-            assert g.black_adj[end] is g.red_adj[end] is EMPTY
+        # one end's representative names the new vertex, the other's is
+        # merged away and holds nothing
+        ends = {g.rep[end] for end in pairs[step]}
+        (gone,) = ends - {g.rep[n + 1 + step]}
+        assert g.id_of[gone] == g.size[gone] == inner[gone] == 0
+        assert g.black_adj[gone] is g.red_adj[gone] is EMPTY
         if step in states:
-            sizes, inner, red = states[step]
-            assert {x: g.size[x] for x in sizes} == sizes
-            assert {x: aux.inner_edges[x] for x in inner} == inner
+            sizes, inner_edges, red = states[step]
+            assert {x: g.size[g.rep[x]] for x in sizes} == sizes
+            assert {x: inner[g.rep[x]] for x in inner_edges} == inner_edges
             assert _red_weights(g) == red
 
     result = count_triangles(graph, ContractionSequence(n, tuple(pairs)),
@@ -123,14 +126,13 @@ def test_step_increments_match_schedule(name):
 
 
 def test_count_does_not_depend_on_merge_order(monkeypatch):
-    # merge_neighborhoods promises no order, but lists every vertex black
-    # to u before any red to u, so the pair loop never meets a red-to-u x
-    # before a black-to-u y; reversing its lists reaches that orientation
+    # merge_neighborhoods promises no order for its red entries, so the
+    # count must come out the same with them reversed
     merge = Trigraph.merge_neighborhoods
 
     def reversed_merge(g, u, v):
-        black, red = merge(g, u, v)
-        return black[::-1], red[::-1]
+        s, l, red = merge(g, u, v)
+        return s, l, red[::-1]
 
     monkeypatch.setattr(Trigraph, "merge_neighborhoods", reversed_merge)
     for name, (n, edges, pairs, states) in STEP_CASES.items():
@@ -139,30 +141,31 @@ def test_count_does_not_depend_on_merge_order(monkeypatch):
     for trial in range(60):
         n = rng.randint(3, 20)
         graph = gnp(n, rng.choice([0.3, 0.5, 0.8]), seed=trial + 1200)
-        seq = _random_sequence(n, rng)
+        seq = helpers.random_sequence(n, rng)
         assert count_triangles(graph, seq).triangles == count_naive(graph)
 
 
 def _path3_after_first_step():
     """Path 1-2-3 with 1 and 2 contracted: 4 holds one inner edge and is
-    red to 3 with weight 1."""
+    red to 3 with weight 1.  2 has the larger black map, so 2 names 4."""
     g = Trigraph.from_graph(path(3).edges, 3)
     g.contract(1, 2)
-    return g, AuxValues({3: 0, 4: 1})
+    assert g.rep[4] == 2
+    return g, [0, 0, 1, 0]
 
 
 def test_missing_cross_entry_is_diagnosed():
-    g, aux = _path3_after_first_step()
-    del g.red_adj[3][4]
+    g, inner = _path3_after_first_step()
+    del g.red_adj[3][2]
     with pytest.raises(InternalInvariantError, match=r"\{3, 4\}"):
-        red_weight(g, 3, 4)
+        red_weight(g, 3, 2)
     with pytest.raises(InternalInvariantError, match="weighs 1 at 4 but None at 3"):
-        check_conservation(g, aux, 3, 2)
+        check_conservation(g, inner, 3, 2)
 
     # a step contracting the pair gets it named, not read as no edge
-    def drop(step, g, aux, state):
+    def drop(step, g, inner, state):
         if step == 0:
-            del g.red_adj[3][4]
+            del g.red_adj[3][g.rep[4]]
 
     with pytest.raises(InternalInvariantError, match=r"\{3, 4\}"):
         count_triangles(path(3), ContractionSequence(3, ((1, 2), (3, 4))),
@@ -170,15 +173,15 @@ def test_missing_cross_entry_is_diagnosed():
 
 
 def test_conservation_rejects_bad_weights():
-    g, aux = _path3_after_first_step()
-    check_conservation(g, aux, 3, 2)
-    g.red_adj[3][4] = g.red_adj[4][3] = 2  # groups of 1 and 2: black, not red
+    g, inner = _path3_after_first_step()
+    check_conservation(g, inner, 3, 2)
+    g.red_adj[3][2] = g.red_adj[2][3] = 2  # groups of 1 and 2: black, not red
     with pytest.raises(InternalInvariantError, match="weighs 2 between groups of 1 and 2"):
-        check_conservation(g, aux, 3, 2)
-    g.red_adj[3][4] = g.red_adj[4][3] = 1
-    aux.inner_edges[4] = 0
+        check_conservation(g, inner, 3, 2)
+    g.red_adj[3][2] = g.red_adj[2][3] = 1
+    inner[2] = 0
     with pytest.raises(InternalInvariantError, match="edge mass 1 != m = 2"):
-        check_conservation(g, aux, 3, 2)
+        check_conservation(g, inner, 3, 2)
 
 
 def test_collapse_counts_all_k4_triangles():
@@ -187,7 +190,7 @@ def test_collapse_counts_all_k4_triangles():
     increments = []
     last = [0]
 
-    def on_step(step, g, aux, state):
+    def on_step(step, g, inner, state):
         increments.append(state.t - last[0])
         last[0] = state.t
 
@@ -284,8 +287,9 @@ def _twin_or_random_sequence(graph, rng):
         if rng.random() < 0.5:
             groups = {}
             for x in live:
-                if not g.red_adj[x]:
-                    groups.setdefault(frozenset(g.black_adj[x]), []).append(x)
+                r = g.rep[x]
+                if not g.red_adj[r]:
+                    groups.setdefault(frozenset(g.black_adj[r]), []).append(x)
             twins = [group for group in groups.values() if len(group) > 1]
             if twins:
                 pair = tuple(rng.sample(rng.choice(twins), 2))
@@ -327,8 +331,8 @@ def test_red_free_steps_keep_the_trigraph_and_counters(name, graph, seq):
     g = Trigraph.from_graph(graph.edges, graph.n)
     width = red_free = 0
     for u, v in seq.pairs:
-        _, red = g.merge_neighborhoods(u, v)
-        red_free += not (red or g.red_adj[u] or g.red_adj[v])
+        s, l, red = g.merge_neighborhoods(u, v)
+        red_free += not (red or g.red_adj[s] or g.red_adj[l])
         g.contract(u, v)
         helpers.check_consistent(g)
         width = max(width, g.max_red_degree())
@@ -379,10 +383,10 @@ def test_unknown_mode_rejected():
 def test_invariant_at_start_reduces_to_black_triangles():
     graph = gnp(10, 0.5, seed=2)
     g = Trigraph.from_graph(graph.edges, 10)
-    aux = AuxValues.initial(10)
+    inner = [0] * 11
     oracle = count_naive(graph)
-    assert evaluate_invariant(g, aux, 0, oracle)
-    assert not evaluate_invariant(g, aux, 0, oracle + 1)
+    assert evaluate_invariant(g, inner, 0, oracle)
+    assert not evaluate_invariant(g, inner, 0, oracle + 1)
 
 
 def test_invariant_at_end_equals_total():
@@ -406,8 +410,8 @@ def test_conservation_on_random_runs():
         seq, _ = greedy_sequence(graph)
         m = graph.m
 
-        def check(step, g, aux, state):
-            check_conservation(g, aux, n, m)
+        def check(step, g, inner, state):
+            check_conservation(g, inner, n, m)
 
         count_triangles(graph, seq, step_callback=check)
 
@@ -426,22 +430,24 @@ def test_red_weights_match_brute_force_cross_counts(n, seed, p):
         adj[b].add(a)
     members = {v: [v] for v in range(1, n + 1)}
 
-    def on_step(step, g, aux, state):
+    def on_step(step, g, inner, state):
         u, v = seq.pairs[step]
         members[n + 1 + step] = members.pop(u) + members.pop(v)
         assert sorted(members) == g.live_vertices()
+        rep = g.rep
         for x, group in members.items():
-            assert g.size[x] == len(group)
-            assert 2 * aux.inner_edges[x] == sum(len(adj[a].intersection(group))
-                                                 for a in group)
+            assert g.size[rep[x]] == len(group)
+            assert 2 * inner[rep[x]] == sum(len(adj[a].intersection(group))
+                                            for a in group)
         for x, y in itertools.combinations(sorted(members), 2):
             crossing = sum(len(adj[a].intersection(members[y])) for a in members[x])
+            rx, ry = rep[x], rep[y]
             if crossing == 0:
-                assert y not in g.black_adj[x] and y not in g.red_adj[x]
-            elif crossing == g.size[x] * g.size[y]:
-                assert y in g.black_adj[x] and y not in g.red_adj[x]
+                assert ry not in g.black_adj[rx] and ry not in g.red_adj[rx]
+            elif crossing == g.size[rx] * g.size[ry]:
+                assert ry in g.black_adj[rx] and ry not in g.red_adj[rx]
             else:
-                assert g.red_adj[x][y] == g.red_adj[y][x] == crossing, (step, x, y)
+                assert g.red_adj[rx][ry] == g.red_adj[ry][rx] == crossing, (step, x, y)
 
     count_triangles(graph, seq, step_callback=on_step)
 
@@ -458,7 +464,7 @@ def test_per_step_counter_budgets():
         prev = [0, 0, 0]
         degree_before = [0]
 
-        def on_step(step, g, aux, state):
+        def on_step(step, g, inner, state):
             c = state.counters
             d_after = g.max_red_degree()
             one = c.one_neighbor_calls - prev[0]
@@ -495,19 +501,6 @@ def test_counter_matches_oracle(n, seed, p):
     assert count_triangles(graph, seq).triangles == count_naive(graph)
 
 
-def _random_sequence(n, rng):
-    """Uniformly random contraction order, no width control at all."""
-    live = list(range(1, n + 1))
-    pairs = []
-    for j in range(n - 1):
-        u, v = rng.sample(live, 2)
-        pairs.append((u, v))
-        live.remove(u)
-        live.remove(v)
-        live.append(n + 1 + j)
-    return ContractionSequence(n, tuple(pairs))
-
-
 def test_arbitrary_sequences_match_oracle():
     # generated sequences keep the width low; random orders push it toward
     # n and hit the dense-red regime
@@ -515,7 +508,7 @@ def test_arbitrary_sequences_match_oracle():
     for trial in range(200):
         n = rng.randint(2, 36)
         graph = gnp(n, rng.random(), seed=trial + 700)
-        seq = _random_sequence(n, rng)
+        seq = helpers.random_sequence(n, rng)
         assert count_triangles(graph, seq).triangles == count_naive(graph)
 
 
@@ -524,7 +517,7 @@ def _totals_and_result(graph, seq):
     totals = []
     result = count_triangles(
         graph, seq,
-        step_callback=lambda step, g, aux, state: totals.append(state.t))
+        step_callback=lambda step, g, inner, state: totals.append(state.t))
     return totals, result
 
 
@@ -537,7 +530,7 @@ def test_count_step_matches_pair_loop_reference(n, p, seed, greedy):
     if greedy:
         seq = greedy_sequence(graph)[0]
     else:
-        seq = _random_sequence(n, random.Random(seed))
+        seq = helpers.random_sequence(n, random.Random(seed))
     shipped = _totals_and_result(graph, seq)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(counting, "_count_step", helpers.count_step_reference)
@@ -550,7 +543,7 @@ def test_arbitrary_sequences_survive_checked_mode():
     for trial in range(80):
         n = rng.randint(2, 12)
         graph = gnp(n, rng.random(), seed=trial + 800)
-        seq = _random_sequence(n, rng)
+        seq = helpers.random_sequence(n, rng)
         result = count_triangles(graph, seq, mode="checked")
         assert result.triangles == count_naive(graph)
 
@@ -601,6 +594,7 @@ def _assert_complement_pair(graph, seq):
     ours, theirs = count_triangles(graph, seq), count_triangles(_complement(graph), seq)
     assert ours.width == theirs.width
     assert ours.triangles + theirs.triangles == math.comb(n, 3) - mixed // 2
+    return ours.width
 
 
 @settings(max_examples=25, deadline=None)
@@ -617,6 +611,12 @@ def test_complement_keeps_width_and_goodman_sum_cograph():
     _assert_complement_pair(graph, twin_sequence(cotree, 1000))
 
 
+def test_complement_keeps_width_and_goodman_sum_banded():
+    # the red path on dense input: the complement has about 490k edges
+    # and every step of the chain leaves red edges behind
+    assert _assert_complement_pair(helpers.banded(1000, 10), chain_sequence(1000)) == 10
+
+
 # -- attribution -----------------------------------------------------------
 
 
@@ -624,7 +624,7 @@ def _step_increments(graph, seq):
     increments = []
     last = [0]
 
-    def on_step(step, g, aux, state):
+    def on_step(step, g, inner, state):
         increments.append(state.t - last[0])
         last[0] = state.t
 
@@ -668,7 +668,8 @@ def _outcome_of_count(graph, seq):
        st.integers(0, 10 ** 6), st.booleans(), st.randoms(use_true_random=False))
 def test_relabelling_changes_no_count_or_counter(n, p, seed, greedy, rng):
     graph = gnp(n, p, seed=seed)
-    seq = greedy_sequence(graph)[0] if greedy else _random_sequence(n, random.Random(seed))
+    seq = (greedy_sequence(graph)[0] if greedy
+           else helpers.random_sequence(n, random.Random(seed)))
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
     assert (_outcome_of_count(*_relabelled(graph, seq, perm))

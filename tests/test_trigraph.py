@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twintri import generate
 from twintri.trigraph import BLACK, EMPTY, NONE, RED, EdgeColor, Trigraph
 
 import helpers
@@ -92,9 +93,10 @@ def test_red_degrees():
     assert g.max_red_degree() == 0
     p = Trigraph.from_graph([(1, 2), (2, 3)], 3)
     p.contract(1, 2)
-    assert p.red_adj[4] == {3: 1}
+    assert helpers.by_id(p)[4] == (2, set(), {3: 1})
     assert p.max_red_degree() == 1
-    assert p.red_adj[1] is EMPTY
+    # 2 has the larger black map, so it names 4 and 1 is merged away
+    assert p.rep[4] == 2 and p.red_adj[1] is EMPTY
 
 
 def test_star_leaf_twins_stay_red_free():
@@ -171,8 +173,8 @@ def test_exactly_one_color_per_pair(n, rng):
             # also black and red never share a pair
             c = g.edge_color(a, b)
             assert isinstance(c, EdgeColor)
-            in_black = b in g.black_adj[a]
-            in_red = b in g.red_adj[a]
+            in_black = g.rep[b] in g.black_adj[g.rep[a]]
+            in_red = g.rep[b] in g.red_adj[g.rep[a]]
             assert not (in_black and in_red)
             assert (c is BLACK) == in_black
             assert (c is RED) == in_red
@@ -196,17 +198,18 @@ def test_isolated_vertices_share_the_empty_map():
     g = Trigraph.from_graph([(1, 2)], 5)
     assert g.black_adj[3] is g.red_adj[3] is EMPTY
     g.contract(3, 4)
-    assert g.black_adj[6] is g.red_adj[6] is EMPTY
+    assert g.black_adj[g.rep[6]] is g.red_adj[g.rep[6]] is EMPTY
     g.contract(6, 5)
     g.contract(1, 7)
     helpers.check_consistent(g)
     assert g.live_vertices() == [2, 8]
-    assert g.red_adj[8] == {2: 1} and g.red_adj[2] == {8: 1}
-    assert g.size[8] == 4
-    assert all(g.black_adj[v] is g.red_adj[v] is EMPTY for v in range(3, 8))
+    assert helpers.by_id(g) == {2: (1, set(), {8: 1}), 8: (4, set(), {2: 1})}
+    # 1 names 8; the isolated vertices 3, 4 and 5 were merged away
+    assert all(g.black_adj[r] is g.red_adj[r] is EMPTY for r in (3, 4, 5))
 
 
 def _set_red(g, x, y, weight):
+    x, y = g.rep[x], g.rep[y]
     if g.red_adj[x] is EMPTY:
         g.red_adj[x] = {}
     g.red_adj[x][y] = weight
@@ -214,7 +217,7 @@ def _set_red(g, x, y, weight):
 
 @pytest.mark.parametrize("mutate, message", [
     (lambda g: _set_red(g, 4, 5, 2), "asymmetric red edge 4,5"),
-    (lambda g: g.black_adj[5].pop(2), "asymmetric black edge 2,5"),
+    (lambda g: g.black_adj[g.rep[5]].pop(2), "asymmetric black edge 2,5"),
     (lambda g: (_set_red(g, 4, 5, 2), _set_red(g, 5, 4, 2)),
      "red edge 4,5 weighs 2 for groups of 1 and 2"),
     (lambda g: (_set_red(g, 4, 5, 0), _set_red(g, 5, 4, 0)),
@@ -225,11 +228,52 @@ def _set_red(g, x, y, weight):
 ])
 def test_check_consistent_catches_each_broken_invariant(mutate, message):
     # path 1-2-3-4 after contracting 1 and 3: 5 = {1, 3} is black to 2
-    # and red to 4 with one hidden edge
+    # and red to 4 with one hidden edge; 3 names 5, 1 is merged away
     g = Trigraph.from_graph([(1, 2), (2, 3), (3, 4)], 4)
     g.contract(1, 3)
     helpers.check_consistent(g)
-    assert g.black_adj[5] == {2: None} and g.red_adj[5] == {4: 1}
+    assert helpers.by_id(g)[5] == (2, {2}, {4: 1}) and g.rep[5] == 3
     mutate(g)
     with pytest.raises(AssertionError, match=message):
         helpers.check_consistent(g)
+
+
+def _equivalence_case(kind, n, seed):
+    """(graph, sequence) of one kind: greedy and random orders on gnp, the
+    twin sequences of a cograph, of K_n and of a star, whose hub merges
+    last."""
+    if kind == "complete":
+        graph, cotree = generate.complete(n)
+        return graph, generate.twin_sequence(cotree, n)
+    if kind == "star":
+        graph, cotree = generate.star(n - 1)
+        return graph, generate.twin_sequence(cotree, n)
+    if kind == "cograph":
+        graph, cotree = generate.cograph(n, seed=seed, block_size=4)
+        return graph, generate.twin_sequence(cotree, n)
+    graph = generate.gnp(n, random.Random(seed).choice([0.2, 0.5, 0.8]), seed=seed)
+    if kind == "greedy":
+        return graph, generate.greedy_sequence(graph)[0]
+    return graph, helpers.random_sequence(n, random.Random(seed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["greedy", "random", "cograph", "complete", "star"]),
+       st.integers(2, 30), st.integers(0, 10 ** 6))
+def test_representatives_match_the_id_keyed_reference(kind, n, seed):
+    # after every step the trigraph, read by id, equals the id-keyed
+    # contraction's, and contracting (v, u) instead of (u, v) leaves the
+    # same state, so which end's representative survives never shows
+    graph, seq = _equivalence_case(kind, n, seed)
+    reference = helpers.IdKeyedTrigraph.from_graph(graph.edges, n)
+    g = Trigraph.from_graph(graph.edges, n)
+    flipped = Trigraph.from_graph(graph.edges, n)
+    for u, v in seq.pairs:
+        w = reference.contract(u, v)
+        assert g.contract(u, v) == flipped.contract(v, u) == w
+        assert helpers.by_id(g) == helpers.by_id(flipped) == helpers.by_id(reference)
+        assert (g.max_red_degree() == flipped.max_red_degree()
+                == reference.max_red_degree())
+        assert g.update_work == flipped.update_work == reference.update_work
+        helpers.check_consistent(g)
+        helpers.check_consistent(flipped)
