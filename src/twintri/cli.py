@@ -30,7 +30,6 @@ from .sequence import (
     load_sequence,
     replay,
     save_sequence,
-    verify_width,
 )
 from .trigraph import Trigraph
 
@@ -145,11 +144,6 @@ def _cmd_width(args) -> int:
     graph = load_graph(args.graph, args.max_n)
     seq = load_sequence(args.sequence)
     report = replay(Trigraph.from_graph(graph.edges, graph.n), seq)
-    if not report.valid:
-        u, v = seq.pairs[report.failing_step]
-        print(f"invalid sequence at step {report.failing_step} ({u}, {v})",
-              file=sys.stderr)
-        return EXIT_SEMANTIC
     print(f"width {report.width}")
     return EXIT_OK
 
@@ -157,8 +151,8 @@ def _cmd_width(args) -> int:
 def _cmd_verify(args) -> int:
     graph = load_graph(args.graph, args.max_n)
     seq = load_sequence(args.sequence)
-    report = verify_width(Trigraph.from_graph(graph.edges, graph.n), seq,
-                          args.max_width)
+    report = replay(Trigraph.from_graph(graph.edges, graph.n), seq,
+                    args.max_width)
     if report.valid:
         print(f"valid width {report.width}")
         return EXIT_OK

@@ -310,7 +310,7 @@ def count_triangles(graph, seq: ContractionSequence, mode: str = "fast",
         try:
             merged = merge(u, v)
         except ValueError as exc:
-            raise SequenceError(f"step {step} contracts ({u}, {v}) but {exc}") from None
+            raise SequenceError.refused(step, u, v, exc) from None
         t += _count_step(g, inner, merged, counters)
         contract(u, v, merged)
         d = max_red_degree()

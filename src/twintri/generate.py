@@ -1,14 +1,17 @@
 """Graph generators and contraction-sequence generators.
 
-Sequence generation comes in three flavors:
+Sequences come from four sources:
 
   * twin_sequence: width-0 sequences read off a cotree (so only for
     graphs built together with one),
+  * chain_sequence: the left-to-right fold of 1..n, for any n; width 1
+    on paths and 2 on cycles,
   * greedy_sequence: works on any graph, contracts the pair that keeps
     the maximum red degree lowest; no optimality guarantee,
   * exact_sequence: exhaustive search returning a true minimum-width
     sequence, feasible only for tiny graphs.
 
+The cotree walks check their own leaves, so each walks a cotree once.
 All generators are deterministic given their arguments (and seed).
 """
 
@@ -33,9 +36,10 @@ class Cotree:
     """Binary-or-wider construction tree: leaves are vertices, internal
     nodes combine their children by disjoint union or complete join.
 
-    An internal node needs at least one child.  Every walk keeps its own
-    stack, so a cotree of any depth is fine; equality and hashing are by
-    identity and repr is object's, so none of them walks the children.
+    An internal node needs at least one child.  The walks, cotree_graph
+    and twin_sequence, keep their own stacks, so a cotree of any depth is
+    fine, and check the leaves; equality and hashing are by identity and
+    repr is object's, so none of them walks the children.
     """
 
     kind: str  # "leaf", "union", "join"
@@ -46,16 +50,6 @@ class Cotree:
         if self.kind != "leaf" and not self.children:
             raise ValueError(f"{self.kind} node has no children")
 
-    def _preorder(self):
-        todo = [self]
-        while todo:
-            node = todo.pop()
-            yield node
-            todo.extend(reversed(node.children))
-
-    def leaves(self) -> list[int]:
-        return [node.vertex for node in self._preorder() if node.kind == "leaf"]
-
 
 def _leaf(v):
     return Cotree("leaf", vertex=v)
@@ -64,10 +58,8 @@ def _leaf(v):
 def cotree_graph(root: Cotree, n: int) -> PlainGraph:
     """Materialize the graph a cotree describes.
 
-    The walk keeps its own stack, so a cotree of any depth is fine.
+    One walk with its own stack (any depth is fine) also checks the leaves.
     """
-    if sorted(root.leaves()) != list(range(1, n + 1)):
-        raise ValueError("cotree leaves must be exactly 1..n")
     edges = []
     stack = []  # (kind, remaining children, leaves so far) of the open nodes
     kind, children, mine = None, iter((root,)), []
@@ -84,6 +76,8 @@ def cotree_graph(root: Cotree, n: int) -> PlainGraph:
             mine.append(v)
         else:
             if not stack:
+                if sorted(mine) != list(range(1, n + 1)):
+                    raise ValueError("cotree leaves must be exactly 1..n")
                 return PlainGraph(n, edges)
             verts = mine
             kind, children, mine = stack.pop()
@@ -170,7 +164,7 @@ def cograph(n: int, seed: int = 0, join_prob: float = 0.5,
             width = min(rng.randint(1, block_size), n - at)
             blocks.append(_random_cotree(ids[at:at + width], rng, join_prob))
             at += width
-        root = blocks[0] if len(blocks) == 1 else Cotree("union", children=tuple(blocks))
+        root = Cotree("union", children=tuple(blocks))
     return cotree_graph(root, n), root
 
 
@@ -182,7 +176,7 @@ def complete(n: int):
     if n < 1:
         raise ValueError("need n >= 1")
     edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    root = _leaf(1) if n == 1 else Cotree("join", children=tuple(_leaf(v) for v in range(1, n + 1)))
+    root = Cotree("join", children=tuple(_leaf(v) for v in range(1, n + 1)))
     return PlainGraph(n, edges), root
 
 
@@ -192,13 +186,10 @@ def star(leaves: int):
         raise ValueError("need at least one leaf")
     n = leaves + 1
     edges = [(1, v) for v in range(2, n + 1)]
-    if leaves == 1:
-        root = Cotree("join", children=(_leaf(1), _leaf(2)))
-    else:
-        root = Cotree("join", children=(
-            _leaf(1),
-            Cotree("union", children=tuple(_leaf(v) for v in range(2, n + 1))),
-        ))
+    root = Cotree("join", children=(
+        _leaf(1),
+        Cotree("union", children=tuple(_leaf(v) for v in range(2, n + 1))),
+    ))
     return PlainGraph(n, edges), root
 
 
@@ -308,11 +299,10 @@ def greedy_sequence(graph: PlainGraph):
     is skipped whole; the remaining pairs get the exact red degree, the
     scan of the affected vertices and the full key.  Every skipped pair
     is strictly worse than the best key, so the result is the global
-    minimum whatever the order of evaluation.
+    minimum whatever the order of evaluation; the best key's first entry
+    is the step's exact width.
     """
     n = graph.n
-    if n == 1:
-        return ContractionSequence(1, ()), 0
     # slot i (0-based) holds a live vertex; masks index slots
     black = [0] * n
     red = [0] * n
@@ -355,7 +345,6 @@ def greedy_sequence(graph: PlainGraph):
                 worst = wdeg
                 affected = union
                 rb = red[b]
-                good = True
                 while affected:
                     low = affected & -affected
                     affected ^= low
@@ -370,9 +359,8 @@ def greedy_sequence(graph: PlainGraph):
                     if deg > worst:
                         worst = deg
                         if worst > best_key[0]:
-                            good = False
                             break
-                if not good:
+                if worst > best_key[0]:
                     continue
                 excluded = union | bit_a | (1 << b)
                 for x in by_degree:
@@ -385,13 +373,13 @@ def greedy_sequence(graph: PlainGraph):
                 key = (worst, new_total, ids[a], ids[b])
                 if key < best_key:
                     best_key = key
-                    best = (a, b, bb_mask, rr_mask, union)
-        a, b, bb_mask, rr_mask, union = best
-        pairs.append((min(ids[a], ids[b]), max(ids[a], ids[b])))
+                    best = (a, b, bb_mask, rr_mask, wdeg, union)
+        a, b, bb_mask, rr_mask, wdeg, union = best
+        pairs.append((ids[a], ids[b]))  # live is in id order, so ids[a] < ids[b]
+        width = max(width, best_key[0])
         # fold b into slot a; every red edge at a or b disappears and the
         # product's red edges (rr_mask) take their place
         bit_a, bit_b = 1 << a, 1 << b
-        wdeg = rr_mask.bit_count()
         red_total += wdeg - red_deg[a] - red_deg[b] + ((red[a] >> b) & 1)
         scan = union
         while scan:
@@ -414,9 +402,6 @@ def greedy_sequence(graph: PlainGraph):
         ids[a] = next_id
         next_id += 1
         live.remove(b)
-        step_width = max(red_deg[s] for s in live)
-        if step_width > width:
-            width = step_width
     return ContractionSequence(n, tuple(pairs)), width
 
 
@@ -438,24 +423,12 @@ def exact_sequence(graph: PlainGraph, max_n: int = EXACT_MAX_N):
         raise ValueError(
             f"exact search is limited to {max_n} vertices ({n} given); "
             "use the greedy strategy instead")
-    if n == 1:
-        return ContractionSequence(1, ()), 0
     greedy_seq, upper = greedy_sequence(graph)
-    if upper == 0:
-        return greedy_seq, 0
     adj = [0] * (n + 1)
     for u, v in graph.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    sizes = {}
     color_cache = {}
-
-    def size_of(mask):
-        s = sizes.get(mask)
-        if s is None:
-            s = mask.bit_count()
-            sizes[mask] = s
-        return s
 
     def color(p, q):  # 0 none, 1 black, 2 red
         key = (p, q) if p < q else (q, p)
@@ -469,7 +442,7 @@ def exact_sequence(graph: PlainGraph, max_n: int = EXACT_MAX_N):
                 crossing += (adj[low.bit_length() - 1] & q).bit_count()
             if crossing == 0:
                 c = 0
-            elif crossing == size_of(p) * size_of(q):
+            elif crossing == p.bit_count() * q.bit_count():
                 c = 1
             else:
                 c = 2

@@ -47,6 +47,11 @@ class SequenceFormatError(ValueError):
 class SequenceError(ValueError):
     """A syntactically fine sequence that cannot be applied as requested."""
 
+    @classmethod
+    def refused(cls, step, u, v, exc):
+        """The error for a step the trigraph refused with exc."""
+        return cls(f"step {step} contracts ({u}, {v}) but {exc}")
+
 
 @dataclass(frozen=True)
 class ContractionSequence:
@@ -68,6 +73,9 @@ class ContractionSequence:
 
 @dataclass
 class SequenceReport:
+    """width is the whole sequence's; valid and failing_step refer to the
+    bound only: failing_step is the first step whose trigraph exceeds it."""
+
     width: int
     valid: bool
     failing_step: int | None = None
@@ -148,9 +156,9 @@ def replay(g: Trigraph, seq: ContractionSequence, bound: int | None = None) -> S
 
     g must be freshly built from the n-vertex graph the sequence targets.
     A step the trigraph refuses, one naming a vertex that is not live or
-    the same vertex twice, stops the replay and is reported through
-    failing_step rather than raised.  With a bound, the first step whose
-    trigraph has a red degree above it fails the report too, but the
+    the same vertex twice, raises SequenceError naming the step, the pair
+    and the reason, as count_triangles does.  With a bound, the first step
+    whose trigraph has a red degree above it fails the report, but the
     replay runs on, so width is the whole sequence's.  A negative bound
     raises ValueError before any step, since no trigraph can meet it.
     """
@@ -165,8 +173,8 @@ def replay(g: Trigraph, seq: ContractionSequence, bound: int | None = None) -> S
     for step, (u, v) in enumerate(seq.pairs):
         try:
             contract(u, v)
-        except ValueError:
-            return SequenceReport(width, False, step)
+        except ValueError as exc:
+            raise SequenceError.refused(step, u, v, exc) from None
         d = max_red_degree()
         if d > width:
             width = d

@@ -7,9 +7,11 @@ independent on purpose: `serialize`, `check_consistent` and `by_id`
 read a trigraph's own maps to print, audit or translate them;
 `IdKeyedTrigraph`, `greedy_reference` and `count_step_reference` are the
 package's earlier id-keyed contraction, greedy loop and per-step pair
-loop; and the `*_recursive` cotree walks are the package's earlier
-recursive versions.  The last two groups are kept as the yardsticks
-their rewrites must match.
+loop; and `cotree_graph_recursive` and `twin_sequence_recursive` are the
+package's earlier recursive cotree walks.  The last two groups are kept
+as the yardsticks their rewrites must match.  `leaves_recursive` is the
+tests' own leaf lister: the package has none, since each of its walks
+checks the leaves it meets.
 """
 
 import itertools
@@ -839,7 +841,7 @@ def count_step_reference(g: Trigraph, inner: list, merged,
 
 
 def leaves_recursive(node):
-    """The recursive `Cotree.leaves` the iterative walk replaced."""
+    """The leaves of a cotree, left to right, by plain recursion."""
     if node.kind == "leaf":
         return [node.vertex]
     out = []

@@ -146,16 +146,19 @@ def test_verify_refuses_a_negative_bound(tmp_path, capsys):
 
 
 def test_width_and_verify_name_the_failing_pair(tmp_path, capsys):
+    # a refused step reads the same from every command, whatever the
+    # bound; a real overshoot is the only "invalid step" verify prints
     from twintri.generate import path
     gpath = _write(tmp_path, "p4.gr", format_graph(path(4)))
     spath = _write(tmp_path, "dead.seq", "s 4\n1 2\n1 3\n5 4\n")
-    assert main(["width", gpath, "--sequence", spath]) == 3
-    assert capsys.readouterr().err == "invalid sequence at step 1 (1, 3)\n"
-    assert main(["verify", gpath, "--sequence", spath, "--max-width", "3"]) == 3
-    assert capsys.readouterr().out == "invalid step 1 (1, 3) width 1\n"
-    assert main(["count", gpath, "--sequence", spath]) == 3
-    assert capsys.readouterr().err == (
-        "error: step 1 contracts (1, 3) but vertex 1 is not live\n")
+    refused = "error: step 1 contracts (1, 3) but vertex 1 is not live\n"
+    for command, *flags in (("width",), ("verify", "--max-width", "0"),
+                            ("verify", "--max-width", "3"), ("count",)):
+        assert main([command, gpath, "--sequence", spath, *flags]) == 3
+        assert capsys.readouterr() == ("", refused)
+    over = _write(tmp_path, "over.seq", "s 4\n1 3\n5 2\n6 4\n")
+    assert main(["verify", gpath, "--sequence", over, "--max-width", "0"]) == 3
+    assert capsys.readouterr() == ("invalid step 0 (1, 3) width 1\n", "")
 
 
 @pytest.mark.parametrize("pairs, message", [
@@ -172,8 +175,9 @@ def test_an_id_whose_group_lives_on_is_not_live(tmp_path, capsys, pairs, message
     with pytest.raises(SequenceError) as err:
         count_triangles(graph, seq)
     assert str(err.value) == message
-    report = replay(Trigraph.from_graph(graph.edges, 5), seq)
-    assert (report.valid, report.failing_step) == (False, 1)
+    with pytest.raises(SequenceError) as err:
+        replay(Trigraph.from_graph(graph.edges, 5), seq)
+    assert str(err.value) == message
     gpath = _write(tmp_path, "star.gr", format_graph(graph))
     spath = _write(tmp_path, "dead.seq", format_sequence(seq))
     assert main(["count", gpath, "--sequence", spath]) == 3

@@ -93,8 +93,9 @@ def test_replay_single_vertex():
 
 def test_replay_reports_dead_reference():
     g = Trigraph.from_graph([(1, 2), (2, 3), (3, 4)], 4)
-    report = replay(g, ContractionSequence(4, ((1, 2), (1, 3), (5, 4))))
-    assert not report.valid and report.failing_step == 1
+    with pytest.raises(SequenceError) as err:
+        replay(g, ContractionSequence(4, ((1, 2), (1, 3), (5, 4))))
+    assert str(err.value) == "step 1 contracts (1, 3) but vertex 1 is not live"
 
 
 @pytest.mark.parametrize("pairs, step", [
@@ -107,10 +108,13 @@ def test_replay_reports_dead_reference():
 ])
 def test_replay_reports_every_vertex_that_is_not_live(pairs, step):
     # ContractionSequence refuses ids below 1, so the sequence here skips
-    # its checks; replay must still stop at the step, not raise
+    # its checks; replay must still stop at the step with SequenceError,
+    # not crash, and leave the trigraph consistent
     g = Trigraph.from_graph([(1, 2), (2, 3), (3, 4)], 4)
-    report = replay(g, helpers.unchecked_sequence(4, pairs))
-    assert (report.valid, report.failing_step) == (False, step)
+    u, v = pairs[step]
+    with pytest.raises(SequenceError,
+                       match=rf"^step {step} contracts \({u}, {v}\) but "):
+        replay(g, helpers.unchecked_sequence(4, pairs))
     helpers.check_consistent(g)
 
 
