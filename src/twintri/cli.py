@@ -12,7 +12,8 @@ import argparse
 import os
 import sys
 
-from .counting import CHECKED_LIMIT, InternalInvariantError, count_triangles
+from .counting import (CHECKED_LIMIT, InternalInvariantError, count_triangles,
+                       side_trigraph)
 from .generate import (
     EXACT_MAX_N,
     GRAPH_FAMILIES,
@@ -31,7 +32,6 @@ from .sequence import (
     replay,
     save_sequence,
 )
-from .trigraph import Trigraph
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -127,6 +127,7 @@ def _cmd_count(args) -> int:
     result = count_triangles(graph, seq, mode=mode, checked_limit=args.checked_limit)
     print(f"triangles {result.triangles}")
     if args.stats:
+        print(f"side {result.side}")
         print(f"width {result.width}")
         print(f"steps {result.steps}")
         c = result.counters
@@ -143,7 +144,7 @@ def _cmd_count(args) -> int:
 def _cmd_width(args) -> int:
     graph = load_graph(args.graph, args.max_n)
     seq = load_sequence(args.sequence)
-    report = replay(Trigraph.from_graph(graph.edges, graph.n), seq)
+    report = replay(side_trigraph(graph)[1], seq)
     print(f"width {report.width}")
     return EXIT_OK
 
@@ -151,8 +152,7 @@ def _cmd_width(args) -> int:
 def _cmd_verify(args) -> int:
     graph = load_graph(args.graph, args.max_n)
     seq = load_sequence(args.sequence)
-    report = replay(Trigraph.from_graph(graph.edges, graph.n), seq,
-                    args.max_width)
+    report = replay(side_trigraph(graph)[1], seq, args.max_width)
     if report.valid:
         print(f"valid width {report.width}")
         return EXIT_OK

@@ -24,14 +24,40 @@ of the absorbing configurations.  Counting happens before the step's
 mutation, so all colors consulted are those of the current trigraph,
 while the new vertex's neighborhoods come from the merge preview.
 
+A count runs on the sparser side of the input.  Once more than half of
+the C(n, 2) pairs are edges, 4m > n(n - 1), it replays the sequence on
+the complement G' instead, and Goodman's identity (1959),
+
+    t(G) = C(n, 3) - 1/2 * sum over vertices of d(n - 1 - d) - t(G'),
+
+with the degrees d of G' (the sum is the same for G), turns t(G') into
+t(G).  The sequence has the same width on both sides: black and absent
+pairs swap, and red pairs stay red.  So do the failing step of a bound
+and every counter but graph_update_work, which counts black entries.
+Building G' costs O(n^2), but n^2 < 4m + n on that side, so the bound
+stays O(d^2*n + m), while the trigraph holds min(m, C(n, 2) - m) edges.
+
+graph_update_work is reported for G's own trigraph on either side, so it
+equals what a replay of G leaves in update_work.  With L live vertices,
+each of the L - 1 others is black to a step's vertex on exactly one side
+or red on both, and each of the L - 2 others is black to both of them on
+exactly one side or ends red to the new vertex.  So a step charges
+3L - 4 plus its red part (see trigraph) on the two sides together, and
+over the n - 1 steps G's total is (3n - 2)(n - 1)/2 plus red_work minus
+the complement's update_work.
+
 Runs keep all state in local objects; independent counts on distinct
 inputs may execute concurrently.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
-from operator import mul
+from itertools import chain, repeat
+from math import comb
+from operator import itemgetter, mul
 
 from .oracle import count_naive
 from .sequence import ContractionSequence, SequenceError
@@ -40,6 +66,8 @@ from .trigraph import BLACK, RED, Trigraph
 
 # checked mode costs O(n^3) per step, so it is refused above this n
 CHECKED_LIMIT = 64
+# the sides a count can run on; see the module docstring
+GRAPH, COMPLEMENT = "graph", "complement"
 
 
 class InternalInvariantError(RuntimeError):
@@ -88,6 +116,7 @@ class CountResult:
     steps: int
     counters: Counters
     sum_red_degree_sq: int  # sum over steps of (max red degree after the step)^2
+    side: str  # GRAPH or COMPLEMENT, the side the sequence was replayed on
 
 
 # -- the per-step routine -----------------------------------------------
@@ -267,38 +296,54 @@ def evaluate_invariant(g: Trigraph, inner: list, t: int,
     return triangle_count == t + pending
 
 
-def count_triangles(graph, seq: ContractionSequence, mode: str = "fast",
-                    checked_limit: int = CHECKED_LIMIT, step_callback=None) -> CountResult:
-    """Count the triangles of graph by replaying its contraction sequence.
+def _complement_edges(n: int, edges):
+    """The complement's edges, read off a canonical edge list, in which
+    each vertex's higher neighbours form one run."""
+    start = 0
+    for u in range(1, n):
+        end = bisect_left(edges, (u + 1,), start)
+        if end - start < n - u:
+            higher = set(range(u + 1, n + 1))
+            higher.difference_update(map(itemgetter(1), edges[start:end]))
+            yield from zip(repeat(u), higher)
+        start = end
 
-    graph provides n, m and an edge list (a PlainGraph works).  In
-    "checked" mode the conservation identities and the running-total
-    invariant are verified after every contraction, which costs O(n^3)
-    per step and is therefore gated to n <= checked_limit; the reference
-    triangle count is taken from the brute-force oracle.
+
+def side_trigraph(graph) -> tuple[str, Trigraph]:
+    """The side a count of graph, a PlainGraph, runs on, and that side's
+    red-free trigraph: COMPLEMENT when 4m > n(n - 1), else GRAPH.
+
+    The width a sequence reaches and the step where it first passes a
+    bound are the same on both sides, so width and verify use it too.
+    """
+    n, edges = graph.n, graph.edges
+    if 4 * len(edges) <= n * (n - 1):
+        return GRAPH, Trigraph.from_graph(edges, n)
+    return COMPLEMENT, Trigraph.from_graph(_complement_edges(n, edges), n)
+
+
+def count_side(g: Trigraph, seq: ContractionSequence, side: str,
+               reference=None, step_callback=None) -> CountResult:
+    """Count the triangles of the graph g was built from, g red-free, by
+    replaying seq on it; the result names side as the side it ran on.
+
+    reference, when given, is (edges, triangles) of that graph, and the
+    conservation identities and the running-total invariant are checked
+    against it after every contraction (checked mode, O(n^3) a step).
     step_callback(step, g, inner, state), when given, runs after each
     applied contraction; inner is the list of inner-edge counts, indexed
     like g.size by representative.
     """
-    if mode not in ("fast", "checked"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if seq.n != graph.n:
-        raise SequenceError(
-            f"sequence is for {seq.n} vertices, graph has {graph.n}")
-    checked = mode == "checked"
-    if checked:
-        if graph.n > checked_limit:
-            raise ValueError(
-                f"checked mode is gated to {checked_limit} vertices, got {graph.n}")
-        reference_count = count_naive(graph)
-    n, m = graph.n, graph.m
-    g = Trigraph.from_graph(graph.edges, n)
+    n = g.n_original
+    if seq.n != n:
+        raise SequenceError(f"sequence is for {seq.n} vertices, graph has {n}")
     inner = [0] * (n + 1)
     state = CountState()
     counters = state.counters
     width = sum_d_sq = 0
 
-    if checked:
+    if reference is not None:
+        m, reference_count = reference
         check_conservation(g, inner, n, m)
         if not evaluate_invariant(g, inner, state.t, reference_count):
             raise InternalInvariantError("invariant fails before any contraction")
@@ -317,7 +362,7 @@ def count_triangles(graph, seq: ContractionSequence, mode: str = "fast",
         if d > width:
             width = d
         sum_d_sq += d * d
-        if checked:
+        if reference is not None:
             check_conservation(g, inner, n, m)
             if not evaluate_invariant(g, inner, t, reference_count):
                 raise InternalInvariantError(
@@ -334,4 +379,50 @@ def count_triangles(graph, seq: ContractionSequence, mode: str = "fast",
         steps=len(seq.pairs),
         counters=counters,
         sum_red_degree_sq=sum_d_sq,
+        side=side,
     )
+
+
+def count_triangles(graph, seq: ContractionSequence, mode: str = "fast",
+                    checked_limit: int = CHECKED_LIMIT, step_callback=None) -> CountResult:
+    """Count the triangles of graph, a PlainGraph, by replaying its
+    contraction sequence on the side side_trigraph picks.
+
+    In "checked" mode the conservation identities and the running-total
+    invariant are verified after every contraction, which costs O(n^3)
+    per step and is therefore gated to n <= checked_limit; the reference
+    triangle count is taken from the brute-force oracle, through
+    Goodman's identity on the complement side, where the corrected count
+    must equal the oracle's too.  step_callback is count_side's, and
+    sees the side that runs.
+    """
+    if mode not in ("fast", "checked"):
+        raise ValueError(f"unknown mode {mode!r}")
+    n = graph.n
+    reference = None
+    if mode == "checked":
+        if n > checked_limit:
+            raise ValueError(
+                f"checked mode is gated to {checked_limit} vertices, got {n}")
+        reference = graph.m, count_naive(graph)
+    side, g = side_trigraph(graph)
+    if side == GRAPH:
+        return count_side(g, seq, side, reference, step_callback)
+    # Goodman's identity, with the complement's degrees read before any
+    # step changes its maps; the reference takes them from the graph
+    rest = comb(n, 3) - sum(d * (n - 1 - d) for d in map(len, g.black_adj)) // 2
+    if reference is not None:
+        m, naive = reference
+        degree = Counter(chain.from_iterable(graph.edges))
+        reference = (comb(n, 2) - m, comb(n, 3) - naive
+                     - sum(d * (n - 1 - d) for d in degree.values()) // 2)
+    result = count_side(g, seq, side, reference, step_callback)
+    result.triangles = rest - result.triangles
+    if reference is not None and result.triangles != naive:
+        raise InternalInvariantError(
+            f"the complement's count corrects to {result.triangles}, "
+            f"the oracle counts {naive}")
+    # G's own trigraph's work, by the identity in the module docstring
+    result.counters.graph_update_work = ((3 * n - 2) * (n - 1) // 2
+                                         + g.red_work - g.update_work)
+    return result

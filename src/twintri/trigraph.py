@@ -27,7 +27,9 @@ every neighbour.  The work actually done is less: one C-level
 comparison or symmetric difference of the two black maps, one deletion
 per black neighbour of the merged side, and the red entries.  The
 counter keeps its definition so that it stays comparable across
-versions and bounds what is done.
+versions and bounds what is done.  red_work keeps the red part on its
+own; it is the same on a graph and on its complement, whose red edges
+are the same.
 
 The structure is single-writer: queries may run concurrently between
 contractions, but mutation is not thread safe.
@@ -92,6 +94,7 @@ class Trigraph:
         self._red_hist[0] = n
         self._max_red = 0
         self.update_work = 0  # see the module docstring
+        self.red_work = 0  # the red part of update_work
 
     @classmethod
     def from_graph(cls, edges, n: int) -> "Trigraph":
@@ -254,7 +257,9 @@ class Trigraph:
         ss, sl = size[s], size[l]
         hist = self._red_hist
         if red or rs or rl:
-            work += len(rs) + len(rl) + len(red)
+            red_work = len(rs) + len(rl) + len(red)
+            work += red_work
+            self.red_work += red_work
             black_to_s = len(bs)
             red_w = {}
             for x, cs, cl in red:

@@ -2,10 +2,11 @@
 
 Colors, auxiliary counts and triangle configurations are recomputed from
 first principles (edge lists and vertex partitions), so a bug in the
-package cannot leak into its own check.  Three groups of code are not
-independent on purpose: `serialize`, `check_consistent` and `by_id`
-read a trigraph's own maps to print, audit or translate them;
-`IdKeyedTrigraph`, `greedy_reference` and `count_step_reference` are the
+package cannot leak into its own check.  Four groups of code are not
+independent on purpose: `count_on_side` runs the package's per-side
+count on the side a test names (the complement built here, pair by
+pair); `serialize`, `check_consistent` and `by_id` read a trigraph's
+own maps to print, audit or translate them; `IdKeyedTrigraph`, `greedy_reference` and `count_step_reference` are the
 package's earlier id-keyed contraction, greedy loop and per-step pair
 loop; and `cotree_graph_recursive` and `twin_sequence_recursive` are the
 package's earlier recursive cotree walks.  The last two groups are kept
@@ -18,9 +19,9 @@ import itertools
 import random
 import types
 
-from twintri.counting import Counters, red_weight
+from twintri.counting import COMPLEMENT, GRAPH, Counters, count_side, red_weight
 from twintri.generate import Cotree
-from twintri.oracle import PlainGraph
+from twintri.oracle import PlainGraph, count_naive
 from twintri.sequence import ContractionSequence
 from twintri.trigraph import BLACK, EMPTY, NONE, RED, Trigraph
 
@@ -42,6 +43,26 @@ def random_sequence(n, rng):
         live.remove(v)
         live.append(n + 1 + j)
     return ContractionSequence(n, tuple(pairs))
+
+
+def complement(graph):
+    """graph's complement, built pair by pair."""
+    n, edges = graph.n, set(graph.edges)
+    return PlainGraph(n, [e for e in itertools.combinations(range(1, n + 1), 2)
+                          if e not in edges])
+
+
+def count_on_side(graph, seq, side=GRAPH, mode="fast", step_callback=None):
+    """count_triangles' per-side routine on the trigraph of graph (GRAPH)
+    or of its complement, built here pair by pair (COMPLEMENT).  The
+    count is that side's own, and checked mode checks it against the
+    oracle on that side.  count_triangles itself takes the graph side
+    only while at most half of the pairs are edges."""
+    if side == COMPLEMENT:
+        graph = complement(graph)
+    reference = (graph.m, count_naive(graph)) if mode == "checked" else None
+    return count_side(Trigraph.from_graph(graph.edges, graph.n), seq, side,
+                      reference, step_callback)
 
 
 def key(a, b):

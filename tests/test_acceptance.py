@@ -168,20 +168,22 @@ def test_criterion_6_conservation_invariants():
             steps += 1
         return check
 
+    # on the graph's own side, which count_triangles leaves for the
+    # complement once more than half of the pairs are edges
     for i in range(2600):
         n = 12 + i % 17  # 12..28
         p = [0.15, 0.3, 0.5, 0.7][i % 4]
         graph = gnp(n, p, seed=30_000 + i)
         seq, _ = greedy_sequence(graph)
-        count_triangles(graph, seq, step_callback=make_checker(n, graph.m))
+        helpers.count_on_side(graph, seq, step_callback=make_checker(n, graph.m))
     for i in range(1500):
         graph, cotree = cograph(24, seed=40_000 + i)
         seq = twin_sequence(cotree, 24)
-        count_triangles(graph, seq, step_callback=make_checker(24, graph.m))
+        helpers.count_on_side(graph, seq, step_callback=make_checker(24, graph.m))
     for i in range(500):
         graph = path(40)
-        count_triangles(graph, chain_sequence(40),
-                        step_callback=make_checker(40, graph.m))
+        helpers.count_on_side(graph, chain_sequence(40),
+                              step_callback=make_checker(40, graph.m))
     assert steps >= 100_000
     print(f"\nACCEPTANCE 6 PASS: group-size and edge-mass conservation held "
           f"after all {steps} sampled contraction steps")
@@ -224,8 +226,10 @@ def test_criterion_8_targeted_branch_instances():
             increments.append(state.t - last[0])
             last[0] = state.t
 
-        result = count_triangles(graph, seq, mode="checked", step_callback=on_step)
+        result = helpers.count_on_side(graph, seq, mode="checked",
+                                       step_callback=on_step)
         assert result.triangles == expected, name
+        assert count_triangles(graph, seq, mode="checked").triangles == expected, name
 
         # per-step attribution from an independent classification replay;
         # the schedule also proves each triangle is absorbed exactly once

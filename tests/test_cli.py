@@ -10,9 +10,9 @@ import pytest
 import twintri
 from twintri.cli import main
 from twintri.counting import count_triangles
-from twintri.generate import complete, cycle, greedy_sequence, star, twin_sequence
+from twintri.generate import complete, cycle, gnp, greedy_sequence, star, twin_sequence
 from twintri.graphio import format_graph, load_graph
-from twintri.oracle import PlainGraph
+from twintri.oracle import PlainGraph, count_naive
 from twintri.sequence import (ContractionSequence, SequenceError, format_sequence,
                               load_sequence, replay, verify_width)
 from twintri.trigraph import Trigraph
@@ -47,9 +47,32 @@ def test_count_checked_and_stats(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "triangles 0"
     stats = dict(line.split() for line in out[1:])
+    assert stats["side"] == "graph"  # 5 edges of 10 pairs
     assert stats["width"] == str(width)
     assert int(stats["contractions"]) == 4
     assert int(stats["graph_update_work"]) >= 0
+
+
+def test_dense_graphs_count_through_the_complement(tmp_path, capsys):
+    # width and verify replay the complement too, and must report what a
+    # replay on the graph itself reports
+    graph = gnp(30, 0.8, seed=5)
+    seq, width = greedy_sequence(graph)
+    gpath = _write(tmp_path, "dense.gr", format_graph(graph))
+    spath = _write(tmp_path, "dense.seq", format_sequence(seq))
+    assert main(["count", gpath, "--sequence", spath, "--stats"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == [f"triangles {count_naive(graph)}", "side complement",
+                       f"width {width}"]
+    assert main(["width", gpath, "--sequence", spath]) == 0
+    assert capsys.readouterr().out == f"width {width}\n"
+    assert main(["verify", gpath, "--sequence", spath, "--max-width", str(width)]) == 0
+    assert capsys.readouterr().out == f"valid width {width}\n"
+    report = replay(Trigraph.from_graph(graph.edges, graph.n), seq, width - 1)
+    u, v = seq.pairs[report.failing_step]
+    assert main(["verify", gpath, "--sequence", spath, "--max-width", str(width - 1)]) == 3
+    assert capsys.readouterr().out == \
+        f"invalid step {report.failing_step} ({u}, {v}) width {width}\n"
 
 
 def test_count_single_vertex(tmp_path, capsys):

@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 import math
 import random
 import statistics
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,14 @@ from hypothesis import strategies as st
 
 from twintri import counting
 from twintri.counting import (
+    COMPLEMENT,
+    GRAPH,
     InternalInvariantError,
     check_conservation,
     count_triangles,
     evaluate_invariant,
     red_weight,
+    side_trigraph,
 )
 from twintri.generate import (
     chain_sequence,
@@ -27,6 +32,7 @@ from twintri.generate import (
     star,
     twin_sequence,
 )
+from twintri.graphio import parse_graph
 from twintri.oracle import PlainGraph, count_naive
 from twintri.sequence import ContractionSequence, SequenceError
 from twintri.trigraph import EMPTY, Trigraph
@@ -89,7 +95,7 @@ STEP_CASES.update({
 
 
 def _check_steps(n, edges, pairs, states):
-    """Run count_triangles on the sequence; each step must add exactly the
+    """Count on the graph's own side; each step must add exactly the
     triangles an independent replay sees entering an absorbing
     configuration at that step, and the listed states must hold."""
     graph = PlainGraph(n, edges)
@@ -110,8 +116,8 @@ def _check_steps(n, edges, pairs, states):
             assert {x: inner[g.rep[x]] for x in inner_edges} == inner_edges
             assert _red_weights(g) == red
 
-    result = count_triangles(graph, ContractionSequence(n, tuple(pairs)),
-                             step_callback=on_step)
+    result = helpers.count_on_side(graph, ContractionSequence(n, tuple(pairs)),
+                                   step_callback=on_step)
     assert increments == [len(s) for s in schedule]
     assert result.triangles == count_naive(graph)
 
@@ -194,7 +200,7 @@ def test_collapse_counts_all_k4_triangles():
         increments.append(state.t - last[0])
         last[0] = state.t
 
-    result = count_triangles(graph, seq, step_callback=on_step)
+    result = helpers.count_on_side(graph, seq, step_callback=on_step)
     assert result.triangles == 4
     # the final merge of two pairs (sizes 2, inner edges 1 each) counts 2+2
     assert increments == [0, 0, 4]
@@ -336,9 +342,11 @@ def test_red_free_steps_keep_the_trigraph_and_counters(name, graph, seq):
         g.contract(u, v)
         helpers.check_consistent(g)
         width = max(width, g.max_red_degree())
-    result = count_triangles(graph, seq)
+    result = helpers.count_on_side(graph, seq)
     assert result.triangles == count_naive(graph)
     assert (result.counters.graph_update_work, result.width) == (g.update_work, width)
+    # whichever side count_triangles takes, it reports the graph side's counters
+    assert count_triangles(graph, seq).counters == result.counters
     assert (g.update_work, result.counters.aux_updates, width, red_free) \
         == RED_FREE_PINS[name]
 
@@ -413,7 +421,7 @@ def test_conservation_on_random_runs():
         def check(step, g, inner, state):
             check_conservation(g, inner, n, m)
 
-        count_triangles(graph, seq, step_callback=check)
+        helpers.count_on_side(graph, seq, step_callback=check)
 
 
 @settings(max_examples=60, deadline=None)
@@ -449,7 +457,7 @@ def test_red_weights_match_brute_force_cross_counts(n, seed, p):
             else:
                 assert g.red_adj[rx][ry] == g.red_adj[ry][rx] == crossing, (step, x, y)
 
-    count_triangles(graph, seq, step_callback=on_step)
+    helpers.count_on_side(graph, seq, step_callback=on_step)
 
 
 def test_per_step_counter_budgets():
@@ -574,12 +582,6 @@ def test_counter_matches_reference_pipeline():
 # -- complement, no oracle -------------------------------------------------
 
 
-def _complement(graph):
-    n, edges = graph.n, set(graph.edges)
-    return PlainGraph(n, [e for e in itertools.combinations(range(1, n + 1), 2)
-                          if e not in edges])
-
-
 def _assert_complement_pair(graph, seq):
     """The same sequence has the same width on G and its complement (red
     pairs stay red when black and absent swap), and t(G) + t(complement)
@@ -591,7 +593,8 @@ def _assert_complement_pair(graph, seq):
         degree[v] += 1
     mixed = sum(d * (n - 1 - d) for d in degree[1:])
     assert mixed % 2 == 0
-    ours, theirs = count_triangles(graph, seq), count_triangles(_complement(graph), seq)
+    ours = helpers.count_on_side(graph, seq)
+    theirs = helpers.count_on_side(graph, seq, COMPLEMENT)
     assert ours.width == theirs.width
     assert ours.triangles + theirs.triangles == math.comb(n, 3) - mixed // 2
     return ours.width
@@ -617,6 +620,131 @@ def test_complement_keeps_width_and_goodman_sum_banded():
     assert _assert_complement_pair(helpers.banded(1000, 10), chain_sequence(1000)) == 10
 
 
+# -- the side a count runs on ----------------------------------------------
+
+
+def _side_by_rule(graph):
+    n = graph.n
+    return COMPLEMENT if 4 * graph.m > n * (n - 1) else GRAPH
+
+
+def _assert_sides_agree(graph, seq, mode="fast"):
+    """Each side counts its own graph exactly, at the same width and with
+    the same counters but graph_update_work; count_triangles takes the
+    side the rule names and reports the oracle's count with the graph
+    side's width and counters."""
+    ours = helpers.count_on_side(graph, seq, mode=mode)
+    theirs = helpers.count_on_side(graph, seq, COMPLEMENT, mode=mode)
+    assert ours.triangles == count_naive(graph)
+    assert theirs.triangles == count_naive(helpers.complement(graph))
+    assert (ours.width, ours.sum_red_degree_sq) == (theirs.width, theirs.sum_red_degree_sq)
+    assert (dataclasses.replace(ours.counters, graph_update_work=0)
+            == dataclasses.replace(theirs.counters, graph_update_work=0))
+    result = count_triangles(graph, seq, mode=mode)
+    assert result.side == _side_by_rule(graph)
+    assert (result.triangles, result.width, result.sum_red_degree_sq, result.counters) \
+        == (ours.triangles, ours.width, ours.sum_red_degree_sq, ours.counters)
+
+
+@pytest.mark.parametrize("mode", ["fast", "checked"])
+def test_sides_agree_on_every_graph_up_to_five_vertices(mode):
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            graph = PlainGraph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            _assert_sides_agree(graph, greedy_sequence(graph)[0], mode)
+
+
+@pytest.mark.parametrize("mode", ["fast", "checked"])
+def test_sides_agree_on_dense_gnp(mode):
+    # greedy sequences keep the width low, random orders push it toward n
+    rng = random.Random(4242)
+    dense = 0
+    for trial in range(40):
+        n = 6 + trial * 54 // 39  # 6..60
+        graph = gnp(n, (0.65, 0.8, 0.95)[trial % 3], seed=trial + 4200)
+        dense += _side_by_rule(graph) == COMPLEMENT
+        seq = (greedy_sequence(graph)[0] if trial % 2
+               else helpers.random_sequence(n, rng))
+        _assert_sides_agree(graph, seq, mode)
+    assert dense == 39  # one draw at n = 10 came out sparse
+
+
+@pytest.mark.parametrize("n, m, side", [
+    (1, 0, GRAPH), (2, 0, GRAPH), (2, 1, COMPLEMENT),
+    # C(n, 2)/2 - 1, C(n, 2)/2 and C(n, 2)/2 + 1 edges
+    (4, 2, GRAPH), (4, 3, GRAPH), (4, 4, COMPLEMENT),
+    (5, 4, GRAPH), (5, 5, GRAPH), (5, 6, COMPLEMENT),
+    (8, 13, GRAPH), (8, 14, GRAPH), (8, 15, COMPLEMENT),
+])
+def test_the_complement_is_taken_above_half_the_pairs(n, m, side):
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    graph = PlainGraph(n, random.Random(m).sample(pairs, m))
+    assert side_trigraph(graph)[0] == side
+    result = count_triangles(graph, chain_sequence(n), mode="checked")
+    assert (result.side, result.triangles) == (side, count_naive(graph))
+
+
+def test_checked_mode_catches_a_wrong_complement(monkeypatch):
+    # one complement edge swapped for an edge of the graph keeps the edge
+    # count, so conservation alone cannot see it; the oracle's reference can
+    graph = gnp(12, 0.8, seed=3)
+    seq = greedy_sequence(graph)[0]
+    build = counting._complement_edges
+
+    def swapped(n, edges):
+        pairs = build(n, edges)
+        next(pairs)
+        yield edges[0]
+        yield from pairs
+
+    monkeypatch.setattr(counting, "_complement_edges", swapped)
+    assert count_triangles(graph, seq).triangles != count_naive(graph)
+    with pytest.raises(InternalInvariantError, match="invariant fails"):
+        count_triangles(graph, seq, mode="checked")
+
+
+def test_a_huge_sparse_graph_stays_on_the_graph_side():
+    graph = parse_graph("p 1000000 1\ne 1 2\n")
+    tracemalloc.start()
+    try:
+        side, g = side_trigraph(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the complement would hold about n^2/2 edges
+    assert (side, g.black_adj[1], g.black_adj[3]) == (GRAPH, {2: None}, EMPTY)
+    assert peak < 200 * graph.n
+
+
+def test_k300_graph_side_counters_are_pinned():
+    # the counters CI read from `twintri count --stats` on K_300 before
+    # counts took the complement; count_triangles still reports them
+    graph, cotree = complete(300)
+    seq = twin_sequence(cotree, 300)
+    ours = helpers.count_on_side(graph, seq)
+    c = ours.counters
+    assert (ours.triangles, ours.width, c.graph_update_work, c.aux_updates) \
+        == (4455100, 0, 134251, 299)
+    # the complement is edgeless, so its trigraph does no update work
+    assert helpers.count_on_side(graph, seq, COMPLEMENT).counters.graph_update_work == 0
+    result = count_triangles(graph, seq)
+    assert (result.side, result.triangles, result.counters) == (COMPLEMENT, 4455100, c)
+
+
+def test_sides_agree_on_the_complement_of_banded():
+    # the paper's regime, dense at low width: about 1.12M edges, width 10;
+    # count_triangles counts the banded graph and corrects by Goodman's
+    # identity, the graph side walks the dense trigraph itself
+    graph = helpers.complement(helpers.banded(1500, 10))
+    seq = chain_sequence(1500)
+    ours = helpers.count_on_side(graph, seq)
+    result = count_triangles(graph, seq)
+    assert result.side == COMPLEMENT
+    assert (result.triangles, result.width, result.sum_red_degree_sq, result.counters) \
+        == (ours.triangles, 10, ours.sum_red_degree_sq, ours.counters)
+
+
 # -- attribution -----------------------------------------------------------
 
 
@@ -628,7 +756,7 @@ def _step_increments(graph, seq):
         increments.append(state.t - last[0])
         last[0] = state.t
 
-    result = count_triangles(graph, seq, step_callback=on_step)
+    result = helpers.count_on_side(graph, seq, step_callback=on_step)
     return result, increments
 
 
