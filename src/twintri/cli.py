@@ -38,7 +38,7 @@ EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
 EXIT_INTERNAL = 4
 # Largest vertex count the reading commands accept by default.  A count
-# allocates about 100 bytes per vertex before it reads an edge and the
+# allocates about 90 bytes per vertex before it reads an edge and the
 # oracle about 64, so a tiny file with a huge p line would otherwise end
 # in a memory blow-up instead of an error.
 DEFAULT_MAX_N = 1_000_000

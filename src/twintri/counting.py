@@ -80,8 +80,9 @@ def red_weight(g: Trigraph, a, b) -> int:
     try:
         return g.red_adj[a][b]
     except KeyError:
-        raise InternalInvariantError(
-            f"no cross-edge count for red edge {{{g.id_of[a]}, {g.id_of[b]}}}") from None
+        name = {r: v for v, r in enumerate(g.rep) if r}  # merged away: 0
+        raise InternalInvariantError("no cross-edge count for red edge "
+                                     f"{{{name.get(a, 0)}, {name.get(b, 0)}}}") from None
 
 
 @dataclass
@@ -235,28 +236,30 @@ def check_conservation(g: Trigraph, inner: list, n: int, m: int):
 
     Every red weight must be symmetric and lie strictly between 0 and the
     product of the group sizes: a red pair hides at least one original
-    edge and at least one non-edge.  Messages name vertices by id.
+    edge and at least one non-edge.  Messages name vertices by id, and a
+    representative merged away as 0.
     """
-    size, id_of = g.size, g.id_of
-    if len(inner) != n + 1 or any(inner[r] for r in range(n + 1) if not id_of[r]):
+    size = g.size
+    if len(inner) != n + 1 or any(inner[r] for r in range(n + 1) if not size[r]):
         raise InternalInvariantError("aux entries out of sync with live vertices")
     total = sum(size)
     if total != n:
         raise InternalInvariantError(f"group sizes sum to {total}, expected {n}")
     mass = sum(inner)
-    rep = g.rep
-    for x in map(rep.__getitem__, g.live_vertices()):
+    name = {r: v for v, r in enumerate(g.rep) if r}  # in id order
+    for x, vx in name.items():
         for y in g.black_adj[x]:
             if y > x:
                 mass += size[x] * size[y]
         for y, weight in g.red_adj[x].items():
+            vy = name.get(y, 0)
             if g.red_adj[y].get(x) != weight:
                 raise InternalInvariantError(
-                    f"red edge {{{id_of[x]}, {id_of[y]}}} weighs {weight} at "
-                    f"{id_of[x]} but {g.red_adj[y].get(x)} at {id_of[y]}")
+                    f"red edge {{{vx}, {vy}}} weighs {weight} at "
+                    f"{vx} but {g.red_adj[y].get(x)} at {vy}")
             if not 0 < weight < size[x] * size[y]:
                 raise InternalInvariantError(
-                    f"red edge {{{id_of[x]}, {id_of[y]}}} weighs {weight} between "
+                    f"red edge {{{vx}, {vy}}} weighs {weight} between "
                     f"groups of {size[x]} and {size[y]}")
             if y > x:
                 mass += weight
@@ -276,7 +279,7 @@ def evaluate_invariant(g: Trigraph, inner: list, t: int,
     """
     size, black_adj = g.size, g.black_adj
     pending = 0
-    for x in (r for r, i in enumerate(g.id_of) if i):
+    for x in (r for r, sx in enumerate(size) if sx):
         bx = black_adj[x]
         for y in bx:
             if y > x:

@@ -164,7 +164,7 @@ def replay(g: Trigraph, seq: ContractionSequence, bound: int | None = None) -> S
     """
     if g.n_original != seq.n:
         raise SequenceError(
-            f"sequence is for {seq.n} vertices, trigraph has {g.n_original}")
+            f"sequence is for {seq.n} vertices, graph has {g.n_original}")
     if bound is not None and bound < 0:
         raise ValueError(f"width bound {bound} is negative; widths start at 0")
     contract, max_red_degree = g.contract, g.max_red_degree
@@ -186,7 +186,7 @@ def replay(g: Trigraph, seq: ContractionSequence, bound: int | None = None) -> S
 def verify_width(g: Trigraph, seq: ContractionSequence, bound: int) -> SequenceReport:
     """Check that every intermediate trigraph keeps red degree <= bound.
 
-    A width overshoot is a failed verification (valid=False with the
-    first offending step), not an exception.
+    replay(g, seq, bound) under another name, kept for the benchmark's
+    verify op; the package and its tests call replay.
     """
     return replay(g, seq, bound)

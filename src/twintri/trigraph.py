@@ -8,12 +8,13 @@ across the two merged vertex groups are original edges", absent edges
 for "no pair is", and red edges for the mixed leftovers.
 
 Vertices are named by ids, but inside the trigraph every live vertex is
-named by its representative, one original vertex of its group.  Each
-representative holds two hash maps keyed by representatives: its black
-neighbours (mapped to None) and its red neighbours, each mapped to the
-red edge's cross-edge count, the number of original edges between the
-two groups.  With the group sizes kept alongside, a contraction computes
-the new red weights itself.
+named by its representative, one original vertex of its group, and one
+list, rep, maps ids to representatives: an id is live while its entry
+is set.  Each representative holds two hash maps keyed by
+representatives: its black neighbours (mapped to None) and its red
+neighbours, each mapped to the red edge's cross-edge count, the number
+of original edges between the two groups.  With the group sizes kept
+alongside, a contraction computes the new red weights itself.
 
 A contraction keeps the representative with the larger black map, u's on
 a tie, as the name of w, and merges the other one away.  Only the merged
@@ -68,13 +69,13 @@ class Trigraph:
         black_adj[r], red_adj[r]   r's maps, keyed by representative
         size[r]                    original vertices in r's group, 0 once
                                    r is merged away
-        rep[id]                    the representative of id's group
-        id_of[r]                   the id r stands for now, 0 once r is
-                                   merged away
+        rep[id]                    the representative of id's group, 0
+                                   once id is consumed or not yet created
 
-    An id is live when 0 < id < the next id and id_of[rep[id]] == id, so
-    an id whose group lives on under a newer id is dead, and liveness
-    checks stay O(1).
+    An id is live when 0 < id < the next id and rep[id] is set, so an id
+    whose group lives on under a newer id is dead, and liveness checks
+    are one lookup.  Nothing maps a representative back to its id; a
+    message that names one inverts rep.
     """
 
     def __init__(self, n_original: int):
@@ -85,9 +86,8 @@ class Trigraph:
         self.black_adj: list = [EMPTY] * (n + 1)
         self.red_adj: list = [EMPTY] * (n + 1)
         self.size = [0] + [1] * n
-        self.id_of = list(range(n + 1))
         # ids run 1 .. 2n-1; ids not yet created map to 0
-        self.rep = self.id_of + [0] * (n - 1)
+        self.rep = list(range(n + 1)) + [0] * (n - 1)
         self._next_id = n + 1
         # histogram of red degrees, so the maximum is O(1) amortized
         self._red_hist = [0] * (n + 1)
@@ -122,12 +122,9 @@ class Trigraph:
 
     # -- queries ---------------------------------------------------------
 
-    def live_vertices(self) -> list[int]:
-        return sorted(filter(None, self.id_of))
-
     def _rep_of_live(self, v):
         """v's representative; ValueError unless v is live."""
-        if not (0 < v < self._next_id and self.id_of[self.rep[v]] == v):
+        if not (0 < v < self._next_id and self.rep[v]):
             raise ValueError(f"vertex {v} is not live")
         return self.rep[v]
 
@@ -149,20 +146,6 @@ class Trigraph:
             self._max_red -= 1
         return self._max_red
 
-    def _edges(self, maps):
-        id_of, rep = self.id_of, self.rep
-        for u in self.live_vertices():
-            for x in sorted(id_of[r] for r in maps[rep[u]] if id_of[r] > u):
-                yield u, x
-
-    def black_edges(self):
-        """Black edges as id pairs (u, x), u < x, in increasing order."""
-        return self._edges(self.black_adj)
-
-    def red_edges(self):
-        """Red edges as id pairs (u, x), u < x, in increasing order."""
-        return self._edges(self.red_adj)
-
     # -- contraction -----------------------------------------------------
 
     def merge_neighborhoods(self, u: int, v: int):
@@ -183,11 +166,11 @@ class Trigraph:
         black to both sides stay black to w and need no entry.  The
         trigraph is not modified.
         """
-        rep, id_of = self.rep, self.id_of
+        rep = self.rep
         next_id = self._next_id
-        if not (0 < u < next_id and id_of[rep[u]] == u):
+        if not (0 < u < next_id and rep[u]):
             raise ValueError(f"vertex {u} is not live")
-        if not (0 < v < next_id and id_of[rep[v]] == v):
+        if not (0 < v < next_id and rep[v]):
             raise ValueError(f"vertex {v} is not live")
         if u == v:
             raise ValueError("cannot contract a vertex with itself")
@@ -232,11 +215,11 @@ class Trigraph:
         invalid step raises its ValueError before anything changes.
 
         w takes over the representative s that merge_neighborhoods kept,
-        with s's maps: each black neighbour of the merged-away l loses
-        its entry for l, and each vertex that turns red to w loses its
-        black entry for s.  The red edge {w, x} weighs size[s]*size[x]
-        for a black {s, x}, the weight of a red {s, x}, and nothing for
-        an absent one, plus the same for l.
+        with s's maps, and rep reads 0 for u and v.  Each black neighbour
+        of the merged-away l loses its entry for l, and each vertex that
+        turns red to w loses its black entry for s.  The red edge {w, x}
+        weighs size[s]*size[x] for a black {s, x}, the weight of a red
+        {s, x}, and nothing for an absent one, plus the same for l.
 
         A red-free step touches no red map: it only retires two
         red-degree-0 vertices for one, so the histogram loses one count
@@ -303,8 +286,7 @@ class Trigraph:
         black_adj[l] = red_adj[l] = EMPTY
         size[s] = ss + sl
         size[l] = 0
+        self.rep[u] = self.rep[v] = 0
         self.rep[w] = s
-        self.id_of[s] = w
-        self.id_of[l] = 0
         self._next_id = w + 1
         return w

@@ -5,14 +5,18 @@ first principles (edge lists and vertex partitions), so a bug in the
 package cannot leak into its own check.  Four groups of code are not
 independent on purpose: `count_on_side` runs the package's per-side
 count on the side a test names (the complement built here, pair by
-pair); `serialize`, `check_consistent` and `by_id` read a trigraph's
-own maps to print, audit or translate them; `IdKeyedTrigraph`, `greedy_reference` and `count_step_reference` are the
-package's earlier id-keyed contraction, greedy loop and per-step pair
-loop; and `cotree_graph_recursive` and `twin_sequence_recursive` are the
-package's earlier recursive cotree walks.  The last two groups are kept
-as the yardsticks their rewrites must match.  `leaves_recursive` is the
-tests' own leaf lister: the package has none, since each of its walks
-checks the leaves it meets.
+pair); `serialize`, `live_vertices`, `black_edges`, `red_edges`,
+`check_consistent` and `by_id` read a trigraph's own maps to print,
+list, audit or translate them, naming vertices by id through
+`ids_of`, the inverse of the trigraph's one id map `rep` (the package
+inverts it only to name vertices in messages);
+`IdKeyedTrigraph`, `greedy_reference` and `count_step_reference` are
+the package's earlier id-keyed contraction, greedy loop and per-step
+pair loop; and `cotree_graph_recursive` and `twin_sequence_recursive`
+are the package's earlier recursive cotree walks.  The last two groups
+are kept as the yardsticks their rewrites must match.
+`leaves_recursive` is the tests' own leaf lister: the package has none,
+since each of its walks checks the leaves it meets.
 """
 
 import itertools
@@ -92,14 +96,42 @@ def serialize(g):
     ("r u v weight"), so trigraphs that differ only in sizes or red
     weights differ in text too.
     """
-    live = g.live_vertices()
+    live = live_vertices(g)
     lines = ["live " + " ".join(map(str, live)),
              "size " + " ".join(str(g.size[g.rep[v]]) for v in live)]
-    for u, v in g.black_edges():
+    for u, v in black_edges(g):
         lines.append(f"b {u} {v}")
-    for u, v in g.red_edges():
+    for u, v in red_edges(g):
         lines.append(f"r {u} {v} {g.red_adj[g.rep[u]][g.rep[v]]}")
     return "\n".join(lines) + "\n"
+
+
+def ids_of(g):
+    """{representative: id} over g's live vertices, in increasing id
+    order: the inverse of g.rep."""
+    return {r: v for v, r in enumerate(g.rep) if r}
+
+
+def live_vertices(g):
+    """g's live ids, in increasing order."""
+    return list(ids_of(g).values())
+
+
+def _edges(g, maps):
+    name = ids_of(g)
+    for r, u in name.items():
+        for x in sorted(x for x in (name.get(y, 0) for y in maps[r]) if x > u):
+            yield u, x
+
+
+def black_edges(g):
+    """Black edges as id pairs (u, x), u < x, in increasing order."""
+    return _edges(g, g.black_adj)
+
+
+def red_edges(g):
+    """Red edges as id pairs (u, x), u < x, in increasing order."""
+    return _edges(g, g.red_adj)
 
 
 def check_consistent(g):
@@ -107,32 +139,35 @@ def check_consistent(g):
 
     Messages name live vertices by id and merged-away representatives
     by their own number."""
-    size, id_of = g.size, g.id_of
+    size, rep = g.size, g.rep
+    assert not any(rep[g._next_id:]), "an id not yet created has a representative"
+    id_of = {}
+    for v, r in enumerate(rep):
+        if r:
+            assert 1 <= r <= g.n_original, f"vertex {v} has representative {r}"
+            assert r not in id_of, f"vertices {id_of[r]} and {v} share representative {r}"
+            id_of[r] = v
     for r in range(1, g.n_original + 1):
-        v = id_of[r]
-        if v:
-            assert g.rep[v] == r, f"vertex {v} and representative {r} disagree"
-        else:
+        if r not in id_of:
             assert g.black_adj[r] is EMPTY and g.red_adj[r] is EMPTY, \
                 f"dead vertex {r} holds its own map"
             assert not size[r], f"dead vertex {r} holds a group"
-    for v in g.live_vertices():
-        r = g.rep[v]
+    for r, v in id_of.items():
         b, red = g.black_adj[r], g.red_adj[r]
         assert size[r], f"live vertex {v} has an empty group"
         assert not (b.keys() & red.keys()), f"pair both black and red at {v}"
         for x in b:
-            assert id_of[x], f"edge from {v} to dead vertex {x}"
+            assert x in id_of, f"edge from {v} to dead vertex {x}"
             assert x != r, f"self-loop at {v}"
             assert r in g.black_adj[x], f"asymmetric black edge {v},{id_of[x]}"
         for x, weight in red.items():
-            assert id_of[x], f"edge from {v} to dead vertex {x}"
+            assert x in id_of, f"edge from {v} to dead vertex {x}"
             assert x != r, f"self-loop at {v}"
             assert g.red_adj[x].get(r) == weight, f"asymmetric red edge {v},{id_of[x]}"
             assert 0 < weight < size[r] * size[x], \
                 (f"red edge {v},{id_of[x]} weighs {weight} "
                  f"for groups of {size[r]} and {size[x]}")
-    live = g.live_vertices()
+    live = list(id_of.values())
     # ids n+1 .. _next_id-1 were created, each by one contraction
     assert len(live) == 2 * g.n_original + 1 - g._next_id, "live count desync"
     assert sum(size) == g.n_original, "group sizes do not sum to n"
@@ -324,15 +359,15 @@ class IdKeyedTrigraph:
 def by_id(g):
     """{id: (size, black ids, {red id: weight})} over g's live vertices.
 
-    Reads a representative Trigraph through id_of, or an IdKeyedTrigraph
-    as it is, so the two can be compared."""
+    Reads a representative Trigraph through its inverted rep map, or an
+    IdKeyedTrigraph as it is, so the two can be compared."""
     if isinstance(g, IdKeyedTrigraph):
         return {v: (g.size[v], set(g.black_adj[v]), dict(g.red_adj[v]))
                 for v in range(1, g._next_id) if g.size[v]}
-    id_of = g.id_of
-    return {id_of[r]: (g.size[r], {id_of[x] for x in g.black_adj[r]},
-                       {id_of[x]: weight for x, weight in g.red_adj[r].items()})
-            for r in range(1, g.n_original + 1) if id_of[r]}
+    id_of = ids_of(g)
+    return {v: (g.size[r], {id_of[x] for x in g.black_adj[r]},
+                {id_of[x]: weight for x, weight in g.red_adj[r].items()})
+            for r, v in id_of.items()}
 
 
 # -- pairwise contraction rule --------------------------------------------

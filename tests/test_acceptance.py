@@ -30,7 +30,7 @@ from twintri.sequence import (
     ContractionSequence,
     format_sequence,
     parse_sequence,
-    verify_width,
+    replay,
 )
 from twintri.trigraph import Trigraph
 
@@ -198,8 +198,8 @@ def test_criterion_7_sequence_tooling():
         exact_seq, exact_width = exact_sequence(graph)
         greedy_seq, greedy_width = greedy_sequence(graph)
         assert exact_width <= greedy_width, (i, n, p)
-        assert verify_width(_fresh(graph), exact_seq, exact_width).valid
-        assert verify_width(_fresh(graph), greedy_seq, greedy_width).valid
+        assert replay(_fresh(graph), exact_seq, exact_width).valid
+        assert replay(_fresh(graph), greedy_seq, greedy_width).valid
         for seq in (exact_seq, greedy_seq):
             text = format_sequence(seq)
             assert parse_sequence(text) == seq

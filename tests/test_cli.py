@@ -14,7 +14,7 @@ from twintri.generate import complete, cycle, gnp, greedy_sequence, star, twin_s
 from twintri.graphio import format_graph, load_graph
 from twintri.oracle import PlainGraph, count_naive
 from twintri.sequence import (ContractionSequence, SequenceError, format_sequence,
-                              load_sequence, replay, verify_width)
+                              load_sequence, replay)
 from twintri.trigraph import Trigraph
 
 
@@ -143,6 +143,15 @@ def test_width_wrong_n_exits_3(tmp_path):
     gpath = _write(tmp_path, "p4.gr", format_graph(PlainGraph(4, [(1, 2)])))
     spath = _write(tmp_path, "n3.seq", "s 3\n1 2\n4 3\n")
     assert main(["width", gpath, "--sequence", spath]) == 3
+
+
+def test_every_command_names_a_wrong_length_sequence_alike(tmp_path, capsys):
+    gpath = _write(tmp_path, "p3.gr", format_graph(PlainGraph(3, [(1, 2), (2, 3)])))
+    spath = _write(tmp_path, "n2.seq", "s 2\n1 2\n")
+    for command in (["count"], ["width"], ["verify", "--max-width", "0"]):
+        assert main(command + [gpath, "--sequence", spath]) == 3
+        assert capsys.readouterr() == \
+            ("", "error: sequence is for 2 vertices, graph has 3\n")
 
 
 def test_verify_command(tmp_path, capsys):
@@ -285,7 +294,7 @@ def test_gen_seq_strategies(tmp_path, capsys):
         assert err.startswith("width ")
         width = int(err.split()[1])
         seq = load_sequence(spath)
-        report = verify_width(Trigraph.from_graph(graph.edges, graph.n), seq, width)
+        report = replay(Trigraph.from_graph(graph.edges, graph.n), seq, width)
         assert report.valid
 
 

@@ -43,7 +43,7 @@ import helpers
 def _red_weights(g):
     """{(x, y): weight} over the red edges, x < y; checks both ends agree."""
     weights = {}
-    for x, y in g.red_edges():
+    for x, y in helpers.red_edges(g):
         rx, ry = g.rep[x], g.rep[y]
         assert g.red_adj[rx][ry] == g.red_adj[ry][rx]
         weights[(x, y)] = g.red_adj[rx][ry]
@@ -101,15 +101,20 @@ def _check_steps(n, edges, pairs, states):
     graph = PlainGraph(n, edges)
     schedule = helpers.absorbed_schedule(n, edges, pairs)
     increments = []
+    # the representatives before the step; the step clears its ends' entries
+    before = list(Trigraph(n).rep)
 
     def on_step(step, g, inner, state):
         increments.append(state.t - sum(increments))
         # one end's representative names the new vertex, the other's is
-        # merged away and holds nothing
-        ends = {g.rep[end] for end in pairs[step]}
+        # merged away and holds nothing, and neither end is live
+        ends = {before[end] for end in pairs[step]}
         (gone,) = ends - {g.rep[n + 1 + step]}
-        assert g.id_of[gone] == g.size[gone] == inner[gone] == 0
+        assert all(g.rep[end] == 0 for end in pairs[step])
+        assert gone not in g.rep
+        assert g.size[gone] == inner[gone] == 0
         assert g.black_adj[gone] is g.red_adj[gone] is EMPTY
+        before[:] = g.rep
         if step in states:
             sizes, inner_edges, red = states[step]
             assert {x: g.size[g.rep[x]] for x in sizes} == sizes
@@ -176,6 +181,19 @@ def test_missing_cross_entry_is_diagnosed():
     with pytest.raises(InternalInvariantError, match=r"\{3, 4\}"):
         count_triangles(path(3), ContractionSequence(3, ((1, 2), (3, 4))),
                         step_callback=drop)
+
+
+def test_red_entry_for_a_merged_away_vertex_is_diagnosed():
+    # 1 was merged away, so no id names it: messages name it 0, and the
+    # error stays an InternalInvariantError, not a lookup failure
+    g, inner = _path3_after_first_step()
+    g.red_adj[3][1] = 1
+    with pytest.raises(InternalInvariantError,
+                       match=r"^red edge \{3, 0\} weighs 1 at 3 but None at 0$"):
+        check_conservation(g, inner, 3, 2)
+    with pytest.raises(InternalInvariantError,
+                       match=r"^no cross-edge count for red edge \{0, 3\}$"):
+        red_weight(g, 1, 3)
 
 
 def test_conservation_rejects_bad_weights():
@@ -288,7 +306,7 @@ def _twin_or_random_sequence(graph, rng):
     g = Trigraph.from_graph(graph.edges, graph.n)
     pairs = []
     for _ in range(graph.n - 1):
-        live = g.live_vertices()
+        live = helpers.live_vertices(g)
         pair = None
         if rng.random() < 0.5:
             groups = {}
@@ -441,7 +459,7 @@ def test_red_weights_match_brute_force_cross_counts(n, seed, p):
     def on_step(step, g, inner, state):
         u, v = seq.pairs[step]
         members[n + 1 + step] = members.pop(u) + members.pop(v)
-        assert sorted(members) == g.live_vertices()
+        assert sorted(members) == helpers.live_vertices(g)
         rep = g.rep
         for x, group in members.items():
             assert g.size[rep[x]] == len(group)

@@ -26,7 +26,7 @@ from twintri.generate import (
 from twintri.counting import count_triangles
 from twintri.graphio import format_graph
 from twintri.oracle import PlainGraph, count_naive
-from twintri.sequence import ContractionSequence, format_sequence, replay, verify_width
+from twintri.sequence import ContractionSequence, format_sequence, replay
 from twintri.trigraph import Trigraph
 
 import helpers
@@ -215,7 +215,7 @@ def test_greedy_complete_graph():
 def test_greedy_self_consistent_width():
     g = gnp(30, 0.5, seed=12)
     seq, width = greedy_sequence(g)
-    report = verify_width(_fresh(g), seq, width)
+    report = replay(_fresh(g), seq, width)
     assert report.valid and report.width == width
 
 
@@ -292,7 +292,7 @@ def test_exact_never_worse_than_greedy_small():
         es, ew = exact_sequence(g)
         gs, gw = greedy_sequence(g)
         assert ew <= gw
-        assert verify_width(_fresh(g), es, ew).valid
+        assert replay(_fresh(g), es, ew).valid
 
 
 def test_exact_stable_across_runs():
@@ -323,7 +323,7 @@ def test_exact_terminates_on_all_five_vertex_connected_graphs():
         if len(seen_v) < 5:
             continue
         seq, width = exact_sequence(g)
-        assert verify_width(_fresh(g), seq, width).valid
+        assert replay(_fresh(g), seq, width).valid
         seen += 1
     assert seen > 0
 
@@ -333,11 +333,11 @@ def test_every_generated_sequence_verifies_its_width():
     for trial in range(20):
         g = gnp(rng.randint(2, 24), rng.choice([0.2, 0.5]), seed=trial)
         seq, width = greedy_sequence(g)
-        assert verify_width(_fresh(g), seq, width).valid
+        assert replay(_fresh(g), seq, width).valid
     for seed in range(5):
         g, root = cograph(30, seed=seed)
         seq = twin_sequence(root, 30)
-        assert verify_width(_fresh(g), seq, 0).valid
+        assert replay(_fresh(g), seq, 0).valid
 
 
 def test_deep_cotrees_compare_hash_and_print():

@@ -19,7 +19,6 @@ from twintri.sequence import (
     format_sequence,
     parse_sequence,
     replay,
-    verify_width,
 )
 from twintri.trigraph import Trigraph
 
@@ -71,7 +70,7 @@ def test_replay_triangle_twins():
     g = _fresh_complete(3)
     report = replay(g, parse_sequence("s 3\n1 2\n4 3\n"))
     assert report.valid and report.width == 0
-    assert g.live_vertices() == [5]
+    assert helpers.live_vertices(g) == [5]
 
 
 def _fresh_complete(n):
@@ -122,9 +121,9 @@ def test_replay_refuses_a_negative_bound_before_any_step():
     graph, cotree = complete(5)
     g = _fresh(graph)
     with pytest.raises(ValueError, match="width bound -1"):
-        verify_width(g, twin_sequence(cotree, 5), -1)
-    assert g.live_vertices() == [1, 2, 3, 4, 5]
-    assert verify_width(g, twin_sequence(cotree, 5), 0).valid
+        replay(g, twin_sequence(cotree, 5), -1)
+    assert helpers.live_vertices(g) == [1, 2, 3, 4, 5]
+    assert replay(g, twin_sequence(cotree, 5), 0).valid
 
 
 def test_replay_rejects_wrong_n():
@@ -136,9 +135,9 @@ def test_replay_rejects_wrong_n():
 def test_verify_width_path():
     seq = ContractionSequence(4, ((1, 2), (5, 3), (6, 4)))
     graph_edges = [(1, 2), (2, 3), (3, 4)]
-    ok = verify_width(Trigraph.from_graph(graph_edges, 4), seq, 1)
+    ok = replay(Trigraph.from_graph(graph_edges, 4), seq, 1)
     assert ok.valid and ok.width == 1
-    bad = verify_width(Trigraph.from_graph(graph_edges, 4), seq, 0)
+    bad = replay(Trigraph.from_graph(graph_edges, 4), seq, 0)
     assert not bad.valid and bad.failing_step == 0 and bad.width == 1
 
 
@@ -146,7 +145,7 @@ def test_verify_width_complete_twins_zero():
     for n in (2, 5, 9):
         graph, cotree = complete(n)
         seq = twin_sequence(cotree, n)
-        report = verify_width(_fresh(graph), seq, 0)
+        report = replay(_fresh(graph), seq, 0)
         assert report.valid and report.width == 0
 
 
@@ -164,7 +163,7 @@ def test_replay_determinism():
 
 def test_prefix_width_is_monotone():
     # replay's width is the largest red degree after any step, and
-    # verify_width fails at the first step whose degree passes the bound
+    # replay with a bound fails at the first step whose degree passes it
     rng = random.Random(5)
     for trial in range(12):
         graph = gnp(rng.randint(4, 16), rng.choice([0.25, 0.5]), seed=trial)
@@ -177,7 +176,7 @@ def test_prefix_width_is_monotone():
         width = replay(_fresh(graph), seq).width
         assert width == max(degrees)
         for bound in range(width + 1):
-            report = verify_width(_fresh(graph), seq, bound)
+            report = replay(_fresh(graph), seq, bound)
             first = next((i for i, d in enumerate(degrees) if d > bound), None)
             assert (report.valid, report.failing_step, report.width) \
                 == (first is None, first, width)
