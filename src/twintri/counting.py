@@ -52,12 +52,12 @@ inputs may execute concurrently.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from math import comb
-from operator import itemgetter, mul
+from operator import mul
 
 from .oracle import count_naive
 from .sequence import ContractionSequence, SequenceError
@@ -299,15 +299,16 @@ def evaluate_invariant(g: Trigraph, inner: list, t: int,
     return triangle_count == t + pending
 
 
-def _complement_edges(n: int, edges):
-    """The complement's edges, read off a canonical edge list, in which
-    each vertex's higher neighbours form one run."""
+def _complement_edges(n: int, us, vs):
+    """The complement's edges, read off a canonical edge list held as the
+    endpoint arrays us and vs: us is sorted, so each vertex u's higher
+    neighbours are the run of vs where us holds u, found by bisection."""
     start = 0
     for u in range(1, n):
-        end = bisect_left(edges, (u + 1,), start)
+        end = bisect_right(us, u, start)
         if end - start < n - u:
             higher = set(range(u + 1, n + 1))
-            higher.difference_update(map(itemgetter(1), edges[start:end]))
+            higher.difference_update(vs[start:end])
             yield from zip(repeat(u), higher)
         start = end
 
@@ -319,10 +320,10 @@ def side_trigraph(graph) -> tuple[str, Trigraph]:
     The width a sequence reaches and the step where it first passes a
     bound are the same on both sides, so width and verify use it too.
     """
-    n, edges = graph.n, graph.edges
-    if 4 * len(edges) <= n * (n - 1):
-        return GRAPH, Trigraph.from_graph(edges, n)
-    return COMPLEMENT, Trigraph.from_graph(_complement_edges(n, edges), n)
+    n = graph.n
+    if 4 * graph.m <= n * (n - 1):
+        return GRAPH, Trigraph.from_graph(graph.edges, n)
+    return COMPLEMENT, Trigraph.from_graph(_complement_edges(n, graph.us, graph.vs), n)
 
 
 def count_side(g: Trigraph, seq: ContractionSequence, side: str,
@@ -416,7 +417,7 @@ def count_triangles(graph, seq: ContractionSequence, mode: str = "fast",
     rest = comb(n, 3) - sum(d * (n - 1 - d) for d in map(len, g.black_adj)) // 2
     if reference is not None:
         m, naive = reference
-        degree = Counter(chain.from_iterable(graph.edges))
+        degree = Counter(chain(graph.us, graph.vs))
         reference = (comb(n, 2) - m, comb(n, 3) - naive
                      - sum(d * (n - 1 - d) for d in degree.values()) // 2)
     result = count_side(g, seq, side, reference, step_callback)

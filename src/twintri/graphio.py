@@ -15,20 +15,25 @@ parse_graph reads text shaped like format_graph's output (a first line
 every line ending in a newline) in bulk: it cuts the body into slices of
 about 64 KiB at newlines, rewrites each slice into a JSON array of its
 endpoints and reads it with one json.loads, whose C scanner makes the
-ints without a str per token, and hands the pairs to PlainGraph, which
-keeps an already canonical edge list as it is.  The shape check stays in
-front of the scanner, because JSON alone would also read "1e5" (a float)
-or "-1".  Any other text, and shaped text that fails anywhere on the
-bulk path (a number the scanner refuses, such as one with a leading zero
-or past CPython's int-string limit, a wrong count, a self-loop, an
-endpoint out of range), goes to the per-line parser, so every error
-carries the same message and line number on either path.
+ints without a str per token.  Each slice's ints go straight into two
+arrays of C ints, the first and the second endpoints, so only one
+slice's int objects are alive at a time, and PlainGraph takes the arrays
+as its edge list, after checks that run in C, when they are canonical,
+as a written file's are.  The shape check stays in front of the scanner,
+because JSON alone would also read "1e5" (a float) or "-1".  Any other
+text, and shaped text that fails anywhere on the bulk path (a number the
+scanner refuses, such as one with a leading zero or past CPython's
+int-string limit, one too large for a C int, a wrong count, a self-loop,
+an endpoint out of range), goes to the per-line parser, so every error
+carries the same message and line number on either path.  A p line
+above oracle.MAX_N is refused like one above max_n, with ValueError.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from array import array
 
 from .oracle import PlainGraph
 
@@ -63,31 +68,35 @@ def parse_graph(text: str, max_n: int | None = None) -> PlainGraph:
         try:
             n, declared_m = int(header[1]), int(header[2])
             _check_size(n, max_n)
-            edges = read_pairs(text, header.end(), "e ")
-            if len(edges) == declared_m:
-                return PlainGraph(n, edges)
-        except ValueError:
-            pass  # the per-line parser names the line, or refuses max_n again
+            us, vs = array("i"), array("i")
+            for ids in read_slices(text, header.end(), "e "):
+                us.fromlist(ids[0::2])
+                vs.fromlist(ids[1::2])
+            if len(us) == declared_m:
+                return PlainGraph(n, (us, vs))
+        except (ValueError, OverflowError):
+            # an OverflowError is a number a C int cannot hold; the
+            # per-line parser names the line, or refuses max_n again
+            pass
     return _parse_lines(text, max_n)
 
 
-def read_pairs(text: str, start: int, mark: str = "") -> list:
-    """The int pairs of the written lines "<mark><a> <b>\n" in text[start:].
+def read_slices(text: str, start: int, mark: str = ""):
+    """The ints of the written lines "<mark><a> <b>\n" in text[start:],
+    a list [a, b, a, b, ...] per slice.
 
     The text must already have the written shape.  Each slice of about
-    SLICE_CHARS characters, cut at a newline, becomes one JSON array,
-    so only one slice's ints are alive besides the pairs.  A number the
-    JSON scanner refuses raises ValueError.
+    SLICE_CHARS characters, cut at a newline, becomes one JSON array, so
+    a caller that keeps only what it takes from each list holds one
+    slice's int objects at a time.  A number the JSON scanner refuses
+    raises ValueError.
     """
-    pairs = []
     end, skip, line_break = len(text), len(mark), "\n" + mark
     while start < end:
         stop = text.find("\n", start + SLICE_CHARS) + 1 or end
         body = text[start + skip:stop - 1].replace(line_break, ",").replace(" ", ",")
-        ids = iter(json.loads(f"[{body}]"))
-        pairs += zip(ids, ids)
+        yield json.loads(f"[{body}]")
         start = stop
-    return pairs
 
 
 def _check_size(n: int, max_n: int | None):
@@ -143,10 +152,11 @@ def _parse_lines(text: str, max_n: int | None = None) -> PlainGraph:
 
 
 def format_graph(g: PlainGraph) -> str:
-    lines = [f"p {g.n} {g.m}"]
-    for u, v in g.edges:
-        lines.append(f"e {u} {v}")
-    return "\n".join(lines) + "\n"
+    """g's written text.  The edge lines come from one % format over the
+    endpoints interleaved in an array, which formats each int in C."""
+    ends = array("i", [0]) * (2 * g.m)
+    ends[0::2], ends[1::2] = g.us, g.vs
+    return f"p {g.n} {g.m}\n" + "e %d %d\n" * g.m % tuple(ends)
 
 
 def read_text(path, error) -> str:

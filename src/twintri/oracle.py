@@ -1,70 +1,126 @@
-"""Brute-force triangle counter used as ground truth.
+"""Brute-force triangle counter used as ground truth, and PlainGraph.
 
 This module is deliberately independent of the contraction machinery:
 adjacency is rebuilt here from the raw edge list, so a bug in the fast
 path cannot hide inside shared code.  Only count_naive builds it, so the
 count path, which reads only the edge list, never pays for it.
+
+A PlainGraph keeps its canonical edge list in two arrays of C ints, us
+and vs, one entry per edge: 8 bytes an edge, where a tuple of two int
+objects per edge took about 100.  Its edges property reads them back as
+pairs (u, v), a fresh iterator on each read, so a caller that walks the
+edges twice reads the property twice.  An edge list that is already
+canonical, such as the arrays parse_graph fills from a written file, is
+checked in C and kept without a sort.  The arrays cap vertex ids, and so
+n, at MAX_N.
+
 Everything is a pure function of its inputs and safe to call
 concurrently.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from itertools import chain, islice
+from operator import itemgetter, lt
+
+# the largest C int: an id the edge arrays can hold, and so the largest n
+MAX_N = 2 ** 31 - 1
+
 
 class PlainGraph:
     """Simple undirected graph: vertices 1..n plus a normalized edge list.
 
-    Input pairs are symmetrized and deduplicated.  Self-loops and
-    endpoints outside 1..n are rejected.  An edge list that is already
-    canonical, tuples (u, v) with 1 <= u < v <= n in strictly increasing
-    order, as parse_graph reads from a written file, is kept as it is.
+    edges is an iterable of pairs (u, v), or the pair of endpoint arrays
+    (us, vs) that parse_graph fills.  Pairs are symmetrized and
+    deduplicated.  Self-loops, endpoints outside 1..n and n above MAX_N
+    are rejected.  The graph keeps the edges sorted, u < v in each, in
+    the arrays us and vs, which callers must not change.
     """
 
-    __slots__ = ("n", "edges")
+    __slots__ = ("n", "us", "vs")
 
     def __init__(self, n, edges=()):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        edges = tuple(edges)
-        if not _is_canonical(n, edges):
+        if n > MAX_N:
+            raise ValueError(f"graph declares n = {n} vertices, more than "
+                             f"the {MAX_N} an edge array can hold")
+        if type(edges) is tuple and len(edges) == 2 and type(edges[0]) is array:
+            columns, pairs = edges, zip(*edges)
+        else:
+            pairs = edges if type(edges) in (list, tuple) else tuple(edges)
+            columns = _columns(pairs)
+        if columns is None or not _is_canonical(n, *columns):
             normalized = set()
-            for u, v in edges:
+            for u, v in pairs:
                 if u == v:
                     raise ValueError(f"self-loop at vertex {u}")
                 if not (1 <= u <= n and 1 <= v <= n):
                     raise ValueError(f"edge ({u}, {v}) leaves the vertex range 1..{n}")
                 normalized.add((u, v) if u < v else (v, u))
-            edges = tuple(sorted(normalized))
+            ordered = sorted(normalized)
+            columns = (array("i", map(itemgetter(0), ordered)),
+                       array("i", map(itemgetter(1), ordered)))
         self.n = n
-        self.edges = edges
+        self.us, self.vs = columns
+
+    @property
+    def edges(self):
+        """The edges as pairs (u, v) in canonical order, a fresh iterator
+        on each read."""
+        return zip(self.us, self.vs)
 
     @property
     def m(self):
-        return len(self.edges)
+        return len(self.us)
 
     def __eq__(self, other):
         if not isinstance(other, PlainGraph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self.us == other.us and self.vs == other.vs
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self.us.tobytes(), self.vs.tobytes()))
 
     def __repr__(self):
         return f"PlainGraph(n={self.n}, m={self.m})"
 
 
-def _is_canonical(n, edges) -> bool:
-    """True when edges are tuples (u, v), 1 <= u < v <= n, strictly increasing."""
-    prev = (0, 0)
-    for edge in edges:
-        if type(edge) is not tuple:
-            return False
-        u, v = edge
-        if not (prev < edge and 0 < u < v <= n):
-            return False
-        prev = edge
-    return True
+def _columns(pairs):
+    """The endpoint arrays (us, vs) of pairs, or None when some pair is
+    not two ints or an int does not fit a C int."""
+    try:
+        flat = array("i", list(chain.from_iterable(pairs)))
+    except OverflowError:
+        return None
+    if len(flat) != 2 * len(pairs):
+        return None
+    return flat[0::2], flat[1::2]
+
+
+def _is_canonical(n, us, vs) -> bool:
+    """True when the pairs (us[i], vs[i]) have 1 <= u < v <= n and
+    strictly increase.
+
+    Each pass runs in C.  The order is checked on one 64-bit key a pair,
+    u in the high half and v in the low one: keys that strictly increase
+    keep u from decreasing, so us[0] is the smallest u, and once it is
+    positive every v is too, and the keys order the pairs as tuples.
+    """
+    m = len(us)
+    if m != len(vs):
+        return False
+    if not m:
+        return True
+    halves = array("i", [0]) * (2 * m)
+    low, high = (0, 1) if sys.byteorder == "little" else (1, 0)
+    halves[low::2], halves[high::2] = vs, us
+    keys = memoryview(halves).cast("B").cast("q")
+    # the order first: unsorted pairs, as cotree_graph makes them, fail it at once
+    return (all(map(lt, keys, islice(keys, 1, None)))
+            and us[0] >= 1 and max(vs) <= n and all(map(lt, us, vs)))
 
 
 def count_naive(g: PlainGraph) -> int:

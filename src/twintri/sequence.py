@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .graphio import read_pairs, read_text
+from .graphio import read_slices, read_text
 from .trigraph import Trigraph
 
 # the shape format_sequence writes, checked as graphio checks a graph's
@@ -86,7 +86,10 @@ def parse_sequence(text: str) -> ContractionSequence:
     header = _WRITTEN_HEADER.match(text)
     if header is not None and _UNWRITTEN_LINE.search(text, header.end() - 1) is None:
         try:
-            pairs = read_pairs(text, header.end())
+            pairs = []
+            for ids in read_slices(text, header.end()):
+                ends = iter(ids)
+                pairs += zip(ends, ends)
             return ContractionSequence(int(header[1]), tuple(pairs))
         except ValueError:
             pass  # the per-line parser names the line

@@ -1,11 +1,16 @@
+import contextlib
 import importlib
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twintri
 from twintri.cli import main
@@ -243,6 +248,64 @@ def test_max_n_sets_the_limit(k4_files, capsys):
     assert "n = 4" in capsys.readouterr().err
     assert main(["width", gpath, "--sequence", spath, "--max-n", "3"]) == 3
     assert main(["gen", "seq", gpath, "--strategy", "greedy", "--max-n", "3"]) == 3
+
+
+def test_n_past_the_edge_arrays_exits_3_naming_n(tmp_path, capsys):
+    gpath = _write(tmp_path, "wide.gr", "p 2147483648 1\ne 1 2\n")
+    assert main(["oracle", gpath, "--max-n", "3000000000"]) == 3
+    err = capsys.readouterr().err
+    assert "n = 2147483648" in err and "Traceback" not in err
+
+
+# -- no file ends in a traceback --------------------------------------------
+
+# what an edit puts into a file: numbers the written shape refuses or a C
+# int cannot hold, digits int() reads but [0-9] does not, NUL, a BOM, CRLF
+FUZZ_TOKENS = ("1e5", "-1", "1234567890", "12345678901234567890", "\u0663",
+               "\uff13", "\0", "\ufeff", "\r\n", "\n", " ", "e", "p", "s", "0", "7")
+_EDITS = st.lists(st.tuples(
+    st.sampled_from(("delete", "insert", "replace")), st.integers(0, 10 ** 6),
+    st.one_of(st.sampled_from(FUZZ_TOKENS), st.characters(codec="utf-8"))),
+    min_size=1, max_size=4)
+
+
+def _edited(text, edits):
+    for kind, at, token in edits:
+        i = at % (len(text) + 1)
+        if kind == "delete":
+            text = text[:i] + text[i + 1:]
+        elif kind == "insert":
+            text = text[:i] + token + text[i:]
+        else:
+            text = text[:i] + token + text[i + 1:]
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 7), seed=st.integers(0, 10 ** 6),
+       target=st.sampled_from(("graph", "sequence", "both")), edits=_EDITS)
+def test_mutated_files_exit_cleanly(n, seed, target, edits):
+    # every reading command exits 0, 2 or 3 on an edited written file; an
+    # exception escaping main, or exit 4, fails the test
+    graph = gnp(n, 0.5, seed=seed)
+    texts = {"graph": format_graph(graph),
+             "sequence": format_sequence(greedy_sequence(graph)[0])}
+    for name in texts:
+        if target in (name, "both"):
+            texts[name] = _edited(texts[name], edits)
+    with tempfile.TemporaryDirectory() as folder:
+        gpath, spath = os.path.join(folder, "g.gr"), os.path.join(folder, "g.seq")
+        for path, name in ((gpath, "graph"), (spath, "sequence")):
+            with open(path, "wb") as handle:
+                handle.write(texts[name].encode("utf-8"))
+        for argv in (["count", gpath, "--sequence", spath],
+                     ["width", gpath, "--sequence", spath],
+                     ["verify", gpath, "--sequence", spath, "--max-width", "1"],
+                     ["oracle", gpath]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                status = main(argv)
+            assert status in (0, 2, 3), (argv[0], texts)
 
 
 def test_gen_graph_deterministic(tmp_path):

@@ -710,10 +710,10 @@ def test_checked_mode_catches_a_wrong_complement(monkeypatch):
     seq = greedy_sequence(graph)[0]
     build = counting._complement_edges
 
-    def swapped(n, edges):
-        pairs = build(n, edges)
+    def swapped(n, us, vs):
+        pairs = build(n, us, vs)
         next(pairs)
-        yield edges[0]
+        yield us[0], vs[0]
         yield from pairs
 
     monkeypatch.setattr(counting, "_complement_edges", swapped)
@@ -829,6 +829,21 @@ def test_relabelling_a_cograph_changes_no_count_or_counter():
     random.Random(5).shuffle(perm)
     outcome = _outcome_of_count(graph, seq)
     assert outcome[1] == 0
+    assert _outcome_of_count(*_relabelled(graph, seq, perm)) == outcome
+
+
+@pytest.mark.parametrize("n, p, least_width", [(1000, 0.01, 100), (2000, 0.005, 150)])
+def test_random_sequences_count_right_at_larger_n(n, p, least_width):
+    # random orders reach widths near 130 and 200, far past what the
+    # brute-force schedule checks can afford; the oracle and a relabelled
+    # copy check the count there instead
+    graph = gnp(n, p, seed=n)
+    seq = helpers.random_sequence(n, random.Random(n))
+    outcome = _outcome_of_count(graph, seq)
+    assert outcome[1] >= least_width
+    assert outcome[0] == count_naive(graph)
+    perm = list(range(1, n + 1))
+    random.Random(n + 1).shuffle(perm)
     assert _outcome_of_count(*_relabelled(graph, seq, perm)) == outcome
 
 

@@ -132,7 +132,7 @@ def test_twin_sequence_disjoint_edges():
         Cotree("join", children=(Cotree("leaf", vertex=3), Cotree("leaf", vertex=4))),
     ))
     g = cotree_graph(root, 4)
-    assert g.edges == ((1, 2), (3, 4))
+    assert tuple(g.edges) == ((1, 2), (3, 4))
     report = replay(_fresh(g), twin_sequence(root, 4))
     assert report.valid and report.width == 0
 

@@ -1,17 +1,19 @@
 import random
+import tracemalloc
 
 import pytest
 
 from twintri import graphio
-from twintri.generate import complete
+from twintri.counting import count_triangles
+from twintri.generate import complete, twin_sequence
 from twintri.graphio import GraphFormatError, format_graph, parse_graph
-from twintri.oracle import PlainGraph, count_naive
+from twintri.oracle import MAX_N, PlainGraph, count_naive
 
 
 def test_parse_basic():
     g = parse_graph("c a triangle\np 3 3\ne 1 2\ne 2 3\ne 1 3\n")
     assert g.n == 3
-    assert g.edges == ((1, 2), (1, 3), (2, 3))
+    assert tuple(g.edges) == ((1, 2), (1, 3), (2, 3))
 
 
 def test_round_trip_is_byte_exact():
@@ -23,7 +25,7 @@ def test_round_trip_is_byte_exact():
 
 def test_parse_normalizes_duplicates():
     g = parse_graph("p 2 2\ne 1 2\ne 2 1\n")
-    assert g.edges == ((1, 2),)
+    assert tuple(g.edges) == ((1, 2),)
     assert g.m == 1
 
 
@@ -111,6 +113,10 @@ def _with_last_edge(text, edge):
     "p 3 1\ne 0 1\n",
     pytest.param("p 3 1\ne 1 " + "9" * 4000 + "\n", id="4000-digit-endpoint"),
     pytest.param(_with_last_edge(_k400_text(), "0399 400"), id="k400-leading-zero-last"),
+    # ints the scanner reads but a C int of the edge arrays cannot hold
+    pytest.param("p 3 1\ne 1 2147483648\n", id="endpoint-2**31"),
+    pytest.param(f"p 3 1\ne 1 {2 ** 63}\n", id="endpoint-2**63"),
+    pytest.param("p 2147483647 1\ne 1 2147483648\n", id="endpoint-past-max-n"),
 ])
 def test_bulk_path_agrees_with_per_line_parser(text):
     bulk, lines = _both_paths(text)
@@ -154,7 +160,7 @@ def test_round_trip_spanning_many_slices():
 
 
 def test_canonical_and_shuffled_edge_lists_agree():
-    canonical = complete(60)[0].edges
+    canonical = tuple(complete(60)[0].edges)
     mixed = [(v, u) if i % 3 else (u, v) for i, (u, v) in enumerate(canonical)]
     mixed += mixed[:50]  # duplicates
     random.Random(4).shuffle(mixed)
@@ -165,7 +171,7 @@ def test_canonical_and_shuffled_edge_lists_agree():
     repeated = PlainGraph(60, sorted(canonical + canonical[:50]))
     as_lists = PlainGraph(60, [list(edge) for edge in canonical])
     for g in (repeated, as_lists):
-        assert g == a and hash(g) == hash(a) and g.edges == canonical
+        assert g == a and hash(g) == hash(a) and tuple(g.edges) == canonical
 
 
 def test_max_n_is_checked_on_the_p_line():
@@ -174,3 +180,31 @@ def test_max_n_is_checked_on_the_p_line():
             parse_graph(text, max_n=10 ** 6)
         assert not isinstance(err.value, GraphFormatError)
     assert parse_graph("p 5 0\n", max_n=5).n == 5
+
+
+def test_n_past_the_edge_arrays_is_refused_like_max_n():
+    # the edge arrays hold C ints, so n stops at MAX_N = 2**31 - 1; the
+    # refusal is max_n's kind, ValueError, not a parse error
+    for text in ("p 2147483648 0\n", "p 2147483648 1\ne 1 2\n",
+                 "c big\np 2147483648 1\ne 1 2147483648\n"):
+        with pytest.raises(ValueError, match="n = 2147483648") as err:
+            parse_graph(text, max_n=3 * 10 ** 9)
+        assert not isinstance(err.value, GraphFormatError)
+    assert parse_graph("p 2147483647 0\n").n == MAX_N
+
+
+def test_reading_k400_holds_under_32_bytes_an_edge():
+    # the edge list is two arrays of C ints, 8 bytes an edge; one tuple
+    # and two ints an edge took about 100
+    graph, cotree = complete(400)
+    text = format_graph(graph)
+    seq = twin_sequence(cotree, graph.n)
+    for path in (lambda: parse_graph(text),
+                 lambda: count_triangles(parse_graph(text), seq)):
+        tracemalloc.start()
+        try:
+            path()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * graph.m

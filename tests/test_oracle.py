@@ -1,5 +1,7 @@
+from array import array
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twintri.generate import cycle, complete, gnp, greedy_sequence, star, twin_sequence
@@ -20,8 +22,8 @@ def test_known_counts():
 
 def test_plain_graph_normalizes():
     g = PlainGraph(3, [(2, 1), (1, 2), (2, 3)])
-    assert g.edges == ((1, 2), (2, 3))
-    assert count_naive(PlainGraph(3, g.edges + ((3, 1),))) == 1
+    assert tuple(g.edges) == ((1, 2), (2, 3))
+    assert count_naive(PlainGraph(3, (*g.edges, (3, 1)))) == 1
 
 
 def test_plain_graph_rejects_bad_edges():
@@ -31,6 +33,59 @@ def test_plain_graph_rejects_bad_edges():
         PlainGraph(3, [(0, 2)])
     with pytest.raises(ValueError):
         PlainGraph(0, [])
+    with pytest.raises(ValueError, match="n = 2147483648"):
+        PlainGraph(2 ** 31, [])
+    with pytest.raises(ValueError, match="leaves the vertex range"):
+        PlainGraph(3, [(1, 2 ** 31)])
+
+
+def _normalized(n, pairs):
+    """The edge list PlainGraph must hold for pairs, by its definition, or
+    ValueError for a self-loop or an endpoint outside 1..n."""
+    edges = set()
+    for u, v in pairs:
+        if u == v or not (1 <= u <= n and 1 <= v <= n):
+            return ValueError
+        edges.add((min(u, v), max(u, v)))
+    return sorted(edges)
+
+
+# mostly ids of small graphs, sometimes the ends of the C int range
+_ENDPOINTS = st.one_of(st.integers(1, 7), st.integers(-1, 8),
+                       st.sampled_from((-2 ** 31, 2 ** 31 - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((1, 2, 5, 7, 2 ** 31 - 1)),
+       st.lists(st.tuples(_ENDPOINTS, _ENDPOINTS), max_size=8),
+       st.sampled_from(("as drawn", "sorted", "canonical", "by second end")))
+# each breaks one of the checks and passes the others
+@example(5, [(1, 4), (2, 3)], "as drawn")  # canonical, not sorted by v
+@example(5, [(2, 3), (1, 4)], "as drawn")  # sorted by v only
+@example(5, [(0, 2), (1, 3)], "as drawn")  # the first id is 0
+@example(5, [(1, 2), (-1, 3)], "as drawn")  # a negative id, sorted if unsigned
+@example(5, [(1, 6)], "as drawn")  # past n
+@example(5, [(3, 2)], "as drawn")  # u > v
+def test_edge_arrays_are_kept_only_when_canonical(n, pairs, shape):
+    # the C checks on the arrays (order on 64-bit keys, then the range)
+    # must keep exactly the canonical lists, as given; anything else is
+    # normalized or refused
+    if shape == "sorted":
+        pairs = sorted(pairs)
+    elif shape in ("canonical", "by second end"):
+        pairs = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+        if shape == "by second end":
+            pairs.sort(key=lambda edge: edge[::-1])
+    want = _normalized(n, pairs)
+    columns = array("i", [u for u, _ in pairs]), array("i", [v for _, v in pairs])
+    for edges in (columns, pairs):
+        if want is ValueError:
+            with pytest.raises(ValueError):
+                PlainGraph(n, edges)
+        else:
+            assert list(PlainGraph(n, edges).edges) == want
+    if want == pairs:
+        assert PlainGraph(n, columns).us is columns[0]
 
 
 @settings(max_examples=80, deadline=None)
