@@ -1,7 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 file parse error, 3 semantic error (bad or
-failing sequences, unusable arguments), 4 internal invariant violation.
+failing sequences, unusable arguments), 4 internal invariant violation,
+141 stdout closed by its reader (128 + SIGPIPE, what a shell reports when
+SIGPIPE ends a C tool).
 The TWINTRI_SEED environment variable supplies the default RNG seed of
 the random graph families (gnp, cograph).
 """
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 128 + 13  # SIGPIPE
 # Largest vertex count the reading commands accept by default.  A count
 # allocates about 90 bytes per vertex before it reads an edge and the
 # oracle about 64, so a tiny file with a huge p line would otherwise end
@@ -235,10 +238,20 @@ def main(argv=None) -> int:
     }
     try:
         if args.command == "gen":
-            if args.gen_command == "graph":
-                return _cmd_gen_graph(args)
-            return _cmd_gen_seq(args)
-        return handlers[args.command](args)
+            handler = _cmd_gen_graph if args.gen_command == "graph" else _cmd_gen_seq
+        else:
+            handler = handlers[args.command]
+        status = handler(args)
+        # a reader that closed stdout early fails this flush, not the one at exit
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the recipe in the signal module's docs: stdout goes to devnull, so
+        # the flush at shutdown has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except (GraphFormatError, SequenceFormatError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

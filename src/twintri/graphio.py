@@ -17,9 +17,9 @@ about 64 KiB at newlines, rewrites each slice into a JSON array of its
 endpoints and reads it with one json.loads, whose C scanner makes the
 ints without a str per token.  Each slice's ints go straight into two
 arrays of C ints, the first and the second endpoints, so only one
-slice's int objects are alive at a time, and PlainGraph takes the arrays
-as its edge list, after checks that run in C, when they are canonical,
-as a written file's are.  The shape check stays in front of the scanner,
+slice's int objects are alive at a time, and PlainGraph keeps the arrays
+as its edge list when one loop over their pairs finds them canonical, as
+a written file's are.  The shape check stays in front of the scanner,
 because JSON alone would also read "1e5" (a float) or "-1".  Any other
 text, and shaped text that fails anywhere on the bulk path (a number the
 scanner refuses, such as one with a leading zero or past CPython's

@@ -10,9 +10,10 @@ and vs, one entry per edge: 8 bytes an edge, where a tuple of two int
 objects per edge took about 100.  Its edges property reads them back as
 pairs (u, v), a fresh iterator on each read, so a caller that walks the
 edges twice reads the property twice.  An edge list that is already
-canonical, such as the arrays parse_graph fills from a written file, is
-checked in C and kept without a sort.  The arrays cap vertex ids, and so
-n, at MAX_N.
+canonical, such as the arrays parse_graph fills from a written file or
+the pairs a generator builds, passes one plain loop over its pairs and
+skips the set and the sort.  The arrays cap vertex ids, and so n, at
+MAX_N.
 
 Everything is a pure function of its inputs and safe to call
 concurrently.
@@ -20,10 +21,8 @@ concurrently.
 
 from __future__ import annotations
 
-import sys
 from array import array
-from itertools import chain, islice
-from operator import itemgetter, lt
+from operator import itemgetter
 
 # the largest C int: an id the edge arrays can hold, and so the largest n
 MAX_N = 2 ** 31 - 1
@@ -36,7 +35,9 @@ class PlainGraph:
     (us, vs) that parse_graph fills.  Pairs are symmetrized and
     deduplicated.  Self-loops, endpoints outside 1..n and n above MAX_N
     are rejected.  The graph keeps the edges sorted, u < v in each, in
-    the arrays us and vs, which callers must not change.
+    the arrays us and vs, which callers must not change.  Canonical
+    arrays are kept as given, and canonical pairs are converted without
+    a sort; _is_canonical tells them apart in one loop.
     """
 
     __slots__ = ("n", "us", "vs")
@@ -49,10 +50,11 @@ class PlainGraph:
                              f"the {MAX_N} an edge array can hold")
         if type(edges) is tuple and len(edges) == 2 and type(edges[0]) is array:
             columns, pairs = edges, zip(*edges)
+            canonical = _is_canonical(n, zip(*edges))
         else:
             pairs = edges if type(edges) in (list, tuple) else tuple(edges)
-            columns = _columns(pairs)
-        if columns is None or not _is_canonical(n, *columns):
+            columns, canonical = None, _is_canonical(n, pairs)
+        if not canonical:
             normalized = set()
             for u, v in pairs:
                 if u == v:
@@ -60,11 +62,10 @@ class PlainGraph:
                 if not (1 <= u <= n and 1 <= v <= n):
                     raise ValueError(f"edge ({u}, {v}) leaves the vertex range 1..{n}")
                 normalized.add((u, v) if u < v else (v, u))
-            ordered = sorted(normalized)
-            columns = (array("i", map(itemgetter(0), ordered)),
-                       array("i", map(itemgetter(1), ordered)))
+            columns, pairs = None, sorted(normalized)
         self.n = n
-        self.us, self.vs = columns
+        self.us, self.vs = columns or (array("i", map(itemgetter(0), pairs)),
+                                       array("i", map(itemgetter(1), pairs)))
 
     @property
     def edges(self):
@@ -88,39 +89,20 @@ class PlainGraph:
         return f"PlainGraph(n={self.n}, m={self.m})"
 
 
-def _columns(pairs):
-    """The endpoint arrays (us, vs) of pairs, or None when some pair is
-    not two ints or an int does not fit a C int."""
-    try:
-        flat = array("i", list(chain.from_iterable(pairs)))
-    except OverflowError:
-        return None
-    if len(flat) != 2 * len(pairs):
-        return None
-    return flat[0::2], flat[1::2]
-
-
-def _is_canonical(n, us, vs) -> bool:
-    """True when the pairs (us[i], vs[i]) have 1 <= u < v <= n and
-    strictly increase.
-
-    Each pass runs in C.  The order is checked on one 64-bit key a pair,
-    u in the high half and v in the low one: keys that strictly increase
-    keep u from decreasing, so us[0] is the smallest u, and once it is
-    positive every v is too, and the keys order the pairs as tuples.
-    """
-    m = len(us)
-    if m != len(vs):
-        return False
-    if not m:
-        return True
-    halves = array("i", [0]) * (2 * m)
-    low, high = (0, 1) if sys.byteorder == "little" else (1, 0)
-    halves[low::2], halves[high::2] = vs, us
-    keys = memoryview(halves).cast("B").cast("q")
-    # the order first: unsorted pairs, as cotree_graph makes them, fail it at once
-    return (all(map(lt, keys, islice(keys, 1, None)))
-            and us[0] >= 1 and max(vs) <= n and all(map(lt, us, vs)))
+def _is_canonical(n, pairs) -> bool:
+    """True when the pairs (u, v) have 0 < u < v <= n and strictly
+    increase: by u, and by v where the us tie."""
+    # (0, n) sorts below every canonical pair, and a pair (0, v) fails the
+    # tie test, since no v has n < v <= n
+    last_u, last_v = 0, n
+    for u, v in pairs:
+        if u == last_u:
+            if not last_v < v <= n:
+                return False
+        elif not last_u < u < v <= n:
+            return False
+        last_u, last_v = u, v
+    return True
 
 
 def count_naive(g: PlainGraph) -> int:

@@ -475,6 +475,17 @@ def _pyproject_script(name):
     raise KeyError(name)
 
 
+def _child_env():
+    """The environment of a child that imports the same twintri as this
+    process, checkout or installed copy, with stdout block-buffered as
+    it is under a shell pipe."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(twintri.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_script_runs():
     module, _, attrs = _pyproject_script("twintri").partition(":")
     target = importlib.import_module(module)
@@ -482,12 +493,8 @@ def test_console_script_runs():
         target = getattr(target, attr)
     assert target is main
 
-    # the child imports the same twintri as this process, checkout or installed copy
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(twintri.__file__).parents[1]), env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-m", "twintri", "--help"],
-                            capture_output=True, text=True, env=env)
+                            capture_output=True, text=True, env=_child_env())
     assert result.returncode == 0
     # the subcommand choices of the usage line; "count" alone also matches
     # help prose such as "count triangles of a graph"
@@ -496,3 +503,29 @@ def test_console_script_runs():
     assert choices, usage
     assert set(choices.group(1).split(",")) == {"count", "width", "verify", "oracle", "gen"}
 
+
+def test_a_reader_closed_before_the_first_write_exits_141(k4_files):
+    # like `count ... --stats | head -0`: the output fits stdout's buffer,
+    # so the pipe fails at the last flush
+    gpath, spath = k4_files
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "twintri", "count", gpath, "--sequence", spath, "--stats"],
+            stdout=write_end, stderr=subprocess.PIPE, env=_child_env())
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, b"")
+
+
+def test_a_reader_that_stops_after_one_line_exits_141():
+    # like `gen graph ... | head -1`: K_400's text, about 1 MB, is far
+    # larger than a pipe's buffer, so the write outlives the reader
+    with subprocess.Popen(
+            [sys.executable, "-m", "twintri", "gen", "graph", "--family", "complete", "--n", "400"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()) as child:
+        assert child.stdout.readline() == b"p 400 79800\n"
+        child.stdout.close()
+        assert child.stderr.read() == b""
+        assert child.wait() == 141

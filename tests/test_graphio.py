@@ -195,16 +195,19 @@ def test_n_past_the_edge_arrays_is_refused_like_max_n():
 
 def test_reading_k400_holds_under_32_bytes_an_edge():
     # the edge list is two arrays of C ints, 8 bytes an edge; one tuple
-    # and two ints an edge took about 100
+    # and two ints an edge took about 100.  Pairs, as the generators pass
+    # them, go straight into the arrays, with no list of 2m ints between
     graph, cotree = complete(400)
     text = format_graph(graph)
     seq = twin_sequence(cotree, graph.n)
-    for path in (lambda: parse_graph(text),
-                 lambda: count_triangles(parse_graph(text), seq)):
+    pairs = list(graph.edges)
+    for path, bound in ((lambda: parse_graph(text), 32),
+                        (lambda: count_triangles(parse_graph(text), seq), 32),
+                        (lambda: PlainGraph(graph.n, pairs), 12)):
         tracemalloc.start()
         try:
             path()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * graph.m
+        assert peak < bound * graph.m

@@ -37,6 +37,11 @@ def test_plain_graph_rejects_bad_edges():
         PlainGraph(2 ** 31, [])
     with pytest.raises(ValueError, match="leaves the vertex range"):
         PlainGraph(3, [(1, 2 ** 31)])
+    # a pair of the wrong arity, first or after a canonical pair
+    for bad in ((1, 2, 3), (1,)):
+        for edges in ([bad], [(1, 2), bad]):
+            with pytest.raises(ValueError):
+                PlainGraph(3, edges)
 
 
 def _normalized(n, pairs):
@@ -66,10 +71,14 @@ _ENDPOINTS = st.one_of(st.integers(1, 7), st.integers(-1, 8),
 @example(5, [(1, 2), (-1, 3)], "as drawn")  # a negative id, sorted if unsigned
 @example(5, [(1, 6)], "as drawn")  # past n
 @example(5, [(3, 2)], "as drawn")  # u > v
+@example(5, [(1, 3), (1, 2)], "as drawn")  # the us tie and v falls
+@example(5, [(1, 2), (1, 2)], "as drawn")  # a repeated pair
+@example(5, [(1, 2), (1, 6)], "as drawn")  # the us tie and v passes n
+@example(5, [(1, 2), (1, 3)], "as drawn")  # canonical, the us tie
 def test_edge_arrays_are_kept_only_when_canonical(n, pairs, shape):
-    # the C checks on the arrays (order on 64-bit keys, then the range)
-    # must keep exactly the canonical lists, as given; anything else is
-    # normalized or refused
+    # the one loop over the pairs (range, then order by u and by v where
+    # the us tie) must keep exactly the canonical lists, the arrays as
+    # given; anything else is normalized or refused
     if shape == "sorted":
         pairs = sorted(pairs)
     elif shape in ("canonical", "by second end"):
