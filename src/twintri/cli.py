@@ -123,6 +123,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_out(text: str) -> None:
+    """Write text to stdout whole.  Under `python -u` stdout's bytes layer
+    is a raw file whose write may take only part of the bytes, and the text
+    layer drops the rest without a word; writing the bytes in a loop makes
+    the write after a short one raise BrokenPipeError instead."""
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[sys.stdout.buffer.write(data):]
+
+
 def _cmd_count(args) -> int:
     graph = load_graph(args.graph, args.max_n)
     seq = load_sequence(args.sequence)
@@ -202,7 +213,7 @@ def _cmd_gen_graph(args) -> int:
     if args.output:
         save_graph(graph, args.output)
     else:
-        sys.stdout.write(format_graph(graph))
+        _write_out(format_graph(graph))
     if args.sequence_out:
         save_sequence(twin_sequence(cotree, graph.n), args.sequence_out)
     return EXIT_OK
@@ -222,7 +233,7 @@ def _cmd_gen_seq(args) -> int:
     if args.output:
         save_sequence(seq, args.output)
     else:
-        sys.stdout.write(format_sequence(seq))
+        _write_out(format_sequence(seq))
     print(f"width {width}", file=sys.stderr)
     return EXIT_OK
 

@@ -301,6 +301,21 @@ def greedy_sequence(graph: PlainGraph):
     is strictly worse than the best key, so the result is the global
     minimum whatever the order of evaluation; the best key's first entry
     is the step's exact width.
+
+    floor[s], kept across steps, is a lower bound on the smallest score
+    in slot s's row (s with every later id).  A step (a, b) changes only
+    bits a and b of a surviving mask; they add 0 to 2 to a surviving
+    pair's score before it and, after it, 1 when either vertex was
+    adjacent to a or b (0 when both are black to both, which added 0
+    before) and 0 otherwise, so no surviving score falls by more than 1.
+    The product takes the last id and joins every row, so a floor
+    becomes min(floor - 1, score with the product).  Rows are visited in
+    increasing floor, a scored row's floor becomes its minimum, and the
+    first row whose floor exceeds the best worst degree by more than 2
+    ends the visit, as every later row does too.  Only pairs worse than
+    the best key are skipped, so the output is the full rescan's.  On
+    paths and grids every row keeps a near-best pair and nothing is
+    skipped.
     """
     n = graph.n
     # slot i (0-based) holds a live vertex; masks index slots
@@ -316,6 +331,7 @@ def greedy_sequence(graph: PlainGraph):
     next_id = n + 1
     pairs = []
     width = 0
+    floor = [0] * n
 
     while len(live) > 1:
         live.sort(key=lambda s: ids[s])
@@ -325,12 +341,15 @@ def greedy_sequence(graph: PlainGraph):
         # sorts after every real key: no red degree reaches n
         best_key = (n,)
         best = None
-        for ai in range(len(live) - 1):
+        for ai in sorted(range(len(live) - 1), key=lambda ai: floor[live[ai]]):
             a = live[ai]
+            if floor[a] > best_key[0] + 2:
+                break
             ba, na, ra = blk[ai], nbr[ai], red[a]
             row = [(na | nb).bit_count() - (ba & bb).bit_count()
                    for nb, bb in zip(nbr[ai + 1:], blk[ai + 1:])]
-            if min(row) > best_key[0] + 2:
+            floor[a] = min(row)
+            if floor[a] > best_key[0] + 2:
                 continue
             bit_a = 1 << a
             for bi in [bi for bi, score in enumerate(row, ai + 1)
@@ -402,6 +421,13 @@ def greedy_sequence(graph: PlainGraph):
         ids[a] = next_id
         next_id += 1
         live.remove(b)
+        # a now holds the last id: its row is empty, and every other row
+        # gains the pair with a and loses at most 1 from each old score
+        na, ba = black[a] | red[a], black[a]
+        for s in live:
+            floor[s] = min(floor[s] - 1,
+                           (black[s] | red[s] | na).bit_count() - (black[s] & ba).bit_count())
+        floor[a] = n
     return ContractionSequence(n, tuple(pairs)), width
 
 

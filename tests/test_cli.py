@@ -475,12 +475,14 @@ def _pyproject_script(name):
     raise KeyError(name)
 
 
-def _child_env():
+def _child_env(unbuffered=False):
     """The environment of a child that imports the same twintri as this
     process, checkout or installed copy, with stdout block-buffered as
-    it is under a shell pipe."""
+    it is under a shell pipe, or unbuffered as under `python -u`."""
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(twintri.__file__).parents[1]), env.get("PYTHONPATH")]))
     return env
@@ -508,24 +510,29 @@ def test_a_reader_closed_before_the_first_write_exits_141(k4_files):
     # like `count ... --stats | head -0`: the output fits stdout's buffer,
     # so the pipe fails at the last flush
     gpath, spath = k4_files
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        result = subprocess.run(
-            [sys.executable, "-m", "twintri", "count", gpath, "--sequence", spath, "--stats"],
-            stdout=write_end, stderr=subprocess.PIPE, env=_child_env())
-    finally:
-        os.close(write_end)
-    assert (result.returncode, result.stderr) == (141, b"")
+    for unbuffered in (False, True):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "twintri", "count", gpath, "--sequence", spath, "--stats"],
+                stdout=write_end, stderr=subprocess.PIPE, env=_child_env(unbuffered))
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (141, b""), f"unbuffered={unbuffered}"
 
 
 def test_a_reader_that_stops_after_one_line_exits_141():
     # like `gen graph ... | head -1`: K_400's text, about 1 MB, is far
-    # larger than a pipe's buffer, so the write outlives the reader
-    with subprocess.Popen(
-            [sys.executable, "-m", "twintri", "gen", "graph", "--family", "complete", "--n", "400"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()) as child:
-        assert child.stdout.readline() == b"p 400 79800\n"
-        child.stdout.close()
-        assert child.stderr.read() == b""
-        assert child.wait() == 141
+    # larger than a pipe's buffer, so the write outlives the reader.
+    # Unbuffered, that write is cut short rather than refused, and the
+    # rest of the text must still fail on the closed pipe
+    for unbuffered in (False, True):
+        with subprocess.Popen(
+                [sys.executable, "-m", "twintri", "gen", "graph", "--family", "complete", "--n", "400"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=_child_env(unbuffered)) as child:
+            assert child.stdout.readline() == b"p 400 79800\n"
+            child.stdout.close()
+            assert child.stderr.read() == b""
+            assert child.wait() == 141, f"unbuffered={unbuffered}"

@@ -237,6 +237,15 @@ def test_greedy_matches_reference_on_gnp(n, p, seed):
     assert greedy_sequence(g) == helpers.greedy_reference(g)
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.integers(41, 120), st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5, 0.8]),
+       st.integers(0, 10**6))
+def test_greedy_matches_reference_on_larger_gnp(n, p, seed):
+    # long enough runs that a row's floor can go stale over many steps
+    g = gnp(n, p, seed=seed)
+    assert greedy_sequence(g) == helpers.greedy_reference(g)
+
+
 FIXED_GRAPHS = {
     "cograph-blocks": cograph(60, seed=4, block_size=8)[0],
     "K20": complete(20)[0],
@@ -262,6 +271,21 @@ def test_greedy_pinned_on_benchmark_graph():
     assert width == 39
     digest = hashlib.sha256(format_sequence(seq).encode()).hexdigest()
     assert digest == "a985a977615a08b7847e43b1742cf323b364566314217cfdae8bb82eb2b93184"
+
+
+@pytest.mark.parametrize("make, width, digest", [
+    (lambda: gnp(300, 0.05, seed=1), 38,
+     "b8ac2fdb253411c46436db758f33efa6b4ea6b4869dfc0c64150eba7e0a052c0"),
+    (lambda: gnp(150, 0.3, seed=1), 56,
+     "68e2f88a0a32344be2f5b47f024daad44a2df4d3f8e33738e2dcf7db9e8f5095"),
+    (lambda: grid(12, 12), 5,
+     "15000eb0ddf8073052c048237129ee400d8170e2364a5947b3bc2cacb3b5891b"),
+], ids=["gnp300-0.05", "gnp150-0.3", "grid12x12"])
+def test_greedy_pinned_on_larger_graphs(make, width, digest):
+    """Sequences computed by the full rescan that row floors replaced."""
+    seq, got = greedy_sequence(make())
+    assert got == width
+    assert hashlib.sha256(format_sequence(seq).encode()).hexdigest() == digest
 
 
 # -- exact --------------------------------------------------------------------
