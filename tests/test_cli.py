@@ -366,6 +366,19 @@ def test_gen_seq_twin_refused_for_plain_files(tmp_path):
     assert main(["gen", "seq", gpath, "--strategy", "twin"]) == 3
 
 
+def test_gen_seq_greedy_refuses_huge_graphs(tmp_path, capsys):
+    # under the default --max-n, yet greedy's first step would build a
+    # mask of up to n bits for each slot, about 58 GiB in all
+    gpath = _write(tmp_path, "huge.gr", "p 1000000 1\ne 1 2\n")
+    spath = tmp_path / "huge.seq"
+    assert main(["gen", "seq", gpath, "--strategy", "greedy", "-o", str(spath)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: greedy search is limited to 10000 vertices "
+                            "(n = 1000000)\n")
+    assert not spath.exists()
+
+
 def test_gen_seq_exact_respects_limit(tmp_path, capsys):
     from twintri.generate import gnp
     gpath = _write(tmp_path, "big.gr", format_graph(gnp(12, 0.5, seed=1)))

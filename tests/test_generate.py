@@ -1,12 +1,14 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twintri.generate import (
+    GREEDY_MAX_N,
     Cotree,
     chain_sequence,
     cograph,
@@ -280,12 +282,32 @@ def test_greedy_pinned_on_benchmark_graph():
      "68e2f88a0a32344be2f5b47f024daad44a2df4d3f8e33738e2dcf7db9e8f5095"),
     (lambda: grid(12, 12), 5,
      "15000eb0ddf8073052c048237129ee400d8170e2364a5947b3bc2cacb3b5891b"),
-], ids=["gnp300-0.05", "gnp150-0.3", "grid12x12"])
+    # dense: red degrees, and so the levels scanned, reach 137
+    (lambda: gnp(300, 0.5, seed=2), 137,
+     "e6c05b0f58f976dce23925297d98ed3d439e5b12614e10c3def37665216e8025"),
+], ids=["gnp300-0.05", "gnp150-0.3", "grid12x12", "gnp300-0.5"])
 def test_greedy_pinned_on_larger_graphs(make, width, digest):
-    """Sequences computed by the full rescan that row floors replaced."""
+    """Sequences computed by earlier greedy loops: the first three by the
+    full rescan that row floors replaced, the last by the per-vertex scan
+    of worst degrees that level masks replaced."""
     seq, got = greedy_sequence(make())
     assert got == width
     assert hashlib.sha256(format_sequence(seq).encode()).hexdigest() == digest
+
+
+def test_greedy_refuses_graphs_above_its_limit():
+    # a huge p line with one edge is refused by n before any mask exists:
+    # one mask of n bits alone would take 125 kB
+    graph = PlainGraph(1_000_000, [(1, 2)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"limited to {GREEDY_MAX_N} vertices "
+                                             r"\(n = 1000000\)"):
+            greedy_sequence(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 # -- exact --------------------------------------------------------------------
