@@ -47,10 +47,14 @@ EXIT_PIPE = 128 + 13  # SIGPIPE
 DEFAULT_MAX_N = 1_000_000
 
 
-# The flags of `gen graph` each family reads; giving it any other one is
+# Each family's (required, optional) `gen graph` flags, the one table
+# behind its refusals and the parameters it passes on: any other flag is
 # refused rather than dropped.  Only the random families read a seed.
-FAMILY_FLAGS = {"gnp": ("n", "p", "seed"), "cograph": ("n", "block", "seed"),
-                "grid": ("rows", "cols"), "petersen": ()}
+FAMILY_FLAGS = {"gnp": (("n",), ("p", "seed")),
+                "cograph": (("n",), ("block", "seed")),
+                "complete": (("n",), ()), "path": (("n",), ()),
+                "cycle": (("n",), ()), "star": (("n",), ()),
+                "grid": (("rows", "cols"), ()), "petersen": ((), ())}
 GEN_FLAGS = ("n", "p", "rows", "cols", "block", "seed")
 
 
@@ -182,29 +186,22 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen_graph(args) -> int:
-    used = FAMILY_FLAGS.get(args.family, ("n",))
-    for flag in GEN_FLAGS:
-        if getattr(args, flag) is not None and flag not in used:
+    required, optional = FAMILY_FLAGS[args.family]
+    given = {flag: getattr(args, flag) for flag in GEN_FLAGS
+             if getattr(args, flag) is not None}
+    for flag in given:
+        if flag not in required + optional:
             print(f"--{flag} does not apply to family {args.family}",
                   file=sys.stderr)
             return EXIT_SEMANTIC
-    params = {}
-    if "seed" in used:
-        params["seed"] = args.seed if args.seed is not None else _default_seed()
-    if args.family == "grid":
-        if args.rows is None or args.cols is None:
-            print("grid needs --rows and --cols", file=sys.stderr)
-            return EXIT_SEMANTIC
-        params["rows"], params["cols"] = args.rows, args.cols
-    elif args.family != "petersen":
-        if args.n is None:
-            print(f"{args.family} needs --n", file=sys.stderr)
-            return EXIT_SEMANTIC
-        params["n"] = args.n
-    if args.p is not None:
-        params["p"] = args.p
-    if args.block is not None:
-        params["block_size"] = args.block
+    if "seed" in optional and "seed" not in given:
+        given["seed"] = _default_seed()
+    if any(flag not in given for flag in required):
+        print(f"{args.family} needs "
+              + " and ".join(f"--{flag}" for flag in required), file=sys.stderr)
+        return EXIT_SEMANTIC
+    params = {"block_size" if flag == "block" else flag: value
+              for flag, value in given.items()}
     graph, cotree = generate_graph(args.family, **params)
     if args.sequence_out and cotree is None:
         print(f"family {args.family} carries no cotree, cannot emit a "

@@ -10,7 +10,8 @@ Sequences come from four sources:
     vertices, contracts the pair that keeps the maximum red degree
     lowest; no optimality guarantee,
   * exact_sequence: exhaustive search returning a true minimum-width
-    sequence, feasible only for tiny graphs.
+    sequence, feasible only for tiny graphs; it runs no other strategy
+    and refuses graphs above max_n or 500 vertices.
 
 The cotree walks check their own leaves, so each walks a cotree once.
 All generators are deterministic given their arguments (and seed).
@@ -18,6 +19,8 @@ All generators are deterministic given their arguments (and seed).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -25,6 +28,7 @@ from .oracle import PlainGraph
 from .sequence import ContractionSequence
 
 EXACT_MAX_N = 9
+_EXACT_CEILING = 500  # exact search refuses larger graphs whatever its max_n
 GREEDY_MAX_N = 10_000
 GRAPH_FAMILIES = ("gnp", "cograph", "complete", "path", "cycle", "grid",
                   "star", "petersen")
@@ -467,94 +471,64 @@ def greedy_sequence(graph: PlainGraph):
 def exact_sequence(graph: PlainGraph, max_n: int = EXACT_MAX_N):
     """Minimum-width sequence by exhaustive search over contraction orders.
 
+    Graphs above min(max_n, _EXACT_CEILING) vertices raise ValueError
+    before anything is built, which keeps the n-bit group masks small and
+    the search's one frame per contraction under the recursion limit.
+
     The live trigraph is fully determined by the partition of original
     vertices into groups, so states are memoized by the partition (a
-    sorted tuple of bitmasks) and pair colors are cached globally per
-    mask pair.  Search runs the width decision problem for d = 0, 1, ...
-    up to the greedy width, pruning any contraction whose trigraph
-    exceeds d.  Returns (sequence, twin-width).
+    sorted tuple of bitmasks) and pair colors are cached per mask pair.
+    Search decides d = 0, 1, ... in turn, pruning any contraction whose
+    trigraph exceeds d, and returns the first d that succeeds; one does
+    below n, as no red degree reaches the number of live vertices.  No
+    other strategy runs.  Returns (sequence, twin-width).
     """
     n = graph.n
-    if n > max_n:
+    cap = min(max_n, _EXACT_CEILING)
+    if n > cap:
+        hint = "; use the greedy strategy instead" if n <= GREEDY_MAX_N else ""
         raise ValueError(
-            f"exact search is limited to {max_n} vertices ({n} given); "
-            "use the greedy strategy instead")
-    greedy_seq, upper = greedy_sequence(graph)
+            f"exact search is limited to {cap} vertices ({n} given){hint}")
     adj = [0] * (n + 1)
     for u, v in graph.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    color_cache = {}
 
+    @functools.cache
     def color(p, q):  # 0 none, 1 black, 2 red
-        key = (p, q) if p < q else (q, p)
-        c = color_cache.get(key)
-        if c is None:
-            crossing = 0
-            m = p
-            while m:
-                low = m & -m
-                m ^= low
-                crossing += (adj[low.bit_length() - 1] & q).bit_count()
-            if crossing == 0:
-                c = 0
-            elif crossing == p.bit_count() * q.bit_count():
-                c = 1
-            else:
-                c = 2
-            color_cache[key] = c
-        return c
+        crossing = sum((adj[v] & q).bit_count()
+                       for v in range(1, n + 1) if p >> v & 1)
+        return (0 if crossing == 0 else
+                1 if crossing == p.bit_count() * q.bit_count() else 2)
 
-    def max_red(parts):
-        worst = 0
-        for i, p in enumerate(parts):
-            deg = 0
-            for j, q in enumerate(parts):
-                if i != j and color(p, q) == 2:
-                    deg += 1
-            if deg > worst:
-                worst = deg
-        return worst
+    def max_red(parts):  # parts is sorted, so color meets a pair in one order
+        deg = [0] * len(parts)
+        for i, j in itertools.combinations(range(len(parts)), 2):
+            if color(parts[i], parts[j]) == 2:
+                deg[i] += 1
+                deg[j] += 1
+        return max(deg)
 
-    start = tuple(sorted(1 << v for v in range(1, n + 1)))
-
-    def decide(limit):
-        failed = set()
-        merges = []
-
-        def go(parts):
-            if len(parts) == 1:
-                return True
-            if parts in failed:
-                return False
-            count = len(parts)
-            for i in range(count):
-                for j in range(i + 1, count):
-                    fused = parts[i] | parts[j]
-                    rest = parts[:i] + parts[i + 1:j] + parts[j + 1:]
-                    nxt = tuple(sorted(rest + (fused,)))
-                    if max_red(nxt) > limit:
-                        continue
-                    merges.append((parts[i], parts[j]))
-                    if go(nxt):
-                        return True
-                    merges.pop()
+    def search(parts, limit, failed):  # merges into one group within limit
+        if len(parts) == 1:
+            return []
+        if parts not in failed:
+            for i, j in itertools.combinations(range(len(parts)), 2):
+                rest = parts[:i] + parts[i + 1:j] + parts[j + 1:]
+                nxt = tuple(sorted(rest + (parts[i] | parts[j],)))
+                if max_red(nxt) <= limit and (
+                        tail := search(nxt, limit, failed)) is not None:
+                    return [(parts[i], parts[j])] + tail
             failed.add(parts)
-            return False
+        return None
 
-        return merges if go(start) else None
-
-    for d in range(upper):
-        merges = decide(d)
-        if merges is not None:
-            id_of = {1 << v: v for v in range(1, n + 1)}
-            pairs = []
-            fresh = n + 1
-            for p, q in merges:
-                u, v = id_of.pop(p), id_of.pop(q)
-                pairs.append((min(u, v), max(u, v)))
-                id_of[p | q] = fresh
-                fresh += 1
-            return ContractionSequence(n, tuple(pairs)), d
-    # nothing below the greedy width works, so greedy was optimal
-    return greedy_seq, upper
+    start = tuple(1 << v for v in range(1, n + 1))
+    width = 0
+    while (merges := search(start, width, set())) is None:
+        width += 1
+    id_of = {1 << v: v for v in range(1, n + 1)}
+    pairs = []
+    for p, q in merges:
+        pairs.append(tuple(sorted((id_of.pop(p), id_of.pop(q)))))
+        id_of[p | q] = n + len(pairs)
+    return ContractionSequence(n, tuple(pairs)), width

@@ -325,6 +325,34 @@ def test_gen_graph_grid_needs_dimensions(tmp_path, capsys):
     assert load_graph(str(tmp_path / "g.gr")).n == 12
 
 
+@pytest.mark.parametrize("family, flags, needs", [
+    ("gnp", ["--p", "0.3", "--seed", "1"], "--n"),
+    ("cograph", ["--block", "4"], "--n"),
+    ("complete", [], "--n"),
+    ("path", [], "--n"),
+    ("cycle", [], "--n"),
+    ("star", [], "--n"),
+    ("grid", [], "--rows and --cols"),
+    ("grid", ["--cols", "4"], "--rows and --cols"),
+    ("petersen", [], None),
+])
+def test_gen_graph_names_its_missing_required_flags(tmp_path, monkeypatch, capsys,
+                                                    family, flags, needs):
+    monkeypatch.delenv("TWINTRI_SEED", raising=False)
+    out = tmp_path / "g.gr"
+    if needs is None:  # petersen requires nothing
+        assert main(["gen", "graph", "--family", family, *flags, "-o", str(out)]) == 0
+        assert load_graph(str(out)).n == 10
+        return
+    # refused before anything is written, to a file or to stdout
+    for output in (["-o", str(out)], []):
+        assert main(["gen", "graph", "--family", family, *flags, *output]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{family} needs {needs}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_graph_cograph_with_sequence(tmp_path, capsys):
     gpath = str(tmp_path / "c.gr")
     spath = str(tmp_path / "c.seq")
@@ -390,6 +418,18 @@ def test_gen_seq_exact_respects_limit(tmp_path, capsys):
     assert "greedy_sequence" not in err
     assert main(["gen", "seq", gpath, "--strategy", "exact",
                  "--exact-max-n", "12"]) == 0
+    capsys.readouterr()
+    # an --exact-max-n above n cannot lift exact's own ceiling, and exact
+    # runs no greedy pass whose limit could answer for it
+    gpath = _write(tmp_path, "huge.gr", "p 1000000 1\ne 1 2\n")
+    spath = tmp_path / "huge.seq"
+    assert main(["gen", "seq", gpath, "--strategy", "exact",
+                 "--exact-max-n", "2000000", "-o", str(spath)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: exact search is limited to ")
+    assert "greedy" not in captured.err
+    assert not spath.exists()
 
 
 def test_internal_invariant_maps_to_exit_4(k4_files, monkeypatch):
@@ -422,6 +462,10 @@ def test_bad_env_seed_is_refused(tmp_path, monkeypatch, capsys):
     assert main(["gen", "graph", "--family", "gnp", "--n", "12", "--p", "0.3",
                  "-o", str(out)]) == 3
     assert "TWINTRI_SEED='abc'" in capsys.readouterr().err
+    assert not out.exists()
+    # the seed is read before a missing --n is named
+    assert main(["gen", "graph", "--family", "gnp", "-o", str(out)]) == 3
+    assert capsys.readouterr().err == "error: TWINTRI_SEED='abc' is not an integer\n"
     assert not out.exists()
     # an explicit --seed never reads the variable
     assert main(["gen", "graph", "--family", "gnp", "--n", "12", "--p", "0.3",

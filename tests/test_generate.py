@@ -327,6 +327,50 @@ def test_exact_refuses_large_graphs():
     # and the limit is adjustable
     seq, width = exact_sequence(path(4), max_n=4)
     assert width == 1
+    # but not past a ceiling: no million n-bit masks are built, and exact
+    # runs no greedy pass whose limit could answer for it
+    graph = PlainGraph(1_000_000, [(1, 2)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^exact search is limited to \d+ "
+                                             r"vertices \(1000000 given\)$"):
+            exact_sequence(graph, max_n=2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def _every_order(n):
+    """Every contraction sequence of n vertices, each pair in id order."""
+    def extend(live, pairs):
+        if len(live) == 1:
+            yield ContractionSequence(n, tuple(pairs))
+            return
+        fresh = n + len(pairs) + 1  # above every live id, so live stays sorted
+        for u, v in itertools.combinations(live, 2):
+            rest = [x for x in live if x != u and x != v]
+            yield from extend(rest + [fresh], pairs + [(u, v)])
+    return list(extend(list(range(1, n + 1)), []))
+
+
+def test_exact_width_is_the_minimum_over_every_order():
+    orders = {n: _every_order(n) for n in range(1, 6)}
+    assert [len(orders[n]) for n in range(1, 6)] == [1, 1, 3, 18, 180]
+    graphs = []
+    for n in range(1, 5):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            graphs.append(PlainGraph(
+                n, [e for i, e in enumerate(pairs) if bits >> i & 1]))
+    rng = random.Random(20)
+    pairs5 = list(itertools.combinations(range(1, 6), 2))
+    for _ in range(200):
+        density = rng.random()
+        graphs.append(PlainGraph(5, [e for e in pairs5 if rng.random() < density]))
+    for g in graphs:
+        best = min(replay(_fresh(g), seq).width for seq in orders[g.n])
+        assert exact_sequence(g)[1] == best, (g.n, g.edges)
 
 
 def test_exact_never_worse_than_greedy_small():
