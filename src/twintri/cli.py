@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 from .counting import (CHECKED_LIMIT, InternalInvariantError, count_triangles,
                        side_trigraph)
@@ -24,11 +25,10 @@ from .generate import (
     greedy_sequence,
     twin_sequence,
 )
-from .graphio import GraphFormatError, format_graph, load_graph, save_graph
+from .graphio import FormatError, format_graph, load_graph, save_graph
 from .oracle import count_naive
 from .sequence import (
     SequenceError,
-    SequenceFormatError,
     format_sequence,
     load_sequence,
     replay,
@@ -148,13 +148,8 @@ def _cmd_count(args) -> int:
         print(f"side {result.side}")
         print(f"width {result.width}")
         print(f"steps {result.steps}")
-        c = result.counters
-        print(f"contractions {c.contractions}")
-        print(f"aux_updates {c.aux_updates}")
-        print(f"one_neighbor_calls {c.one_neighbor_calls}")
-        print(f"two_neighbor_pair_visits {c.two_neighbor_pair_visits}")
-        print(f"red_wedge_visits {c.red_wedge_visits}")
-        print(f"graph_update_work {c.graph_update_work}")
+        for name, value in asdict(result.counters).items():
+            print(f"{name} {value}")
         print(f"sum_red_degree_sq {result.sum_red_degree_sq}")
     return EXIT_OK
 
@@ -260,7 +255,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
-    except (GraphFormatError, SequenceFormatError) as exc:
+    except FormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:

@@ -1,4 +1,4 @@
-"""Plain text graph files.
+"""Plain text graph files, and the rules both written file kinds share.
 
 Format, one record per line:
 
@@ -9,6 +9,14 @@ Format, one record per line:
 Written files are canonical: edges normalized to (low, high), duplicates
 dropped, sorted.  parse(format(g)) reproduces g and format(parse(text))
 reproduces canonical text byte for byte.
+
+Graph files and sequence files (see sequence.py) are one format with a
+different header and record prefix, and the rules they share live here:
+the line-numbered error base FormatError, the written-shape check
+(written_header), the bulk reader (read_slices), the line iterator the
+per-line parsers walk (records: lines end at "\\n", "\\r\\n" or "\\r" only,
+numbered from 1, blank and comment lines skipped), the single-% writer
+(format_records) and the UTF-8 reader (read_text).
 
 parse_graph reads text shaped like format_graph's output (a first line
 "p <n> <m>", then only "e <u> <v>" lines, single spaces, ASCII digits,
@@ -37,23 +45,41 @@ from array import array
 
 from .oracle import PlainGraph
 
-# The shape format_graph writes, with [0-9], not \d, which admits other
-# digits.  The body is checked by searching, from the header's newline,
-# for a newline not followed by a written line or the end of the text:
-# one fullmatch with a repeated group would keep a backtracking frame per
-# line (about 90 MiB on K_800) unless the repeat is possessive, which
-# Python 3.10 lacks, and a literal newline is found faster than ^.
-_WRITTEN_HEADER = re.compile(r"p ([0-9]+) ([0-9]+)\n")
-_UNWRITTEN_LINE = re.compile(r"\n(?!e [0-9]+ [0-9]+\n|\Z)")
 SLICE_CHARS = 1 << 16
 
 
-class GraphFormatError(ValueError):
+class FormatError(ValueError):
+    """A file that breaks its format; line is the 1-based line at fault,
+    None when the fault is the file's as a whole."""
+
     def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class GraphFormatError(FormatError):
+    """A graph file that breaks its format."""
+
+
+def written_header(text: str, header: str, mark: str = ""):
+    """header's match when text has the shape format_records writes, else
+    None: a first line matching the pattern header, then only lines
+    "<mark><a> <b>" of ASCII digits, each ending in a newline.
+
+    The digits are [0-9], as the Unicode digit class admits others.  The
+    body is checked by searching, from the header's newline, for a newline
+    not followed by a written line or the end of the text: one fullmatch
+    with a repeated group would keep a backtracking frame per line (about
+    90 MiB on K_800) unless the repeat is possessive, which Python 3.10
+    lacks, and a literal newline is found faster than ^.
+    """
+    first = re.match(header + "\n", text)
+    unwritten = re.compile(f"\\n(?!{mark}[0-9]+ [0-9]+\\n|\\Z)")
+    if first is None or unwritten.search(text, first.end() - 1) is not None:
+        return None
+    return first
 
 
 def parse_graph(text: str, max_n: int | None = None) -> PlainGraph:
@@ -63,8 +89,8 @@ def parse_graph(text: str, max_n: int | None = None) -> PlainGraph:
     (not GraphFormatError: the file is well formed, only too large)
     before anything of size n is allocated.
     """
-    header = _WRITTEN_HEADER.match(text)
-    if header is not None and _UNWRITTEN_LINE.search(text, header.end() - 1) is None:
+    header = written_header(text, "p ([0-9]+) ([0-9]+)", "e ")
+    if header is not None:
         try:
             n, declared_m = int(header[1]), int(header[2])
             _check_size(n, max_n)
@@ -99,6 +125,22 @@ def read_slices(text: str, start: int, mark: str = ""):
         start = stop
 
 
+def _lines(text: str) -> list[str]:
+    """text's lines.  They end at "\\n", "\\r\\n" or "\\r" only:
+    str.splitlines also ends them at a form feed, "\\x85" and other
+    separators, so a comment holding one would split in two."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def records(text: str):
+    """(line number, fields) for each line of text that is neither blank
+    nor a comment, numbered from 1."""
+    for lineno, line in enumerate(_lines(text), start=1):
+        fields = line.split()
+        if fields and not fields[0].startswith("c"):
+            yield lineno, fields
+
+
 def _check_size(n: int, max_n: int | None):
     if max_n is not None and n > max_n:
         raise ValueError(f"graph declares n = {n} vertices, more than max_n = {max_n}")
@@ -109,11 +151,7 @@ def _parse_lines(text: str, max_n: int | None = None) -> PlainGraph:
     n = None
     declared_m = 0
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
+    for lineno, fields in records(text):
         if fields[0] == "p":
             if n is not None:
                 raise GraphFormatError("duplicate p line", lineno)
@@ -152,11 +190,17 @@ def _parse_lines(text: str, max_n: int | None = None) -> PlainGraph:
 
 
 def format_graph(g: PlainGraph) -> str:
-    """g's written text.  The edge lines come from one % format over the
-    endpoints interleaved in an array, which formats each int in C."""
+    """g's written text, its endpoints interleaved in an array."""
     ends = array("i", [0]) * (2 * g.m)
     ends[0::2], ends[1::2] = g.us, g.vs
-    return f"p {g.n} {g.m}\n" + "e %d %d\n" * g.m % tuple(ends)
+    return format_records(f"p {g.n} {g.m}", "e ", ends)
+
+
+def format_records(header: str, mark: str, ends) -> str:
+    """A written file: the line header, then one line "<mark><a> <b>" for
+    each two ints of ends, from one % format, which formats each int in C."""
+    ends = tuple(ends)
+    return f"{header}\n" + f"{mark}%d %d\n" * (len(ends) // 2) % ends
 
 
 def read_text(path, error) -> str:
@@ -168,7 +212,7 @@ def read_text(path, error) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"not UTF-8 text: byte 0x{data[exc.start]:02x} at offset "
-                    f"{exc.start}", data.count(b"\n", 0, exc.start) + 1) from None
+                    f"{exc.start}", len(_lines(data[:exc.start].decode()))) from None
 
 
 def load_graph(path, max_n: int | None = None) -> PlainGraph:

@@ -11,37 +11,35 @@ File format, one record per line:
     s <n>            original vertex count, exactly once, first
     <u> <v>          one line per contraction, n-1 lines total
 
+A sequence file is a graph file with another header and no record
+prefix, so the rules of the written format live in graphio: the error
+base, the written-shape check, the bulk reader, the line iterator, the
+writer and the UTF-8 reader.  This module keeps what is a sequence's
+own: the s line's arity, the checks on each pair and their messages.
+
 parse_sequence reads text shaped like format_sequence's output ("s <n>",
 then only "<u> <v>" lines, single spaces, ASCII digits, every line
 ending in a newline) in bulk, as parse_graph does: each slice of about
 64 KiB becomes a JSON array read by the json C scanner, and
-ContractionSequence checks the pairs.  The shape check stays in front of
-the scanner, which alone would also read floats and negative numbers.
-Any other text, and shaped text that fails anywhere on the bulk path, a
-number the scanner refuses (a leading zero, more digits than CPython's
-int-string limit) included, goes to the per-line parser, so every error
-carries the same message and line number on either path.
+ContractionSequence checks the pairs.  Any other text, and shaped text
+that fails anywhere on the bulk path, a number the scanner refuses (a
+leading zero, more digits than CPython's int-string limit) included,
+goes to the per-line parser, so every error carries the same message
+and line number on either path.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from itertools import chain
 
-from .graphio import read_slices, read_text
+from .graphio import (FormatError, format_records, read_slices, read_text,
+                      records, written_header)
 from .trigraph import Trigraph
 
-# the shape format_sequence writes, checked as graphio checks a graph's
-_WRITTEN_HEADER = re.compile(r"s ([0-9]+)\n")
-_UNWRITTEN_LINE = re.compile(r"\n(?![0-9]+ [0-9]+\n|\Z)")
 
-
-class SequenceFormatError(ValueError):
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+class SequenceFormatError(FormatError):
+    """A sequence file that breaks its format."""
 
 
 class SequenceError(ValueError):
@@ -83,8 +81,8 @@ class SequenceReport:
 
 def parse_sequence(text: str) -> ContractionSequence:
     """Parse a sequence file's text; see the module docstring."""
-    header = _WRITTEN_HEADER.match(text)
-    if header is not None and _UNWRITTEN_LINE.search(text, header.end() - 1) is None:
+    header = written_header(text, "s ([0-9]+)")
+    if header is not None:
         try:
             pairs = []
             for ids in read_slices(text, header.end()):
@@ -100,11 +98,7 @@ def _parse_lines(text: str) -> ContractionSequence:
     """The per-line parser: any valid text, errors with line numbers."""
     n = None
     pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
+    for lineno, fields in records(text):
         if fields[0] == "s":
             if n is not None:
                 raise SequenceFormatError("duplicate s line", lineno)
@@ -139,10 +133,7 @@ def _parse_lines(text: str) -> ContractionSequence:
 
 
 def format_sequence(seq: ContractionSequence) -> str:
-    lines = [f"s {seq.n}"]
-    for u, v in seq.pairs:
-        lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"
+    return format_records(f"s {seq.n}", "", chain.from_iterable(seq.pairs))
 
 
 def load_sequence(path) -> ContractionSequence:

@@ -3,11 +3,12 @@ import tracemalloc
 
 import pytest
 
-from twintri import graphio
+from twintri import graphio, sequence
 from twintri.counting import count_triangles
 from twintri.generate import complete, twin_sequence
-from twintri.graphio import GraphFormatError, format_graph, parse_graph
+from twintri.graphio import GraphFormatError, format_graph, load_graph, parse_graph
 from twintri.oracle import MAX_N, PlainGraph, count_naive
+from twintri.sequence import SequenceFormatError, load_sequence, parse_sequence
 
 
 def test_parse_basic():
@@ -66,10 +67,10 @@ def test_single_vertex_graph():
 # -- the bulk path against the per-line parser --------------------------------
 
 
-def _outcome(parse, text):
+def _outcome(parse, text, error=GraphFormatError):
     try:
         return parse(text)
-    except GraphFormatError as err:
+    except error as err:
         return str(err), err.line
 
 
@@ -211,3 +212,86 @@ def test_reading_k400_holds_under_32_bytes_an_edge():
         finally:
             tracemalloc.stop()
         assert peak < bound * graph.m
+
+
+# -- both file kinds: every per-line message, and line ends --------------------
+
+GRAPH = (parse_graph, graphio._parse_lines, GraphFormatError, load_graph)
+SEQUENCE = (parse_sequence, sequence._parse_lines, SequenceFormatError, load_sequence)
+
+
+@pytest.mark.parametrize("kind, text, line, message", [
+    (GRAPH, "p 2 0\np 2 0\n", 2, "duplicate p line"),
+    (GRAPH, "p 3\n", 1, "expected 'p <n> <m>'"),
+    (GRAPH, "p 3 x\n", 1, "p line fields must be integers"),
+    (GRAPH, "p 0 0\n", 1, "vertex count must be at least 1"),
+    (GRAPH, "p 3 -1\n", 1, "edge count cannot be negative"),
+    (GRAPH, "c first\ne 1 2\np 3 1\n", 2, "e line before the p line"),
+    (GRAPH, "p 3 1\ne 1\n", 2, "expected 'e <u> <v>'"),
+    (GRAPH, "p 3 1\ne 1 x\n", 2, "edge endpoints must be integers"),
+    (GRAPH, "p 3 1\ne 3 3\n", 2, "self-loop at vertex 3"),
+    (GRAPH, "p 3 1\ne 1 4\n", 2, "endpoint outside 1..3"),
+    (GRAPH, "p 3 0\nq 1 2\n", 2, "unknown record type 'q'"),
+    (GRAPH, "c only a comment\n", None, "missing p line"),
+    (GRAPH, "p 3 2\ne 1 2\n", None, "p line declares 2 edges, found 1"),
+    (SEQUENCE, "s 2\ns 2\n1 2\n", 2, "duplicate s line"),
+    (SEQUENCE, "s 2 3\n", 1, "expected 's <n>'"),
+    (SEQUENCE, "s x\n", 1, "vertex count must be an integer"),
+    (SEQUENCE, "s 0\n", 1, "vertex count must be at least 1"),
+    (SEQUENCE, "c first\n1 2\ns 2\n", 2, "pair line before the s line"),
+    (SEQUENCE, "s 3\n1 2 3\n", 2, "expected '<u> <v>'"),
+    (SEQUENCE, "s 2\n1 x\n", 2, "pair entries must be integers"),
+    (SEQUENCE, "s 2\n1 1\n", 2, "self-contraction of vertex 1"),
+    (SEQUENCE, "s 3\n1 2\n4 6\n", 3, "id outside 1..5"),
+    (SEQUENCE, "c only a comment\n", None, "missing s line"),
+    (SEQUENCE, "s 3\n1 2\n", None, "expected 2 pairs, got 1"),
+])
+def test_each_message_names_its_line(kind, text, line, message):
+    parse, parse_lines, error, _ = kind
+    with pytest.raises(error) as err:
+        parse_lines(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+    # written-shape text is read in bulk first; the outcome is the same
+    assert _outcome(parse, text, error) == _outcome(parse_lines, text, error)
+
+
+@pytest.mark.parametrize("kind, data, line, message", [
+    (GRAPH, b"p 3 1\ne 1\xff 2\n", 2, "not UTF-8 text: byte 0xff at offset 9"),
+    (SEQUENCE, b"s 3\n1 2\n4\xfe3\n", 3, "not UTF-8 text: byte 0xfe at offset 9"),
+])
+def test_undecodable_byte_names_its_line(kind, data, line, message, tmp_path):
+    _, _, error, load = kind
+    path = tmp_path / "file"
+    path.write_bytes(data)
+    with pytest.raises(error) as err:
+        load(path)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("kind, comment, text, bad, line, message", [
+    pytest.param(GRAPH, "c made by a tool{}page 2\n", "p 3 1\ne 1 2\n",
+                 "p 3 1\ne 1 1\n", 3, "self-loop at vertex 1", id="graph"),
+    pytest.param(SEQUENCE, "c note{}more\n", "s 3\n1 2\n4 3\n",
+                 "s 3\n1 2\n5 5\n", 4, "self-contraction of vertex 5", id="sequence"),
+])
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                  "\u2028", "\u2029"], ids=ascii)
+def test_lines_end_only_at_newlines_and_returns(kind, comment, text, bad, line,
+                                                message, char, tmp_path):
+    # str.splitlines would also end a line at char, cutting the comment in two
+    parse, _, error, load = kind
+    comment = comment.format(char)
+    for end in ("\n", "\r\n", "\r"):
+        assert parse((comment + text).replace("\n", end)) == parse(text)
+        with pytest.raises(error) as err:
+            parse((comment + bad).replace("\n", end))
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
+        # a byte that does not decode, on the line after the text
+        path = tmp_path / "file"
+        path.write_bytes((comment + text).replace("\n", end).encode() + b"\xff")
+        with pytest.raises(error) as err:
+            load(path)
+        assert err.value.line == (comment + text).count("\n") + 1
