@@ -22,9 +22,9 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from array import array
 
-from .oracle import PlainGraph
+from .oracle import MAX_N, PlainGraph
 from .sequence import ContractionSequence
 
 EXACT_MAX_N = 9
@@ -37,61 +37,94 @@ GRAPH_FAMILIES = ("gnp", "cograph", "complete", "path", "cycle", "grid",
 # -- cotrees and cographs --------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Cotree:
-    """Binary-or-wider construction tree: leaves are vertices, internal
+    """Construction tree of a cograph: leaves are vertices, and internal
     nodes combine their children by disjoint union or complete join.
 
-    An internal node needs at least one child.  The walks, cotree_graph
+    kind is "leaf", "union" or "join".  A leaf holds an int vertex in
+    1..MAX_N, which an edge array can hold, and no children; an internal
+    node holds no vertex and at least one child.  Children are kept as a
+    tuple, so a generator of them can be walked again.  Anything else
+    raises ValueError when the node is built.  The walks, cotree_graph
     and twin_sequence, keep their own stacks, so a cotree of any depth is
     fine, and check the leaves; equality and hashing are by identity and
     repr is object's, so none of them walks the children.
     """
 
-    kind: str  # "leaf", "union", "join"
-    vertex: int | None = None
-    children: tuple["Cotree", ...] = ()
+    __slots__ = ("kind", "vertex", "children")
 
-    def __post_init__(self):
-        if self.kind != "leaf" and not self.children:
-            raise ValueError(f"{self.kind} node has no children")
+    def __init__(self, kind, vertex=None, children=()):
+        children = tuple(children)
+        if kind == "leaf":
+            if type(vertex) is not int or not 0 < vertex <= MAX_N or children:
+                raise ValueError(
+                    f"a leaf holds one int vertex in 1..{MAX_N} and no children")
+        elif kind == "union" or kind == "join":
+            if vertex is not None:
+                raise ValueError(f"{kind} node holds a vertex")
+            if not children:
+                raise ValueError(f"{kind} node has no children")
+        else:
+            raise ValueError(f"cotree node kind {kind!r}; known: leaf, union, join")
+        self.kind = kind
+        self.vertex = vertex
+        self.children = children
 
 
 def _leaf(v):
-    return Cotree("leaf", vertex=v)
+    return Cotree("leaf", v)
 
 
 def cotree_graph(root: Cotree, n: int) -> PlainGraph:
-    """Materialize the graph a cotree describes.
+    """Materialize the graph a cotree describes, as two edge arrays.
 
-    One walk with its own stack (any depth is fine) also checks the leaves.
+    One walk with its own stack (any depth is fine) meets the leaves from
+    right to left and appends each to order.  A leaf's neighbours to its
+    right at one join ancestor are the leaves of the join's later
+    children, all met just before the leaf: one slice of order, known
+    when the walk enters the child that holds the leaf and kept open
+    while the walk is inside it.  So each leaf's edges go in together,
+    one slice per join ancestor, the farthest first, and reversing both
+    arrays at the end puts each vertex's edges together, nearest first.
+    When the leaves read 1..n from left to right, as in every cotree the
+    package builds, that is canonical order and PlainGraph keeps the
+    arrays after its check loop; any other leaf order takes its set and
+    sort.  The leaves are checked before the graph is built.  O(n + m):
+    only non-empty slices are kept open.
     """
-    edges = []
-    stack = []  # (kind, remaining children, leaves so far) of the open nodes
-    kind, children, mine = None, iter((root,)), []
+    order = array("i")  # the leaves met so far, right to left
+    us, vs = array("i"), array("i")
+    slices = []  # (lo, hi) of order, one per open join child with a later sibling
+    stack = []  # (joins, remaining children, start, opened a slice) of the open nodes
+    joins, children, start, opened = False, iter((root,)), 0, False
     while True:
         for node in children:
             if node.kind != "leaf":
-                stack.append((kind, children, mine))
-                kind, children, mine = node.kind, iter(node.children), []
+                stack.append((joins, children, start, opened))
+                opened = joins and start < len(order)
+                if opened:
+                    slices.append((start, len(order)))
+                joins, children, start = (node.kind == "join", reversed(node.children),
+                                          len(order))
                 break
             v = node.vertex
-            if kind == "join":
-                for a in mine:
-                    edges.append((a, v))
-            mine.append(v)
+            for a, b in slices:
+                vs.extend(order[a:b])
+                us.extend(itertools.repeat(v, b - a))
+            if joins and start < len(order):
+                vs.extend(order[start:])
+                us.extend(itertools.repeat(v, len(order) - start))
+            order.append(v)
         else:
             if not stack:
-                if sorted(mine) != list(range(1, n + 1)):
+                if sorted(order) != list(range(1, n + 1)):
                     raise ValueError("cotree leaves must be exactly 1..n")
-                return PlainGraph(n, edges)
-            verts = mine
-            kind, children, mine = stack.pop()
-            if kind == "join":
-                for a in mine:
-                    for b in verts:
-                        edges.append((a, b))
-            mine.extend(verts)
+                us.reverse()
+                vs.reverse()
+                return PlainGraph(n, (us, vs))
+            if opened:
+                slices.pop()
+            joins, children, start, opened = stack.pop()
 
 
 def twin_sequence(root: Cotree, n: int) -> ContractionSequence:
@@ -178,25 +211,24 @@ def cograph(n: int, seed: int = 0, join_prob: float = 0.5,
 
 
 def complete(n: int):
-    """K_n with its one-join cotree."""
+    """K_n with its one-join cotree, the graph built from the cotree."""
     if n < 1:
         raise ValueError("need n >= 1")
-    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    root = Cotree("join", children=tuple(_leaf(v) for v in range(1, n + 1)))
-    return PlainGraph(n, edges), root
+    root = Cotree("join", children=[_leaf(v) for v in range(1, n + 1)])
+    return cotree_graph(root, n), root
 
 
 def star(leaves: int):
-    """K_{1,leaves}: center 1 joined to leaves 2..leaves+1, with cotree."""
+    """K_{1,leaves}: center 1 joined to leaves 2..leaves+1, with its
+    cotree, the graph built from the cotree."""
     if leaves < 1:
         raise ValueError("need at least one leaf")
     n = leaves + 1
-    edges = [(1, v) for v in range(2, n + 1)]
     root = Cotree("join", children=(
         _leaf(1),
-        Cotree("union", children=tuple(_leaf(v) for v in range(2, n + 1))),
+        Cotree("union", children=[_leaf(v) for v in range(2, n + 1)]),
     ))
-    return PlainGraph(n, edges), root
+    return cotree_graph(root, n), root
 
 
 def path(n: int) -> PlainGraph:

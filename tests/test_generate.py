@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from array import array
 import random
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twintri import generate
 from twintri.generate import (
     GREEDY_MAX_N,
     Cotree,
@@ -27,7 +29,7 @@ from twintri.generate import (
 )
 from twintri.counting import count_triangles
 from twintri.graphio import format_graph
-from twintri.oracle import PlainGraph, count_naive
+from twintri.oracle import PlainGraph, _is_canonical, count_naive
 from twintri.sequence import ContractionSequence, format_sequence, replay
 from twintri.trigraph import Trigraph
 
@@ -184,6 +186,82 @@ def test_deep_cotrees_do_not_recurse():
     triangles = sum(j - 1 for k in joins for j in joins if j < k)
     result = count_triangles(graph, twin_sequence(sparse, n))
     assert (result.triangles, result.width) == (triangles, 0)
+
+
+def _recording_plain_graph(monkeypatch):
+    """Patch the generators' PlainGraph with one that records its edges."""
+    seen = []
+
+    def record(n, edges=()):
+        seen.append((n, edges))
+        return PlainGraph(n, edges)
+
+    monkeypatch.setattr(generate, "PlainGraph", record)
+    return seen
+
+
+def test_cotree_families_emit_canonical_arrays(monkeypatch):
+    # every cotree the package builds has its leaves 1..n from left to
+    # right, so cotree_graph hands PlainGraph canonical arrays
+    seen = _recording_plain_graph(monkeypatch)
+    made = []
+    for seed in range(12):
+        for join_prob in (0.1, 0.5, 0.9):
+            for block_size in (None, 3, 8):
+                made.append(cograph(40 + seed, seed, join_prob, block_size)[0])
+    for n in (1, 2, 30):
+        made.append(complete(n)[0])
+        made.append(star(n)[0])
+    for kind_of in (lambda k: "join", lambda k: "join" if k % 3 else "union"):
+        n = 50
+        made.append(cotree_graph(helpers.caterpillar(n, kind_of), n))
+    assert len(seen) == len(made)
+    for (n, edges), graph in zip(seen, made):
+        us, vs = edges
+        assert type(us) is array and type(vs) is array
+        assert _is_canonical(n, zip(us, vs))
+        assert (graph.us, graph.vs) == (us, vs)
+
+
+def _relabelled(node, label):
+    if node.kind == "leaf":
+        return Cotree("leaf", label[node.vertex])
+    return Cotree(node.kind, children=[_relabelled(c, label) for c in node.children])
+
+
+def test_cotree_graph_sorts_other_leaf_orders(monkeypatch):
+    # leaves out of order give arrays PlainGraph must set and sort; the
+    # graph text is still the recursive walk's
+    seen = _recording_plain_graph(monkeypatch)
+    rng = random.Random(5)
+    trees = [(3, Cotree("join", children=(
+        Cotree("leaf", 3),
+        Cotree("union", children=(Cotree("leaf", 1), Cotree("leaf", 2))))))]
+    for seed in range(30):
+        n = rng.randint(2, 40)
+        _, root = cograph(n, seed, rng.random(), rng.choice([None, 4]))
+        label = [0] + rng.sample(range(1, n + 1), n)
+        trees.append((n, _relabelled(root, label)))
+    seen.clear()
+    for n, root in trees:
+        assert (format_graph(cotree_graph(root, n))
+                == format_graph(helpers.cotree_graph_recursive(root, n)))
+    # the hand-built tree really took the fallback
+    n, (us, vs) = seen[0]
+    assert not _is_canonical(n, zip(us, vs))
+
+
+def test_half_dense_cograph_is_byte_identical():
+    # digests of the graph and sequence texts written before the edge
+    # arrays were emitted in canonical order
+    graph, root = cograph(3000, seed=1)
+    assert graph.m == 2_157_071
+    text = format_graph(graph)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "8cff5c6ead6585d9a22f1c56dae0a3f95e186a1b48aa86c49902bf8afc116756")
+    text = format_sequence(twin_sequence(root, 3000))
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "2148830453093e24805cc4a817f6a480641ac874829b1a291910f451988e7ef3")
 
 
 # -- chain sequences ----------------------------------------------------------
@@ -444,3 +522,34 @@ def test_internal_cotree_node_needs_children():
     with pytest.raises(ValueError, match="no children"):
         Cotree("union", children=(Cotree("leaf", vertex=1), Cotree("join"),
                                   Cotree("leaf", vertex=2)))
+
+
+def test_cotree_keeps_its_children_as_a_tuple():
+    # a generator of children is read once; the node must walk again
+    root = Cotree("union", children=(Cotree("leaf", v) for v in (1, 2)))
+    assert isinstance(root.children, tuple)
+    assert cotree_graph(root, 2).m == 0
+    assert cotree_graph(root, 2).m == 0
+    assert twin_sequence(root, 2).pairs == ((1, 2),)
+    with pytest.raises(ValueError, match="join node has no children"):
+        Cotree("join", children=iter(()))
+
+
+def test_cotree_refuses_unknown_kinds():
+    for kind in ("Join", "UNION", "", None, "quotient"):
+        with pytest.raises(ValueError, match="kind"):
+            Cotree(kind, children=(Cotree("leaf", 1), Cotree("leaf", 2)))
+
+
+def test_cotree_leaf_needs_one_vertex_and_no_children():
+    for vertex in (None, "1", 1.0, True, 0, -3, 2 ** 31):
+        with pytest.raises(ValueError, match="leaf holds one int vertex"):
+            Cotree("leaf", vertex)
+    with pytest.raises(ValueError, match="leaf holds one int vertex"):
+        Cotree("leaf", 1, children=(Cotree("leaf", 2),))
+
+
+def test_internal_cotree_node_holds_no_vertex():
+    for kind in ("union", "join"):
+        with pytest.raises(ValueError, match=f"{kind} node holds a vertex"):
+            Cotree(kind, 1, children=(Cotree("leaf", 1), Cotree("leaf", 2)))
