@@ -22,7 +22,11 @@ never revert to the others once entered; the running total t counts each
 triangle exactly once, at the contraction step where it first enters one
 of the absorbing configurations.  Counting happens before the step's
 mutation, so all colors consulted are those of the current trigraph,
-while the new vertex's neighborhoods come from the merge preview.
+while the new vertex's neighborhoods come from the merge preview.  Only
+the steps that can close a triangle reach counting: a twin step (see
+trigraph) joins two non-adjacent vertices with no red edge, so the loop
+just folds their inner-edge counts.  aux_updates still charges each
+step one update for w's inner edges, plus one per red edge it weighs.
 
 A count runs on the sparser side of the input.  Once more than half of
 the C(n, 2) pairs are edges, 4m > n(n - 1), it replays the sequence on
@@ -175,11 +179,10 @@ def _count_step(g: Trigraph, inner: list, merged, counters: Counters) -> int:
         between = 0
     inner[u] = iu + iv + between
     inner[v] = 0
-    # one update for w's inner edges, one per red edge the contraction weighs
-    counters.aux_updates += 1 + len(red_entries)
     if not red_entries:
         return inc
     k = len(red_entries)
+    counters.aux_updates += k  # count_side charges the one for w's inner edges
     counters.one_neighbor_calls += k
     counters.two_neighbor_pair_visits += k * (k - 1) // 2
     # the docstring's c and m maps for each side, and the red neighbors
@@ -336,7 +339,7 @@ def count_side(g: Trigraph, seq: ContractionSequence, side: str,
     against it after every contraction (checked mode, O(n^3) a step).
     step_callback(step, g, inner, state), when given, runs after each
     applied contraction; inner is the list of inner-edge counts, indexed
-    like g.size by representative.
+    like g.size by representative.  Both run in g.run's after-hook.
     """
     n = g.n_original
     if seq.n != n:
@@ -344,7 +347,6 @@ def count_side(g: Trigraph, seq: ContractionSequence, side: str,
     inner = [0] * (n + 1)
     state = CountState()
     counters = state.counters
-    width = sum_d_sq = 0
 
     if reference is not None:
         m, reference_count = reference
@@ -352,29 +354,30 @@ def count_side(g: Trigraph, seq: ContractionSequence, side: str,
         if not evaluate_invariant(g, inner, state.t, reference_count):
             raise InternalInvariantError("invariant fails before any contraction")
 
-    merge, contract = g.merge_neighborhoods, g.contract
-    max_red_degree = g.max_red_degree
     t = 0
-    for step, (u, v) in enumerate(seq.pairs):
-        try:
-            merged = merge(u, v)
-        except ValueError as exc:
-            raise SequenceError.refused(step, u, v, exc) from None
-        t += _count_step(g, inner, merged, counters)
-        contract(u, v, merged)
-        d = max_red_degree()
-        if d > width:
-            width = d
-        sum_d_sq += d * d
-        if reference is not None:
-            check_conservation(g, inner, n, m)
-            if not evaluate_invariant(g, inner, t, reference_count):
-                raise InternalInvariantError(
-                    f"invariant fails after step {step} ({u},{v})->{n + 1 + step}")
-        if step_callback is not None:
-            state.t = t
-            step_callback(step, g, inner, state)
 
+    def count(merged):
+        nonlocal t
+        t += _count_step(g, inner, merged, counters)
+
+    after = None  # fast mode makes no call between steps
+    if reference is not None or step_callback is not None:
+        def after(step):
+            counters.aux_updates += 1
+            state.t = t
+            if reference is not None:
+                check_conservation(g, inner, n, m)
+                if not evaluate_invariant(g, inner, t, reference_count):
+                    u, v = seq.pairs[step]
+                    raise InternalInvariantError(
+                        f"invariant fails after step {step} ({u},{v})->{n + 1 + step}")
+            if step_callback is not None:
+                step_callback(step, g, inner, state)
+
+    width, sum_d_sq, _ = g.run(seq.pairs, inner=inner, count=count, after=after,
+                               refused=SequenceError.refused)
+    if after is None:
+        counters.aux_updates += len(seq.pairs)  # after charges them one by one
     counters.contractions = len(seq.pairs)
     counters.graph_update_work = g.update_work
     return CountResult(

@@ -161,19 +161,7 @@ def replay(g: Trigraph, seq: ContractionSequence, bound: int | None = None) -> S
             f"sequence is for {seq.n} vertices, graph has {g.n_original}")
     if bound is not None and bound < 0:
         raise ValueError(f"width bound {bound} is negative; widths start at 0")
-    contract, max_red_degree = g.contract, g.max_red_degree
-    width = 0
-    over = None
-    for step, (u, v) in enumerate(seq.pairs):
-        try:
-            contract(u, v)
-        except ValueError as exc:
-            raise SequenceError.refused(step, u, v, exc) from None
-        d = max_red_degree()
-        if d > width:
-            width = d
-            if over is None and bound is not None and d > bound:
-                over = step
+    width, _, over = g.run(seq.pairs, bound, refused=SequenceError.refused)
     return SequenceReport(width, over is None, over)
 
 

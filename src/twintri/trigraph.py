@@ -19,7 +19,10 @@ alongside, a contraction computes the new red weights itself.
 A contraction keeps the representative with the larger black map, u's on
 a tie, as the name of w, and merges the other one away.  Only the merged
 side's black neighbours are rewritten, one deletion each; the kept
-side's neighbours already name w, and w needs no map of its own.
+side's neighbours already name w, and w needs no map of its own.  Every
+contraction runs in one loop, Trigraph.run, which applies twin steps, the
+usual width-0 step, inline: only the other steps reach merge_neighborhoods
+and a counting hook.
 
 update_work charges a step |B(u)| + |B(v)| + |common black neighbours|,
 plus |R(u)| + |R(v)| + |red neighbours of w| when a red edge is
@@ -153,7 +156,8 @@ class Trigraph:
         the merged group, and classify every vertex adjacent to u or v by
         its pair of colors.
 
-        This is the one place a step is checked.  An id is live as the
+        This is the one classifier and the one place a step is checked;
+        run calls it for every step but twin steps.  An id is live as the
         class docstring says; any other id, dead, not yet created or out
         of range, raises ValueError("vertex X is not live"), and u == v
         raises too.
@@ -180,10 +184,6 @@ class Trigraph:
         if len(bl) > len(bs):
             s, l, bs, bl = l, s, bl, bs
         rs, rl = self.red_adj[s], self.red_adj[l]
-        if bs == bl and not (rs or rl):
-            # non-adjacent twins, the usual width-0 step: black maps map
-            # every key to None, so equal maps have equal neighbours
-            return s, l, ()
         # neighbours black to exactly one side, in C: one set, no second
         # one for bl, which the symmetric difference reads as a dict
         one_side = set(bs)
@@ -204,89 +204,138 @@ class Trigraph:
                 red.append((x, NONE, RED))
         return s, l, red
 
-    def contract(self, u: int, v: int, merged=None) -> int:
-        """Contract live vertices u and v into a fresh vertex, returning its id.
+    def run(self, pairs, bound=None, inner=None, count=None, after=None,
+            refused=None):
+        """Contract each pair (u, v) of pairs in order: the one contraction
+        loop, which replay, count_side and contract drive.
 
-        The new id w is the next one the numbering scheme assigns
-        (n_original + contractions performed + 1).  merged, when given,
-        must be the output of merge_neighborhoods(u, v), which has
-        checked the step; this lets a caller that already ran the merge
-        avoid a second scan.  Without it the merge runs here, so an
-        invalid step raises its ValueError before anything changes.
+        A twin step, whose two sides have equal black maps and no red
+        edge, is applied inline: its ends are not adjacent, so it only
+        retires l's black entries and two red-degree-0 vertices for one.
+        Every other step is classified by merge_neighborhoods, whose
+        ValueError refused(step, u, v, exc), when given, replaces.  Then
+        w takes over s with its maps, rep reads 0 for u and v, each black
+        neighbour of l drops l, and each vertex turning red to w drops s.
+        The red edge {w, x} weighs size[s]*size[x] for a black {s, x},
+        the weight of a red {s, x}, nothing for no edge, plus the same
+        for l.
 
-        w takes over the representative s that merge_neighborhoods kept,
-        with s's maps, and rep reads 0 for u and v.  Each black neighbour
-        of the merged-away l loses its entry for l, and each vertex that
-        turns red to w loses its black entry for s.  The red edge {w, x}
-        weighs size[s]*size[x] for a black {s, x}, the weight of a red
-        {s, x}, and nothing for an absent one, plus the same for l.
-
-        A red-free step touches no red map: it only retires two
-        red-degree-0 vertices for one, so the histogram loses one count
-        at 0 and the maximum red degree stays put.
+        count(merged) runs before each step that is not a twin step, on
+        the unmodified trigraph; a twin step folds l's entry of inner, a
+        list indexed by representative, onto s's instead.  after(step)
+        runs after each step.  The next id, the counters and the maximum
+        red degree are written back before after runs and before the
+        loop returns or raises.  Returns (width, sum_sq, over): the
+        largest red degree after any step, the sum of its squares, and
+        the first step above bound (None if none is or bound is None).
         """
-        if merged is None:
-            merged = self.merge_neighborhoods(u, v)
-        s, l, red = merged
-        w = self._next_id
-        size, black_adj, red_adj = self.size, self.black_adj, self.red_adj
-        bs, bl = black_adj[s], black_adj[l]
-        rs, rl = red_adj[s], red_adj[l]
-        work = len(bs) + len(bl)
-        if l in bs:
-            del bs[l], bl[s]
-        for x in bl:
-            del black_adj[x][l]
-        ss, sl = size[s], size[l]
-        hist = self._red_hist
-        if red or rs or rl:
-            red_work = len(rs) + len(rl) + len(red)
-            work += red_work
-            self.red_work += red_work
-            black_to_s = len(bs)
-            red_w = {}
-            for x, cs, cl in red:
-                rx = red_adj[x]
-                old = len(rx)
-                weight = 0
-                if cs is BLACK:
-                    del black_adj[x][s], bs[x]
-                    weight = ss * size[x]
-                elif cs is RED:
-                    weight = rx.pop(s)
-                # a black {l, x} went with l's map above
-                if cl is BLACK:
-                    weight += sl * size[x]
-                elif cl is RED:
-                    weight += rx.pop(l)
-                if rx is EMPTY:
-                    red_adj[x] = rx = {}
-                rx[s] = red_w[x] = weight
-                new = len(rx)
-                if new != old:
-                    hist[old] -= 1
-                    hist[new] += 1
-                    if new > self._max_red:
-                        self._max_red = new
-            hist[len(rs)] -= 1
-            hist[len(rl)] -= 1
-            red_deg_w = len(red_w)
-            hist[red_deg_w] += 1
-            if red_deg_w > self._max_red:
-                self._max_red = red_deg_w
-            red_adj[s] = red_w if red_w else EMPTY
-            if len(bs) < black_to_s:
-                # deletions never shrink a dict, so w's map is rebuilt to
-                # fit once some of its entries turned red
-                black_adj[s] = dict.fromkeys(bs) if bs else EMPTY
-        else:
-            hist[0] -= 1
-        # bs now holds the common black neighbours
-        self.update_work += work + len(bs)
-        black_adj[l] = red_adj[l] = EMPTY
-        size[s] = ss + sl
-        size[l] = 0
-        self.rep[u] = self.rep[v] = 0
-        self.rep[w] = s
-        self._next_id = w + 1
-        return w
+        rep, size, hist = self.rep, self.size, self._red_hist
+        black_adj, red_adj = self.black_adj, self.red_adj
+        first = w = self._next_id
+        top = self.max_red_degree()
+        update_work, red_total = self.update_work, self.red_work
+        width = sum_sq = 0
+        over = None
+        try:
+            for u, v in pairs:
+                s = rep[u] if 0 < u < w else 0
+                l = rep[v] if 0 < v < w else 0
+                bs, bl = black_adj[s], black_adj[l]
+                # black maps map every key to None: equal maps, equal neighbours
+                if (s and l and s != l and bs == bl
+                        and not red_adj[s] and not red_adj[l]):
+                    for x in bl:
+                        del black_adj[x][l]
+                    update_work += 3 * len(bs)
+                    hist[0] -= 1
+                    if inner is not None:
+                        inner[s] += inner[l]
+                        inner[l] = 0
+                else:
+                    self._next_id = w  # the ids merge checks against
+                    try:
+                        merged = self.merge_neighborhoods(u, v)
+                    except ValueError as exc:
+                        if refused is None:
+                            raise
+                        raise refused(w - first, u, v, exc) from None
+                    if count is not None:
+                        count(merged)
+                    s, l, red = merged
+                    bs, bl = black_adj[s], black_adj[l]
+                    rs, rl = red_adj[s], red_adj[l]
+                    work = len(bs) + len(bl)
+                    if l in bs:
+                        del bs[l], bl[s]
+                    for x in bl:
+                        del black_adj[x][l]
+                    if red or rs or rl:
+                        ss, sl = size[s], size[l]
+                        red_work = len(rs) + len(rl) + len(red)
+                        work += red_work
+                        red_total += red_work
+                        black_to_s = len(bs)
+                        red_w = {}
+                        for x, cs, cl in red:
+                            rx = red_adj[x]
+                            old = len(rx)
+                            weight = 0
+                            if cs is BLACK:
+                                del black_adj[x][s], bs[x]
+                                weight = ss * size[x]
+                            elif cs is RED:
+                                weight = rx.pop(s)
+                            # a black {l, x} went with l's map above
+                            if cl is BLACK:
+                                weight += sl * size[x]
+                            elif cl is RED:
+                                weight += rx.pop(l)
+                            if rx is EMPTY:
+                                red_adj[x] = rx = {}
+                            rx[s] = red_w[x] = weight
+                            new = len(rx)
+                            if new != old:
+                                hist[old] -= 1
+                                hist[new] += 1
+                        hist[len(rs)] -= 1
+                        hist[len(rl)] -= 1
+                        hist[len(red_w)] += 1
+                        # a step raises no red degree but w's by more than one
+                        top = max(top + 1, len(red_w))
+                        while top and not hist[top]:
+                            top -= 1
+                        red_adj[s] = red_w if red_w else EMPTY
+                        if len(bs) < black_to_s:
+                            # deletions never shrink a dict, so w's map is
+                            # rebuilt to fit once some entries turned red
+                            black_adj[s] = dict.fromkeys(bs) if bs else EMPTY
+                    else:
+                        hist[0] -= 1
+                    # bs now holds the common black neighbours
+                    update_work += work + len(bs)
+                # no map outlives its step: l's, and s's where w's replaced it
+                bs = bl = rs = rl = black_adj[l] = red_adj[l] = EMPTY
+                size[s] += size[l]
+                size[l] = 0
+                rep[u] = rep[v] = 0
+                rep[w] = s
+                w += 1
+                if top > width:
+                    width = top
+                    if over is None and bound is not None and top > bound:
+                        over = w - first - 1
+                sum_sq += top * top
+                if after is not None:
+                    self._next_id, self._max_red = w, top
+                    self.update_work, self.red_work = update_work, red_total
+                    after(w - first - 1)
+        finally:
+            self._next_id, self._max_red = w, top
+            self.update_work, self.red_work = update_work, red_total
+        return width, sum_sq, over
+
+    def contract(self, u: int, v: int) -> int:
+        """One step of run: contract live vertices u and v into a fresh
+        vertex and return its id, n_original + contractions so far + 1."""
+        self.run(((u, v),))
+        return self._next_id - 1

@@ -24,7 +24,7 @@ import random
 import types
 
 from twintri.counting import COMPLEMENT, GRAPH, Counters, count_side, red_weight
-from twintri.generate import Cotree
+from twintri.generate import Cotree, cograph, gnp, greedy_sequence, twin_sequence
 from twintri.oracle import PlainGraph, count_naive
 from twintri.sequence import ContractionSequence
 from twintri.trigraph import BLACK, EMPTY, NONE, RED, Trigraph
@@ -47,6 +47,22 @@ def random_sequence(n, rng):
         live.remove(v)
         live.append(n + 1 + j)
     return ContractionSequence(n, tuple(pairs))
+
+
+def loop_cases(seed):
+    """(graph, sequence) pairs for comparing a whole run of the contraction
+    loop with step-by-step drivers: gnp graphs of at most 40 vertices at
+    several densities, each under a random and under the greedy sequence,
+    and cographs, sparse and dense, under their twin sequences."""
+    rng = random.Random(seed)
+    for trial in range(24):
+        n = rng.randint(2, 40)
+        graph = gnp(n, (0.1, 0.3, 0.5, 0.8)[trial % 4], seed=seed + trial)
+        yield graph, random_sequence(n, rng)
+        yield graph, greedy_sequence(graph)[0]
+    for trial in range(6):
+        graph, cotree = cograph(40, seed=seed + trial, block_size=(None, 8)[trial % 2])
+        yield graph, twin_sequence(cotree, graph.n)
 
 
 def complement(graph):
@@ -842,8 +858,9 @@ def count_step_reference(g: Trigraph, inner: list, merged,
         between = 0
     inner[u] = iu + iv + between
     inner[v] = 0
-    # one update for w's inner edges, one per red edge the contraction weighs
-    counters.aux_updates += 1 + len(red_entries)
+    # one update per red edge the contraction weighs; the one for w's
+    # inner edges is charged by count_side's loop, as for the shipped step
+    counters.aux_updates += len(red_entries)
     if not red_entries:
         return inc
     counters.one_neighbor_calls += len(red_entries)

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from twintri import counting
 from twintri.counting import (
     COMPLEMENT,
+    Counters,
     GRAPH,
     InternalInvariantError,
     check_conservation,
+    count_side,
     count_triangles,
     evaluate_invariant,
     red_weight,
@@ -34,7 +36,7 @@ from twintri.generate import (
 )
 from twintri.graphio import parse_graph
 from twintri.oracle import PlainGraph, count_naive
-from twintri.sequence import ContractionSequence, SequenceError
+from twintri.sequence import ContractionSequence, SequenceError, replay
 from twintri.trigraph import EMPTY, Trigraph
 
 import helpers
@@ -134,6 +136,39 @@ def test_step_increments_match_schedule(name):
     n, edges, pairs, states = STEP_CASES[name]
     _check_steps(n, edges, pairs, states)
     _check_steps(n, edges, [(v, u) for u, v in pairs], states)
+
+
+def _stepwise_counters(graph, seq):
+    """(t, counters) after every step of a test-side driver that runs
+    merge_neighborhoods, count_step_reference and contract one step at a
+    time, charging each step's update of w's inner edges itself."""
+    g = Trigraph.from_graph(graph.edges, graph.n)
+    inner = [0] * (graph.n + 1)
+    counters = Counters()
+    t = 0
+    record = []
+    for u, v in seq.pairs:
+        t += helpers.count_step_reference(g, inner, g.merge_neighborhoods(u, v),
+                                          counters)
+        counters.aux_updates += 1
+        g.contract(u, v)
+        record.append((t, dataclasses.asdict(counters)))
+    return record
+
+
+def test_step_callback_sees_the_counters_of_a_stepwise_driver():
+    # the loop applies twin steps inline and counts only the others, yet
+    # after every step the callback must see what a driver that counts
+    # every step sees
+    graph = gnp(30, 0.3, seed=4)
+    cases = [(graph, greedy_sequence(graph)[0])]
+    cases += [(PlainGraph(n, edges), ContractionSequence(n, tuple(pairs)))
+              for n, edges, pairs, _ in STEP_CASES.values()]
+    for graph, seq in cases:
+        seen = []
+        helpers.count_on_side(graph, seq, step_callback=lambda step, g, inner, state:
+                              seen.append((state.t, dataclasses.asdict(state.counters))))
+        assert seen == _stepwise_counters(graph, seq)
 
 
 def test_count_does_not_depend_on_merge_order(monkeypatch):
@@ -284,6 +319,25 @@ def test_dead_vertex_error_names_step_and_pair():
         with pytest.raises(SequenceError) as err:
             count_triangles(graph, helpers.unchecked_sequence(4, pairs))
         assert str(err.value) == message
+
+
+def test_refused_step_deep_in_a_long_run_leaves_the_loop_written_back():
+    # step 500 names a vertex that step 10 consumed; count_side and replay
+    # run the same loop, so both refuse it with one message and leave the
+    # trigraph, its counters and next id as they were after step 499
+    # (figures taken before the loop kept them in locals)
+    graph = gnp(1000, 0.01, seed=3)
+    pairs = list(helpers.random_sequence(1000, random.Random(4)).pairs)
+    pairs[500] = (pairs[10][0], pairs[500][1])
+    seq = ContractionSequence(1000, tuple(pairs))
+    for run in (lambda g: count_side(g, seq, GRAPH), lambda g: replay(g, seq, 3)):
+        g = Trigraph.from_graph(graph.edges, graph.n)
+        with pytest.raises(SequenceError) as err:
+            run(g)
+        assert str(err.value) == "step 500 contracts (379, 212) but vertex 379 is not live"
+        assert (g.update_work, g.red_work, g._next_id, g.max_red_degree()) \
+            == (26994, 22209, 1501, 91)
+        helpers.check_consistent(g)
 
 
 def test_counters_pinned_on_benchmark_graph():
@@ -562,6 +616,14 @@ def test_count_step_matches_pair_loop_reference(n, p, seed, greedy):
         patch.setattr(counting, "_count_step", helpers.count_step_reference)
         reference = _totals_and_result(graph, seq)
     assert shipped == reference
+
+
+def test_fast_run_matches_a_run_with_a_step_callback():
+    # fast mode runs the loop without an after-hook; every field of the
+    # result must match a run that stops after each step for a callback
+    for graph, seq in helpers.loop_cases(2400):
+        assert count_triangles(graph, seq) \
+            == count_triangles(graph, seq, step_callback=lambda *state: None)
 
 
 def test_arbitrary_sequences_survive_checked_mode():

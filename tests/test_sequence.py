@@ -182,6 +182,25 @@ def test_prefix_width_is_monotone():
                 == (first is None, first, width)
 
 
+def test_replay_matches_single_contract_steps():
+    # replay runs the whole sequence through one loop; a loop of single
+    # contract calls must reach the same width, failing step and work
+    for graph, seq in helpers.loop_cases(2500):
+        stepwise = _fresh(graph)
+        degrees = []
+        for u, v in seq.pairs:
+            stepwise.contract(u, v)
+            degrees.append(stepwise.max_red_degree())
+        width = max(degrees, default=0)
+        for bound in sorted({0, max(0, width - 1), width}):
+            g = _fresh(graph)
+            report = replay(g, seq, bound)
+            first = next((i for i, d in enumerate(degrees) if d > bound), None)
+            assert (report.width, report.valid, report.failing_step,
+                    g.update_work, g.red_work) \
+                == (width, first is None, first, stepwise.update_work, stepwise.red_work)
+
+
 def test_cograph_twin_sequences_have_width_zero():
     for seed in range(8):
         graph, cotree = cograph(24, seed=seed)
