@@ -1,19 +1,18 @@
 """Triangle counting driven by a contraction sequence.
 
 The count runs in O(d^2*n + m) for a sequence of width d.  While the
-trigraph shrinks, three numbers are maintained per live vertex or red
-edge, all indexed by the vertex's representative r (see trigraph):
+trigraph shrinks, it keeps three numbers per live vertex or red edge,
+all indexed by the vertex's representative r (see trigraph):
 
     g.size[r]         original vertices merged into r's group
-    inner[r]          original edges with both ends in r's group, a list
-                      of n + 1 counts, 0 once r is merged away
+    g.inner[r]        original edges with both ends in r's group
     g.red_adj[r][y]   original edges between the two groups, the weight
                       of the red edge {r, y} (black pairs are complete
                       bipartite, absent pairs are empty, so neither needs
                       a count)
 
-The trigraph keeps the group sizes and the red weights up to date as it
-contracts; counting keeps only the inner-edge counts.
+The trigraph's contraction loop keeps all three up to date; counting
+only reads them, and keeps the running total and the counters.
 
 A fixed original triangle occupies one of seven configurations relative
 to the live vertices: its corners sit in three, two, or one group, with
@@ -65,28 +64,13 @@ from operator import mul
 
 from .oracle import count_naive
 from .sequence import ContractionSequence, SequenceError
-from .trigraph import BLACK, RED, Trigraph
+from .trigraph import BLACK, RED, InternalInvariantError, Trigraph, red_weight
 
 
 # checked mode costs O(n^3) per step, so it is refused above this n
 CHECKED_LIMIT = 64
 # the sides a count can run on; see the module docstring
 GRAPH, COMPLEMENT = "graph", "complement"
-
-
-class InternalInvariantError(RuntimeError):
-    """A bookkeeping invariant broke; the counting state is unusable."""
-
-
-def red_weight(g: Trigraph, a, b) -> int:
-    """Cross-edge count of the red edge between representatives a and b,
-    read from g's red map; a missing one is named by the ids of a and b."""
-    try:
-        return g.red_adj[a][b]
-    except KeyError:
-        name = {r: v for v, r in enumerate(g.rep) if r}  # merged away: 0
-        raise InternalInvariantError("no cross-edge count for red edge "
-                                     f"{{{name.get(a, 0)}, {name.get(b, 0)}}}") from None
 
 
 @dataclass
@@ -127,17 +111,17 @@ class CountResult:
 # -- the per-step routine -----------------------------------------------
 
 
-def _count_step(g: Trigraph, inner: list, merged, counters: Counters) -> int:
+def _count_step(g: Trigraph, merged, counters: Counters) -> int:
     """Triangles that first reach an absorbing configuration as the step
-    merged contracts two vertices into w; also folds their inner-edge
-    counts into w's.
+    merged contracts two vertices into w.
 
-    Runs on the still-unmodified trigraph; merged is the step's
-    g.merge_neighborhoods, which names the two sides by representative:
-    u, the one that will name w, and v, the one merged away.  Its red
-    entries (x, color_ux, color_vx) are the k red neighbors of w.  The
-    count is symmetric in u and v.  The contraction then sets w's group
-    size and red weights itself.  The increment counts
+    Reads the still-unmodified trigraph and writes only counters; merged
+    is the step's g.merge_neighborhoods, which names the two sides by
+    representative: u, the one that will name w, and v, the one merged
+    away.  Its red entries (x, color_ux, color_vx) are the k red
+    neighbors of w.  The count is symmetric in u and v.  The contraction
+    then sets w's group size, inner edges and red weights itself.  The
+    increment counts
     triangles with an edge inside u or v when {u, v} is black (they end
     inside w), triangles that collapse onto a single red edge {w, x},
     and triangles with a corner in u (or v) and the other two in
@@ -163,22 +147,11 @@ def _count_step(g: Trigraph, inner: list, merged, counters: Counters) -> int:
     interpreted pair visits.
     """
     u, v, red_entries = merged
-    size, black_adj, red_adj = g.size, g.black_adj, g.red_adj
+    size, inner, black_adj, red_adj = g.size, g.inner, g.black_adj, g.red_adj
     su, sv = size[u], size[v]
     iu, iv = inner[u], inner[v]
     uv_black = v in black_adj[u]
-    inc = 0
-    if uv_black:
-        between = su * sv
-        inc += su * iv + sv * iu
-    elif v in red_adj[u] or u in red_adj[v]:
-        # either end marks the pair red; a weight missing at u is
-        # diagnosed instead of being read as no edge
-        between = red_weight(g, u, v)
-    else:
-        between = 0
-    inner[u] = iu + iv + between
-    inner[v] = 0
+    inc = su * iv + sv * iu if uv_black else 0
     if not red_entries:
         return inc
     k = len(red_entries)
@@ -234,15 +207,15 @@ def _count_step(g: Trigraph, inner: list, merged, counters: Counters) -> int:
 # -- whole-run driver ----------------------------------------------------
 
 
-def check_conservation(g: Trigraph, inner: list, n: int, m: int):
-    """Raise unless the counts still account for every vertex and edge.
+def check_conservation(g: Trigraph, m: int):
+    """Raise unless g's counts still account for every vertex and m edges.
 
     Every red weight must be symmetric and lie strictly between 0 and the
     product of the group sizes: a red pair hides at least one original
     edge and at least one non-edge.  Messages name vertices by id, and a
     representative merged away as 0.
     """
-    size = g.size
+    n, size, inner = g.n_original, g.size, g.inner
     if len(inner) != n + 1 or any(inner[r] for r in range(n + 1) if not size[r]):
         raise InternalInvariantError("aux entries out of sync with live vertices")
     total = sum(size)
@@ -270,8 +243,7 @@ def check_conservation(g: Trigraph, inner: list, n: int, m: int):
         raise InternalInvariantError(f"edge mass {mass} != m = {m}")
 
 
-def evaluate_invariant(g: Trigraph, inner: list, t: int,
-                       triangle_count: int) -> bool:
+def evaluate_invariant(g: Trigraph, t: int, triangle_count: int) -> bool:
     """Check the running-total identity on the current trigraph.
 
     The triangle total of the original graph must equal t plus the
@@ -280,7 +252,7 @@ def evaluate_invariant(g: Trigraph, inner: list, t: int,
     cross count, and black edges weighted by the inner edges of their
     endpoints.  Brute-force enumeration; intended for small inputs.
     """
-    size, black_adj = g.size, g.black_adj
+    size, inner, black_adj = g.size, g.inner, g.black_adj
     pending = 0
     for x in (r for r, sx in enumerate(size) if sx):
         bx = black_adj[x]
@@ -337,28 +309,26 @@ def count_side(g: Trigraph, seq: ContractionSequence, side: str,
     reference, when given, is (edges, triangles) of that graph, and the
     conservation identities and the running-total invariant are checked
     against it after every contraction (checked mode, O(n^3) a step).
-    step_callback(step, g, inner, state), when given, runs after each
-    applied contraction; inner is the list of inner-edge counts, indexed
-    like g.size by representative.  Both run in g.run's after-hook.
+    step_callback(step, g, state), when given, runs after each applied
+    contraction.  Both run in g.run's after-hook.
     """
     n = g.n_original
     if seq.n != n:
         raise SequenceError(f"sequence is for {seq.n} vertices, graph has {n}")
-    inner = [0] * (n + 1)
     state = CountState()
     counters = state.counters
 
     if reference is not None:
         m, reference_count = reference
-        check_conservation(g, inner, n, m)
-        if not evaluate_invariant(g, inner, state.t, reference_count):
+        check_conservation(g, m)
+        if not evaluate_invariant(g, state.t, reference_count):
             raise InternalInvariantError("invariant fails before any contraction")
 
     t = 0
 
     def count(merged):
         nonlocal t
-        t += _count_step(g, inner, merged, counters)
+        t += _count_step(g, merged, counters)
 
     after = None  # fast mode makes no call between steps
     if reference is not None or step_callback is not None:
@@ -366,15 +336,15 @@ def count_side(g: Trigraph, seq: ContractionSequence, side: str,
             counters.aux_updates += 1
             state.t = t
             if reference is not None:
-                check_conservation(g, inner, n, m)
-                if not evaluate_invariant(g, inner, t, reference_count):
+                check_conservation(g, m)
+                if not evaluate_invariant(g, t, reference_count):
                     u, v = seq.pairs[step]
                     raise InternalInvariantError(
                         f"invariant fails after step {step} ({u},{v})->{n + 1 + step}")
             if step_callback is not None:
-                step_callback(step, g, inner, state)
+                step_callback(step, g, state)
 
-    width, sum_d_sq, _ = g.run(seq.pairs, inner=inner, count=count, after=after,
+    width, sum_d_sq, _ = g.run(seq.pairs, count=count, after=after,
                                refused=SequenceError.refused)
     if after is None:
         counters.aux_updates += len(seq.pairs)  # after charges them one by one

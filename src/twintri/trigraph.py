@@ -13,8 +13,11 @@ list, rep, maps ids to representatives: an id is live while its entry
 is set.  Each representative holds two hash maps keyed by
 representatives: its black neighbours (mapped to None) and its red
 neighbours, each mapped to the red edge's cross-edge count, the number
-of original edges between the two groups.  With the group sizes kept
-alongside, a contraction computes the new red weights itself.
+of original edges between the two groups.  Beside them each
+representative keeps its group's size and inner-edge count, the
+original edges with both ends in the group, so a contraction computes
+w's red weights and inner edges itself: the paper's three numbers per
+live group.
 
 A contraction keeps the representative with the larger black map, u's on
 a tie, as the name of w, and merges the other one away.  Only the merged
@@ -22,7 +25,8 @@ side's black neighbours are rewritten, one deletion each; the kept
 side's neighbours already name w, and w needs no map of its own.  Every
 contraction runs in one loop, Trigraph.run, which applies twin steps, the
 usual width-0 step, inline: only the other steps reach merge_neighborhoods
-and a counting hook.
+and a counting hook.  run is the one writer of the sizes, the inner-edge
+counts and the red weights.
 
 update_work charges a step |B(u)| + |B(v)| + |common black neighbours|,
 plus |R(u)| + |R(v)| + |red neighbours of w| when a red edge is
@@ -62,6 +66,21 @@ RED = EdgeColor.RED
 EMPTY = MappingProxyType({})
 
 
+class InternalInvariantError(RuntimeError):
+    """A bookkeeping invariant broke; the counting state is unusable."""
+
+
+def red_weight(g: "Trigraph", a, b) -> int:
+    """Cross-edge count of the red edge between representatives a and b,
+    read from g's red map; a missing one is named by the ids of a and b."""
+    try:
+        return g.red_adj[a][b]
+    except KeyError:
+        name = {r: v for v, r in enumerate(g.rep) if r}  # merged away: 0
+        raise InternalInvariantError("no cross-edge count for red edge "
+                                     f"{{{name.get(a, 0)}, {name.get(b, 0)}}}") from None
+
+
 class Trigraph:
     """Trigraph over vertex ids 1..2n-1, where n is the original vertex count.
 
@@ -72,6 +91,8 @@ class Trigraph:
         black_adj[r], red_adj[r]   r's maps, keyed by representative
         size[r]                    original vertices in r's group, 0 once
                                    r is merged away
+        inner[r]                   original edges with both ends in r's
+                                   group, 0 once r is merged away
         rep[id]                    the representative of id's group, 0
                                    once id is consumed or not yet created
 
@@ -89,10 +110,11 @@ class Trigraph:
         self.black_adj: list = [EMPTY] * (n + 1)
         self.red_adj: list = [EMPTY] * (n + 1)
         self.size = [0] + [1] * n
+        self.inner = [0] * (n + 1)
         # ids run 1 .. 2n-1; ids not yet created map to 0
         self.rep = list(range(n + 1)) + [0] * (n - 1)
         self._next_id = n + 1
-        # histogram of red degrees, so the maximum is O(1) amortized
+        # histogram of red degrees, so run keeps the maximum exact
         self._red_hist = [0] * (n + 1)
         self._red_hist[0] = n
         self._max_red = 0
@@ -144,9 +166,6 @@ class Trigraph:
         return NONE
 
     def max_red_degree(self) -> int:
-        hist = self._red_hist
-        while self._max_red > 0 and hist[self._max_red] == 0:
-            self._max_red -= 1
         return self._max_red
 
     # -- contraction -----------------------------------------------------
@@ -204,8 +223,7 @@ class Trigraph:
                 red.append((x, NONE, RED))
         return s, l, red
 
-    def run(self, pairs, bound=None, inner=None, count=None, after=None,
-            refused=None):
+    def run(self, pairs, bound=None, count=None, after=None, refused=None):
         """Contract each pair (u, v) of pairs in order: the one contraction
         loop, which replay, count_side and contract drive.
 
@@ -218,21 +236,23 @@ class Trigraph:
         neighbour of l drops l, and each vertex turning red to w drops s.
         The red edge {w, x} weighs size[s]*size[x] for a black {s, x},
         the weight of a red {s, x}, nothing for no edge, plus the same
-        for l.
+        for l.  w's size is the sum of s's and l's, and its inner edges
+        are theirs plus the edges of the pair {s, l}: the size product
+        if it is black, its weight if it is red at either end (one
+        missing at s raises InternalInvariantError), none otherwise.
 
         count(merged) runs before each step that is not a twin step, on
-        the unmodified trigraph; a twin step folds l's entry of inner, a
-        list indexed by representative, onto s's instead.  after(step)
-        runs after each step.  The next id, the counters and the maximum
-        red degree are written back before after runs and before the
-        loop returns or raises.  Returns (width, sum_sq, over): the
-        largest red degree after any step, the sum of its squares, and
-        the first step above bound (None if none is or bound is None).
+        the unmodified trigraph.  after(step) runs after each step.  The
+        next id, the counters and the maximum red degree are written
+        back before after runs and before the loop returns or raises.
+        Returns (width, sum_sq, over): the largest red degree after any
+        step, the sum of its squares, and the first step above bound
+        (None if none is or bound is None).
         """
-        rep, size, hist = self.rep, self.size, self._red_hist
+        rep, size, inner, hist = self.rep, self.size, self.inner, self._red_hist
         black_adj, red_adj = self.black_adj, self.red_adj
         first = w = self._next_id
-        top = self.max_red_degree()
+        top = self._max_red
         update_work, red_total = self.update_work, self.red_work
         width = sum_sq = 0
         over = None
@@ -248,9 +268,6 @@ class Trigraph:
                         del black_adj[x][l]
                     update_work += 3 * len(bs)
                     hist[0] -= 1
-                    if inner is not None:
-                        inner[s] += inner[l]
-                        inner[l] = 0
                 else:
                     self._next_id = w  # the ids merge checks against
                     try:
@@ -266,7 +283,12 @@ class Trigraph:
                     rs, rl = red_adj[s], red_adj[l]
                     work = len(bs) + len(bl)
                     if l in bs:
+                        inner[s] += size[s] * size[l]
                         del bs[l], bl[s]
+                    elif l in rs or s in rl:
+                        # a weight missing at s is diagnosed, not read as
+                        # no edge
+                        inner[s] += red_weight(self, s, l)
                     for x in bl:
                         del black_adj[x][l]
                     if red or rs or rl:
@@ -317,6 +339,9 @@ class Trigraph:
                 bs = bl = rs = rl = black_adj[l] = red_adj[l] = EMPTY
                 size[s] += size[l]
                 size[l] = 0
+                if inner[l]:
+                    inner[s] += inner[l]
+                    inner[l] = 0
                 rep[u] = rep[v] = 0
                 rep[w] = s
                 w += 1

@@ -168,9 +168,12 @@ def check_consistent(g):
             assert g.black_adj[r] is EMPTY and g.red_adj[r] is EMPTY, \
                 f"dead vertex {r} holds its own map"
             assert not size[r], f"dead vertex {r} holds a group"
+            assert not g.inner[r], f"dead vertex {r} holds inner edges"
     for r, v in id_of.items():
         b, red = g.black_adj[r], g.red_adj[r]
         assert size[r], f"live vertex {v} has an empty group"
+        assert g.inner[r] <= size[r] * (size[r] - 1) // 2, \
+            f"live vertex {v} holds {g.inner[r]} inner edges in a group of {size[r]}"
         assert not (b.keys() & red.keys()), f"pair both black and red at {v}"
         for x in b:
             assert x in id_of, f"edge from {v} to dead vertex {x}"
@@ -820,21 +823,21 @@ def greedy_reference(graph):
 # -- counting step reference -------------------------------------------------
 
 
-def count_step_reference(g: Trigraph, inner: list, merged,
-                         counters: Counters) -> int:
+def count_step_reference(g: Trigraph, merged, counters: Counters) -> int:
     """The pair-by-pair `counting._count_step` that the per-side
     dict-key intersections replaced, kept word for word as the yardstick
-    but for reading the two sides from merged and keeping the
-    inner-edge counts in a list indexed by representative.
+    but for reading the two sides from merged and the inner-edge counts
+    from g.inner, which the contraction folds itself.
 
     Triangles that first reach an absorbing configuration as u and v
-    contract into w; also folds u's and v's inner-edge counts into w's.
+    contract into w.
 
     Runs on the still-unmodified trigraph; merged is the step's
     g.merge_neighborhoods, which names the sides by representative, u
     the one that names w and v the one merged away, and whose red
-    entries (x, color_ux, color_vx) are the red neighbors of w.  The contraction then sets w's
-    group size and red weights itself.  The increment has four parts:
+    entries (x, color_ux, color_vx) are the red neighbors of w.  The
+    contraction then sets w's group size, inner edges and red weights
+    itself.  The increment has four parts:
     triangles with an edge inside u or v when {u, v} is black (they end
     inside w); triangles that collapse onto a single red edge {w, x};
     wedges x-y with x red and y black at w; and pairs of red neighbors
@@ -842,22 +845,13 @@ def count_step_reference(g: Trigraph, inner: list, merged,
     both orientations in that one visit.
     """
     u, v, red_entries = merged
-    size, black_adj, red_adj = g.size, g.black_adj, g.red_adj
+    size, inner, black_adj, red_adj = g.size, g.inner, g.black_adj, g.red_adj
     su, sv = size[u], size[v]
     iu, iv = inner[u], inner[v]
     uv_black = v in black_adj[u]
     inc = 0
     if uv_black:
-        between = su * sv
         inc += su * iv + sv * iu
-    elif v in red_adj[u] or u in red_adj[v]:
-        # either end marks the pair red; a weight missing at u is
-        # diagnosed instead of being read as no edge
-        between = red_weight(g, u, v)
-    else:
-        between = 0
-    inner[u] = iu + iv + between
-    inner[v] = 0
     # one update per red edge the contraction weighs; the one for w's
     # inner edges is charged by count_side's loop, as for the shipped step
     counters.aux_updates += len(red_entries)

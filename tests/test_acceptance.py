@@ -161,10 +161,10 @@ def test_criterion_5_complexity_counters():
 def test_criterion_6_conservation_invariants():
     steps = 0
 
-    def make_checker(n, m):
-        def check(step, g, inner, state):
+    def make_checker(m):
+        def check(step, g, state):
             nonlocal steps
-            check_conservation(g, inner, n, m)
+            check_conservation(g, m)
             steps += 1
         return check
 
@@ -175,15 +175,15 @@ def test_criterion_6_conservation_invariants():
         p = [0.15, 0.3, 0.5, 0.7][i % 4]
         graph = gnp(n, p, seed=30_000 + i)
         seq, _ = greedy_sequence(graph)
-        helpers.count_on_side(graph, seq, step_callback=make_checker(n, graph.m))
+        helpers.count_on_side(graph, seq, step_callback=make_checker(graph.m))
     for i in range(1500):
         graph, cotree = cograph(24, seed=40_000 + i)
         seq = twin_sequence(cotree, 24)
-        helpers.count_on_side(graph, seq, step_callback=make_checker(24, graph.m))
+        helpers.count_on_side(graph, seq, step_callback=make_checker(graph.m))
     for i in range(500):
         graph = path(40)
         helpers.count_on_side(graph, chain_sequence(40),
-                              step_callback=make_checker(40, graph.m))
+                              step_callback=make_checker(graph.m))
     assert steps >= 100_000
     print(f"\nACCEPTANCE 6 PASS: group-size and edge-mass conservation held "
           f"after all {steps} sampled contraction steps")
@@ -222,7 +222,7 @@ def test_criterion_8_targeted_branch_instances():
         increments = []
         last = [0]
 
-        def on_step(step, g, inner, state):
+        def on_step(step, g, state):
             increments.append(state.t - last[0])
             last[0] = state.t
 

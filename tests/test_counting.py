@@ -106,7 +106,7 @@ def _check_steps(n, edges, pairs, states):
     # the representatives before the step; the step clears its ends' entries
     before = list(Trigraph(n).rep)
 
-    def on_step(step, g, inner, state):
+    def on_step(step, g, state):
         increments.append(state.t - sum(increments))
         # one end's representative names the new vertex, the other's is
         # merged away and holds nothing, and neither end is live
@@ -114,13 +114,13 @@ def _check_steps(n, edges, pairs, states):
         (gone,) = ends - {g.rep[n + 1 + step]}
         assert all(g.rep[end] == 0 for end in pairs[step])
         assert gone not in g.rep
-        assert g.size[gone] == inner[gone] == 0
+        assert g.size[gone] == g.inner[gone] == 0
         assert g.black_adj[gone] is g.red_adj[gone] is EMPTY
         before[:] = g.rep
         if step in states:
             sizes, inner_edges, red = states[step]
             assert {x: g.size[g.rep[x]] for x in sizes} == sizes
-            assert {x: inner[g.rep[x]] for x in inner_edges} == inner_edges
+            assert {x: g.inner[g.rep[x]] for x in inner_edges} == inner_edges
             assert _red_weights(g) == red
 
     result = helpers.count_on_side(graph, ContractionSequence(n, tuple(pairs)),
@@ -143,13 +143,11 @@ def _stepwise_counters(graph, seq):
     merge_neighborhoods, count_step_reference and contract one step at a
     time, charging each step's update of w's inner edges itself."""
     g = Trigraph.from_graph(graph.edges, graph.n)
-    inner = [0] * (graph.n + 1)
     counters = Counters()
     t = 0
     record = []
     for u, v in seq.pairs:
-        t += helpers.count_step_reference(g, inner, g.merge_neighborhoods(u, v),
-                                          counters)
+        t += helpers.count_step_reference(g, g.merge_neighborhoods(u, v), counters)
         counters.aux_updates += 1
         g.contract(u, v)
         record.append((t, dataclasses.asdict(counters)))
@@ -166,7 +164,7 @@ def test_step_callback_sees_the_counters_of_a_stepwise_driver():
               for n, edges, pairs, _ in STEP_CASES.values()]
     for graph, seq in cases:
         seen = []
-        helpers.count_on_side(graph, seq, step_callback=lambda step, g, inner, state:
+        helpers.count_on_side(graph, seq, step_callback=lambda step, g, state:
                               seen.append((state.t, dataclasses.asdict(state.counters))))
         assert seen == _stepwise_counters(graph, seq)
 
@@ -197,50 +195,59 @@ def _path3_after_first_step():
     g = Trigraph.from_graph(path(3).edges, 3)
     g.contract(1, 2)
     assert g.rep[4] == 2
-    return g, [0, 0, 1, 0]
+    assert g.inner == [0, 0, 1, 0]
+    return g
 
 
 def test_missing_cross_entry_is_diagnosed():
-    g, inner = _path3_after_first_step()
+    g = _path3_after_first_step()
     del g.red_adj[3][2]
     with pytest.raises(InternalInvariantError, match=r"\{3, 4\}"):
         red_weight(g, 3, 2)
     with pytest.raises(InternalInvariantError, match="weighs 1 at 4 but None at 3"):
-        check_conservation(g, inner, 3, 2)
+        check_conservation(g, 2)
 
-    # a step contracting the pair gets it named, not read as no edge
-    def drop(step, g, inner, state):
+    # a step contracting the pair gets it named, not read as no edge, by a
+    # count and by the contraction loop alone, which folds the pair's
+    # weight into w's inner edges itself
+    def drop(g, step):
         if step == 0:
             del g.red_adj[3][g.rep[4]]
 
-    with pytest.raises(InternalInvariantError, match=r"\{3, 4\}"):
-        count_triangles(path(3), ContractionSequence(3, ((1, 2), (3, 4))),
-                        step_callback=drop)
+    pairs = ((1, 2), (3, 4))
+    with pytest.raises(InternalInvariantError) as counted:
+        count_triangles(path(3), ContractionSequence(3, pairs),
+                        step_callback=lambda step, g, state: drop(g, step))
+    g = Trigraph.from_graph(path(3).edges, 3)
+    with pytest.raises(InternalInvariantError) as alone:
+        g.run(pairs, after=lambda step: drop(g, step))
+    assert str(counted.value) == str(alone.value) \
+        == "no cross-edge count for red edge {3, 4}"
 
 
 def test_red_entry_for_a_merged_away_vertex_is_diagnosed():
     # 1 was merged away, so no id names it: messages name it 0, and the
     # error stays an InternalInvariantError, not a lookup failure
-    g, inner = _path3_after_first_step()
+    g = _path3_after_first_step()
     g.red_adj[3][1] = 1
     with pytest.raises(InternalInvariantError,
                        match=r"^red edge \{3, 0\} weighs 1 at 3 but None at 0$"):
-        check_conservation(g, inner, 3, 2)
+        check_conservation(g, 2)
     with pytest.raises(InternalInvariantError,
                        match=r"^no cross-edge count for red edge \{0, 3\}$"):
         red_weight(g, 1, 3)
 
 
 def test_conservation_rejects_bad_weights():
-    g, inner = _path3_after_first_step()
-    check_conservation(g, inner, 3, 2)
+    g = _path3_after_first_step()
+    check_conservation(g, 2)
     g.red_adj[3][2] = g.red_adj[2][3] = 2  # groups of 1 and 2: black, not red
     with pytest.raises(InternalInvariantError, match="weighs 2 between groups of 1 and 2"):
-        check_conservation(g, inner, 3, 2)
+        check_conservation(g, 2)
     g.red_adj[3][2] = g.red_adj[2][3] = 1
-    inner[2] = 0
+    g.inner[2] = 0
     with pytest.raises(InternalInvariantError, match="edge mass 1 != m = 2"):
-        check_conservation(g, inner, 3, 2)
+        check_conservation(g, 2)
 
 
 def test_collapse_counts_all_k4_triangles():
@@ -249,7 +256,7 @@ def test_collapse_counts_all_k4_triangles():
     increments = []
     last = [0]
 
-    def on_step(step, g, inner, state):
+    def on_step(step, g, state):
         increments.append(state.t - last[0])
         last[0] = state.t
 
@@ -463,10 +470,9 @@ def test_unknown_mode_rejected():
 def test_invariant_at_start_reduces_to_black_triangles():
     graph = gnp(10, 0.5, seed=2)
     g = Trigraph.from_graph(graph.edges, 10)
-    inner = [0] * 11
     oracle = count_naive(graph)
-    assert evaluate_invariant(g, inner, 0, oracle)
-    assert not evaluate_invariant(g, inner, 0, oracle + 1)
+    assert evaluate_invariant(g, 0, oracle)
+    assert not evaluate_invariant(g, 0, oracle + 1)
 
 
 def test_invariant_at_end_equals_total():
@@ -490,10 +496,30 @@ def test_conservation_on_random_runs():
         seq, _ = greedy_sequence(graph)
         m = graph.m
 
-        def check(step, g, inner, state):
-            check_conservation(g, inner, n, m)
+        def check(step, g, state):
+            check_conservation(g, m)
 
         helpers.count_on_side(graph, seq, step_callback=check)
+
+
+@pytest.mark.parametrize("n, p, seed, side", [(1000, 0.01, 3, GRAPH),
+                                              (300, 0.9, 5, COMPLEMENT)])
+def test_whole_runs_fold_every_edge_into_the_last_group(n, p, seed, side):
+    # no oracle: a count and a replay of a random sequence both leave the
+    # side's whole edge count inside the one live group, and 0 elsewhere
+    graph = gnp(n, p, seed=seed)
+    seq = helpers.random_sequence(n, random.Random(seed))
+    folded = []
+    for run in (lambda g: count_side(g, seq, side), lambda g: replay(g, seq)):
+        ran_on, g = side_trigraph(graph)
+        assert ran_on == side
+        m = sum(map(len, g.black_adj)) // 2
+        run(g)
+        last = g.rep[2 * n - 1]
+        assert g.inner[last] == m
+        assert not any(g.inner[:last] + g.inner[last + 1:])
+        folded.append(g.inner)
+    assert folded[0] == folded[1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -510,14 +536,14 @@ def test_red_weights_match_brute_force_cross_counts(n, seed, p):
         adj[b].add(a)
     members = {v: [v] for v in range(1, n + 1)}
 
-    def on_step(step, g, inner, state):
+    def on_step(step, g, state):
         u, v = seq.pairs[step]
         members[n + 1 + step] = members.pop(u) + members.pop(v)
         assert sorted(members) == helpers.live_vertices(g)
         rep = g.rep
         for x, group in members.items():
             assert g.size[rep[x]] == len(group)
-            assert 2 * inner[rep[x]] == sum(len(adj[a].intersection(group))
+            assert 2 * g.inner[rep[x]] == sum(len(adj[a].intersection(group))
                                             for a in group)
         for x, y in itertools.combinations(sorted(members), 2):
             crossing = sum(len(adj[a].intersection(members[y])) for a in members[x])
@@ -544,7 +570,7 @@ def test_per_step_counter_budgets():
         prev = [0, 0, 0]
         degree_before = [0]
 
-        def on_step(step, g, inner, state):
+        def on_step(step, g, state):
             c = state.counters
             d_after = g.max_red_degree()
             one = c.one_neighbor_calls - prev[0]
@@ -568,7 +594,7 @@ def test_t_never_decreases():
         seq, _ = greedy_sequence(graph)
         trace = []
         count_triangles(graph, seq,
-                        step_callback=lambda s, g, a, st_: trace.append(st_.t))
+                        step_callback=lambda s, g, st_: trace.append(st_.t))
         assert trace == sorted(trace)
 
 
@@ -597,7 +623,7 @@ def _totals_and_result(graph, seq):
     totals = []
     result = count_triangles(
         graph, seq,
-        step_callback=lambda step, g, inner, state: totals.append(state.t))
+        step_callback=lambda step, g, state: totals.append(state.t))
     return totals, result
 
 
@@ -832,7 +858,7 @@ def _step_increments(graph, seq):
     increments = []
     last = [0]
 
-    def on_step(step, g, inner, state):
+    def on_step(step, g, state):
         increments.append(state.t - last[0])
         last[0] = state.t
 
