@@ -19,7 +19,7 @@ from .counting import (CHECKED_LIMIT, InternalInvariantError, count_triangles,
                        side_trigraph)
 from .generate import (
     EXACT_MAX_N,
-    GRAPH_FAMILIES,
+    FAMILIES,
     exact_sequence,
     generate_graph,
     greedy_sequence,
@@ -45,17 +45,6 @@ EXIT_PIPE = 128 + 13  # SIGPIPE
 # oracle about 64, so a tiny file with a huge p line would otherwise end
 # in a memory blow-up instead of an error.
 DEFAULT_MAX_N = 1_000_000
-
-
-# Each family's (required, optional) `gen graph` flags, the one table
-# behind its refusals and the parameters it passes on: any other flag is
-# refused rather than dropped.  Only the random families read a seed.
-FAMILY_FLAGS = {"gnp": (("n",), ("p", "seed")),
-                "cograph": (("n",), ("block", "seed")),
-                "complete": (("n",), ()), "path": (("n",), ()),
-                "cycle": (("n",), ()), "star": (("n",), ()),
-                "grid": (("rows", "cols"), ()), "petersen": ((), ())}
-GEN_FLAGS = ("n", "p", "rows", "cols", "block", "seed")
 
 
 def _default_seed() -> int:
@@ -98,14 +87,20 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_sub = p_gen.add_subparsers(dest="gen_command", required=True)
 
     p_graph = gen_sub.add_parser("graph", help="generate a graph file")
-    p_graph.add_argument("--family", required=True, choices=GRAPH_FAMILIES)
-    p_graph.add_argument("--n", type=int)
-    p_graph.add_argument("--p", type=float, help="edge probability (gnp; default 0.5)")
-    p_graph.add_argument("--rows", type=int)
-    p_graph.add_argument("--cols", type=int)
-    p_graph.add_argument("--block", type=int, help="cograph block size")
-    p_graph.add_argument("--seed", type=int,
-                         help="RNG seed (gnp, cograph; default TWINTRI_SEED or 0)")
+    p_graph.add_argument("--family", required=True, choices=FAMILIES)
+    # each dest is the generate_graph parameter the flag sets; the family's
+    # FAMILIES row says which it needs and which it takes
+    flags = [
+        p_graph.add_argument("--n", type=int,
+                             help="vertex count (star: leaf count, so n + 1 vertices)"),
+        p_graph.add_argument("--p", type=float, help="edge probability (gnp; default 0.5)"),
+        p_graph.add_argument("--rows", type=int),
+        p_graph.add_argument("--cols", type=int),
+        p_graph.add_argument("--block", dest="block_size", metavar="BLOCK", type=int,
+                             help="cograph block size"),
+        p_graph.add_argument("--seed", type=int,
+                             help="RNG seed (gnp, cograph; default TWINTRI_SEED or 0)")]
+    p_graph.set_defaults(flags={a.dest: a.option_strings[0] for a in flags})
     p_graph.add_argument("-o", "--output", help="graph file (stdout when absent)")
     p_graph.add_argument("--sequence-out",
                          help="also write the cotree's width-0 sequence here "
@@ -181,23 +176,21 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen_graph(args) -> int:
-    required, optional = FAMILY_FLAGS[args.family]
-    given = {flag: getattr(args, flag) for flag in GEN_FLAGS
-             if getattr(args, flag) is not None}
-    for flag in given:
-        if flag not in required + optional:
-            print(f"--{flag} does not apply to family {args.family}",
+    _, required, optional = FAMILIES[args.family]
+    given = {name: getattr(args, name) for name in args.flags
+             if getattr(args, name) is not None}
+    for name in given:
+        if name not in required + optional:
+            print(f"{args.flags[name]} does not apply to family {args.family}",
                   file=sys.stderr)
             return EXIT_SEMANTIC
     if "seed" in optional and "seed" not in given:
         given["seed"] = _default_seed()
-    if any(flag not in given for flag in required):
+    if any(name not in given for name in required):
         print(f"{args.family} needs "
-              + " and ".join(f"--{flag}" for flag in required), file=sys.stderr)
+              + " and ".join(args.flags[name] for name in required), file=sys.stderr)
         return EXIT_SEMANTIC
-    params = {"block_size" if flag == "block" else flag: value
-              for flag, value in given.items()}
-    graph, cotree = generate_graph(args.family, **params)
+    graph, cotree = generate_graph(args.family, **given)
     if args.sequence_out and cotree is None:
         print(f"family {args.family} carries no cotree, cannot emit a "
               "width-0 sequence", file=sys.stderr)

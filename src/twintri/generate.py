@@ -30,8 +30,6 @@ from .sequence import ContractionSequence
 EXACT_MAX_N = 9
 _EXACT_CEILING = 500  # exact search refuses larger graphs whatever its max_n
 GREEDY_MAX_N = 10_000
-GRAPH_FAMILIES = ("gnp", "cograph", "complete", "path", "cycle", "grid",
-                  "star", "petersen")
 
 
 # -- cotrees and cographs --------------------------------------------------
@@ -265,7 +263,7 @@ def petersen() -> PlainGraph:
     return PlainGraph(10, outer + spokes + inner)
 
 
-def gnp(n: int, p: float, seed: int = 0) -> PlainGraph:
+def gnp(n: int, p: float = 0.5, seed: int = 0) -> PlainGraph:
     """Erdos-Renyi G(n, p), deterministic for a given seed."""
     if n < 1:
         raise ValueError("need n >= 1")
@@ -293,29 +291,37 @@ def chain_sequence(n: int) -> ContractionSequence:
     return ContractionSequence(n, tuple(pairs))
 
 
-def generate_graph(family: str, seed: int = 0, **params):
-    """Dispatcher used by the CLI and the benchmark.
+# The one table of graph families, in the order the CLI lists them: each
+# name's builder, its required parameters (passed in order) and its
+# optional ones (passed by name when given).  A builder returns a
+# PlainGraph, or (graph, cotree) for the families built from a cotree.
+FAMILIES = {
+    "gnp": (gnp, ("n",), ("p", "seed")),
+    "cograph": (cograph, ("n",), ("block_size", "seed")),
+    "complete": (complete, ("n",), ()),
+    "path": (path, ("n",), ()),
+    "cycle": (cycle, ("n",), ()),
+    "grid": (grid, ("rows", "cols"), ()),
+    "star": (star, ("n",), ()),  # n counts the leaves
+    "petersen": (petersen, (), ()),
+}
 
-    Returns (graph, cotree-or-None); families built from a cotree return
-    it so a width-0 sequence can be derived.
+
+def generate_graph(family: str, seed: int = 0, **params):
+    """Build a FAMILIES graph; used by the CLI and the benchmark.
+
+    Parameters the family does not take are ignored, seed included, and
+    a missing required one raises KeyError.  Returns (graph,
+    cotree-or-None); families built from a cotree return it so a
+    width-0 sequence can be derived.
     """
-    if family == "gnp":
-        return gnp(params["n"], params.get("p", 0.5), seed), None
-    if family == "cograph":
-        return cograph(params["n"], seed, block_size=params.get("block_size"))
-    if family == "complete":
-        return complete(params["n"])
-    if family == "star":
-        return star(params["n"])
-    if family == "path":
-        return path(params["n"]), None
-    if family == "cycle":
-        return cycle(params["n"]), None
-    if family == "grid":
-        return grid(params["rows"], params["cols"]), None
-    if family == "petersen":
-        return petersen(), None
-    raise ValueError(f"unknown family {family!r}; known: {', '.join(GRAPH_FAMILIES)}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    build, required, optional = FAMILIES[family]
+    params["seed"] = seed
+    built = build(*(params[name] for name in required),
+                  **{name: params[name] for name in optional if name in params})
+    return (built, None) if isinstance(built, PlainGraph) else built
 
 
 # -- greedy sequence -------------------------------------------------------

@@ -165,9 +165,6 @@ class Trigraph:
             return RED
         return NONE
 
-    def max_red_degree(self) -> int:
-        return self._max_red
-
     # -- contraction -----------------------------------------------------
 
     def merge_neighborhoods(self, u: int, v: int):

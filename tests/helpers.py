@@ -6,8 +6,8 @@ package cannot leak into its own check.  Four groups of code are not
 independent on purpose: `count_on_side` runs the package's per-side
 count on the side a test names (the complement built here, pair by
 pair); `serialize`, `live_vertices`, `black_edges`, `red_edges`,
-`check_consistent` and `by_id` read a trigraph's own maps to print,
-list, audit or translate them, naming vertices by id through
+`max_red_degree`, `check_consistent` and `by_id` read a trigraph's own
+state to print, list, audit or translate it, naming vertices by id through
 `ids_of`, the inverse of the trigraph's one id map `rep` (the package
 inverts it only to name vertices in messages);
 `IdKeyedTrigraph`, `greedy_reference` and `count_step_reference` are
@@ -150,6 +150,12 @@ def red_edges(g):
     return _edges(g, g.red_adj)
 
 
+def max_red_degree(g):
+    """The largest red degree of a live vertex of Trigraph g, as its
+    contraction loop keeps it."""
+    return g._max_red
+
+
 def check_consistent(g):
     """Raise AssertionError if any structural invariant of g is broken.
 
@@ -195,7 +201,7 @@ def check_consistent(g):
     for d, cnt in enumerate(g._red_hist):
         hist_degrees.extend([d] * cnt)
     assert degrees == sorted(hist_degrees), "red degree histogram desync"
-    assert g.max_red_degree() == (max(degrees) if degrees else 0)
+    assert max_red_degree(g) == (max(degrees) if degrees else 0)
 
 
 # -- id-keyed contraction reference -----------------------------------------

@@ -508,6 +508,29 @@ def test_gen_graph_refuses_flags_its_family_ignores(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family, flags, message", [
+    ("gnp", ["--n", "0"], "need n >= 1"),
+    ("cograph", ["--n", "0"], "need n >= 1"),
+    ("complete", ["--n", "0"], "need n >= 1"),
+    ("path", ["--n", "0"], "need n >= 1"),
+    ("cograph", ["--n", "5", "--block", "0"], "block_size must be positive"),
+    ("star", ["--n", "0"], "need at least one leaf"),
+    ("cycle", ["--n", "2"], "cycles need n >= 3"),
+    ("grid", ["--rows", "0", "--cols", "3"], "grid needs positive dimensions"),
+    ("gnp", ["--n", "5", "--p", "1.5"], "p must lie in [0, 1]"),
+])
+def test_gen_graph_passes_on_its_builders_refusals(tmp_path, monkeypatch, capsys,
+                                                   family, flags, message):
+    monkeypatch.delenv("TWINTRI_SEED", raising=False)
+    # refused before anything is written, to a file or to stdout
+    for output in (["-o", str(tmp_path / "g.gr")], []):
+        assert main(["gen", "graph", "--family", family, *flags, *output]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_graph_p_defaults_to_half(tmp_path):
     out1, out2 = tmp_path / "a.gr", tmp_path / "b.gr"
     assert main(["gen", "graph", "--family", "gnp", "--n", "20", "--seed", "3",

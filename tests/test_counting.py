@@ -342,7 +342,7 @@ def test_refused_step_deep_in_a_long_run_leaves_the_loop_written_back():
         with pytest.raises(SequenceError) as err:
             run(g)
         assert str(err.value) == "step 500 contracts (379, 212) but vertex 379 is not live"
-        assert (g.update_work, g.red_work, g._next_id, g.max_red_degree()) \
+        assert (g.update_work, g.red_work, g._next_id, helpers.max_red_degree(g)) \
             == (26994, 22209, 1501, 91)
         helpers.check_consistent(g)
 
@@ -420,7 +420,7 @@ def test_red_free_steps_keep_the_trigraph_and_counters(name, graph, seq):
         red_free += not (red or g.red_adj[s] or g.red_adj[l])
         g.contract(u, v)
         helpers.check_consistent(g)
-        width = max(width, g.max_red_degree())
+        width = max(width, helpers.max_red_degree(g))
     result = helpers.count_on_side(graph, seq)
     assert result.triangles == count_naive(graph)
     assert (result.counters.graph_update_work, result.width) == (g.update_work, width)
@@ -572,7 +572,7 @@ def test_per_step_counter_budgets():
 
         def on_step(step, g, state):
             c = state.counters
-            d_after = g.max_red_degree()
+            d_after = helpers.max_red_degree(g)
             one = c.one_neighbor_calls - prev[0]
             pairs = c.two_neighbor_pair_visits - prev[1]
             wedge = c.red_wedge_visits - prev[2]
@@ -789,6 +789,42 @@ def test_the_complement_is_taken_above_half_the_pairs(n, m, side):
     assert side_trigraph(graph)[0] == side
     result = count_triangles(graph, chain_sequence(n), mode="checked")
     assert (result.side, result.triangles) == (side, count_naive(graph))
+
+
+def test_conservation_rejects_out_of_sync_group_counts():
+    g = _path3_after_first_step()
+    g.inner[1] = 1  # 1 was merged away, so it holds no inner edges
+    with pytest.raises(InternalInvariantError,
+                       match=r"^aux entries out of sync with live vertices$"):
+        check_conservation(g, 2)
+    g = _path3_after_first_step()
+    g.inner.append(0)  # one entry per original vertex, and one unused
+    with pytest.raises(InternalInvariantError,
+                       match=r"^aux entries out of sync with live vertices$"):
+        check_conservation(g, 2)
+    g = _path3_after_first_step()
+    g.size[3] = 2
+    with pytest.raises(InternalInvariantError,
+                       match=r"^group sizes sum to 4, expected 3$"):
+        check_conservation(g, 2)
+
+
+def test_checked_mode_names_the_step_whose_count_is_wrong(monkeypatch):
+    # a per-step count one too high at its second call must fail the
+    # running-total check right after that step, which the message names
+    count_step = counting._count_step
+    calls = []
+
+    def off_by_one(g, merged, counters):
+        calls.append(merged)
+        return count_step(g, merged, counters) + (len(calls) == 2)
+
+    monkeypatch.setattr(counting, "_count_step", off_by_one)
+    graph = path(5)  # 4m <= n(n - 1): the count runs on the graph side
+    with pytest.raises(InternalInvariantError) as err:
+        count_triangles(graph, chain_sequence(5), mode="checked")
+    assert str(err.value) == "invariant fails after step 1 (3,6)->7"
+    assert len(calls) == 2
 
 
 def test_checked_mode_catches_a_wrong_complement(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from twintri import generate
 from twintri.generate import (
+    FAMILIES,
     GREEDY_MAX_N,
     Cotree,
     chain_sequence,
@@ -77,6 +78,41 @@ def test_generate_graph_dispatch():
         generate_graph("grid", n=4)
     with pytest.raises(ValueError):
         generate_graph("mystery", n=3)
+
+
+# each FAMILIES row's parameters, and its builder called directly with
+# them; a row with no case here fails the test below
+FAMILY_CASES = {
+    "gnp": ({"n": 20, "p": 0.3}, lambda: gnp(20, 0.3, seed=3)),
+    "cograph": ({"n": 20, "block_size": 4}, lambda: cograph(20, 3, block_size=4)),
+    "complete": ({"n": 5}, lambda: complete(5)),
+    "path": ({"n": 5}, lambda: path(5)),
+    "cycle": ({"n": 5}, lambda: cycle(5)),
+    "grid": ({"rows": 3, "cols": 4}, lambda: grid(3, 4)),
+    "star": ({"n": 4}, lambda: star(4)),
+    "petersen": ({}, petersen),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_generate_graph_builds_each_row_as_its_builder(family):
+    params, direct = FAMILY_CASES[family]
+    expected = direct()
+    graph, cotree = generate_graph(family, seed=3, **params)
+    if isinstance(expected, PlainGraph):
+        assert (graph, cotree) == (expected, None)
+    else:
+        assert graph == expected[0]
+        assert twin_sequence(cotree, graph.n) == twin_sequence(expected[1], graph.n)
+    # the benchmark passes seed and block_size to every family; a
+    # parameter the family does not take is ignored
+    extra = {"block_size": 4, "p": 0.3, "rows": 9}
+    extra.update(params)
+    assert generate_graph(family, seed=3, **extra)[0] == graph
+
+
+def test_gnp_p_defaults_to_half():
+    assert generate_graph("gnp", seed=3, n=20)[0] == gnp(20, 0.5, seed=3) == gnp(20, seed=3)
 
 
 def test_cotree_graph_matches_join_semantics():

@@ -172,7 +172,7 @@ def test_prefix_width_is_monotone():
         degrees = []
         for u, v in seq.pairs:
             g.contract(u, v)
-            degrees.append(g.max_red_degree())
+            degrees.append(helpers.max_red_degree(g))
         width = replay(_fresh(graph), seq).width
         assert width == max(degrees)
         for bound in range(width + 1):
@@ -190,7 +190,7 @@ def test_replay_matches_single_contract_steps():
         degrees = []
         for u, v in seq.pairs:
             stepwise.contract(u, v)
-            degrees.append(stepwise.max_red_degree())
+            degrees.append(helpers.max_red_degree(stepwise))
         width = max(degrees, default=0)
         for bound in sorted({0, max(0, width - 1), width}):
             g = _fresh(graph)
