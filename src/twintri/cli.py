@@ -29,6 +29,7 @@ from .graphio import FormatError, format_graph, load_graph, save_graph
 from .oracle import count_naive
 from .sequence import (
     SequenceError,
+    check_n,
     format_sequence,
     load_sequence,
     replay,
@@ -152,6 +153,7 @@ def _cmd_count(args) -> int:
 def _cmd_width(args) -> int:
     graph = load_graph(args.graph, args.max_n)
     seq = load_sequence(args.sequence)
+    check_n(seq, graph.n)
     report = replay(side_trigraph(graph)[1], seq)
     print(f"width {report.width}")
     return EXIT_OK
@@ -160,6 +162,7 @@ def _cmd_width(args) -> int:
 def _cmd_verify(args) -> int:
     graph = load_graph(args.graph, args.max_n)
     seq = load_sequence(args.sequence)
+    check_n(seq, graph.n)
     report = replay(side_trigraph(graph)[1], seq, args.max_width)
     if report.valid:
         print(f"valid width {report.width}")

@@ -63,7 +63,7 @@ from math import comb
 from operator import mul
 
 from .oracle import count_naive
-from .sequence import ContractionSequence, SequenceError
+from .sequence import ContractionSequence, SequenceError, check_n
 from .trigraph import BLACK, RED, InternalInvariantError, Trigraph, red_weight
 
 
@@ -313,8 +313,7 @@ def count_side(g: Trigraph, seq: ContractionSequence, side: str,
     contraction.  Both run in g.run's after-hook.
     """
     n = g.n_original
-    if seq.n != n:
-        raise SequenceError(f"sequence is for {seq.n} vertices, graph has {n}")
+    check_n(seq, n)
     state = CountState()
     counters = state.counters
 
@@ -376,6 +375,7 @@ def count_triangles(graph, seq: ContractionSequence, mode: str = "fast",
     if mode not in ("fast", "checked"):
         raise ValueError(f"unknown mode {mode!r}")
     n = graph.n
+    check_n(seq, n)  # before the oracle and the trigraph are built
     reference = None
     if mode == "checked":
         if n > checked_limit:

@@ -24,7 +24,7 @@ import itertools
 import random
 from array import array
 
-from .oracle import MAX_N, PlainGraph
+from .oracle import MAX_N, PlainGraph, check_max_n
 from .sequence import ContractionSequence
 
 EXACT_MAX_N = 9
@@ -188,6 +188,7 @@ def cograph(n: int, seed: int = 0, join_prob: float = 0.5,
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    check_max_n(n)
     rng = random.Random(seed)
     ids = list(range(1, n + 1))
     if block_size is None or n <= block_size:
@@ -212,6 +213,7 @@ def complete(n: int):
     """K_n with its one-join cotree, the graph built from the cotree."""
     if n < 1:
         raise ValueError("need n >= 1")
+    check_max_n(n)
     root = Cotree("join", children=[_leaf(v) for v in range(1, n + 1)])
     return cotree_graph(root, n), root
 
@@ -222,6 +224,7 @@ def star(leaves: int):
     if leaves < 1:
         raise ValueError("need at least one leaf")
     n = leaves + 1
+    check_max_n(n)
     root = Cotree("join", children=(
         _leaf(1),
         Cotree("union", children=[_leaf(v) for v in range(2, n + 1)]),
@@ -232,12 +235,14 @@ def star(leaves: int):
 def path(n: int) -> PlainGraph:
     if n < 1:
         raise ValueError("need n >= 1")
+    check_max_n(n)
     return PlainGraph(n, [(v, v + 1) for v in range(1, n)])
 
 
 def cycle(n: int) -> PlainGraph:
     if n < 3:
         raise ValueError("cycles need n >= 3")
+    check_max_n(n)
     return PlainGraph(n, [(v, v + 1) for v in range(1, n)] + [(n, 1)])
 
 
@@ -245,6 +250,7 @@ def grid(rows: int, cols: int) -> PlainGraph:
     """rows x cols grid, vertices numbered row-major from 1."""
     if rows < 1 or cols < 1:
         raise ValueError("grid needs positive dimensions")
+    check_max_n(rows * cols)
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -269,6 +275,7 @@ def gnp(n: int, p: float = 0.5, seed: int = 0) -> PlainGraph:
         raise ValueError("need n >= 1")
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
+    check_max_n(n)
     rng = random.Random(seed)
     edges = []
     for u in range(1, n + 1):

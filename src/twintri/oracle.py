@@ -28,6 +28,13 @@ from operator import itemgetter
 MAX_N = 2 ** 31 - 1
 
 
+def check_max_n(n):
+    """Raise ValueError if n vertices are more than a PlainGraph holds."""
+    if n > MAX_N:
+        raise ValueError(f"graph declares n = {n} vertices, more than "
+                         f"the {MAX_N} an edge array can hold")
+
+
 class PlainGraph:
     """Simple undirected graph: vertices 1..n plus a normalized edge list.
 
@@ -45,9 +52,7 @@ class PlainGraph:
     def __init__(self, n, edges=()):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        if n > MAX_N:
-            raise ValueError(f"graph declares n = {n} vertices, more than "
-                             f"the {MAX_N} an edge array can hold")
+        check_max_n(n)
         if type(edges) is tuple and len(edges) == 2 and type(edges[0]) is array:
             columns, pairs = edges, zip(*edges)
             canonical = _is_canonical(n, zip(*edges))

@@ -69,6 +69,12 @@ class ContractionSequence:
                 raise ValueError(f"pair ({u}, {v}) leaves the id range 1..{top}")
 
 
+def check_n(seq: ContractionSequence, n: int):
+    """Raise SequenceError unless seq is for an n-vertex graph."""
+    if seq.n != n:
+        raise SequenceError(f"sequence is for {seq.n} vertices, graph has {n}")
+
+
 @dataclass
 class SequenceReport:
     """width is the whole sequence's; valid and failing_step refer to the
@@ -156,9 +162,7 @@ def replay(g: Trigraph, seq: ContractionSequence, bound: int | None = None) -> S
     replay runs on, so width is the whole sequence's.  A negative bound
     raises ValueError before any step, since no trigraph can meet it.
     """
-    if g.n_original != seq.n:
-        raise SequenceError(
-            f"sequence is for {seq.n} vertices, graph has {g.n_original}")
+    check_n(seq, g.n_original)
     if bound is not None and bound < 0:
         raise ValueError(f"width bound {bound} is negative; widths start at 0")
     width, _, over = g.run(seq.pairs, bound, refused=SequenceError.refused)

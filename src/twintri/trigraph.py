@@ -23,10 +23,10 @@ A contraction keeps the representative with the larger black map, u's on
 a tie, as the name of w, and merges the other one away.  Only the merged
 side's black neighbours are rewritten, one deletion each; the kept
 side's neighbours already name w, and w needs no map of its own.  Every
-contraction runs in one loop, Trigraph.run, which applies twin steps, the
-usual width-0 step, inline: only the other steps reach merge_neighborhoods
-and a counting hook.  run is the one writer of the sizes, the inner-edge
-counts and the red weights.
+contraction runs in one loop, Trigraph.run, which checks every step and
+applies twin steps, the usual width-0 step, inline: only the other steps
+reach merge_neighborhoods and a counting hook.  run is the one writer of
+the sizes, the inner-edge counts and the red weights.
 
 update_work charges a step |B(u)| + |B(v)| + |common black neighbours|,
 plus |R(u)| + |R(v)| + |red neighbours of w| when a red edge is
@@ -147,54 +147,34 @@ class Trigraph:
 
     # -- queries ---------------------------------------------------------
 
-    def _rep_of_live(self, v):
-        """v's representative; ValueError unless v is live."""
-        if not (0 < v < self._next_id and self.rep[v]):
-            raise ValueError(f"vertex {v} is not live")
-        return self.rep[v]
-
     def edge_color(self, u: int, v: int) -> EdgeColor:
         """Color of the pair {u, v}: black, red, or none."""
-        ru = self._rep_of_live(u)
-        rv = self._rep_of_live(v)
+        rep = self.rep
+        for x in (u, v):
+            if not (0 < x < self._next_id and rep[x]):
+                raise ValueError(f"vertex {x} is not live")
         if u == v:
             raise ValueError("self-pairs have no color")
+        ru, rv = rep[u], rep[v]
         if rv in self.black_adj[ru]:
             return BLACK
-        if rv in self.red_adj[ru]:
-            return RED
-        return NONE
+        return RED if rv in self.red_adj[ru] else NONE
 
     # -- contraction -----------------------------------------------------
 
-    def merge_neighborhoods(self, u: int, v: int):
-        """Check the step (u, v), pick the representative that will name
-        the merged group, and classify every vertex adjacent to u or v by
-        its pair of colors.
+    def merge_neighborhoods(self, s: int, l: int):
+        """Classify every vertex adjacent to the live, distinct
+        representatives s and l by its pair of colors: the one
+        classifier, which run calls for every checked step but twin steps.
 
-        This is the one classifier and the one place a step is checked;
-        run calls it for every step but twin steps.  An id is live as the
-        class docstring says; any other id, dead, not yet created or out
-        of range, raises ValueError("vertex X is not live"), and u == v
-        raises too.
-
-        Returns (s, l, red), all named by representative.  s is the
-        representative that stays, the one of u or v with the larger
-        black map, u's on a tie, and l the one merged away.  red lists
-        (x, color_sx, color_lx) for the vertices that would end up
+        Returns (s, l, red), all named by representative.  s is the one
+        of the two with the larger black map, the first on a tie, which
+        stays and names the merged group, and l the one merged away.  red
+        lists (x, color_sx, color_lx) for the vertices that would end up
         red-adjacent to the contraction, s and l skipped.  The vertices
         black to both sides stay black to w and need no entry.  The
         trigraph is not modified.
         """
-        rep = self.rep
-        next_id = self._next_id
-        if not (0 < u < next_id and rep[u]):
-            raise ValueError(f"vertex {u} is not live")
-        if not (0 < v < next_id and rep[v]):
-            raise ValueError(f"vertex {v} is not live")
-        if u == v:
-            raise ValueError("cannot contract a vertex with itself")
-        s, l = rep[u], rep[v]
         black_adj = self.black_adj
         bs, bl = black_adj[s], black_adj[l]
         if len(bl) > len(bs):
@@ -222,14 +202,17 @@ class Trigraph:
 
     def run(self, pairs, bound=None, count=None, after=None, refused=None):
         """Contract each pair (u, v) of pairs in order: the one contraction
-        loop, which replay, count_side and contract drive.
+        loop, which replay, count_side and contract drive, and the one
+        place a step is checked.  An id is live as the class docstring
+        says; any other id, dead, not yet created or out of range, raises
+        ValueError("vertex X is not live"), u's first, and u == v raises
+        too.  refused(step, u, v, exc), when given, replaces that error.
 
         A twin step, whose two sides have equal black maps and no red
         edge, is applied inline: its ends are not adjacent, so it only
         retires l's black entries and two red-degree-0 vertices for one.
-        Every other step is classified by merge_neighborhoods, whose
-        ValueError refused(step, u, v, exc), when given, replaces.  Then
-        w takes over s with its maps, rep reads 0 for u and v, each black
+        Every other step is classified by merge_neighborhoods.  Then w
+        takes over s with its maps, rep reads 0 for u and v, each black
         neighbour of l drops l, and each vertex turning red to w drops s.
         The red edge {w, x} weighs size[s]*size[x] for a black {s, x},
         the weight of a red {s, x}, nothing for no edge, plus the same
@@ -257,22 +240,19 @@ class Trigraph:
             for u, v in pairs:
                 s = rep[u] if 0 < u < w else 0
                 l = rep[v] if 0 < v < w else 0
+                if not (s and l and s != l):
+                    exc = ValueError("cannot contract a vertex with itself" if s and l
+                                     else f"vertex {v if s else u} is not live")
+                    raise exc if refused is None else refused(w - first, u, v, exc)
                 bs, bl = black_adj[s], black_adj[l]
                 # black maps map every key to None: equal maps, equal neighbours
-                if (s and l and s != l and bs == bl
-                        and not red_adj[s] and not red_adj[l]):
+                if bs == bl and not red_adj[s] and not red_adj[l]:
                     for x in bl:
                         del black_adj[x][l]
                     update_work += 3 * len(bs)
                     hist[0] -= 1
                 else:
-                    self._next_id = w  # the ids merge checks against
-                    try:
-                        merged = self.merge_neighborhoods(u, v)
-                    except ValueError as exc:
-                        if refused is None:
-                            raise
-                        raise refused(w - first, u, v, exc) from None
+                    merged = self.merge_neighborhoods(s, l)
                     if count is not None:
                         count(merged)
                     s, l, red = merged

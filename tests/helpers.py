@@ -16,7 +16,9 @@ pair loop; and `cotree_graph_recursive` and `twin_sequence_recursive`
 are the package's earlier recursive cotree walks.  The last two groups
 are kept as the yardsticks their rewrites must match.
 `leaves_recursive` is the tests' own leaf lister: the package has none,
-since each of its walks checks the leaves it meets.
+since each of its walks checks the leaves it meets.  `cotree_counts`
+reads a cograph's vertex, edge and triangle counts off its cotree in
+closed form, with no graph built at all.
 """
 
 import itertools
@@ -46,6 +48,20 @@ def random_sequence(n, rng):
         live.remove(u)
         live.remove(v)
         live.append(n + 1 + j)
+    return ContractionSequence(n, tuple(pairs))
+
+
+def halving_sequence(n):
+    """Fold the ids pairwise, level by level: each level contracts its
+    first two ids, its next two and so on, and the next level lists the
+    new ids, then the odd id out, if any."""
+    level, pairs = list(range(1, n + 1)), []
+    while len(level) > 1:
+        folded = []
+        for u, v in zip(level[0::2], level[1::2]):
+            pairs.append((u, v))
+            folded.append(n + len(pairs))
+        level = folded + level[2 * len(folded):]
     return ContractionSequence(n, tuple(pairs))
 
 
@@ -839,11 +855,12 @@ def count_step_reference(g: Trigraph, merged, counters: Counters) -> int:
     contract into w.
 
     Runs on the still-unmodified trigraph; merged is the step's
-    g.merge_neighborhoods, which names the sides by representative, u
-    the one that names w and v the one merged away, and whose red
-    entries (x, color_ux, color_vx) are the red neighbors of w.  The
-    contraction then sets w's group size, inner edges and red weights
-    itself.  The increment has four parts:
+    g.merge_neighborhoods(g.rep[u], g.rep[v]), called once the step's
+    ids are known to be live and distinct.  It names the sides by
+    representative, u the one that names w and v the one merged away,
+    and its red entries (x, color_ux, color_vx) are the red neighbors of
+    w.  The contraction then sets w's group size, inner edges and red
+    weights itself.  The increment has four parts:
     triangles with an edge inside u or v when {u, v} is black (they end
     inside w); triangles that collapse onto a single red edge {w, x};
     wedges x-y with x red and y black at w; and pairs of red neighbors
@@ -967,6 +984,31 @@ def twin_sequence_recursive(root, n):
 
     reduce(root)
     return ContractionSequence(n, tuple(pairs))
+
+
+def cotree_counts(root):
+    """(n, m, t), the vertices, edges and triangles of the cograph a
+    cotree describes, in closed form.  A union adds its children's
+    counts; joining A to B gives m = m_A + m_B + n_A*n_B and
+    t = t_A + t_B + m_A*n_B + m_B*n_A, and a join of more children joins
+    them one at a time.  One walk with its own stack lists the nodes
+    parents first, so the reversed list meets every child before its
+    parent, and a cotree of any depth is fine."""
+    order, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    counts = {}
+    for node in reversed(order):
+        n, m, t = (1, 0, 0) if node.kind == "leaf" else (0, 0, 0)
+        for cn, cm, ct in map(counts.get, map(id, node.children)):
+            if node.kind == "join":
+                n, m, t = n + cn, m + cm + n * cn, t + ct + m * cn + cm * n
+            else:
+                n, m, t = n + cn, m + cm, t + ct
+        counts[id(node)] = n, m, t
+    return counts[id(root)]
 
 
 def caterpillar(n, kind_of):

@@ -1,11 +1,13 @@
 import contextlib
 import importlib
 import io
+import json
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -151,12 +153,24 @@ def test_width_wrong_n_exits_3(tmp_path):
 
 
 def test_every_command_names_a_wrong_length_sequence_alike(tmp_path, capsys):
-    gpath = _write(tmp_path, "p3.gr", format_graph(PlainGraph(3, [(1, 2), (2, 3)])))
+    # and refuses it before building anything of size n: a p line costs
+    # nothing to read, but a trigraph or the oracle's adjacency on a
+    # million vertices would take about 100 MiB
     spath = _write(tmp_path, "n2.seq", "s 2\n1 2\n")
-    for command in (["count"], ["width"], ["verify", "--max-width", "0"]):
-        assert main(command + [gpath, "--sequence", spath]) == 3
-        assert capsys.readouterr() == \
-            ("", "error: sequence is for 2 vertices, graph has 3\n")
+    for n, text in [(3, format_graph(PlainGraph(3, [(1, 2), (2, 3)]))),
+                    (10 ** 6, "p 1000000 0\n")]:
+        gpath = _write(tmp_path, "g.gr", text)
+        for command in (["count"], ["count", "--checked", "--checked-limit", str(n)],
+                        ["width"], ["verify", "--max-width", "0"]):
+            tracemalloc.start()
+            try:
+                assert main(command + [gpath, "--sequence", spath]) == 3
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert capsys.readouterr() == \
+                ("", f"error: sequence is for 2 vertices, graph has {n}\n")
+            assert peak < 2 ** 20
 
 
 def test_verify_command(tmp_path, capsys):
@@ -529,6 +543,42 @@ def test_gen_graph_passes_on_its_builders_refusals(tmp_path, monkeypatch, capsys
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# Runs gen graph once per argument list under a 256 MiB address-space
+# limit, and prints each exit status and stderr as a JSON line; a builder
+# that started its loop on a huge n would end in MemoryError instead
+_LIMITED_GEN = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+from twintri.cli import main
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            status = main(["gen", "graph", *argv])
+        except MemoryError:
+            status = "MemoryError"
+    print(json.dumps([status, err.getvalue()]))
+"""
+
+
+def test_gen_graph_refuses_a_vertex_count_past_the_edge_arrays_up_front(tmp_path):
+    out = str(tmp_path / "g.gr")
+    cases = [(["--family", "star", "--n", "2147483647"], 2 ** 31),
+             (["--family", "gnp", "--n", "3000000000"], 3_000_000_000),
+             (["--family", "grid", "--rows", "65536", "--cols", "32768"], 2 ** 31)]
+    cases += [(["--family", family, "--n", str(2 ** 31)], 2 ** 31)
+              for family in ("cograph", "complete", "path", "cycle")]
+    result = subprocess.run(
+        [sys.executable, "-c", _LIMITED_GEN,
+         json.dumps([argv + ["-o", out] for argv, _ in cases])],
+        capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert [json.loads(line) for line in result.stdout.splitlines()] == \
+        [[3, f"error: graph declares n = {n} vertices, more than the "
+             "2147483647 an edge array can hold\n"] for _, n in cases]
+    assert not os.path.exists(out)
 
 
 def test_gen_graph_p_defaults_to_half(tmp_path):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -26,6 +27,7 @@ from twintri.generate import (
     chain_sequence,
     cograph,
     complete,
+    cotree_graph,
     cycle,
     gnp,
     greedy_sequence,
@@ -147,7 +149,8 @@ def _stepwise_counters(graph, seq):
     t = 0
     record = []
     for u, v in seq.pairs:
-        t += helpers.count_step_reference(g, g.merge_neighborhoods(u, v), counters)
+        merged = g.merge_neighborhoods(g.rep[u], g.rep[v])
+        t += helpers.count_step_reference(g, merged, counters)
         counters.aux_updates += 1
         g.contract(u, v)
         record.append((t, dataclasses.asdict(counters)))
@@ -300,6 +303,21 @@ def test_rejects_wrong_sequence():
         count_triangles(graph, ContractionSequence(3, ((1, 2), (4, 3))))
     with pytest.raises(SequenceError):
         count_triangles(graph, ContractionSequence(4, ((1, 2), (1, 3), (5, 4))))
+    # a sequence for another n is refused before anything is built: a
+    # trigraph on a million vertices, or the oracle's adjacency, would
+    # take about 100 MiB
+    graph = PlainGraph(10 ** 6)
+    for mode in ("fast", "checked"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SequenceError,
+                               match="^sequence is for 3 vertices, graph has 1000000$"):
+                count_triangles(graph, ContractionSequence(3, ((1, 2), (3, 4))),
+                                mode=mode, checked_limit=graph.n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 def test_dead_vertex_error_names_step_and_pair():
@@ -416,7 +434,7 @@ def test_red_free_steps_keep_the_trigraph_and_counters(name, graph, seq):
     g = Trigraph.from_graph(graph.edges, graph.n)
     width = red_free = 0
     for u, v in seq.pairs:
-        s, l, red = g.merge_neighborhoods(u, v)
+        s, l, red = g.merge_neighborhoods(g.rep[u], g.rep[v])
         red_free += not (red or g.red_adj[s] or g.red_adj[l])
         g.contract(u, v)
         helpers.check_consistent(g)
@@ -844,6 +862,57 @@ def test_checked_mode_catches_a_wrong_complement(monkeypatch):
     assert count_triangles(graph, seq).triangles != count_naive(graph)
     with pytest.raises(InternalInvariantError, match="invariant fails"):
         count_triangles(graph, seq, mode="checked")
+
+
+# -- closed forms on cotrees ---------------------------------------------
+
+
+def test_cotree_closed_form_matches_the_oracle():
+    rng = random.Random(26)
+    cases = [(rng.randint(1, 60), rng.random(), rng.choice([None, 2, 8]))
+             for _ in range(30)]
+    cases += [(300, join_prob, 40) for join_prob in (0.1, 0.5, 0.9)]
+    for seed, (n, join_prob, block_size) in enumerate(cases):
+        graph, root = cograph(n, seed, join_prob, block_size)
+        assert helpers.cotree_counts(root) == (n, graph.m, count_naive(graph))
+    # joins of more than two children, and a deep cotree
+    for root, n in [(complete(60)[1], 60), (star(59)[1], 60),
+                    (helpers.caterpillar(120, lambda k: ("union", "join")[k % 2]), 120)]:
+        graph = cotree_graph(root, n)
+        assert helpers.cotree_counts(root) == (n, graph.m, count_naive(graph))
+    # deeper than the recursion limit would allow a recursive walk: K_3000
+    assert helpers.cotree_counts(helpers.caterpillar(3000, lambda k: "join")) \
+        == (3000, math.comb(3000, 2), math.comb(3000, 3))
+
+
+# the complement of a block cograph at n = 2000 holds about two million
+# edges, and building and counting it takes about 3 s a case, so the
+# complement side runs at n = 1000 only
+CLOSED_FORM_CASES = [(n, join_prob, side) for n in (1000, 2000)
+                     for join_prob in (0.1, 0.5, 0.9)
+                     for side in (GRAPH, COMPLEMENT) if side == GRAPH or n == 1000]
+
+
+@pytest.mark.parametrize("n, join_prob, side", CLOSED_FORM_CASES)
+def test_block_cographs_count_their_closed_form_under_halving(n, join_prob, side):
+    # the halving sequence takes block cographs to widths 4 to 11, so the
+    # pair and wedge terms of the count meet red edges at every level;
+    # twin sequences stay at width 0 and chain sequences reach too few
+    graph, root = cograph(n, seed=n + int(10 * join_prob), join_prob=join_prob,
+                          block_size=8)
+    nodes, edges, triangles = helpers.cotree_counts(root)
+    assert (nodes, edges) == (n, graph.m)
+    seq = helpers.halving_sequence(n)
+    result = helpers.count_on_side(graph, seq, side)
+    assert result.width >= 4
+    if side == GRAPH:
+        assert result.triangles == triangles
+        assert count_triangles(graph, seq).triangles == triangles
+    else:
+        # Goodman's identity: the complement's triangles from G's
+        degree = collections.Counter(itertools.chain(graph.us, graph.vs))
+        assert result.triangles == (math.comb(n, 3) - triangles
+                                    - sum(d * (n - 1 - d) for d in degree.values()) // 2)
 
 
 def test_a_huge_sparse_graph_stays_on_the_graph_side():

@@ -295,9 +295,14 @@ def test_half_dense_cograph_is_byte_identical():
     text = format_graph(graph)
     assert (hashlib.sha256(text.encode()).hexdigest()
             == "8cff5c6ead6585d9a22f1c56dae0a3f95e186a1b48aa86c49902bf8afc116756")
-    text = format_sequence(twin_sequence(root, 3000))
+    seq = twin_sequence(root, 3000)
+    text = format_sequence(seq)
     assert (hashlib.sha256(text.encode()).hexdigest()
             == "2148830453093e24805cc4a817f6a480641ac874829b1a291910f451988e7ef3")
+    # the count CI reads from `twintri count`, here and in closed form
+    assert helpers.cotree_counts(root) == (3000, 2_157_071, 867_638_339)
+    result = count_triangles(graph, seq)
+    assert (result.triangles, result.side, result.width) == (867_638_339, "graph", 0)
 
 
 # -- chain sequences ----------------------------------------------------------

@@ -76,11 +76,8 @@ def test_contract_rejects_dead_vertex():
                       (3, 6, 6), (4, 99, 99)]:
         with pytest.raises(ValueError, match=rf"^vertex {bad} is not live$"):
             g.contract(u, v)
-        # the merge is where the step is checked; contract inherits it
-        with pytest.raises(ValueError, match=rf"^vertex {bad} is not live$"):
-            g.merge_neighborhoods(u, v)
     with pytest.raises(ValueError, match="^cannot contract a vertex with itself$"):
-        g.merge_neighborhoods(3, 3)
+        g.contract(3, 3)
     helpers.check_consistent(g)
     assert g.contract(3, 4) == 5
     # -1 would index the last vertex, 5 = 2n - 1, which is now live
