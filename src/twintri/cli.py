@@ -1,9 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 file parse error, 3 semantic error (bad or
-failing sequences, unusable arguments), 4 internal invariant violation,
-141 stdout closed by its reader (128 + SIGPIPE, what a shell reports when
-SIGPIPE ends a C tool).
+failing sequences, unusable arguments, memory running out), 4 internal
+invariant violation, 141 stdout closed by its reader (128 + SIGPIPE,
+what a shell reports when SIGPIPE ends a C tool).
 The TWINTRI_SEED environment variable supplies the default RNG seed of
 the random graph families (gnp, cograph).
 """
@@ -263,6 +263,11 @@ def main(argv=None) -> int:
     except (SequenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
+    except MemoryError:
+        # reported below, once the frames that held the memory are freed
+        pass
+    print("error: ran out of memory", file=sys.stderr)
+    return EXIT_SEMANTIC
 
 
 if __name__ == "__main__":

@@ -17,7 +17,9 @@ of original edges between the two groups.  Beside them each
 representative keeps its group's size and inner-edge count, the
 original edges with both ends in the group, so a contraction computes
 w's red weights and inner edges itself: the paper's three numbers per
-live group.
+live group.  Each vertex id is one int object, the one rep holds, and
+every map key is that object, so a half-dense graph's trigraph takes
+about 86 bytes an edge.
 
 A contraction keeps the representative with the larger black map, u's on
 a tie, as the name of w, and merges the other one away.  Only the merged
@@ -127,9 +129,15 @@ class Trigraph:
 
         Repeated and mirrored pairs collapse into one edge; self-loops
         and endpoints outside 1..n are rejected.  Construction is O(n+m).
+
+        Each map key is the int object rep holds for that vertex, not the
+        one the edge brought, which would cost 32 more bytes a key: the
+        2m keys share the n id objects, and a half-dense graph's maps take
+        about 86 bytes an edge.  Every later key is read from a key or
+        from rep, so it shares them too.
         """
         g = cls(n)
-        adj = g.black_adj
+        adj, rep = g.black_adj, g.rep
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
@@ -138,11 +146,11 @@ class Trigraph:
             au = adj[u]
             if au is EMPTY:
                 adj[u] = au = {}
-            au[v] = None
+            au[rep[v]] = None
             av = adj[v]
             if av is EMPTY:
                 adj[v] = av = {}
-            av[u] = None
+            av[rep[u]] = None
         return g
 
     # -- queries ---------------------------------------------------------

@@ -581,6 +581,28 @@ def test_gen_graph_refuses_a_vertex_count_past_the_edge_arrays_up_front(tmp_path
     assert not os.path.exists(out)
 
 
+# Runs the CLI on its own arguments under a 256 MiB address-space limit
+_LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+from twintri.cli import main
+sys.exit(main())
+"""
+
+
+@pytest.mark.parametrize("flags", [["--family", "complete", "--n", "200000"],
+                                   ["--family", "gnp", "--n", "200000", "--p", "0.5"]])
+def test_running_out_of_memory_exits_3_without_a_traceback(tmp_path, flags):
+    out = str(tmp_path / "g.gr")
+    result = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CLI, "gen", "graph", *flags, "-o", out],
+        capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert result.returncode == 3
+    assert result.stderr == "error: ran out of memory\n"
+    assert result.stdout == ""
+    assert not os.path.exists(out)
+
+
 def test_gen_graph_p_defaults_to_half(tmp_path):
     out1, out2 = tmp_path / "a.gr", tmp_path / "b.gr"
     assert main(["gen", "graph", "--family", "gnp", "--n", "20", "--seed", "3",

@@ -31,6 +31,7 @@ from twintri.generate import (
     cycle,
     gnp,
     greedy_sequence,
+    grid,
     path,
     petersen,
     star,
@@ -885,6 +886,32 @@ def test_cotree_closed_form_matches_the_oracle():
         == (3000, math.comb(3000, 2), math.comb(3000, 3))
 
 
+def _with_twin_sequence(built):
+    graph, root = built
+    return graph, twin_sequence(root, graph.n)
+
+
+# each fixed family's construction fixes its triangle count, so it is
+# checked where the oracle is too slow to reach: K_1000 is on the
+# complement side, and the grid reaches width 30 under the chain fold
+FIXED_FAMILY_CASES = {
+    "path": (lambda: (path(20000), chain_sequence(20000)), 0),
+    "cycle": (lambda: (cycle(20000), chain_sequence(20000)), 0),
+    "triangle": (lambda: (cycle(3), chain_sequence(3)), 1),
+    "star": (lambda: _with_twin_sequence(star(80000)), 0),
+    "complete": (lambda: _with_twin_sequence(complete(1000)), math.comb(1000, 3)),
+    "grid": (lambda: (grid(30, 30), chain_sequence(900)), 0),
+    "petersen": (lambda: (petersen(), greedy_sequence(petersen())[0]), 0),
+}
+
+
+@pytest.mark.parametrize("build, triangles", FIXED_FAMILY_CASES.values(),
+                         ids=FIXED_FAMILY_CASES)
+def test_fixed_families_count_their_closed_form(build, triangles):
+    graph, seq = build()
+    assert count_triangles(graph, seq).triangles == triangles
+
+
 # the complement of a block cograph at n = 2000 holds about two million
 # edges, and building and counting it takes about 3 s a case, so the
 # complement side runs at n = 1000 only
@@ -926,6 +953,27 @@ def test_a_huge_sparse_graph_stays_on_the_graph_side():
     # the complement would hold about n^2/2 edges
     assert (side, g.black_adj[1], g.black_adj[3]) == (GRAPH, {2: None}, EMPTY)
     assert peak < 200 * graph.n
+
+
+def test_a_half_dense_trigraph_keys_its_maps_on_one_int_per_vertex():
+    # each key is the int object rep holds, so a map entry costs its dict
+    # slot alone; with a fresh int per key the complement side took 88.0
+    # bytes a graph edge and the graph side 135.6
+    graph, _ = cograph(1000, seed=1)
+    for build, side, limit in [(lambda: side_trigraph(graph), COMPLEMENT, 75),
+                               (lambda: (GRAPH, Trigraph.from_graph(graph.edges, graph.n)),
+                                GRAPH, 100)]:
+        tracemalloc.start()
+        try:
+            built = build()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert built[0] == side
+        assert held < limit * graph.m
+        g = built[1]
+        assert all(x is g.rep[x] for b in g.black_adj for x in b)
+        del built, g
 
 
 def test_k300_graph_side_counters_are_pinned():
