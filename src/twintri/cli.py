@@ -167,7 +167,7 @@ def _cmd_verify(args) -> int:
     if report.valid:
         print(f"valid width {report.width}")
         return EXIT_OK
-    u, v = seq.pairs[report.failing_step]
+    u, v = seq.ends[2 * report.failing_step:2 * report.failing_step + 2]
     print(f"invalid step {report.failing_step} ({u}, {v}) width {report.width}")
     return EXIT_SEMANTIC
 

@@ -337,7 +337,7 @@ def count_side(g: Trigraph, seq: ContractionSequence, side: str,
             if reference is not None:
                 check_conservation(g, m)
                 if not evaluate_invariant(g, t, reference_count):
-                    u, v = seq.pairs[step]
+                    u, v = seq.ends[2 * step:2 * step + 2]
                     raise InternalInvariantError(
                         f"invariant fails after step {step} ({u},{v})->{n + 1 + step}")
             if step_callback is not None:
@@ -346,13 +346,13 @@ def count_side(g: Trigraph, seq: ContractionSequence, side: str,
     width, sum_d_sq, _ = g.run(seq.pairs, count=count, after=after,
                                refused=SequenceError.refused)
     if after is None:
-        counters.aux_updates += len(seq.pairs)  # after charges them one by one
-    counters.contractions = len(seq.pairs)
+        counters.aux_updates += seq.n - 1  # after charges them one by one
+    counters.contractions = seq.n - 1
     counters.graph_update_work = g.update_work
     return CountResult(
         triangles=t,
         width=width,
-        steps=len(seq.pairs),
+        steps=seq.n - 1,
         counters=counters,
         sum_red_degree_sq=sum_d_sq,
         side=side,

@@ -134,7 +134,8 @@ def twin_sequence(root: Cotree, n: int) -> ContractionSequence:
     the walk keeps its own stack, so a cotree of any depth is fine, and
     checks the leaves it meets rather than walking the tree twice.
     """
-    pairs = []
+    ends = []
+    made = n  # the id the last fold made
     leaves = []
     stack = []  # (remaining children, representative so far) of the open nodes
     children, rep = iter((root,)), None
@@ -150,8 +151,12 @@ def twin_sequence(root: Cotree, n: int) -> ContractionSequence:
             if rep is None:
                 rep = other
             else:
-                pairs.append((rep, other) if rep < other else (other, rep))
-                rep = n + len(pairs)
+                if rep > other:
+                    rep, other = other, rep
+                ends.append(rep)
+                ends.append(other)
+                made += 1
+                rep = made
         else:
             if not stack:
                 break
@@ -160,11 +165,15 @@ def twin_sequence(root: Cotree, n: int) -> ContractionSequence:
             if rep is None:
                 rep = other
             else:
-                pairs.append((rep, other) if rep < other else (other, rep))
-                rep = n + len(pairs)
+                if rep > other:
+                    rep, other = other, rep
+                ends.append(rep)
+                ends.append(other)
+                made += 1
+                rep = made
     if sorted(leaves) != list(range(1, n + 1)):
         raise ValueError("cotree leaves must be exactly 1..n")
-    return ContractionSequence(n, tuple(pairs))
+    return ContractionSequence(n, tuple(ends))
 
 
 def _random_cotree(ids, rng, join_prob):
@@ -232,18 +241,27 @@ def star(leaves: int):
     return cotree_graph(root, n), root
 
 
+# path, cycle, grid and gnp append each edge straight into canonical edge
+# arrays, as cotree_graph does, so PlainGraph keeps them after its check
+# loop and no pair is ever built.
+
+
 def path(n: int) -> PlainGraph:
     if n < 1:
         raise ValueError("need n >= 1")
     check_max_n(n)
-    return PlainGraph(n, [(v, v + 1) for v in range(1, n)])
+    return PlainGraph(n, (array("i", range(1, n)), array("i", range(2, n + 1))))
 
 
 def cycle(n: int) -> PlainGraph:
+    """The path 1..n closed by the edge {1, n}, which sorts second."""
     if n < 3:
         raise ValueError("cycles need n >= 3")
     check_max_n(n)
-    return PlainGraph(n, [(v, v + 1) for v in range(1, n)] + [(n, 1)])
+    us, vs = array("i", (1, 1)), array("i", (2, n))
+    us.extend(range(2, n))
+    vs.extend(range(3, n + 1))
+    return PlainGraph(n, (us, vs))
 
 
 def grid(rows: int, cols: int) -> PlainGraph:
@@ -251,15 +269,17 @@ def grid(rows: int, cols: int) -> PlainGraph:
     if rows < 1 or cols < 1:
         raise ValueError("grid needs positive dimensions")
     check_max_n(rows * cols)
-    edges = []
+    us, vs = array("i"), array("i")
     for r in range(rows):
         for c in range(cols):
             v = r * cols + c + 1
             if c + 1 < cols:
-                edges.append((v, v + 1))
+                us.append(v)
+                vs.append(v + 1)
             if r + 1 < rows:
-                edges.append((v, v + cols))
-    return PlainGraph(rows * cols, edges)
+                us.append(v)
+                vs.append(v + cols)
+    return PlainGraph(rows * cols, (us, vs))
 
 
 def petersen() -> PlainGraph:
@@ -277,12 +297,12 @@ def gnp(n: int, p: float = 0.5, seed: int = 0) -> PlainGraph:
         raise ValueError("p must lie in [0, 1]")
     check_max_n(n)
     rng = random.Random(seed)
-    edges = []
+    us, vs = array("i"), array("i")
     for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            if rng.random() < p:
-                edges.append((u, v))
-    return PlainGraph(n, edges)
+        row = [v for v in range(u + 1, n + 1) if rng.random() < p]
+        vs.fromlist(row)
+        us.fromlist([u] * len(row))
+    return PlainGraph(n, (us, vs))
 
 
 def chain_sequence(n: int) -> ContractionSequence:
@@ -291,11 +311,11 @@ def chain_sequence(n: int) -> ContractionSequence:
     where greedy search would be wasteful."""
     if n < 1:
         raise ValueError("need n >= 1")
-    pairs = []
+    ends = []
     for step in range(n - 1):
         left = 1 if step == 0 else n + step
-        pairs.append((min(left, step + 2), max(left, step + 2)))
-    return ContractionSequence(n, tuple(pairs))
+        ends += min(left, step + 2), max(left, step + 2)
+    return ContractionSequence(n, tuple(ends))
 
 
 # The one table of graph families, in the order the CLI lists them: each
@@ -402,14 +422,14 @@ def greedy_sequence(graph: PlainGraph):
     top = 0
     red_total = 0
     next_id = n + 1
-    pairs = []
+    ends = []
     width = 0
     floor = [0] * n
 
     while len(live) > 1:
         both = [black[s] | red[s] | 1 << s | black[s] << n for s in live]
         nblack = [black[s].bit_count() for s in live]
-        if pairs:
+        if ends:
             # the last product holds the last id: its row is empty, and
             # every other row gains the pair with it and lost at most 1
             # from each old score
@@ -465,7 +485,7 @@ def greedy_sequence(graph: PlainGraph):
                     best_key = key
                     best = (a, b)
         a, b = best
-        pairs.append((ids[a], ids[b]))  # live is in id order, so ids[a] < ids[b]
+        ends += ids[a], ids[b]  # live is in id order, so ids[a] < ids[b]
         width = max(width, best_key[0])
         # fold b into slot a; every red edge at a or b disappears and the
         # product's red edges (rr_mask) take their place
@@ -507,7 +527,7 @@ def greedy_sequence(graph: PlainGraph):
         top = max(top + 1, wdeg)
         while not level[top]:
             top -= 1
-    return ContractionSequence(n, tuple(pairs)), width
+    return ContractionSequence(n, tuple(ends)), width
 
 
 # -- exact sequence --------------------------------------------------------
@@ -572,8 +592,8 @@ def exact_sequence(graph: PlainGraph, max_n: int = EXACT_MAX_N):
     while (merges := search(start, width, set())) is None:
         width += 1
     id_of = {1 << v: v for v in range(1, n + 1)}
-    pairs = []
+    ends = []
     for p, q in merges:
-        pairs.append(tuple(sorted((id_of.pop(p), id_of.pop(q)))))
-        id_of[p | q] = n + len(pairs)
-    return ContractionSequence(n, tuple(pairs)), width
+        ends += sorted((id_of.pop(p), id_of.pop(q)))
+        id_of[p | q] = n + len(ends) // 2
+    return ContractionSequence(n, tuple(ends)), width

@@ -11,8 +11,8 @@ objects per edge took about 100.  Its edges property reads them back as
 pairs (u, v), a fresh iterator on each read, so a caller that walks the
 edges twice reads the property twice.  An edge list that is already
 canonical, such as the arrays parse_graph fills from a written file or
-the pairs a generator builds, passes one plain loop over its pairs and
-skips the set and the sort.  The arrays cap vertex ids, and so n, at
+a generator builds, passes one plain loop over its pairs and skips the
+set and the sort.  The arrays cap vertex ids, and so n, at
 MAX_N.
 
 Everything is a pure function of its inputs and safe to call

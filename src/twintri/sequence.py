@@ -1,6 +1,9 @@
-"""Contraction sequences: the pairs-only encoding, its file format, and replay.
+"""Contraction sequences: the flat encoding, its file format, and replay.
 
-A sequence for an n-vertex graph lists n-1 vertex pairs.  Replaying it
+A sequence for an n-vertex graph lists n-1 vertex pairs.  It keeps their
+2(n-1) ids in one flat tuple of ints, u1 v1 u2 v2 ..., about 72 bytes a
+pair, where a tuple per pair took about 120; its pairs property reads
+them back as a fresh iterator of pairs on each read.  Replaying it
 contracts each pair in order; the vertex created by step j (0-based) is
 implicitly numbered n+1+j and is never written down.  The width of a
 sequence is the largest red degree any intermediate trigraph attains.
@@ -20,19 +23,17 @@ own: the s line's arity, the checks on each pair and their messages.
 parse_sequence reads text shaped like format_sequence's output ("s <n>",
 then only "<u> <v>" lines, single spaces, ASCII digits, every line
 ending in a newline) in bulk, as parse_graph does: each slice of about
-64 KiB becomes a JSON array read by the json C scanner, and
-ContractionSequence checks the pairs.  Any other text, and shaped text
-that fails anywhere on the bulk path, a number the scanner refuses (a
-leading zero, more digits than CPython's int-string limit) included,
-goes to the per-line parser, so every error carries the same message
-and line number on either path.
+64 KiB becomes a JSON array read by the json C scanner, its ids go onto
+one flat list, and ContractionSequence checks the pairs.  Any other
+text, and shaped text that fails anywhere on the bulk path, a number the
+scanner refuses (a leading zero, more digits than CPython's int-string
+limit) included, goes to the per-line parser, so every error carries the
+same message and line number on either path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-
 from .graphio import (FormatError, format_records, read_slices, read_text,
                       records, written_header)
 from .trigraph import Trigraph
@@ -53,20 +54,38 @@ class SequenceError(ValueError):
 
 @dataclass(frozen=True)
 class ContractionSequence:
+    """n and the ids of the n-1 pairs, one flat tuple u1 v1 u2 v2 ...
+
+    Two int objects and two tuple slots a pair, about 72 bytes, where a
+    tuple per pair took about 120.  Equal sequences compare and hash
+    equal.  pairs reads the ids back as pairs (u, v), a fresh iterator
+    on each read that reuses its result tuple while the caller drops
+    each pair, so a walk allocates none.  The checks walk pairs once, in
+    step order, so each message names the first pair at fault.
+    """
+
     n: int
-    pairs: tuple[tuple[int, int], ...]
+    ends: tuple[int, ...]
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("sequence needs n >= 1")
-        if len(self.pairs) != self.n - 1:
-            raise ValueError(f"expected {self.n - 1} pairs, got {len(self.pairs)}")
+        if len(self.ends) != 2 * (self.n - 1):
+            got = len(self.ends) // 2
+            raise ValueError(f"expected {self.n - 1} pairs, got {got}"
+                             + (" and one id" if len(self.ends) % 2 else ""))
         top = 2 * self.n - 1
         for u, v in self.pairs:
             if u == v:
                 raise ValueError(f"self-contraction of vertex {u}")
             if not (1 <= u <= top and 1 <= v <= top):
                 raise ValueError(f"pair ({u}, {v}) leaves the id range 1..{top}")
+
+    @property
+    def pairs(self):
+        """The pairs (u, v) in step order, a fresh iterator on each read."""
+        ends = iter(self.ends)
+        return zip(ends, ends)
 
 
 def check_n(seq: ContractionSequence, n: int):
@@ -90,11 +109,10 @@ def parse_sequence(text: str) -> ContractionSequence:
     header = written_header(text, "s ([0-9]+)")
     if header is not None:
         try:
-            pairs = []
+            ends = []
             for ids in read_slices(text, header.end()):
-                ends = iter(ids)
-                pairs += zip(ends, ends)
-            return ContractionSequence(int(header[1]), tuple(pairs))
+                ends += ids
+            return ContractionSequence(int(header[1]), tuple(ends))
         except ValueError:
             pass  # the per-line parser names the line
     return _parse_lines(text)
@@ -103,7 +121,7 @@ def parse_sequence(text: str) -> ContractionSequence:
 def _parse_lines(text: str) -> ContractionSequence:
     """The per-line parser: any valid text, errors with line numbers."""
     n = None
-    pairs = []
+    ends = []
     for lineno, fields in records(text):
         if fields[0] == "s":
             if n is not None:
@@ -130,16 +148,16 @@ def _parse_lines(text: str) -> ContractionSequence:
             top = 2 * n - 1
             if not (1 <= u <= top and 1 <= v <= top):
                 raise SequenceFormatError(f"id outside 1..{top}", lineno)
-            pairs.append((u, v))
+            ends += u, v
     if n is None:
         raise SequenceFormatError("missing s line")
-    if len(pairs) != n - 1:
-        raise SequenceFormatError(f"expected {n - 1} pairs, got {len(pairs)}")
-    return ContractionSequence(n, tuple(pairs))
+    if len(ends) != 2 * (n - 1):
+        raise SequenceFormatError(f"expected {n - 1} pairs, got {len(ends) // 2}")
+    return ContractionSequence(n, tuple(ends))
 
 
 def format_sequence(seq: ContractionSequence) -> str:
-    return format_records(f"s {seq.n}", "", chain.from_iterable(seq.pairs))
+    return format_records(f"s {seq.n}", "", seq.ends)
 
 
 def load_sequence(path) -> ContractionSequence:

@@ -4,8 +4,8 @@ Colors, auxiliary counts and triangle configurations are recomputed from
 first principles (edge lists and vertex partitions), so a bug in the
 package cannot leak into its own check.  Four groups of code are not
 independent on purpose: `count_on_side` runs the package's per-side
-count on the side a test names (the complement built here, pair by
-pair); `serialize`, `live_vertices`, `black_edges`, `red_edges`,
+count on the side a test names (the complement built here, vertex
+by vertex); `serialize`, `live_vertices`, `black_edges`, `red_edges`,
 `max_red_degree`, `check_consistent` and `by_id` read a trigraph's own
 state to print, list, audit or translate it, naming vertices by id through
 `ids_of`, the inverse of the trigraph's one id map `rep` (the package
@@ -24,6 +24,7 @@ closed form, with no graph built at all.
 import itertools
 import random
 import types
+from array import array
 
 from twintri.counting import COMPLEMENT, GRAPH, Counters, count_side, red_weight
 from twintri.generate import Cotree, cograph, gnp, greedy_sequence, twin_sequence
@@ -32,10 +33,17 @@ from twintri.sequence import ContractionSequence
 from twintri.trigraph import BLACK, EMPTY, NONE, RED, Trigraph
 
 
+def sequence_of(n, pairs):
+    """The ContractionSequence of the pairs (u, v), their ids laid flat."""
+    return ContractionSequence(n, tuple(itertools.chain.from_iterable(pairs)))
+
+
 def unchecked_sequence(n, pairs):
     """A sequence-shaped object that skips ContractionSequence's checks,
     for feeding ids it refuses (0, negatives) to replay and counting."""
-    return types.SimpleNamespace(n=n, pairs=tuple(pairs))
+    pairs = tuple(pairs)
+    return types.SimpleNamespace(n=n, pairs=pairs,
+                                 ends=tuple(itertools.chain.from_iterable(pairs)))
 
 
 def random_sequence(n, rng):
@@ -48,7 +56,7 @@ def random_sequence(n, rng):
         live.remove(u)
         live.remove(v)
         live.append(n + 1 + j)
-    return ContractionSequence(n, tuple(pairs))
+    return sequence_of(n, pairs)
 
 
 def halving_sequence(n):
@@ -62,7 +70,7 @@ def halving_sequence(n):
             pairs.append((u, v))
             folded.append(n + len(pairs))
         level = folded + level[2 * len(folded):]
-    return ContractionSequence(n, tuple(pairs))
+    return sequence_of(n, pairs)
 
 
 def loop_cases(seed):
@@ -82,15 +90,28 @@ def loop_cases(seed):
 
 
 def complement(graph):
-    """graph's complement, built pair by pair."""
-    n, edges = graph.n, set(graph.edges)
-    return PlainGraph(n, [e for e in itertools.combinations(range(1, n + 1), 2)
-                          if e not in edges])
+    """graph's complement, built vertex by vertex: u's higher non-neighbours
+    are the gaps between its higher neighbours, which the canonical edge
+    arrays list in order.  counting's complement bisects the arrays and
+    takes set differences instead, so this one still checks it."""
+    n = graph.n
+    higher = [[] for _ in range(n + 1)]
+    for u, v in zip(graph.us, graph.vs):
+        higher[u].append(v)
+    us, vs = array("i"), array("i")
+    for u in range(1, n + 1):
+        row, last = [], u
+        for v in higher[u] + [n + 1]:
+            row += range(last + 1, v)
+            last = v
+        vs.fromlist(row)
+        us.fromlist([u] * len(row))
+    return PlainGraph(n, (us, vs))
 
 
 def count_on_side(graph, seq, side=GRAPH, mode="fast", step_callback=None):
     """count_triangles' per-side routine on the trigraph of graph (GRAPH)
-    or of its complement, built here pair by pair (COMPLEMENT).  The
+    or of its complement, built here vertex by vertex (COMPLEMENT).  The
     count is that side's own, and checked mode checks it against the
     oracle on that side.  count_triangles itself takes the graph side
     only while at most half of the pairs are edges."""
@@ -839,7 +860,7 @@ def greedy_reference(graph):
         step_width = max(red_deg[s] for s in live)
         if step_width > width:
             width = step_width
-    return ContractionSequence(n, tuple(pairs)), width
+    return sequence_of(n, pairs), width
 
 
 # -- counting step reference -------------------------------------------------
@@ -983,7 +1004,7 @@ def twin_sequence_recursive(root, n):
         return rep
 
     reduce(root)
-    return ContractionSequence(n, tuple(pairs))
+    return sequence_of(n, pairs)
 
 
 def cotree_counts(root):

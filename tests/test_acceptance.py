@@ -214,7 +214,7 @@ def test_criterion_8_targeted_branch_instances():
     for name, (inst, mutant) in helpers.TARGETED_INSTANCES.items():
         n, edges, pairs = inst["n"], inst["edges"], inst["pairs"]
         graph = PlainGraph(n, edges)
-        seq = ContractionSequence(n, tuple(pairs))
+        seq = helpers.sequence_of(n, pairs)
         expected = inst["triangles"]
         oracle = count_naive(graph)
         assert oracle == expected, name

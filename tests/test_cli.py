@@ -76,7 +76,7 @@ def test_dense_graphs_count_through_the_complement(tmp_path, capsys):
     assert main(["verify", gpath, "--sequence", spath, "--max-width", str(width)]) == 0
     assert capsys.readouterr().out == f"valid width {width}\n"
     report = replay(Trigraph.from_graph(graph.edges, graph.n), seq, width - 1)
-    u, v = seq.pairs[report.failing_step]
+    u, v = seq.ends[2 * report.failing_step:2 * report.failing_step + 2]
     assert main(["verify", gpath, "--sequence", spath, "--max-width", str(width - 1)]) == 3
     assert capsys.readouterr().out == \
         f"invalid step {report.failing_step} ({u}, {v}) width {width}\n"
@@ -212,6 +212,46 @@ def test_width_and_verify_name_the_failing_pair(tmp_path, capsys):
     assert capsys.readouterr() == ("invalid step 0 (1, 3) width 1\n", "")
 
 
+def test_checked_count_and_verify_name_a_failing_step_deep_in_the_sequence(
+        tmp_path, capsys, monkeypatch):
+    # both read step i's pair off the sequence's flat ids.  verify: a star
+    # whose leaves fold as twins, then the first step of a path, whose red
+    # edge fails bound 0 at step 39999
+    leaves = 40000
+    n = leaves + 5
+    edges = [(1, v) for v in range(2, leaves + 2)]
+    edges += [(leaves + 2, leaves + 3), (leaves + 3, leaves + 4), (leaves + 4, leaves + 5)]
+    ends = [2, 3]
+    for j in range(1, leaves - 1):
+        ends += n + j, j + 3
+    fold = n + leaves - 1  # the folded leaves
+    ends += [leaves + 2, leaves + 3, fold + 1, leaves + 4, fold + 2, leaves + 5,
+             1, fold, fold + 4, fold + 3]
+    seq = ContractionSequence(n, tuple(ends))
+    assert list(seq.pairs)[leaves - 1] == (leaves + 2, leaves + 3)
+    gpath = _write(tmp_path, "late.gr", format_graph(PlainGraph(n, edges)))
+    spath = _write(tmp_path, "late.seq", format_sequence(seq))
+    assert main(["verify", gpath, "--sequence", spath, "--max-width", "0"]) == 3
+    assert capsys.readouterr() == (f"invalid step {leaves - 1} ({leaves + 2}, "
+                                   f"{leaves + 3}) width 1\n", "")
+    # count --checked: the invariant is made to fail after step 50 of a
+    # chain on a path of 60 vertices, which contracts (52, 110) into 111
+    from twintri import counting
+    from twintri.generate import chain_sequence, path
+    checks = []
+
+    def fails_after_step_50(*args):
+        checks.append(args)  # the first check runs before any step
+        return len(checks) != 52
+
+    monkeypatch.setattr(counting, "evaluate_invariant", fails_after_step_50)
+    gpath = _write(tmp_path, "p60.gr", format_graph(path(60)))
+    spath = _write(tmp_path, "p60.seq", format_sequence(chain_sequence(60)))
+    assert main(["count", gpath, "--sequence", spath, "--checked"]) == 4
+    assert capsys.readouterr() == (
+        "", "internal invariant violation: invariant fails after step 50 (52,110)->111\n")
+
+
 @pytest.mark.parametrize("pairs, message", [
     # 2 names 6, so the id 2 is dead though its group lives on
     (((2, 3), (2, 4), (6, 5), (1, 7)), "step 1 contracts (2, 4) but vertex 2 is not live"),
@@ -222,7 +262,7 @@ def test_width_and_verify_name_the_failing_pair(tmp_path, capsys):
 def test_an_id_whose_group_lives_on_is_not_live(tmp_path, capsys, pairs, message):
     # star(4): hub 1, leaves 2..5
     graph, _ = star(4)
-    seq = ContractionSequence(5, pairs)
+    seq = ContractionSequence(5, sum(pairs, ()))
     with pytest.raises(SequenceError) as err:
         count_triangles(graph, seq)
     assert str(err.value) == message

@@ -126,7 +126,7 @@ def _check_steps(n, edges, pairs, states):
             assert {x: g.inner[g.rep[x]] for x in inner_edges} == inner_edges
             assert _red_weights(g) == red
 
-    result = helpers.count_on_side(graph, ContractionSequence(n, tuple(pairs)),
+    result = helpers.count_on_side(graph, helpers.sequence_of(n, pairs),
                                    step_callback=on_step)
     assert increments == [len(s) for s in schedule]
     assert result.triangles == count_naive(graph)
@@ -164,7 +164,7 @@ def test_step_callback_sees_the_counters_of_a_stepwise_driver():
     # every step sees
     graph = gnp(30, 0.3, seed=4)
     cases = [(graph, greedy_sequence(graph)[0])]
-    cases += [(PlainGraph(n, edges), ContractionSequence(n, tuple(pairs)))
+    cases += [(PlainGraph(n, edges), helpers.sequence_of(n, pairs))
               for n, edges, pairs, _ in STEP_CASES.values()]
     for graph, seq in cases:
         seen = []
@@ -220,7 +220,7 @@ def test_missing_cross_entry_is_diagnosed():
 
     pairs = ((1, 2), (3, 4))
     with pytest.raises(InternalInvariantError) as counted:
-        count_triangles(path(3), ContractionSequence(3, pairs),
+        count_triangles(path(3), helpers.sequence_of(3, pairs),
                         step_callback=lambda step, g, state: drop(g, step))
     g = Trigraph.from_graph(path(3).edges, 3)
     with pytest.raises(InternalInvariantError) as alone:
@@ -256,7 +256,7 @@ def test_conservation_rejects_bad_weights():
 
 def test_collapse_counts_all_k4_triangles():
     graph, _ = complete(4)
-    seq = ContractionSequence(4, ((1, 2), (3, 4), (5, 6)))
+    seq = ContractionSequence(4, (1, 2, 3, 4, 5, 6))
     increments = []
     last = [0]
 
@@ -301,9 +301,9 @@ def test_count_complete_graphs():
 def test_rejects_wrong_sequence():
     graph = path(4)
     with pytest.raises(SequenceError):
-        count_triangles(graph, ContractionSequence(3, ((1, 2), (4, 3))))
+        count_triangles(graph, ContractionSequence(3, (1, 2, 4, 3)))
     with pytest.raises(SequenceError):
-        count_triangles(graph, ContractionSequence(4, ((1, 2), (1, 3), (5, 4))))
+        count_triangles(graph, ContractionSequence(4, (1, 2, 1, 3, 5, 4)))
     # a sequence for another n is refused before anything is built: a
     # trigraph on a million vertices, or the oracle's adjacency, would
     # take about 100 MiB
@@ -313,7 +313,7 @@ def test_rejects_wrong_sequence():
         try:
             with pytest.raises(SequenceError,
                                match="^sequence is for 3 vertices, graph has 1000000$"):
-                count_triangles(graph, ContractionSequence(3, ((1, 2), (3, 4))),
+                count_triangles(graph, ContractionSequence(3, (1, 2, 3, 4)),
                                 mode=mode, checked_limit=graph.n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -330,7 +330,7 @@ def test_dead_vertex_error_names_step_and_pair():
         (((1, 6), (2, 3), (5, 4)), "step 0 contracts (1, 6) but vertex 6 is not live"),
     ]:
         with pytest.raises(SequenceError) as err:
-            count_triangles(graph, ContractionSequence(4, pairs))
+            count_triangles(graph, helpers.sequence_of(4, pairs))
         assert str(err.value) == message
     # ContractionSequence refuses ids below 1, equal pairs and ids past
     # 2n - 1, so they can only arrive through an object that skips its checks
@@ -355,7 +355,7 @@ def test_refused_step_deep_in_a_long_run_leaves_the_loop_written_back():
     graph = gnp(1000, 0.01, seed=3)
     pairs = list(helpers.random_sequence(1000, random.Random(4)).pairs)
     pairs[500] = (pairs[10][0], pairs[500][1])
-    seq = ContractionSequence(1000, tuple(pairs))
+    seq = helpers.sequence_of(1000, pairs)
     for run in (lambda g: count_side(g, seq, GRAPH), lambda g: replay(g, seq, 3)):
         g = Trigraph.from_graph(graph.edges, graph.n)
         with pytest.raises(SequenceError) as err:
@@ -401,7 +401,7 @@ def _twin_or_random_sequence(graph, rng):
             pair = tuple(rng.sample(live, 2))
         g.contract(*pair)
         pairs.append(pair)
-    return ContractionSequence(graph.n, tuple(pairs))
+    return helpers.sequence_of(graph.n, pairs)
 
 
 def _red_free_cases():
@@ -480,7 +480,7 @@ def test_checked_mode_gate():
 
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
-        count_triangles(path(2), ContractionSequence(2, ((1, 2),)), mode="slow")
+        count_triangles(path(2), ContractionSequence(2, (1, 2)), mode="slow")
 
 
 # -- invariants ------------------------------------------------------------
@@ -556,7 +556,7 @@ def test_red_weights_match_brute_force_cross_counts(n, seed, p):
     members = {v: [v] for v in range(1, n + 1)}
 
     def on_step(step, g, state):
-        u, v = seq.pairs[step]
+        u, v = seq.ends[2 * step:2 * step + 2]
         members[n + 1 + step] = members.pop(u) + members.pop(v)
         assert sorted(members) == helpers.live_vertices(g)
         rep = g.rep
@@ -687,7 +687,7 @@ def test_pair_order_within_step_does_not_matter():
         n = rng.randint(3, 16)
         graph = gnp(n, 0.5, seed=trial + 900)
         seq, _ = greedy_sequence(graph)
-        flipped = ContractionSequence(n, tuple((v, u) for u, v in seq.pairs))
+        flipped = helpers.sequence_of(n, ((v, u) for u, v in seq.pairs))
         assert (count_triangles(graph, seq).triangles
                 == count_triangles(graph, flipped).triangles
                 == count_naive(graph))
@@ -1041,8 +1041,7 @@ def _relabelled(graph, seq, perm):
         return perm[x - 1] if x <= n else x
 
     edges = [(name(u), name(v)) for u, v in graph.edges]
-    pairs = tuple((name(u), name(v)) for u, v in seq.pairs)
-    return PlainGraph(n, edges), ContractionSequence(n, pairs)
+    return PlainGraph(n, edges), ContractionSequence(n, tuple(map(name, seq.ends)))
 
 
 def _outcome_of_count(graph, seq):

@@ -67,6 +67,63 @@ def test_gnp_deterministic():
     assert a != c  # overwhelmingly likely and fixed by the seeds chosen
 
 
+def _gnp_pairs(n, p, seed):
+    """gnp's graph built from a list of pairs, as gnp once built it."""
+    rng = random.Random(seed)
+    return PlainGraph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                          if rng.random() < p])
+
+
+def _grid_pairs(rows, cols):
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c + 1
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+    return PlainGraph(rows * cols, edges)
+
+
+def test_array_builders_match_their_pair_built_graphs(monkeypatch):
+    # path, cycle, grid and gnp append to canonical edge arrays; each must
+    # equal the graph its pairs built, gnp with the same rng draws
+    cases = []
+    for n in (1, 2, 3, 4, 17):
+        cases.append((path(n), PlainGraph(n, [(v, v + 1) for v in range(1, n)])))
+        if n >= 3:
+            cases.append((cycle(n), PlainGraph(
+                n, [(v, v + 1) for v in range(1, n)] + [(n, 1)])))
+        for seed in (0, 1, 9):
+            for p in (0.0, 0.1, 0.5, 1.0):
+                cases.append((gnp(n, p, seed), _gnp_pairs(n, p, seed)))
+    for rows, cols in ((1, 1), (1, 5), (5, 1), (2, 3), (7, 4)):
+        cases.append((grid(rows, cols), _grid_pairs(rows, cols)))
+    for seed in (1, 2):
+        cases.append((gnp(120, 0.3, seed), _gnp_pairs(120, 0.3, seed)))
+    for built, expected in cases:
+        assert built == expected
+    seen = _recording_plain_graph(monkeypatch)
+    for build in (lambda: path(6), lambda: cycle(6), lambda: grid(3, 4),
+                  lambda: gnp(30, 0.4, 2)):
+        build()
+        n, (us, vs) = seen.pop()
+        assert type(us) is array and type(vs) is array and _is_canonical(n, zip(us, vs))
+
+
+def test_gnp_builds_no_pair_per_edge():
+    # about 8 bytes an edge, where a list of pairs took about 100
+    graph = gnp(400, 0.5, seed=1)
+    tracemalloc.start()
+    try:
+        gnp(400, 0.5, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * graph.m
+
+
 def test_generate_graph_dispatch():
     g, cot = generate_graph("cograph", seed=3, n=12)
     assert g.n == 12 and cot is not None
@@ -162,7 +219,7 @@ def test_cograph_block_variant_is_sparse():
 def test_twin_sequence_triangle():
     g, root = complete(3)
     seq = twin_sequence(root, 3)
-    assert len(seq.pairs) == 2
+    assert len(seq.ends) == 4
     assert replay(_fresh(g), seq).width == 0
 
 
@@ -342,7 +399,7 @@ def test_greedy_self_consistent_width():
 
 def test_greedy_single_vertex():
     seq, width = greedy_sequence(PlainGraph(1, []))
-    assert seq.pairs == () and width == 0
+    assert seq.ends == () and width == 0
 
 
 def test_greedy_deterministic():
@@ -464,7 +521,7 @@ def _every_order(n):
     """Every contraction sequence of n vertices, each pair in id order."""
     def extend(live, pairs):
         if len(live) == 1:
-            yield ContractionSequence(n, tuple(pairs))
+            yield helpers.sequence_of(n, pairs)
             return
         fresh = n + len(pairs) + 1  # above every live id, so live stays sorted
         for u, v in itertools.combinations(live, 2):
@@ -571,7 +628,7 @@ def test_cotree_keeps_its_children_as_a_tuple():
     assert isinstance(root.children, tuple)
     assert cotree_graph(root, 2).m == 0
     assert cotree_graph(root, 2).m == 0
-    assert twin_sequence(root, 2).pairs == ((1, 2),)
+    assert twin_sequence(root, 2).ends == (1, 2)
     with pytest.raises(ValueError, match="join node has no children"):
         Cotree("join", children=iter(()))
 

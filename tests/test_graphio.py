@@ -196,7 +196,7 @@ def test_n_past_the_edge_arrays_is_refused_like_max_n():
 
 def test_reading_k400_holds_under_32_bytes_an_edge():
     # the edge list is two arrays of C ints, 8 bytes an edge; one tuple
-    # and two ints an edge took about 100.  Pairs, as the generators pass
+    # and two ints an edge took about 100.  Pairs, as a caller may pass
     # them, go straight into the arrays, with no list of 2m ints between
     graph, cotree = complete(400)
     text = format_graph(graph)

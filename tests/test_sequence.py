@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,7 @@ from twintri.generate import (
     complete,
     gnp,
     greedy_sequence,
+    star,
     twin_sequence,
 )
 from twintri.graphio import SLICE_CHARS
@@ -32,7 +34,8 @@ def _fresh(graph):
 def test_parse_basic():
     seq = parse_sequence("s 3\n1 2\n4 3\n")
     assert seq.n == 3
-    assert seq.pairs == ((1, 2), (4, 3))
+    assert seq.ends == (1, 2, 4, 3)
+    assert list(seq.pairs) == [(1, 2), (4, 3)]
 
 
 def test_parse_rejects_self_contraction():
@@ -56,14 +59,94 @@ def test_parse_rejects_out_of_range_ids():
 
 def test_parse_allows_comments_and_blanks():
     seq = parse_sequence("c twin fold\n\ns 3\nc first\n1 2\n4 3\n")
-    assert seq.pairs == ((1, 2), (4, 3))
+    assert seq.ends == (1, 2, 4, 3)
 
 
 def test_format_round_trip_byte_exact():
-    seq = ContractionSequence(4, ((2, 4), (1, 3), (5, 6)))
+    seq = ContractionSequence(4, (2, 4, 1, 3, 5, 6))
     text = format_sequence(seq)
     assert parse_sequence(text) == seq
     assert format_sequence(parse_sequence(text)) == text
+
+
+def test_ids_lie_flat_and_pairs_reads_them_afresh():
+    seq = ContractionSequence(3, (1, 2, 4, 3))
+    assert list(seq.pairs) == list(seq.pairs) == [(1, 2), (4, 3)]
+    parsed = parse_sequence("s 3\n1 2\n4 3\n")
+    assert parsed == seq and hash(parsed) == hash(seq)
+    assert parsed != ContractionSequence(3, (1, 2, 3, 4))
+    graph, cotree = cograph(3000, seed=4, block_size=8)
+    made = twin_sequence(cotree, graph.n)
+    text = format_sequence(made)
+    parsed = parse_sequence(text)
+    assert parsed == made and hash(parsed) == hash(made)
+    assert format_sequence(parsed) == text
+
+
+def test_an_odd_number_of_ids_is_refused():
+    with pytest.raises(ValueError, match=r"^expected 2 pairs, got 1 and one id$"):
+        ContractionSequence(3, (1, 2, 4))
+
+
+def _kept_bytes_a_pair(make, pairs):
+    """The bytes make()'s result holds a pair, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        made = make()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del made
+    return kept / pairs
+
+
+def test_a_sequence_keeps_its_ids_in_one_flat_tuple():
+    # two int objects and two tuple slots a pair: about 72 bytes parsed,
+    # and 48 from twin_sequence, whose leaf ids the cotree already holds;
+    # a tuple per pair kept about 120 and 96
+    graph, cotree = star(20000)
+    text = format_sequence(twin_sequence(cotree, graph.n))
+    assert _kept_bytes_a_pair(lambda: parse_sequence(text), graph.n - 1) < 80
+    assert _kept_bytes_a_pair(lambda: twin_sequence(cotree, graph.n), graph.n - 1) < 60
+
+
+# chain_sequence(DEEP_N) contracts (k + 2, DEEP_N + k) at step k > 0, so
+# ends[2k] and ends[2k + 1] hold step k's pair
+DEEP_N = 50_001
+DEEP_TOP = 2 * DEEP_N - 1
+
+
+@pytest.mark.parametrize("changes, message, line_message, line", [
+    ({80001: 40002}, "self-contraction of vertex 40002",
+     "self-contraction of vertex 40002", 40002),
+    ({80001: DEEP_TOP + 1}, f"pair (40002, {DEEP_TOP + 1}) leaves the id range 1..{DEEP_TOP}",
+     f"id outside 1..{DEEP_TOP}", 40002),
+    ({80000: 0}, f"pair (0, {DEEP_N + 40000}) leaves the id range 1..{DEEP_TOP}",
+     f"id outside 1..{DEEP_TOP}", 40002),
+    # the first offending pair is named, and a pair's self-contraction
+    # before its range
+    ({80001: 40002, 60001: DEEP_TOP + 1},
+     f"pair (30002, {DEEP_TOP + 1}) leaves the id range 1..{DEEP_TOP}",
+     f"id outside 1..{DEEP_TOP}", 30002),
+    ({80000: DEEP_TOP + 5, 80001: DEEP_TOP + 5}, f"self-contraction of vertex {DEEP_TOP + 5}",
+     f"self-contraction of vertex {DEEP_TOP + 5}", 40002),
+    ({-1: None, -2: None}, "expected 50000 pairs, got 49999",
+     "expected 50000 pairs, got 49999", None),
+], ids=["self", "range", "zero", "first-pair", "self-before-range", "count"])
+def test_a_bad_pair_deep_in_a_long_sequence_is_named(changes, message, line_message, line):
+    ends = list(chain_sequence(DEEP_N).ends)
+    for at, value in sorted(changes.items()):
+        if value is None:
+            del ends[at]
+        else:
+            ends[at] = value
+    with pytest.raises(ValueError) as err:
+        ContractionSequence(DEEP_N, tuple(ends))
+    assert str(err.value) == message
+    text = f"s {DEEP_N}\n" + "%d %d\n" * (len(ends) // 2) % tuple(ends)
+    expected = (line_message if line is None else f"line {line}: {line_message}", line)
+    assert _outcome(parse_sequence, text) == _outcome(sequence_module._parse_lines, text) \
+        == expected
 
 
 def test_replay_triangle_twins():
@@ -80,7 +163,7 @@ def _fresh_complete(n):
 
 def test_replay_path_chain_width_one():
     g = Trigraph.from_graph([(1, 2), (2, 3), (3, 4)], 4)
-    report = replay(g, ContractionSequence(4, ((1, 2), (5, 3), (6, 4))))
+    report = replay(g, ContractionSequence(4, (1, 2, 5, 3, 6, 4)))
     assert report.valid and report.width == 1
 
 
@@ -93,7 +176,7 @@ def test_replay_single_vertex():
 def test_replay_reports_dead_reference():
     g = Trigraph.from_graph([(1, 2), (2, 3), (3, 4)], 4)
     with pytest.raises(SequenceError) as err:
-        replay(g, ContractionSequence(4, ((1, 2), (1, 3), (5, 4))))
+        replay(g, ContractionSequence(4, (1, 2, 1, 3, 5, 4)))
     assert str(err.value) == "step 1 contracts (1, 3) but vertex 1 is not live"
 
 
@@ -129,11 +212,11 @@ def test_replay_refuses_a_negative_bound_before_any_step():
 def test_replay_rejects_wrong_n():
     g = Trigraph.from_graph([(1, 2)], 2)
     with pytest.raises(SequenceError):
-        replay(g, ContractionSequence(3, ((1, 2), (4, 3))))
+        replay(g, ContractionSequence(3, (1, 2, 4, 3)))
 
 
 def test_verify_width_path():
-    seq = ContractionSequence(4, ((1, 2), (5, 3), (6, 4)))
+    seq = ContractionSequence(4, (1, 2, 5, 3, 6, 4))
     graph_edges = [(1, 2), (2, 3), (3, 4)]
     ok = replay(Trigraph.from_graph(graph_edges, 4), seq, 1)
     assert ok.valid and ok.width == 1
@@ -251,7 +334,7 @@ def test_bulk_path_agrees_with_per_line_parser(text):
     bulk = _outcome(parse_sequence, text)
     assert bulk == _outcome(sequence_module._parse_lines, text)
     if isinstance(bulk, ContractionSequence):
-        assert all(type(x) is int for pair in bulk.pairs for x in pair)
+        assert all(type(x) is int for x in bulk.ends)
 
 
 def test_written_text_takes_the_bulk_path(monkeypatch):
