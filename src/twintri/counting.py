@@ -22,9 +22,12 @@ triangle exactly once, at the contraction step where it first enters one
 of the absorbing configurations.  Counting happens before the step's
 mutation, so all colors consulted are those of the current trigraph,
 while the new vertex's neighborhoods come from the merge preview.  Only
-the steps that can close a triangle reach counting: a twin step (see
-trigraph) joins two non-adjacent vertices with no red edge, so the loop
-just folds their inner-edge counts.  aux_updates still charges each
+the steps that can close a triangle reach counting.  A twin step (see
+trigraph) joins two vertices with no red edge and the same other black
+neighbours.  If they are not adjacent it closes no triangle, and the
+loop just folds their inner-edge counts.  If they are, it closes the
+triangles with an edge inside either group, and the loop hands counting
+(s, l, ()), a merge with no red entry.  aux_updates still charges each
 step one update for w's inner edges, plus one per red edge it weighs.
 
 A count runs on the sparser side of the input.  Once more than half of
@@ -116,16 +119,16 @@ def _count_step(g: Trigraph, merged, counters: Counters) -> int:
     merged contracts two vertices into w.
 
     Reads the still-unmodified trigraph and writes only counters; merged
-    is the step's g.merge_neighborhoods, which names the two sides by
-    representative: u, the one that will name w, and v, the one merged
-    away.  Its red entries (x, color_ux, color_vx) are the k red
-    neighbors of w.  The count is symmetric in u and v.  The contraction
-    then sets w's group size, inner edges and red weights itself.  The
-    increment counts
-    triangles with an edge inside u or v when {u, v} is black (they end
-    inside w), triangles that collapse onto a single red edge {w, x},
-    and triangles with a corner in u (or v) and the other two in
-    distinct neighbors of w.
+    is the step's g.merge_neighborhoods, or (u, v, ()) for an adjacent
+    twin step, which g.run applies without classifying it.  It names the
+    two sides by representative: u, the one that will name w, and v, the
+    one merged away.  Its red entries (x, color_ux, color_vx) are the k
+    red neighbors of w.  The count is symmetric in u and v.  The
+    contraction then sets w's group size, inner edges and red weights
+    itself.  The increment counts triangles with an edge inside u or v
+    when {u, v} is black (they end inside w), triangles that collapse
+    onto a single red edge {w, x}, and triangles with a corner in u (or
+    v) and the other two in distinct neighbors of w.
 
     The last kind is summed per side over dict-key intersections, not
     pair by pair.  On the u side, with e(a, b) the weight of the red

@@ -26,9 +26,11 @@ a tie, as the name of w, and merges the other one away.  Only the merged
 side's black neighbours are rewritten, one deletion each; the kept
 side's neighbours already name w, and w needs no map of its own.  Every
 contraction runs in one loop, Trigraph.run, which checks every step and
-applies twin steps, the usual width-0 step, inline: only the other steps
-reach merge_neighborhoods and a counting hook.  run is the one writer of
-the sizes, the inner-edge counts and the red weights.
+applies twin steps inline.  Two vertices are twins when neither has a
+red edge and their black maps are equal, once the pair's own edge is
+set aside if they are adjacent; at width 0, in a cograph, every step
+is one.  Only the other steps reach merge_neighborhoods.  run is the
+one writer of the sizes, the inner-edge counts and the red weights.
 
 update_work charges a step |B(u)| + |B(v)| + |common black neighbours|,
 plus |R(u)| + |R(v)| + |red neighbours of w| when a red edge is
@@ -173,7 +175,8 @@ class Trigraph:
     def merge_neighborhoods(self, s: int, l: int):
         """Classify every vertex adjacent to the live, distinct
         representatives s and l by its pair of colors: the one
-        classifier, which run calls for every checked step but twin steps.
+        classifier, which run calls for every checked step but twin
+        steps, adjacent or not.
 
         Returns (s, l, red), all named by representative.  s is the one
         of the two with the larger black map, the first on a tie, which
@@ -216,12 +219,16 @@ class Trigraph:
         ValueError("vertex X is not live"), u's first, and u == v raises
         too.  refused(step, u, v, exc), when given, replaces that error.
 
-        A twin step, whose two sides have equal black maps and no red
-        edge, is applied inline: its ends are not adjacent, so it only
-        retires l's black entries and two red-degree-0 vertices for one.
-        Every other step is classified by merge_neighborhoods.  Then w
-        takes over s with its maps, rep reads 0 for u and v, each black
-        neighbour of l drops l, and each vertex turning red to w drops s.
+        A twin step, whose two sides have no red edge and equal black
+        maps once the pair's own edge is set aside, is applied inline,
+        with s = rep[u]: it retires l's black entries and two
+        red-degree-0 vertices for one, and when its ends are adjacent it
+        also drops their edge, adds the size product to w's inner edges
+        and charges update_work 3k + 2 for k common black neighbours, as
+        the general path would.  Every other step is classified by
+        merge_neighborhoods.  Then w takes over s with its maps, rep
+        reads 0 for u and v, each black neighbour of l drops l, and each
+        vertex turning red to w drops s.
         The red edge {w, x} weighs size[s]*size[x] for a black {s, x},
         the weight of a red {s, x}, nothing for no edge, plus the same
         for l.  w's size is the sum of s's and l's, and its inner edges
@@ -229,10 +236,12 @@ class Trigraph:
         if it is black, its weight if it is red at either end (one
         missing at s raises InternalInvariantError), none otherwise.
 
-        count(merged) runs before each step that is not a twin step, on
-        the unmodified trigraph.  after(step) runs after each step.  The
-        next id, the counters and the maximum red degree are written
-        back before after runs and before the loop returns or raises.
+        count(merged) runs before each step but a non-adjacent twin
+        step, on the unmodified trigraph: an adjacent twin step passes
+        merged = (s, l, ()), the others merge_neighborhoods' result.
+        after(step) runs after each step.  The next id, the counters and
+        the maximum red degree are written back before after runs and
+        before the loop returns or raises.
         Returns (width, sum_sq, over): the largest red degree after any
         step, the sum of its squares, and the first step above bound
         (None if none is or bound is None).
@@ -254,7 +263,23 @@ class Trigraph:
                     raise exc if refused is None else refused(w - first, u, v, exc)
                 bs, bl = black_adj[s], black_adj[l]
                 # black maps map every key to None: equal maps, equal neighbours
-                if bs == bl and not red_adj[s] and not red_adj[l]:
+                if bs == bl:
+                    twin = not red_adj[s] and not red_adj[l]
+                elif l in bs and len(bs) == len(bl) and not red_adj[s] and not red_adj[l]:
+                    # adjacent: twins if the maps are equal without the
+                    # pair's own edge, which stays until count has read it
+                    del bs[l], bl[s]
+                    twin = bs == bl
+                    bs[l] = bl[s] = None
+                    if twin:
+                        if count is not None:
+                            count((s, l, ()))
+                        inner[s] += size[s] * size[l]
+                        del bs[l], bl[s]
+                        update_work += 2
+                else:
+                    twin = False
+                if twin:
                     for x in bl:
                         del black_adj[x][l]
                     update_work += 3 * len(bs)

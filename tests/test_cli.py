@@ -621,21 +621,30 @@ def test_gen_graph_refuses_a_vertex_count_past_the_edge_arrays_up_front(tmp_path
     assert not os.path.exists(out)
 
 
-# Runs the CLI on its own arguments under a 256 MiB address-space limit
+# Runs the CLI on its arguments after the first, under an address-space
+# limit of as many MiB as the first says
 _LIMITED_CLI = """
 import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+cap = int(sys.argv.pop(1)) << 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 from twintri.cli import main
 sys.exit(main())
 """
+
+# Each family's cap in MiB.  gnp keeps 8 bytes an edge, so under 256 MiB
+# it draws random numbers for 6 to 8 s before it runs out; under 64 MiB it
+# runs out in 0.9 to 1.4 s (Python 3.10 to 3.13), while each of those
+# Pythons still starts and imports twintri under 24 MiB
+OOM_CAP_MIB = {"complete": 256, "gnp": 64}
 
 
 @pytest.mark.parametrize("flags", [["--family", "complete", "--n", "200000"],
                                    ["--family", "gnp", "--n", "200000", "--p", "0.5"]])
 def test_running_out_of_memory_exits_3_without_a_traceback(tmp_path, flags):
     out = str(tmp_path / "g.gr")
+    cap = OOM_CAP_MIB[flags[1]]
     result = subprocess.run(
-        [sys.executable, "-c", _LIMITED_CLI, "gen", "graph", *flags, "-o", out],
+        [sys.executable, "-c", _LIMITED_CLI, str(cap), "gen", "graph", *flags, "-o", out],
         capture_output=True, text=True, env=_child_env(), timeout=120)
     assert result.returncode == 3
     assert result.stderr == "error: ran out of memory\n"

@@ -449,6 +449,98 @@ def test_red_free_steps_keep_the_trigraph_and_counters(name, graph, seq):
         == RED_FREE_PINS[name]
 
 
+def _twin_steps(graph, seq):
+    """Whether each step of seq on graph is a twin step, no red edge at
+    either end and equal black maps once the pair's own edge is set
+    aside, and how many steps were not although their ends were
+    adjacent, red-free and of equal black degree."""
+    g = Trigraph.from_graph(graph.edges, graph.n)
+    twins, near = [], 0
+    for u, v in seq.pairs:
+        s, l = g.rep[u], g.rep[v]
+        bs, bl = g.black_adj[s].keys() - {l}, g.black_adj[l].keys() - {s}
+        red_free = not (g.red_adj[s] or g.red_adj[l])
+        twins.append(red_free and bs == bl)
+        near += red_free and l in g.black_adj[s] and len(bs) == len(bl) and bs != bl
+        g.contract(u, v)
+    return twins, near
+
+
+def _adjacent_or_random_sequence(graph, rng):
+    """A sequence whose steps are, at random, an adjacent pair with no
+    red edge and black maps of equal size, when the trigraph still has
+    one, twins or not, or any live pair."""
+    g = Trigraph.from_graph(graph.edges, graph.n)
+    pairs = []
+    for _ in range(graph.n - 1):
+        live = helpers.live_vertices(g)
+        pair = None
+        if rng.random() < 0.5:
+            by_rep = {g.rep[x]: x for x in live}
+            near = [(x, by_rep[y]) for x in live for y in g.black_adj[g.rep[x]]
+                    if not (g.red_adj[g.rep[x]] or g.red_adj[y])
+                    and len(g.black_adj[g.rep[x]]) == len(g.black_adj[y])]
+            if near:
+                pair = rng.choice(near)
+        if pair is None:
+            pair = tuple(rng.sample(live, 2))
+        g.contract(*pair)
+        pairs.append(pair)
+    return helpers.sequence_of(graph.n, pairs)
+
+
+def test_only_twin_steps_skip_the_classifier(monkeypatch):
+    # an adjacent pair whose black maps have equal sizes but differ,
+    # once their own edge is set aside, must take the general path: C4's
+    # first fold, a cycle's chain folds, {3, 4} in K_{3,3} plus the edge
+    # {1, 2} (whose {1, 2} is a twin pair), and random gnp runs
+    rng = random.Random(29)
+    k33 = PlainGraph(6, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)] + [(1, 2)])
+    cases = [(PlainGraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+              helpers.sequence_of(4, [(1, 2), (3, 5), (4, 6)])),
+             (cycle(9), chain_sequence(9)),
+             (k33, helpers.sequence_of(6, [(3, 4), (1, 2), (5, 6), (7, 8), (9, 10)])),
+             (k33, helpers.sequence_of(6, [(1, 2), (3, 4), (5, 7), (6, 9), (8, 10)])),
+             (cycle(12), helpers.random_sequence(12, rng))]
+    for trial in range(40):
+        n = rng.randint(4, 16)
+        graph = gnp(n, (0.3, 0.5, 0.7)[trial % 3], seed=trial + 2900)
+        cases.append((graph, helpers.random_sequence(n, rng)))
+        cases.append((graph, _adjacent_or_random_sequence(graph, rng)))
+    merge = Trigraph.merge_neighborhoods
+    total_near = total_twins = 0
+    for case, (graph, seq) in enumerate(cases):
+        twins, near = _twin_steps(graph, seq)
+        expected = _stepwise_counters(graph, seq)
+        calls, calls_after, seen = [], [0], []
+
+        def recording(g, s, l):
+            calls.append((s, l))
+            return merge(g, s, l)
+
+        def on_step(step, g, state):
+            helpers.check_consistent(g)
+            calls_after.append(len(calls))
+            seen.append((state.t, dataclasses.asdict(state.counters)))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Trigraph, "merge_neighborhoods", recording)
+            result = helpers.count_on_side(graph, seq, step_callback=on_step)
+        # each step classifies its pair once, unless it is a twin step
+        assert [b - a for a, b in zip(calls_after, calls_after[1:])] \
+            == [not twin for twin in twins], case
+        assert seen == expected, case
+        assert result.triangles == count_naive(graph)
+        total_near += near
+        total_twins += sum(twins)
+        if case < 3:
+            assert near, case
+        elif case == 3:
+            assert twins[0]  # {1, 2}: adjacent twins
+    # the seeded cases reach 31 such steps and 20 twin steps
+    assert total_near >= 25 and total_twins >= 15
+
+
 def test_cograph_aux_work_grows_linearly():
     # width-0 runs do a fixed amount of aux work per vertex, whatever n
     ratios = []
@@ -940,6 +1032,45 @@ def test_block_cographs_count_their_closed_form_under_halving(n, join_prob, side
         degree = collections.Counter(itertools.chain(graph.us, graph.vs))
         assert result.triangles == (math.comb(n, 3) - triangles
                                     - sum(d * (n - 1 - d) for d in degree.values()) // 2)
+
+
+# cographs under their twin sequences, at width 0: block cographs at every
+# join probability, a half-dense one, K_300 (all of whose steps fold
+# adjacent twins on G's own trigraph) and a star (whose last step does)
+WIDTH_0_CASES = {f"block-{join_prob}": (lambda join_prob=join_prob: cograph(
+    1000, seed=29, join_prob=join_prob, block_size=8)) for join_prob in (0.1, 0.5, 0.9)}
+WIDTH_0_CASES.update({"half-dense": lambda: cograph(1000, seed=1),
+                      "complete": lambda: complete(300),
+                      "star": lambda: star(300)})
+
+
+@pytest.mark.parametrize("build", WIDTH_0_CASES.values(), ids=WIDTH_0_CASES)
+def test_width_0_steps_never_reach_the_classifier(monkeypatch, build):
+    # every step of a cograph's twin sequence folds twins, adjacent or
+    # not, which the contraction loop applies without classifying them
+    graph, root = build()
+    n, m, triangles = helpers.cotree_counts(root)
+    seq = twin_sequence(root, n)
+    degree = collections.Counter(itertools.chain(graph.us, graph.vs))
+    sides = [(GRAPH, graph, m, triangles),
+             (COMPLEMENT, helpers.complement(graph), math.comb(n, 2) - m,
+              math.comb(n, 3) - triangles
+              - sum(d * (n - 1 - d) for d in degree.values()) // 2)]
+
+    def refuse(g, s, l):
+        raise AssertionError(f"merge_neighborhoods ran on ({s}, {l})")
+
+    monkeypatch.setattr(Trigraph, "merge_neighborhoods", refuse)
+    assert count_triangles(graph, seq).triangles == triangles
+    for side, h, edges, side_triangles in sides:
+        assert h.m == edges
+        result = count_side(Trigraph.from_graph(h.edges, n), seq, side)
+        assert (result.triangles, result.width) == (side_triangles, 0)
+        g = Trigraph.from_graph(h.edges, n)
+        assert replay(g, seq).width == 0
+        # the last group holds every vertex and every edge of its side
+        last = g.rep[2 * n - 1]
+        assert (g.size[last], g.inner[last]) == (n, edges)
 
 
 def test_a_huge_sparse_graph_stays_on_the_graph_side():
