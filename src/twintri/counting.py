@@ -21,14 +21,15 @@ never revert to the others once entered; the running total t counts each
 triangle exactly once, at the contraction step where it first enters one
 of the absorbing configurations.  Counting happens before the step's
 mutation, so all colors consulted are those of the current trigraph,
-while the new vertex's neighborhoods come from the merge preview.  Only
-the steps that can close a triangle reach counting.  A twin step (see
-trigraph) joins two vertices with no red edge and the same other black
-neighbours.  If they are not adjacent it closes no triangle, and the
-loop just folds their inner-edge counts.  If they are, it closes the
-triangles with an edge inside either group, and the loop hands counting
-(s, l, ()), a merge with no red entry.  aux_updates still charges each
-step one update for w's inner edges, plus one per red edge it weighs.
+while the new vertex's neighborhoods come from the merge preview, whose
+red entries carry their weights to either side.  Only the steps that
+can close a triangle reach counting.  A twin step (see trigraph) joins
+two vertices with no red edge and the same other black neighbours.  If
+they are not adjacent it closes no triangle, and the loop just folds
+their inner-edge counts.  If they are, it closes the triangles with an
+edge inside either group, and the loop hands counting (s, l, ()), a
+merge with no red entry.  aux_updates still charges each step one
+update for w's inner edges, plus one per red edge it weighs.
 
 A count runs on the sparser side of the input.  Once more than half of
 the C(n, 2) pairs are edges, 4m > n(n - 1), it replays the sequence on
@@ -122,20 +123,21 @@ def _count_step(g: Trigraph, merged, counters: Counters) -> int:
     is the step's g.merge_neighborhoods, or (u, v, ()) for an adjacent
     twin step, which g.run applies without classifying it.  It names the
     two sides by representative: u, the one that will name w, and v, the
-    one merged away.  Its red entries (x, color_ux, color_vx) are the k
-    red neighbors of w.  The count is symmetric in u and v.  The
-    contraction then sets w's group size, inner edges and red weights
-    itself.  The increment counts triangles with an edge inside u or v
-    when {u, v} is black (they end inside w), triangles that collapse
-    onto a single red edge {w, x}, and triangles with a corner in u (or
-    v) and the other two in distinct neighbors of w.
+    one merged away.  Its red entries (x, color_ux, color_vx, w_ux, w_vx)
+    are the k red neighbors of w with their edges to u and to v.  The
+    count is symmetric in u and v.  The contraction then sets w's group
+    size, inner edges and red weights itself.  The increment counts
+    triangles with an edge inside u or v when {u, v} is black (they end
+    inside w), triangles that collapse onto a single red edge {w, x},
+    and triangles with a corner in u (or v) and the other two in
+    distinct neighbors of w.
 
     The last kind is summed per side over dict-key intersections, not
     pair by pair.  On the u side, with e(a, b) the weight of the red
     edge {a, b} and B(y), R(y) the black and red maps of y, let c map
     each red neighbor x of w that is black to u to size[u]*size[x] and
-    each one red to u to 2*e(u, x); let m map the red neighbors black to
-    u to 1 and the common black neighbors of u and v to 2.  Then
+    each one red to u to 2*e(u, x), its w_ux and 2*w_ux; let m map the
+    red neighbors black to u to 1 and common black neighbors to 2.  Then
 
         2 * (u side) = sum over red neighbors y of w black to u of
                        size[y] * sum(c[x] for x in B(y) & c)
@@ -168,15 +170,13 @@ def _count_step(g: Trigraph, merged, counters: Counters) -> int:
     m_v = m_u.copy()
     black_to_u, black_to_v = [], []
     wedges = 0
-    for x, cu, cv in red_entries:
+    for x, cu, cv, wu, wv in red_entries:
         wedges += len(red_adj[x])
-        wu = red_weight(g, u, x) if cu is RED else 0
-        wv = red_weight(g, v, x) if cv is RED else 0
         if cu is BLACK:
             inc += su * inner[x] + size[x] * iu
             if uv_black:
                 inc += wv * su
-            c_u[x] = su * size[x]
+            c_u[x] = wu
             m_u[x] = 1
             black_to_u.append(x)
         elif cu is RED:
@@ -185,7 +185,7 @@ def _count_step(g: Trigraph, merged, counters: Counters) -> int:
             inc += sv * inner[x] + size[x] * iv
             if uv_black:
                 inc += wu * sv
-            c_v[x] = sv * size[x]
+            c_v[x] = wv
             m_v[x] = 1
             black_to_v.append(x)
         elif cv is RED:

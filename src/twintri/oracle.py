@@ -39,12 +39,13 @@ class PlainGraph:
     """Simple undirected graph: vertices 1..n plus a normalized edge list.
 
     edges is an iterable of pairs (u, v), or the pair of endpoint arrays
-    (us, vs) that parse_graph fills.  Pairs are symmetrized and
-    deduplicated.  Self-loops, endpoints outside 1..n and n above MAX_N
-    are rejected.  The graph keeps the edges sorted, u < v in each, in
-    the arrays us and vs, which callers must not change.  Canonical
-    arrays are kept as given, and canonical pairs are converted without
-    a sort; _is_canonical tells them apart in one loop.
+    (us, vs) that parse_graph fills, which must be two array('i') of
+    equal length.  Pairs are symmetrized and deduplicated.  Self-loops,
+    endpoints outside 1..n and n above MAX_N are rejected.  The graph
+    keeps the edges sorted, u < v in each, in the arrays us and vs, which
+    callers must not change.  Canonical arrays are kept as given, and
+    canonical pairs are converted without a sort; _is_canonical tells
+    them apart in one loop.
     """
 
     __slots__ = ("n", "us", "vs")
@@ -54,8 +55,12 @@ class PlainGraph:
             raise ValueError("graph needs at least one vertex")
         check_max_n(n)
         if type(edges) is tuple and len(edges) == 2 and type(edges[0]) is array:
-            columns, pairs = edges, zip(*edges)
-            canonical = _is_canonical(n, zip(*edges))
+            us, vs = edges
+            if not (type(vs) is array and us.typecode == vs.typecode == "i"
+                    and len(us) == len(vs)):
+                raise ValueError("edge columns must be two array('i') of equal length")
+            columns, pairs = edges, zip(us, vs)
+            canonical = _is_canonical(n, zip(us, vs))
         else:
             pairs = edges if type(edges) in (list, tuple) else tuple(edges)
             columns, canonical = None, _is_canonical(n, pairs)

@@ -68,6 +68,9 @@ class ContractionSequence:
     ends: tuple[int, ...]
 
     def __post_init__(self):
+        # a list of ids is copied, so a caller's later change cannot
+        # reach past the checks; a tuple is kept as it is
+        object.__setattr__(self, "ends", tuple(self.ends))
         if self.n < 1:
             raise ValueError("sequence needs n >= 1")
         if len(self.ends) != 2 * (self.n - 1):

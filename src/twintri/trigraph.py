@@ -181,16 +181,19 @@ class Trigraph:
         Returns (s, l, red), all named by representative.  s is the one
         of the two with the larger black map, the first on a tie, which
         stays and names the merged group, and l the one merged away.  red
-        lists (x, color_sx, color_lx) for the vertices that would end up
-        red-adjacent to the contraction, s and l skipped.  The vertices
+        lists (x, color_sx, color_lx, w_sx, w_lx) for the vertices that
+        would end up red-adjacent to the contraction, s and l skipped:
+        w_sx is size[s]*size[x], the weight of the red edge or 0 as {s, x}
+        is black, red or absent, and w_lx the same for l.  The vertices
         black to both sides stay black to w and need no entry.  The
         trigraph is not modified.
         """
-        black_adj = self.black_adj
+        black_adj, size = self.black_adj, self.size
         bs, bl = black_adj[s], black_adj[l]
         if len(bl) > len(bs):
             s, l, bs, bl = l, s, bl, bs
         rs, rl = self.red_adj[s], self.red_adj[l]
+        ss, sl = size[s], size[l]
         # neighbours black to exactly one side, in C: one set, no second
         # one for bl, which the symmetric difference reads as a dict
         one_side = set(bs)
@@ -198,17 +201,21 @@ class Trigraph:
         one_side.discard(s)
         one_side.discard(l)
         red = []
+        # a red weight is never 0, so a weight of 0 reads as no edge
         for x in one_side:
             if x in bs:
-                red.append((x, BLACK, RED if x in rl else NONE))
+                wl = rl.get(x, 0)
+                red.append((x, BLACK, RED if wl else NONE, ss * size[x], wl))
             else:
-                red.append((x, RED if x in rs else NONE, BLACK))
-        for x in rs:
+                ws = rs.get(x, 0)
+                red.append((x, RED if ws else NONE, BLACK, ws, sl * size[x]))
+        for x, ws in rs.items():
             if x != l and x not in bl:
-                red.append((x, RED, RED if x in rl else NONE))
-        for x in rl:
+                wl = rl.get(x, 0)
+                red.append((x, RED, RED if wl else NONE, ws, wl))
+        for x, wl in rl.items():
             if x != s and x not in bs and x not in rs:
-                red.append((x, NONE, RED))
+                red.append((x, NONE, RED, 0, wl))
         return s, l, red
 
     def run(self, pairs, bound=None, count=None, after=None, refused=None):
@@ -228,10 +235,9 @@ class Trigraph:
         the general path would.  Every other step is classified by
         merge_neighborhoods.  Then w takes over s with its maps, rep
         reads 0 for u and v, each black neighbour of l drops l, and each
-        vertex turning red to w drops s.
-        The red edge {w, x} weighs size[s]*size[x] for a black {s, x},
-        the weight of a red {s, x}, nothing for no edge, plus the same
-        for l.  w's size is the sum of s's and l's, and its inner edges
+        vertex x turning red to w drops its entries for s and l.  The red
+        edge {w, x} weighs w_sx + w_lx, the two weights x's red entry
+        carries.  w's size is the sum of s's and l's, and its inner edges
         are theirs plus the edges of the pair {s, l}: the size product
         if it is black, its weight if it is red at either end (one
         missing at s raises InternalInvariantError), none otherwise.
@@ -302,29 +308,22 @@ class Trigraph:
                     for x in bl:
                         del black_adj[x][l]
                     if red or rs or rl:
-                        ss, sl = size[s], size[l]
                         red_work = len(rs) + len(rl) + len(red)
                         work += red_work
                         red_total += red_work
                         black_to_s = len(bs)
                         red_w = {}
-                        for x, cs, cl in red:
+                        for x, cs, cl, ws, wl in red:
                             rx = red_adj[x]
                             old = len(rx)
-                            weight = 0
                             if cs is BLACK:
                                 del black_adj[x][s], bs[x]
-                                weight = ss * size[x]
-                            elif cs is RED:
-                                weight = rx.pop(s)
-                            # a black {l, x} went with l's map above
-                            if cl is BLACK:
-                                weight += sl * size[x]
-                            elif cl is RED:
-                                weight += rx.pop(l)
+                            # l's map took a black {l, x}; rx[s] is overwritten
+                            if cl is RED:
+                                del rx[l]
                             if rx is EMPTY:
                                 red_adj[x] = rx = {}
-                            rx[s] = red_w[x] = weight
+                            rx[s] = red_w[x] = ws + wl
                             new = len(rx)
                             if new != old:
                                 hist[old] -= 1

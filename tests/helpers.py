@@ -870,7 +870,9 @@ def count_step_reference(g: Trigraph, merged, counters: Counters) -> int:
     """The pair-by-pair `counting._count_step` that the per-side
     dict-key intersections replaced, kept word for word as the yardstick
     but for reading the two sides from merged and the inner-edge counts
-    from g.inner, which the contraction folds itself.
+    from g.inner, which the contraction folds itself.  It skips the two
+    weights each red entry carries and reads every weight itself, so it
+    stays a yardstick for them too.
 
     Triangles that first reach an absorbing configuration as u and v
     contract into w.
@@ -879,8 +881,8 @@ def count_step_reference(g: Trigraph, merged, counters: Counters) -> int:
     g.merge_neighborhoods(g.rep[u], g.rep[v]), called once the step's
     ids are known to be live and distinct.  It names the sides by
     representative, u the one that names w and v the one merged away,
-    and its red entries (x, color_ux, color_vx) are the red neighbors of
-    w.  The contraction then sets w's group size, inner edges and red
+    and its red entries (x, color_ux, color_vx, w_ux, w_vx) are the red
+    neighbors of w.  The contraction then sets w's group size, inner edges and red
     weights itself.  The increment has four parts:
     triangles with an edge inside u or v when {u, v} is black (they end
     inside w); triangles that collapse onto a single red edge {w, x};
@@ -903,7 +905,7 @@ def count_step_reference(g: Trigraph, merged, counters: Counters) -> int:
         return inc
     counters.one_neighbor_calls += len(red_entries)
     black_set = black_adj[u].keys() & black_adj[v].keys()
-    for x, cu, cv in red_entries:
+    for x, cu, cv, _, _ in red_entries:
         rx = red_adj[x]
         counters.red_wedge_visits += len(rx)
         if cu is BLACK:
@@ -923,10 +925,10 @@ def count_step_reference(g: Trigraph, merged, counters: Counters) -> int:
     k = len(red_entries)
     counters.two_neighbor_pair_visits += k * (k - 1) // 2
     for i in range(k):
-        x, cux, cvx = red_entries[i]
+        x, cux, cvx, _, _ = red_entries[i]
         bx, rx = black_adj[x], red_adj[x]
         for j in range(i + 1, k):
-            y, cuy, cvy = red_entries[j]
+            y, cuy, cvy, _, _ = red_entries[j]
             if y in bx:
                 if cux is BLACK and cuy is BLACK:
                     inc += su * size[x] * size[y]

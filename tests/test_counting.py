@@ -40,7 +40,7 @@ from twintri.generate import (
 from twintri.graphio import parse_graph
 from twintri.oracle import PlainGraph, count_naive
 from twintri.sequence import ContractionSequence, SequenceError, replay
-from twintri.trigraph import EMPTY, Trigraph
+from twintri.trigraph import BLACK, EMPTY, NONE, RED, Trigraph
 
 import helpers
 
@@ -489,11 +489,33 @@ def _adjacent_or_random_sequence(graph, rng):
     return helpers.sequence_of(graph.n, pairs)
 
 
+def _check_red_entries(g, merged):
+    """Each red entry (x, cs, cl, ws, wl) of merged carries x's original
+    edges to either side, read off g: the size product for a black pair,
+    the red weight at that side for a red one, 0 for none; and together
+    they weigh a red edge of the merged group.  Returns the pairs of
+    colors met."""
+    s, l, red = merged
+    size = g.size
+    for x, cs, cl, ws, wl in red:
+        for a, color, weight in ((s, cs, ws), (l, cl, wl)):
+            if x in g.black_adj[a]:
+                assert (color, weight) == (BLACK, size[a] * size[x])
+            elif x in g.red_adj[a]:
+                assert (color, weight) == (RED, g.red_adj[a][x])
+            else:
+                assert (color, weight) == (NONE, 0)
+        assert 0 < ws + wl < (size[s] + size[l]) * size[x]
+    return [(cs, cl) for _, cs, cl, _, _ in red]
+
+
 def test_only_twin_steps_skip_the_classifier(monkeypatch):
     # an adjacent pair whose black maps have equal sizes but differ,
     # once their own edge is set aside, must take the general path: C4's
     # first fold, a cycle's chain folds, {3, 4} in K_{3,3} plus the edge
-    # {1, 2} (whose {1, 2} is a twin pair), and random gnp runs
+    # {1, 2} (whose {1, 2} is a twin pair), and gnp runs under random and
+    # greedy sequences on the graph and on its complement.  Every red
+    # entry the classifier returns must carry its two weights
     rng = random.Random(29)
     k33 = PlainGraph(6, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)] + [(1, 2)])
     cases = [(PlainGraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
@@ -505,10 +527,12 @@ def test_only_twin_steps_skip_the_classifier(monkeypatch):
     for trial in range(40):
         n = rng.randint(4, 16)
         graph = gnp(n, (0.3, 0.5, 0.7)[trial % 3], seed=trial + 2900)
-        cases.append((graph, helpers.random_sequence(n, rng)))
-        cases.append((graph, _adjacent_or_random_sequence(graph, rng)))
+        seqs = (helpers.random_sequence(n, rng), _adjacent_or_random_sequence(graph, rng),
+                greedy_sequence(graph)[0])
+        cases += [(side, seq) for side in (graph, helpers.complement(graph)) for seq in seqs]
     merge = Trigraph.merge_neighborhoods
     total_near = total_twins = 0
+    colors = collections.Counter()
     for case, (graph, seq) in enumerate(cases):
         twins, near = _twin_steps(graph, seq)
         expected = _stepwise_counters(graph, seq)
@@ -516,7 +540,9 @@ def test_only_twin_steps_skip_the_classifier(monkeypatch):
 
         def recording(g, s, l):
             calls.append((s, l))
-            return merge(g, s, l)
+            merged = merge(g, s, l)
+            colors.update(_check_red_entries(g, merged))
+            return merged
 
         def on_step(step, g, state):
             helpers.check_consistent(g)
@@ -537,8 +563,10 @@ def test_only_twin_steps_skip_the_classifier(monkeypatch):
             assert near, case
         elif case == 3:
             assert twins[0]  # {1, 2}: adjacent twins
-    # the seeded cases reach 31 such steps and 20 twin steps
-    assert total_near >= 25 and total_twins >= 15
+    # the seeded cases reach 49 such steps and 131 twin steps, and every
+    # pair of colors a red entry can have, the rarest 130 times
+    assert total_near >= 40 and total_twins >= 100
+    assert len(colors) == 7 and min(colors.values()) >= 100
 
 
 def test_cograph_aux_work_grows_linearly():

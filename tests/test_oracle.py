@@ -44,6 +44,26 @@ def test_plain_graph_rejects_bad_edges():
                 PlainGraph(3, edges)
 
 
+def test_plain_graph_refuses_malformed_edge_columns():
+    # columns of unequal length once passed as canonical, m = 3 over two
+    # edges, and the count took the complement side and found a triangle
+    for columns in ((array("i", [1, 1, 2]), array("i", [2, 3])),
+                    (array("i", [1]), array("i", [2, 3])),
+                    (array("l", [1, 1]), array("l", [2, 3])),
+                    (array("d", [1.0]), array("d", [2.0])),
+                    (array("i", [1, 1]), array("l", [2, 3])),
+                    (array("i", [1, 1]), [2, 3]),
+                    (array("i", [1, 1]), (2, 3))):
+        with pytest.raises(ValueError, match=r"^edge columns must be two "
+                                             r"array\('i'\) of equal length$"):
+            PlainGraph(3, columns)
+    columns = array("i", [1, 1]), array("i", [2, 3])
+    graph = PlainGraph(3, columns)
+    assert graph.us is columns[0]
+    assert (graph.m, count_naive(graph), count_triangles(
+        graph, ContractionSequence(3, (1, 2, 3, 4))).triangles) == (2, 0, 0)
+
+
 def _normalized(n, pairs):
     """The edge list PlainGraph must hold for pairs, by its definition, or
     ValueError for a self-loop or an endpoint outside 1..n."""

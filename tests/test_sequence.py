@@ -83,6 +83,19 @@ def test_ids_lie_flat_and_pairs_reads_them_afresh():
     assert format_sequence(parsed) == text
 
 
+def test_a_list_of_ids_is_kept_as_a_tuple():
+    # a kept list left the sequence unhashable, and a change to it after
+    # the checks got an id past them into the written file
+    ends = [1, 2, 4, 3]
+    seq = ContractionSequence(3, ends)
+    ends[2] = 7
+    assert seq.ends == (1, 2, 4, 3) and type(seq.ends) is tuple
+    assert hash(seq) == hash(ContractionSequence(3, (1, 2, 4, 3)))
+    assert format_sequence(seq) == "s 3\n1 2\n4 3\n"
+    flat = (1, 2, 4, 3)
+    assert ContractionSequence(3, flat).ends is flat
+
+
 def test_an_odd_number_of_ids_is_refused():
     with pytest.raises(ValueError, match=r"^expected 2 pairs, got 1 and one id$"):
         ContractionSequence(3, (1, 2, 4))
