@@ -11,8 +11,8 @@ all indexed by the vertex's representative r (see trigraph):
                       bipartite, absent pairs are empty, so neither needs
                       a count)
 
-The trigraph's contraction loop keeps all three up to date; counting
-only reads them, and keeps the running total and the counters.
+The trigraph's contraction loop keeps all three up to date, and the
+running total too; counting only reads them and keeps the counters.
 
 A fixed original triangle occupies one of seven configurations relative
 to the live vertices: its corners sit in three, two, or one group, with
@@ -22,14 +22,15 @@ triangle exactly once, at the contraction step where it first enters one
 of the absorbing configurations.  Counting happens before the step's
 mutation, so all colors consulted are those of the current trigraph,
 while the new vertex's neighborhoods come from the merge preview, whose
-red entries carry their weights to either side.  Only the steps that
-can close a triangle reach counting.  A twin step (see trigraph) joins
+red entries carry their weights to either side.  Only the steps the
+trigraph classifies reach counting.  A twin step (see trigraph) joins
 two vertices with no red edge and the same other black neighbours.  If
 they are not adjacent it closes no triangle, and the loop just folds
-their inner-edge counts.  If they are, it closes the triangles with an
-edge inside either group, and the loop hands counting (s, l, ()), a
-merge with no red entry.  aux_updates still charges each step one
-update for w's inner edges, plus one per red edge it weighs.
+their inner-edge counts.  If they are, it closes just the triangles
+with an edge inside either group, which the loop adds to the running
+total itself, as it adds what counting returns for every other step.
+aux_updates still charges each step one update for w's inner edges,
+plus one per red edge it weighs.
 
 A count runs on the sparser side of the input.  Once more than half of
 the C(n, 2) pairs are edges, 4m > n(n - 1), it replays the sequence on
@@ -120,17 +121,17 @@ def _count_step(g: Trigraph, merged, counters: Counters) -> int:
     merged contracts two vertices into w.
 
     Reads the still-unmodified trigraph and writes only counters; merged
-    is the step's g.merge_neighborhoods, or (u, v, ()) for an adjacent
-    twin step, which g.run applies without classifying it.  It names the
-    two sides by representative: u, the one that will name w, and v, the
-    one merged away.  Its red entries (x, color_ux, color_vx, w_ux, w_vx)
-    are the k red neighbors of w with their edges to u and to v.  The
-    count is symmetric in u and v.  The contraction then sets w's group
-    size, inner edges and red weights itself.  The increment counts
-    triangles with an edge inside u or v when {u, v} is black (they end
-    inside w), triangles that collapse onto a single red edge {w, x},
-    and triangles with a corner in u (or v) and the other two in
-    distinct neighbors of w.
+    is the step's g.merge_neighborhoods, which g.run calls for every
+    step but a twin step, and g.run adds the result to its running total.
+    It names the two sides by representative: u, the one that will name
+    w, and v, the one merged away.  Its red entries (x, color_ux,
+    color_vx, w_ux, w_vx) are the k red neighbors of w with their edges
+    to u and to v.  The count is symmetric in u and v.  The contraction
+    then sets w's group size, inner edges and red weights itself.  The
+    increment counts triangles with an edge inside u or v when {u, v} is
+    black (they end inside w), triangles that collapse onto a single red
+    edge {w, x}, and triangles with a corner in u (or v) and the other
+    two in distinct neighbors of w.
 
     The last kind is summed per side over dict-key intersections, not
     pair by pair.  On the u side, with e(a, b) the weight of the red
@@ -146,28 +147,29 @@ def _count_step(g: Trigraph, merged, counters: Counters) -> int:
     and the v side is the same with size[v] and e(v, .).  A pair of red
     neighbors black to u is reached from both ends, a pair with one end
     red to u from its black end at weight 2, and a wedge through a
-    common black neighbor once at weight 2, so the sum is even.  Each
-    intersection walks its smaller operand in C, so for red degree d a
-    step costs O(k*(k + d)) C-level operations, not k*(k-1)/2
-    interpreted pair visits.
+    common black neighbor once at weight 2, so the sum is even.  A side
+    with no red neighbor black to it has no term and builds no m, and
+    B(y) & c is empty when c holds y alone.  Each intersection walks its
+    smaller operand in C, so for red degree d a step costs O(k*(k + d))
+    C-level operations, not k*(k-1)/2 interpreted pair visits.
     """
     u, v, red_entries = merged
+    if not red_entries:
+        # {u, v} is not black: a black pair with no red entry is an
+        # adjacent twin step, which g.run counts itself
+        return 0
     size, inner, black_adj, red_adj = g.size, g.inner, g.black_adj, g.red_adj
     su, sv = size[u], size[v]
     iu, iv = inner[u], inner[v]
     uv_black = v in black_adj[u]
     inc = su * iv + sv * iu if uv_black else 0
-    if not red_entries:
-        return inc
     k = len(red_entries)
     counters.aux_updates += k  # count_side charges the one for w's inner edges
     counters.one_neighbor_calls += k
     counters.two_neighbor_pair_visits += k * (k - 1) // 2
-    # the docstring's c and m maps for each side, and the red neighbors
-    # of w black to u (to v) that the per-side sums run over
+    # the docstring's c map for each side, and the red neighbors of w
+    # black to u (to v) that the per-side sums run over
     c_u, c_v = {}, {}
-    m_u = dict.fromkeys(black_adj[u].keys() & black_adj[v].keys(), 2)
-    m_v = m_u.copy()
     black_to_u, black_to_v = [], []
     wedges = 0
     for x, cu, cv, wu, wv in red_entries:
@@ -177,7 +179,6 @@ def _count_step(g: Trigraph, merged, counters: Counters) -> int:
             if uv_black:
                 inc += wv * su
             c_u[x] = wu
-            m_u[x] = 1
             black_to_u.append(x)
         elif cu is RED:
             c_u[x] = 2 * wu
@@ -186,19 +187,28 @@ def _count_step(g: Trigraph, merged, counters: Counters) -> int:
             if uv_black:
                 inc += wu * sv
             c_v[x] = wv
-            m_v[x] = 1
             black_to_v.append(x)
         elif cv is RED:
             c_v[x] = 2 * wv
     counters.red_wedge_visits += wedges
     twice = 0  # the pair and wedge terms, each reached twice
-    for corner, c, m, ys in ((su, c_u, m_u, black_to_u),
-                             (sv, c_v, m_v, black_to_v)):
-        c_keys, m_keys = c.keys(), m.keys()
+    common = None  # m's common black neighbours, once a side needs them
+    for corner, c, ys in ((su, c_u, black_to_u), (sv, c_v, black_to_v)):
+        if not ys:
+            continue
+        if common is None:
+            common = dict.fromkeys(black_adj[u].keys() & black_adj[v].keys(), 2)
+        m = common.copy()
         for y in ys:
-            hits = black_adj[y].keys() & c_keys
-            if hits:
-                twice += size[y] * sum(map(c.__getitem__, hits))
+            m[y] = 1
+        c_keys, m_keys = c.keys(), m.keys()
+        # c holds each y, so with one key B(y) & c is empty
+        pair_terms = len(c) > 1
+        for y in ys:
+            if pair_terms:
+                hits = black_adj[y].keys() & c_keys
+                if hits:
+                    twice += size[y] * sum(map(c.__getitem__, hits))
             ry = red_adj[y]
             hits = ry.keys() & m_keys
             if hits:
@@ -306,8 +316,9 @@ def side_trigraph(graph) -> tuple[str, Trigraph]:
 
 def count_side(g: Trigraph, seq: ContractionSequence, side: str,
                reference=None, step_callback=None) -> CountResult:
-    """Count the triangles of the graph g was built from, g red-free, by
-    replaying seq on it; the result names side as the side it ran on.
+    """Count the triangles of the graph g was built from, g red-free and
+    not yet contracted, by replaying seq on it; the count is g.run's
+    running total, and the result names side as the side it ran on.
 
     reference, when given, is (edges, triangles) of that graph, and the
     conservation identities and the running-total invariant are checked
@@ -326,28 +337,25 @@ def count_side(g: Trigraph, seq: ContractionSequence, side: str,
         if not evaluate_invariant(g, state.t, reference_count):
             raise InternalInvariantError("invariant fails before any contraction")
 
-    t = 0
-
-    def count(merged):
-        nonlocal t
-        t += _count_step(g, merged, counters)
-
     after = None  # fast mode makes no call between steps
     if reference is not None or step_callback is not None:
         def after(step):
             counters.aux_updates += 1
-            state.t = t
+            state.t = g.t
             if reference is not None:
                 check_conservation(g, m)
-                if not evaluate_invariant(g, t, reference_count):
+                if not evaluate_invariant(g, state.t, reference_count):
                     u, v = seq.ends[2 * step:2 * step + 2]
                     raise InternalInvariantError(
                         f"invariant fails after step {step} ({u},{v})->{n + 1 + step}")
             if step_callback is not None:
                 step_callback(step, g, state)
 
-    width, sum_d_sq, _ = g.run(seq.pairs, count=count, after=after,
-                               refused=SequenceError.refused)
+    def count(merged):
+        return _count_step(g, merged, counters)
+
+    width, sum_d_sq, _, t = g.run(seq.pairs, count=count, after=after,
+                                  refused=SequenceError.refused)
     if after is None:
         counters.aux_updates += seq.n - 1  # after charges them one by one
     counters.contractions = seq.n - 1

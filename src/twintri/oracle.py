@@ -22,7 +22,7 @@ concurrently.
 from __future__ import annotations
 
 from array import array
-from operator import itemgetter
+from operator import index, itemgetter
 
 # the largest C int: an id the edge arrays can hold, and so the largest n
 MAX_N = 2 ** 31 - 1
@@ -41,16 +41,19 @@ class PlainGraph:
     edges is an iterable of pairs (u, v), or the pair of endpoint arrays
     (us, vs) that parse_graph fills, which must be two array('i') of
     equal length.  Pairs are symmetrized and deduplicated.  Self-loops,
-    endpoints outside 1..n and n above MAX_N are rejected.  The graph
-    keeps the edges sorted, u < v in each, in the arrays us and vs, which
-    callers must not change.  Canonical arrays are kept as given, and
-    canonical pairs are converted without a sort; _is_canonical tells
-    them apart in one loop.
+    endpoints outside 1..n, n above MAX_N, and an n or an endpoint that
+    is not an int are rejected with ValueError.  The graph keeps the
+    edges sorted, u < v in each, in the arrays us and vs, which callers
+    must not change.  Canonical arrays are kept as given, and canonical
+    pairs are converted without a sort; _is_canonical tells them apart
+    in one loop.
     """
 
     __slots__ = ("n", "us", "vs")
 
     def __init__(self, n, edges=()):
+        if not isinstance(n, int):
+            raise ValueError(f"graph needs an int vertex count, got {n!r}")
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         check_max_n(n)
@@ -59,23 +62,22 @@ class PlainGraph:
             if not (type(vs) is array and us.typecode == vs.typecode == "i"
                     and len(us) == len(vs)):
                 raise ValueError("edge columns must be two array('i') of equal length")
-            columns, pairs = edges, zip(us, vs)
-            canonical = _is_canonical(n, zip(us, vs))
+            columns = edges if _is_canonical(n, zip(us, vs)) else _normalized(n, zip(us, vs))
         else:
             pairs = edges if type(edges) in (list, tuple) else tuple(edges)
-            columns, canonical = None, _is_canonical(n, pairs)
-        if not canonical:
-            normalized = set()
-            for u, v in pairs:
-                if u == v:
-                    raise ValueError(f"self-loop at vertex {u}")
-                if not (1 <= u <= n and 1 <= v <= n):
-                    raise ValueError(f"edge ({u}, {v}) leaves the vertex range 1..{n}")
-                normalized.add((u, v) if u < v else (v, u))
-            columns, pairs = None, sorted(normalized)
+            try:
+                columns = (_columns(pairs) if _is_canonical(n, pairs)
+                           else _normalized(n, pairs))
+            except TypeError:
+                # an endpoint that is not an int, such as a float, fails a
+                # comparison or the C int arrays
+                edge = _non_int_edge(pairs)
+                if edge is None:
+                    raise
+                raise ValueError(f"edge ({edge[0]!r}, {edge[1]!r}) has an "
+                                 "endpoint that is not an int") from None
         self.n = n
-        self.us, self.vs = columns or (array("i", map(itemgetter(0), pairs)),
-                                       array("i", map(itemgetter(1), pairs)))
+        self.us, self.vs = columns
 
     @property
     def edges(self):
@@ -113,6 +115,35 @@ def _is_canonical(n, pairs) -> bool:
             return False
         last_u, last_v = u, v
     return True
+
+
+def _columns(pairs):
+    """The endpoint arrays (us, vs) of canonical pairs."""
+    return array("i", map(itemgetter(0), pairs)), array("i", map(itemgetter(1), pairs))
+
+
+def _normalized(n, pairs):
+    """The endpoint arrays of any pairs, normalized to canonical order;
+    a self-loop or an endpoint outside 1..n raises ValueError."""
+    normalized = set()
+    for u, v in pairs:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ValueError(f"edge ({u}, {v}) leaves the vertex range 1..{n}")
+        normalized.add((u, v) if u < v else (v, u))
+    return _columns(sorted(normalized))
+
+
+def _non_int_edge(pairs):
+    """The first pair (u, v) of pairs with an endpoint that cannot index
+    a list, as an int can and a float cannot, or None."""
+    for u, v in pairs:
+        try:
+            index(u), index(v)
+        except TypeError:
+            return u, v
+    return None
 
 
 def count_naive(g: PlainGraph) -> int:

@@ -71,6 +71,8 @@ class ContractionSequence:
         # a list of ids is copied, so a caller's later change cannot
         # reach past the checks; a tuple is kept as it is
         object.__setattr__(self, "ends", tuple(self.ends))
+        if not isinstance(self.n, int):
+            raise ValueError(f"sequence needs an int n, got {self.n!r}")
         if self.n < 1:
             raise ValueError("sequence needs n >= 1")
         if len(self.ends) != 2 * (self.n - 1):
@@ -186,7 +188,7 @@ def replay(g: Trigraph, seq: ContractionSequence, bound: int | None = None) -> S
     check_n(seq, g.n_original)
     if bound is not None and bound < 0:
         raise ValueError(f"width bound {bound} is negative; widths start at 0")
-    width, _, over = g.run(seq.pairs, bound, refused=SequenceError.refused)
+    width, _, over, _ = g.run(seq.pairs, bound, refused=SequenceError.refused)
     return SequenceReport(width, over is None, over)
 
 

@@ -29,8 +29,11 @@ contraction runs in one loop, Trigraph.run, which checks every step and
 applies twin steps inline.  Two vertices are twins when neither has a
 red edge and their black maps are equal, once the pair's own edge is
 set aside if they are adjacent; at width 0, in a cograph, every step
-is one.  Only the other steps reach merge_neighborhoods.  run is the
-one writer of the sizes, the inner-edge counts and the red weights.
+is one.  Only the other steps reach merge_neighborhoods and run's count
+hook: an adjacent twin step closes just the triangles with an edge
+inside either group, and run adds them to its running total t itself.
+run is the one writer of the sizes, the inner-edge counts and the red
+weights.
 
 update_work charges a step |B(u)| + |B(v)| + |common black neighbours|,
 plus |R(u)| + |R(v)| + |red neighbours of w| when a red edge is
@@ -50,6 +53,7 @@ contractions, but mutation is not thread safe.
 from __future__ import annotations
 
 from enum import Enum
+from operator import index
 from types import MappingProxyType
 
 
@@ -83,6 +87,15 @@ def red_weight(g: "Trigraph", a, b) -> int:
         name = {r: v for v, r in enumerate(g.rep) if r}  # merged away: 0
         raise InternalInvariantError("no cross-edge count for red edge "
                                      f"{{{name.get(a, 0)}, {name.get(b, 0)}}}") from None
+
+
+def _is_id(x) -> bool:
+    """Whether x can index a list, as an int id can and a float cannot."""
+    try:
+        index(x)
+    except TypeError:
+        return False
+    return True
 
 
 class Trigraph:
@@ -124,13 +137,15 @@ class Trigraph:
         self._max_red = 0
         self.update_work = 0  # see the module docstring
         self.red_work = 0  # the red part of update_work
+        self.t = 0  # run's running total; see run
 
     @classmethod
     def from_graph(cls, edges, n: int) -> "Trigraph":
         """Build a red-free trigraph from an undirected edge list.
 
-        Repeated and mirrored pairs collapse into one edge; self-loops
-        and endpoints outside 1..n are rejected.  Construction is O(n+m).
+        Repeated and mirrored pairs collapse into one edge; self-loops,
+        endpoints outside 1..n and endpoints that are not ints are
+        rejected, naming the edge.  Construction is O(n+m).
 
         Each map key is the int object rep holds for that vertex, not the
         one the edge brought, which would cost 32 more bytes a key: the
@@ -140,19 +155,26 @@ class Trigraph:
         """
         g = cls(n)
         adj, rep = g.black_adj, g.rep
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge ({u}, {v}) leaves the vertex range 1..{n}")
-            au = adj[u]
-            if au is EMPTY:
-                adj[u] = au = {}
-            au[rep[v]] = None
-            av = adj[v]
-            if av is EMPTY:
-                adj[v] = av = {}
-            av[rep[u]] = None
+        u = v = 0  # ints, so a TypeError before the first edge is re-raised
+        try:
+            for u, v in edges:
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise ValueError(f"edge ({u}, {v}) leaves the vertex range 1..{n}")
+                au = adj[u]
+                if au is EMPTY:
+                    adj[u] = au = {}
+                au[rep[v]] = None
+                av = adj[v]
+                if av is EMPTY:
+                    adj[v] = av = {}
+                av[rep[u]] = None
+        except TypeError:
+            if _is_id(u) and _is_id(v):
+                raise
+            raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint "
+                             "that is not an int") from None
         return g
 
     # -- queries ---------------------------------------------------------
@@ -224,13 +246,17 @@ class Trigraph:
         place a step is checked.  An id is live as the class docstring
         says; any other id, dead, not yet created or out of range, raises
         ValueError("vertex X is not live"), u's first, and u == v raises
-        too.  refused(step, u, v, exc), when given, replaces that error.
+        too; an id that is not an int, such as a float, raises
+        ValueError("vertex X is not an int").  refused(step, u, v, exc),
+        when given, replaces either error.
 
         A twin step, whose two sides have no red edge and equal black
         maps once the pair's own edge is set aside, is applied inline,
         with s = rep[u]: it retires l's black entries and two
-        red-degree-0 vertices for one, and when its ends are adjacent it
-        also drops their edge, adds the size product to w's inner edges
+        red-degree-0 vertices for one.  When its ends are adjacent it
+        also adds the triangles with an edge inside either group,
+        size[s]*inner[l] + size[l]*inner[s], to the running total t,
+        drops the pair's edge, adds the size product to w's inner edges
         and charges update_work 3k + 2 for k common black neighbours, as
         the general path would.  Every other step is classified by
         merge_neighborhoods.  Then w takes over s with its maps, rep
@@ -242,23 +268,24 @@ class Trigraph:
         if it is black, its weight if it is red at either end (one
         missing at s raises InternalInvariantError), none otherwise.
 
-        count(merged) runs before each step but a non-adjacent twin
-        step, on the unmodified trigraph: an adjacent twin step passes
-        merged = (s, l, ()), the others merge_neighborhoods' result.
-        after(step) runs after each step.  The next id, the counters and
-        the maximum red degree are written back before after runs and
-        before the loop returns or raises.
-        Returns (width, sum_sq, over): the largest red degree after any
-        step, the sum of its squares, and the first step above bound
-        (None if none is or bound is None).
+        count(merged) runs before each classified step, on the
+        unmodified trigraph, with merge_neighborhoods' result, and what it
+        returns is added to t.  after(step) runs after each step.  The
+        next id, the counters, t and the maximum red degree are written
+        back before after runs and before the loop returns or raises; t,
+        like the counters, runs on from the trigraph's last run.
+        Returns (width, sum_sq, over, t): the largest red degree after
+        any step, the sum of its squares, the first step above bound
+        (None if none is or bound is None) and the running total.
         """
         rep, size, inner, hist = self.rep, self.size, self.inner, self._red_hist
         black_adj, red_adj = self.black_adj, self.red_adj
         first = w = self._next_id
         top = self._max_red
-        update_work, red_total = self.update_work, self.red_work
+        update_work, red_total, t = self.update_work, self.red_work, self.t
         width = sum_sq = 0
         over = None
+        u = v = 0  # ints, so a TypeError before the first pair is re-raised
         try:
             for u, v in pairs:
                 s = rep[u] if 0 < u < w else 0
@@ -273,16 +300,16 @@ class Trigraph:
                     twin = not red_adj[s] and not red_adj[l]
                 elif l in bs and len(bs) == len(bl) and not red_adj[s] and not red_adj[l]:
                     # adjacent: twins if the maps are equal without the
-                    # pair's own edge, which stays until count has read it
+                    # pair's own edge, which comes back only if they are not
                     del bs[l], bl[s]
                     twin = bs == bl
-                    bs[l] = bl[s] = None
                     if twin:
-                        if count is not None:
-                            count((s, l, ()))
+                        # the triangles with an edge inside either group
+                        t += size[s] * inner[l] + size[l] * inner[s]
                         inner[s] += size[s] * size[l]
-                        del bs[l], bl[s]
                         update_work += 2
+                    else:
+                        bs[l] = bl[s] = None
                 else:
                     twin = False
                 if twin:
@@ -293,7 +320,7 @@ class Trigraph:
                 else:
                     merged = self.merge_neighborhoods(s, l)
                     if count is not None:
-                        count(merged)
+                        t += count(merged)
                     s, l, red = merged
                     bs, bl = black_adj[s], black_adj[l]
                     rs, rl = red_adj[s], red_adj[l]
@@ -360,13 +387,21 @@ class Trigraph:
                         over = w - first - 1
                 sum_sq += top * top
                 if after is not None:
-                    self._next_id, self._max_red = w, top
+                    self._next_id, self._max_red, self.t = w, top, t
                     self.update_work, self.red_work = update_work, red_total
                     after(w - first - 1)
+        except TypeError:
+            # an id that cannot index rep, such as a float, is refused
+            # like a dead one; any other TypeError is not the pair's
+            bad = next((x for x in (u, v) if not _is_id(x)), None)
+            if bad is None:
+                raise
+            exc = ValueError(f"vertex {bad!r} is not an int")
+            raise (exc if refused is None else refused(w - first, u, v, exc)) from None
         finally:
-            self._next_id, self._max_red = w, top
+            self._next_id, self._max_red, self.t = w, top, t
             self.update_work, self.red_work = update_work, red_total
-        return width, sum_sq, over
+        return width, sum_sq, over, t
 
     def contract(self, u: int, v: int) -> int:
         """One step of run: contract live vertices u and v into a fresh

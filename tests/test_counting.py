@@ -1101,6 +1101,40 @@ def test_width_0_steps_never_reach_the_classifier(monkeypatch, build):
         assert (g.size[last], g.inner[last]) == (n, edges)
 
 
+def _refuse_adjacent_twins(monkeypatch):
+    """Patch _count_step to fail on an adjacent twin step: no red entry
+    and a black pair, which the contraction loop counts itself."""
+    count_step = counting._count_step
+
+    def refuse(g, merged, counters):
+        u, v, red_entries = merged
+        if not red_entries and v in g.black_adj[u]:
+            raise AssertionError(f"_count_step ran on the adjacent twins ({u}, {v})")
+        return count_step(g, merged, counters)
+
+    monkeypatch.setattr(counting, "_count_step", refuse)
+
+
+@pytest.mark.parametrize("build", WIDTH_0_CASES.values(), ids=WIDTH_0_CASES)
+def test_adjacent_twin_steps_never_reach_the_count_step(monkeypatch, build):
+    # the loop adds su*iv + sv*iu for each adjacent twin step itself; the
+    # closed form checks that it adds the right amount.  K_300's count
+    # runs on its edgeless complement, so G's own side is counted too
+    graph, root = build()
+    n, _, triangles = helpers.cotree_counts(root)
+    seq = twin_sequence(root, n)
+    _refuse_adjacent_twins(monkeypatch)
+    assert count_triangles(graph, seq).triangles == triangles
+    assert helpers.count_on_side(graph, seq, GRAPH).triangles == triangles
+
+
+def test_adjacent_twin_steps_in_mixed_sequences_never_reach_the_count_step(monkeypatch):
+    # above width 0 the hook still runs on every other step
+    _refuse_adjacent_twins(monkeypatch)
+    for graph, seq in helpers.loop_cases(3100):
+        assert count_triangles(graph, seq).triangles == count_naive(graph)
+
+
 def test_a_huge_sparse_graph_stays_on_the_graph_side():
     graph = parse_graph("p 1000000 1\ne 1 2\n")
     tracemalloc.start()

@@ -44,6 +44,19 @@ def test_plain_graph_rejects_bad_edges():
                 PlainGraph(3, edges)
 
 
+def test_plain_graph_refuses_a_non_int_count_or_endpoint():
+    with pytest.raises(ValueError, match=r"^graph needs an int vertex count, got 3\.5$"):
+        PlainGraph(3.5, [(1, 2)])
+    # a non-canonical list reaches the normalizing set, a canonical one
+    # the C int arrays, and a str fails the first comparison
+    for edges, named in [([(1.0, 2.0), (2, 3), (1, 3)], r"\(1\.0, 2\.0\)"),
+                         ([(1, 2), (2.0, 3.0)], r"\(2\.0, 3\.0\)"),
+                         ([(1, 2), ("2", 3)], r"\('2', 3\)")]:
+        with pytest.raises(ValueError,
+                           match=rf"^edge {named} has an endpoint that is not an int$"):
+            PlainGraph(3, edges)
+
+
 def test_plain_graph_refuses_malformed_edge_columns():
     # columns of unequal length once passed as canonical, m = 3 over two
     # edges, and the count took the complement side and found a triangle

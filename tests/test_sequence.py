@@ -4,12 +4,14 @@ import tracemalloc
 import pytest
 
 from twintri import sequence as sequence_module
+from twintri.counting import count_triangles
 from twintri.generate import (
     chain_sequence,
     cograph,
     complete,
     gnp,
     greedy_sequence,
+    path,
     star,
     twin_sequence,
 )
@@ -211,6 +213,22 @@ def test_replay_reports_every_vertex_that_is_not_live(pairs, step):
                        match=rf"^step {step} contracts \({u}, {v}\) but "):
         replay(g, helpers.unchecked_sequence(4, pairs))
     helpers.check_consistent(g)
+
+
+def test_a_non_int_n_or_id_is_refused_by_name():
+    with pytest.raises(ValueError, match=r"^sequence needs an int n, got 3\.0$"):
+        ContractionSequence(3.0, (1, 2, 4, 3))
+    # float ids pass the range checks; the contraction loop that replay
+    # and count_triangles share names the step, the pair and the id
+    graph = path(3)
+    for ends, step, pair, bad in [((1.0, 2.0, 4.0, 3.0), 0, r"\(1\.0, 2\.0\)", "1.0"),
+                                  ((1, 2, 3, 4.5), 1, r"\(3, 4\.5\)", "4.5")]:
+        seq = ContractionSequence(3, ends)
+        for run in (lambda: replay(_fresh(graph), seq),
+                    lambda: count_triangles(graph, seq)):
+            with pytest.raises(SequenceError, match=rf"^step {step} contracts {pair} "
+                                                    rf"but vertex {bad} is not an int$"):
+                run()
 
 
 def test_replay_refuses_a_negative_bound_before_any_step():

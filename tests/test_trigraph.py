@@ -39,6 +39,14 @@ def test_from_graph_rejects_out_of_range():
         Trigraph.from_graph([(1, 4)], 3)
 
 
+def test_from_graph_names_an_edge_with_a_non_int_endpoint():
+    for edges, named in [([(1.0, 2.0)], r"\(1\.0, 2\.0\)"),
+                         ([(1, 2), (2, 3.0)], r"\(2, 3\.0\)")]:
+        with pytest.raises(ValueError,
+                           match=rf"^edge {named} has an endpoint that is not an int$"):
+            Trigraph.from_graph(edges, 3)
+
+
 def test_edge_color_triangle():
     g = Trigraph.from_graph([(1, 2), (2, 3), (1, 3)], 3)
     assert g.edge_color(1, 2) is BLACK
@@ -83,6 +91,23 @@ def test_contract_rejects_dead_vertex():
     # -1 would index the last vertex, 5 = 2n - 1, which is now live
     with pytest.raises(ValueError, match=r"^vertex -1 is not live$"):
         g.contract(-1, 5)
+
+
+def test_run_names_a_non_int_id_and_passes_other_type_errors_on():
+    g = Trigraph.from_graph([(1, 2), (2, 3)], 3)
+    with pytest.raises(ValueError, match=r"^vertex 4\.5 is not an int$"):
+        g.run(((1, 2), (4.5, 3)))
+    helpers.check_consistent(g)
+    assert helpers.live_vertices(g) == [3, 4]
+
+    def hook(step):
+        raise TypeError("the hook's own")
+
+    # a TypeError on a pair of ints is not the pair's
+    with pytest.raises(TypeError, match="^the hook's own$"):
+        g.run(((3, 4),), after=hook)
+    with pytest.raises(TypeError, match="cannot unpack"):
+        Trigraph(3).run((5,))
 
 
 def test_red_degrees():
