@@ -12,25 +12,25 @@ reproduces canonical text byte for byte.
 
 Graph files and sequence files (see sequence.py) are one format with a
 different header and record prefix, and the rules they share live here:
-the line-numbered error base FormatError, the written-shape check
-(written_header), the bulk reader (read_slices), the line iterator the
-per-line parsers walk (records: lines end at "\\n", "\\r\\n" or "\\r" only,
-numbered from 1, blank and comment lines skipped), the single-% writer
-(format_records) and the UTF-8 reader (read_text).
+the line-numbered error base FormatError, the header match
+(written_header), the checked bulk reader (read_slices), the line
+iterator the per-line parsers walk (records: lines end at "\\n", "\\r\\n"
+or "\\r" only, numbered from 1, blank and comment lines skipped), the
+single-% writer (format_records) and the UTF-8 reader (read_text).
 
 parse_graph reads text shaped like format_graph's output (a first line
 "p <n> <m>", then only "e <u> <v>" lines, single spaces, ASCII digits,
-every line ending in a newline) in bulk: it cuts the body into slices of
-about 64 KiB at newlines, rewrites each slice into a JSON array of its
-endpoints and reads it with one json.loads, whose C scanner makes the
-ints without a str per token.  Each slice's ints go straight into two
-arrays of C ints, the first and the second endpoints, so only one
-slice's int objects are alive at a time, and PlainGraph keeps the arrays
-as its edge list when one loop over their pairs finds them canonical, as
-a written file's are.  The shape check stays in front of the scanner,
-because JSON alone would also read "1e5" (a float) or "-1".  Any other
-text, and shaped text that fails anywhere on the bulk path (a number the
-scanner refuses, such as one with a leading zero or past CPython's
+every line ending in a newline) in bulk: read_slices checks every slice
+of about 64 KiB, cut at newlines, then makes each a JSON array of its
+endpoints for one json.loads, whose C scanner makes the ints without a
+str per token.  Each slice's ints go straight into two arrays of C ints,
+the first and the second endpoints, so only one slice's int objects are
+alive at a time, and PlainGraph keeps the arrays as its edge list when
+one loop over their pairs finds them canonical, as a written file's
+are.  The check stays in front of the scanner, which would also read
+"1e5" (a float) or "-1", or an id glued to a digit before the next mark.
+Any other text, and shaped text that fails anywhere on the bulk path (a
+number the scanner refuses, such as a leading zero or one past CPython's
 int-string limit, one too large for a C int, a wrong count, a self-loop,
 an endpoint out of range), goes to the per-line parser, so every error
 carries the same message and line number on either path.  A p line
@@ -46,6 +46,9 @@ from array import array
 from .oracle import PlainGraph
 
 SLICE_CHARS = 1 << 16
+ZERO_DIGITS = bytes.maketrans(b"0123456789", b"0" * 10)
+TOKENS = {"e ": str.maketrans({"\n": None, "e": None, " ": ","}),  # by mark
+          "": str.maketrans({"\n": ",", " ": ","})}
 
 
 class FormatError(ValueError):
@@ -63,23 +66,10 @@ class GraphFormatError(FormatError):
     """A graph file that breaks its format."""
 
 
-def written_header(text: str, header: str, mark: str = ""):
-    """header's match when text has the shape format_records writes, else
-    None: a first line matching the pattern header, then only lines
-    "<mark><a> <b>" of ASCII digits, each ending in a newline.
-
-    The digits are [0-9], as the Unicode digit class admits others.  The
-    body is checked by searching, from the header's newline, for a newline
-    not followed by a written line or the end of the text: one fullmatch
-    with a repeated group would keep a backtracking frame per line (about
-    90 MiB on K_800) unless the repeat is possessive, which Python 3.10
-    lacks, and a literal newline is found faster than ^.
-    """
-    first = re.match(header + "\n", text)
-    unwritten = re.compile(f"\\n(?!{mark}[0-9]+ [0-9]+\\n|\\Z)")
-    if first is None or unwritten.search(text, first.end() - 1) is not None:
-        return None
-    return first
+def written_header(text: str, header: str):
+    """The match of the pattern header and a newline at the start of text,
+    the first line of a written file, or None."""
+    return re.match(header + "\n", text)
 
 
 def parse_graph(text: str, max_n: int | None = None) -> PlainGraph:
@@ -89,7 +79,7 @@ def parse_graph(text: str, max_n: int | None = None) -> PlainGraph:
     (not GraphFormatError: the file is well formed, only too large)
     before anything of size n is allocated.
     """
-    header = written_header(text, "p ([0-9]+) ([0-9]+)", "e ")
+    header = written_header(text, "p ([0-9]+) ([0-9]+)")
     if header is not None:
         try:
             n, declared_m = int(header[1]), int(header[2])
@@ -108,21 +98,31 @@ def parse_graph(text: str, max_n: int | None = None) -> PlainGraph:
 
 
 def read_slices(text: str, start: int, mark: str = ""):
-    """The ints of the written lines "<mark><a> <b>\n" in text[start:],
-    a list [a, b, a, b, ...] per slice.
+    """The ints of text[start:], written lines "<mark><a> <b>\\n", a list
+    [a, b, a, b, ...] per slice of about SLICE_CHARS characters cut at a
+    newline, so a caller that keeps only what it takes from each list
+    holds one slice's int objects at a time.
 
-    The text must already have the written shape.  Each slice of about
-    SLICE_CHARS characters, cut at a newline, becomes one JSON array, so
-    a caller that keeps only what it takes from each list holds one
-    slice's int objects at a time.  A number the JSON scanner refuses
-    raises ValueError.
+    Unless every slice is written lines, ValueError comes before the first
+    list: with its digits made 0, a slice must start "<mark>0", end "0\\n"
+    and hold "0\\n<mark>0" once for each line but the first, and with the
+    0s then deleted, "<mark> \\n" once per line.  One str.translate then
+    turns each line break with its mark, and each space, into a comma; a
+    number the JSON scanner refuses raises ValueError too.
     """
-    end, skip, line_break = len(text), len(mark), "\n" + mark
-    while start < end:
-        stop = text.find("\n", start + SLICE_CHARS) + 1 or end
-        body = text[start + skip:stop - 1].replace(line_break, ",").replace(" ", ",")
-        yield json.loads(f"[{body}]")
-        start = stop
+    cuts = [start]
+    while cuts[-1] < len(text):
+        cuts.append(text.find("\n", cuts[-1] + SLICE_CHARS) + 1 or len(text))
+    line, first, joint = map(str.encode, (f"{mark} \n", f"{mark}0", f"0\n{mark}0"))
+    for a, b in zip(cuts, cuts[1:]):
+        shape = text[a:b].encode().translate(ZERO_DIGITS)
+        skeleton = shape.translate(None, b"0")
+        lines = skeleton.count(line)
+        if (lines * len(line) != len(skeleton) or not shape.startswith(first)
+                or not shape.endswith(b"0\n") or shape.count(joint) != lines - 1):
+            raise ValueError("text breaks the written shape")
+    for a, b in zip(cuts, cuts[1:]):
+        yield json.loads(f"[{text[a + len(mark):b - 1].translate(TOKENS[mark])}]")
 
 
 def _lines(text: str) -> list[str]:

@@ -16,27 +16,29 @@ File format, one record per line:
 
 A sequence file is a graph file with another header and no record
 prefix, so the rules of the written format live in graphio: the error
-base, the written-shape check, the bulk reader, the line iterator, the
+base, the header match, the checked bulk reader, the line iterator, the
 writer and the UTF-8 reader.  This module keeps what is a sequence's
 own: the s line's arity, the checks on each pair and their messages.
 
 parse_sequence reads text shaped like format_sequence's output ("s <n>",
 then only "<u> <v>" lines, single spaces, ASCII digits, every line
-ending in a newline) in bulk, as parse_graph does: each slice of about
-64 KiB becomes a JSON array read by the json C scanner, its ids go onto
-one flat list, and ContractionSequence checks the pairs.  Any other
-text, and shaped text that fails anywhere on the bulk path, a number the
-scanner refuses (a leading zero, more digits than CPython's int-string
-limit) included, goes to the per-line parser, so every error carries the
-same message and line number on either path.
+ending in a newline) in bulk, as parse_graph does: once every slice of
+about 64 KiB is checked, each becomes a JSON array read by the json C
+scanner, its ids go onto one flat list, and ContractionSequence checks
+the pairs.  Any other text, and shaped text that fails anywhere on the
+bulk path, a number the scanner refuses (a leading zero, more digits
+than CPython's int-string limit) included, goes to the per-line parser,
+so every error carries the same message and line number on either path.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from operator import index
 from .graphio import (FormatError, format_records, read_slices, read_text,
                       records, written_header)
-from .trigraph import Trigraph
+from .trigraph import Trigraph, not_an_int
 
 
 class SequenceFormatError(FormatError):
@@ -162,6 +164,16 @@ def _parse_lines(text: str) -> ContractionSequence:
 
 
 def format_sequence(seq: ContractionSequence) -> str:
+    """seq's written text.  An id that is not an int, which %d would write
+    truncated, raises SequenceError naming the first step and pair that
+    hold one, as replay does."""
+    try:
+        deque(map(index, seq.ends), 0)  # every id an int, checked in C
+    except TypeError:
+        for step, (u, v) in enumerate(seq.pairs):
+            exc = not_an_int(u, v)
+            if exc is not None:
+                raise SequenceError.refused(step, u, v, exc) from None
     return format_records(f"s {seq.n}", "", seq.ends)
 
 
@@ -170,8 +182,9 @@ def load_sequence(path) -> ContractionSequence:
 
 
 def save_sequence(seq: ContractionSequence, path):
+    text = format_sequence(seq)  # a refused id leaves no file
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(format_sequence(seq))
+        handle.write(text)
 
 
 def replay(g: Trigraph, seq: ContractionSequence, bound: int | None = None) -> SequenceReport:

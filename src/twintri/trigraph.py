@@ -98,6 +98,13 @@ def _is_id(x) -> bool:
     return True
 
 
+def not_an_int(u, v):
+    """ValueError("vertex X is not an int") for the first of u and v that
+    is not an int id, or None when both are."""
+    bad = next((x for x in (u, v) if not _is_id(x)), None)
+    return None if bad is None else ValueError(f"vertex {bad!r} is not an int")
+
+
 class Trigraph:
     """Trigraph over vertex ids 1..2n-1, where n is the original vertex count.
 
@@ -393,10 +400,9 @@ class Trigraph:
         except TypeError:
             # an id that cannot index rep, such as a float, is refused
             # like a dead one; any other TypeError is not the pair's
-            bad = next((x for x in (u, v) if not _is_id(x)), None)
-            if bad is None:
+            exc = not_an_int(u, v)
+            if exc is None:
                 raise
-            exc = ValueError(f"vertex {bad!r} is not an int")
             raise (exc if refused is None else refused(w - first, u, v, exc)) from None
         finally:
             self._next_id, self._max_red, self.t = w, top, t

@@ -12,9 +12,11 @@ state to print, list, audit or translate it, naming vertices by id through
 inverts it only to name vertices in messages);
 `IdKeyedTrigraph`, `greedy_reference` and `count_step_reference` are
 the package's earlier id-keyed contraction, greedy loop and per-step
-pair loop; and `cotree_graph_recursive` and `twin_sequence_recursive`
-are the package's earlier recursive cotree walks.  The last two groups
-are kept as the yardsticks their rewrites must match.
+pair loop; `cotree_graph_recursive` and `twin_sequence_recursive`
+are the package's earlier recursive cotree walks; and
+`written_shape_reference` is the readers' earlier whole-text shape
+check.  The last three groups are kept as the yardsticks their
+rewrites must match.
 `leaves_recursive` is the tests' own leaf lister: the package has none,
 since each of its walks checks the leaves it meets.  `cotree_counts`
 reads a cograph's vertex, edge and triangle counts off its cotree in
@@ -23,6 +25,7 @@ closed form, with no graph built at all.
 
 import itertools
 import random
+import re
 import types
 from array import array
 
@@ -749,6 +752,26 @@ TARGETED_INSTANCES = {
     "symmetric-black-pair": (CASE_SYMMETRIC_BLACK_PAIR, "ordered-pairs"),
     "symmetric-red-pair": (CASE_SYMMETRIC_RED_PAIR, "ordered-pairs"),
 }
+
+
+# -- written-shape reference -----------------------------------------------
+
+
+def written_shape_reference(text, header, mark):
+    """The whole-text check that `graphio.read_slices`' per-slice checks
+    replaced: header's match when text is a first line matching the
+    pattern header, then only lines "<mark><a> <b>" of ASCII digits, each
+    ending in a newline; else None.
+
+    Kept word for word, so the rewrite can be held to admitting the same
+    texts: it searches, from the header's newline, for a newline not
+    followed by a written line or the end of the text.
+    """
+    first = re.match(header + "\n", text)
+    unwritten = re.compile(f"\\n(?!{mark}[0-9]+ [0-9]+\\n|\\Z)")
+    if first is None or unwritten.search(text, first.end() - 1) is not None:
+        return None
+    return first
 
 
 # -- greedy sequence reference ---------------------------------------------

@@ -1,14 +1,20 @@
+import functools
+import json
 import random
 import tracemalloc
+import types
 
 import pytest
 
 from twintri import graphio, sequence
 from twintri.counting import count_triangles
-from twintri.generate import complete, twin_sequence
+from twintri.generate import cograph, complete, twin_sequence
 from twintri.graphio import GraphFormatError, format_graph, load_graph, parse_graph
 from twintri.oracle import MAX_N, PlainGraph, count_naive
-from twintri.sequence import SequenceFormatError, load_sequence, parse_sequence
+from twintri.sequence import (SequenceFormatError, format_sequence, load_sequence,
+                              parse_sequence)
+
+import helpers
 
 
 def test_parse_basic():
@@ -79,13 +85,14 @@ def _both_paths(text):
     return _outcome(parse_graph, text), _outcome(graphio._parse_lines, text)
 
 
+@functools.cache
 def _k400_text():
     return format_graph(complete(400)[0])
 
 
-def _with_last_edge(text, edge):
+def _with_last_edge(text, edge, end="\n"):
     head, _ = text[:-1].rsplit("\n", 1)
-    return f"{head}\ne {edge}\n"
+    return f"{head}\ne {edge}{end}"
 
 
 @pytest.mark.parametrize("text", [
@@ -114,6 +121,16 @@ def _with_last_edge(text, edge):
     "p 3 1\ne 0 1\n",
     pytest.param("p 3 1\ne 1 " + "9" * 4000 + "\n", id="4000-digit-endpoint"),
     pytest.param(_with_last_edge(_k400_text(), "0399 400"), id="k400-leading-zero-last"),
+    # a digit before the mark or inside it, which a check of the line's
+    # other chars alone would let the scanner glue onto the id before it
+    "p 30 2\ne 1 2\n0e 3 4\n",
+    "p 30 2\ne 1 2\ne0 3 4\n",
+    # the shape broken on the last line of a text of more than 8 slices
+    pytest.param(_with_last_edge(_k400_text(), "399 400 1"), id="k400-extra-token-last"),
+    pytest.param(_with_last_edge(_k400_text(), "399\t400"), id="k400-tab-last"),
+    pytest.param(_with_last_edge(_k400_text(), "399 400", "\r\n"), id="k400-crlf-last"),
+    pytest.param(_with_last_edge(_k400_text(), "399  400"), id="k400-empty-field-last"),
+    pytest.param(_with_last_edge(_k400_text(), "399 400", ""), id="k400-no-final-newline"),
     # ints the scanner reads but a C int of the edge arrays cannot hold
     pytest.param("p 3 1\ne 1 2147483648\n", id="endpoint-2**31"),
     pytest.param(f"p 3 1\ne 1 {2 ** 63}\n", id="endpoint-2**63"),
@@ -295,3 +312,73 @@ def test_lines_end_only_at_newlines_and_returns(kind, comment, text, bad, line,
         with pytest.raises(error) as err:
             load(path)
         assert err.value.line == (comment + text).count("\n") + 1
+
+
+# -- the per-slice checks against the whole-text regex they replaced ----------
+
+MUTANT_CHARS = "\r\t e-+0٢\n"
+FELL_BACK = object()
+
+
+def _cograph_sequence_text(n, seed):
+    graph, cotree = cograph(n, seed=seed)
+    return format_sequence(twin_sequence(cotree, graph.n))
+
+
+def _mutants(text, start, count, rng):
+    """count copies of text, each with one char of MUTANT_CHARS inserted
+    or substituted, or one char deleted, in the first, a middle or the
+    last of the slices read_slices cuts text[start:] into."""
+    cuts = [start]
+    while cuts[-1] < len(text):
+        cuts.append(text.find("\n", cuts[-1] + graphio.SLICE_CHARS) + 1 or len(text))
+    slices = len(cuts) - 1
+    for _ in range(count):
+        k = rng.choice((0, slices // 2, slices - 1))
+        at = rng.randrange(cuts[k], cuts[k + 1])
+        char = rng.choice(MUTANT_CHARS)
+        edit = rng.randrange(3)  # 0 inserts, 1 substitutes, 2 deletes
+        yield text[:at] + (char if edit < 2 else "") + text[at + min(edit, 1):]
+
+
+@pytest.mark.parametrize("kind, text, header, mark", [
+    pytest.param(GRAPH, format_graph(complete(40)[0]), "p ([0-9]+) ([0-9]+)", "e ",
+                 id="K_40"),
+    pytest.param(SEQUENCE, _cograph_sequence_text(600, 4), "s ([0-9]+)", "",
+                 id="cograph-600"),
+])
+def test_slices_reach_the_scanner_exactly_when_the_regex_admits_them(
+        kind, text, header, mark, monkeypatch):
+    # slices of 200 chars cut each text into more than 20; at full size
+    # each mutant would cost the regex and the per-line parser a whole
+    # long file, and 10,000 of them take minutes
+    monkeypatch.setattr(graphio, "SLICE_CHARS", 200)
+    parse, parse_lines, error, _ = kind
+    module = graphio if kind is GRAPH else sequence
+    scanned, fell_back = [], []
+
+    def loads(s):
+        scanned.append(s)
+        return json.loads(s)
+
+    def fall_back(text, *args):
+        fell_back.append(text)
+        return FELL_BACK
+
+    monkeypatch.setattr(graphio, "json", types.SimpleNamespace(loads=loads))
+    monkeypatch.setattr(module, "_parse_lines", fall_back)
+    start = helpers.written_shape_reference(text, header, mark).end()
+    admitted = kept = 0
+    for mutant in _mutants(text, start, 5000, random.Random(7)):
+        scanned.clear()
+        fell_back.clear()
+        shaped = helpers.written_shape_reference(mutant, header, mark) is not None
+        outcome = _outcome(parse, mutant, error)
+        assert bool(scanned) == shaped, repr(mutant)
+        admitted += shaped
+        if outcome is FELL_BACK:
+            assert fell_back == [mutant]
+        else:
+            kept += 1
+            assert outcome == _outcome(parse_lines, mutant, error)
+    assert admitted > 500 and kept > 300

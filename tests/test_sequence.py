@@ -23,6 +23,7 @@ from twintri.sequence import (
     format_sequence,
     parse_sequence,
     replay,
+    save_sequence,
 )
 from twintri.trigraph import Trigraph
 
@@ -231,6 +232,23 @@ def test_a_non_int_n_or_id_is_refused_by_name():
                 run()
 
 
+def test_a_non_int_id_is_refused_before_it_is_written(tmp_path):
+    # %d would write 1.5 as 1, saving a sequence replay refuses as another
+    # one that it accepts; the message is replay's, and no file is left
+    graph = path(3)
+    for ends in [(1.5, 2.0, 4.0, 3.0), (1, 2, 4, 3.0)]:
+        seq = ContractionSequence(3, ends)
+        with pytest.raises(SequenceError) as replayed:
+            replay(_fresh(graph), seq)
+        with pytest.raises(SequenceError) as written:
+            format_sequence(seq)
+        assert str(written.value) == str(replayed.value)
+        with pytest.raises(SequenceError):
+            save_sequence(seq, tmp_path / "s.seq")
+        assert not (tmp_path / "s.seq").exists()
+    assert str(written.value) == "step 1 contracts (4, 3.0) but vertex 3.0 is not an int"
+
+
 def test_replay_refuses_a_negative_bound_before_any_step():
     graph, cotree = complete(5)
     g = _fresh(graph)
@@ -333,10 +351,11 @@ def _outcome(parse, text):
         return str(err), err.line
 
 
-def _chain_with_leading_zero_last(n):
-    """chain_sequence(n)'s text, its last pair written with a leading zero."""
+def _chain_with_last_line(n, pair, end="\n"):
+    """chain_sequence(n)'s text, its last pair (u, v) written as
+    pair.format(u, v) and ended with end."""
     head, last = format_sequence(chain_sequence(n))[:-1].rsplit("\n", 1)
-    return f"{head}\n0{last}\n"
+    return f"{head}\n{pair.format(*last.split())}{end}"
 
 
 @pytest.mark.parametrize("text", [
@@ -359,7 +378,13 @@ def _chain_with_leading_zero_last(n):
     # a leading zero that int() reads, here late in a long file
     "s 3\n0 2\n4 3\n",
     pytest.param("s 3\n1 " + "9" * 4000 + "\n4 3\n", id="4000-digit-id"),
-    pytest.param(_chain_with_leading_zero_last(20000), id="chain-leading-zero-last"),
+    pytest.param(_chain_with_last_line(20000, "0{} {}"), id="chain-leading-zero-last"),
+    # the shape broken on the last line of a text of more than 3 slices
+    pytest.param(_chain_with_last_line(20000, "{} {} 1"), id="chain-extra-token-last"),
+    pytest.param(_chain_with_last_line(20000, "{}\t{}"), id="chain-tab-last"),
+    pytest.param(_chain_with_last_line(20000, "{} {}", "\r\n"), id="chain-crlf-last"),
+    pytest.param(_chain_with_last_line(20000, "{}  {}"), id="chain-empty-field-last"),
+    pytest.param(_chain_with_last_line(20000, "{} {}", ""), id="chain-no-final-newline"),
 ])
 def test_bulk_path_agrees_with_per_line_parser(text):
     bulk = _outcome(parse_sequence, text)
