@@ -75,6 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_width = sub.add_parser("width", help="width of a contraction sequence")
     p_width.add_argument("graph")
     p_width.add_argument("--sequence", required=True)
+    p_width.set_defaults(max_width=None)
 
     p_verify = sub.add_parser("verify", help="check a sequence against a width bound")
     p_verify.add_argument("graph")
@@ -150,20 +151,16 @@ def _cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _cmd_width(args) -> int:
-    graph = load_graph(args.graph, args.max_n)
-    seq = load_sequence(args.sequence)
-    check_n(seq, graph.n)
-    report = replay(side_trigraph(graph)[1], seq)
-    print(f"width {report.width}")
-    return EXIT_OK
-
-
-def _cmd_verify(args) -> int:
+def _cmd_replay(args) -> int:
+    """width and verify: replay the sequence on the side a count would
+    use; width has no bound, so its max_width is None."""
     graph = load_graph(args.graph, args.max_n)
     seq = load_sequence(args.sequence)
     check_n(seq, graph.n)
     report = replay(side_trigraph(graph)[1], seq, args.max_width)
+    if args.max_width is None:
+        print(f"width {report.width}")
+        return EXIT_OK
     if report.valid:
         print(f"valid width {report.width}")
         return EXIT_OK
@@ -179,7 +176,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen_graph(args) -> int:
-    _, required, optional = FAMILIES[args.family]
+    _, required, optional, has_cotree = FAMILIES[args.family]
     given = {name: getattr(args, name) for name in args.flags
              if getattr(args, name) is not None}
     for name in given:
@@ -193,11 +190,11 @@ def _cmd_gen_graph(args) -> int:
         print(f"{args.family} needs "
               + " and ".join(args.flags[name] for name in required), file=sys.stderr)
         return EXIT_SEMANTIC
-    graph, cotree = generate_graph(args.family, **given)
-    if args.sequence_out and cotree is None:
+    if args.sequence_out and not has_cotree:
         print(f"family {args.family} carries no cotree, cannot emit a "
               "width-0 sequence", file=sys.stderr)
         return EXIT_SEMANTIC
+    graph, cotree = generate_graph(args.family, **given)
     if args.output:
         save_graph(graph, args.output)
     else:
@@ -231,8 +228,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {
         "count": _cmd_count,
-        "width": _cmd_width,
-        "verify": _cmd_verify,
+        "width": _cmd_replay,
+        "verify": _cmd_replay,
         "oracle": _cmd_oracle,
     }
     try:

@@ -29,8 +29,8 @@ they are not adjacent it closes no triangle, and the loop just folds
 their inner-edge counts.  If they are, it closes just the triangles
 with an edge inside either group, which the loop adds to the running
 total itself, as it adds what counting returns for every other step.
-aux_updates still charges each step one update for w's inner edges,
-plus one per red edge it weighs.
+aux_updates charges each step one update for w's inner edges, plus one
+per red edge it weighs, so it is one_neighbor_calls plus the steps done.
 
 A count runs on the sparser side of the input.  Once more than half of
 the C(n, 2) pairs are edges, 4m > n(n - 1), it replays the sequence on
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 from math import comb
 from operator import mul
@@ -86,7 +86,8 @@ class Counters:
     neighbors and the red wedges a step accounts for, the paper's unit
     costs: k*(k-1)/2 for a step whose new vertex has k red neighbors,
     and the sum of those neighbors' red degrees.  Both are computed from
-    k and the red degrees, not counted as loop iterations.
+    k and the red degrees, not counted as loop iterations.  aux_updates
+    is one_neighbor_calls plus the steps done; see the module docstring.
     """
 
     contractions: int = 0
@@ -95,12 +96,6 @@ class Counters:
     two_neighbor_pair_visits: int = 0
     red_wedge_visits: int = 0
     graph_update_work: int = 0
-
-
-@dataclass
-class CountState:
-    t: int = 0
-    counters: Counters = field(default_factory=Counters)
 
 
 @dataclass
@@ -164,7 +159,6 @@ def _count_step(g: Trigraph, merged, counters: Counters) -> int:
     uv_black = v in black_adj[u]
     inc = su * iv + sv * iu if uv_black else 0
     k = len(red_entries)
-    counters.aux_updates += k  # count_side charges the one for w's inner edges
     counters.one_neighbor_calls += k
     counters.two_neighbor_pair_visits += k * (k - 1) // 2
     # the docstring's c map for each side, and the red neighbors of w
@@ -322,43 +316,43 @@ def count_side(g: Trigraph, seq: ContractionSequence, side: str,
 
     reference, when given, is (edges, triangles) of that graph, and the
     conservation identities and the running-total invariant are checked
-    against it after every contraction (checked mode, O(n^3) a step).
-    step_callback(step, g, state), when given, runs after each applied
-    contraction.  Both run in g.run's after-hook.
+    against it before the first contraction and after every one
+    (checked mode, O(n^3) a step).  step_callback(step, g, counters),
+    when given, runs after each applied contraction, with the running
+    total in g.t and aux_updates up to date.  Both run in g.run's
+    after-hook, the one place a count reads its state between steps.
     """
     n = g.n_original
     check_n(seq, n)
-    state = CountState()
-    counters = state.counters
+    counters = Counters()
 
     if reference is not None:
         m, reference_count = reference
-        check_conservation(g, m)
-        if not evaluate_invariant(g, state.t, reference_count):
-            raise InternalInvariantError("invariant fails before any contraction")
+
+        def check(where):
+            check_conservation(g, m)
+            if not evaluate_invariant(g, g.t, reference_count):
+                raise InternalInvariantError(f"invariant fails {where}")
+
+        check("before any contraction")
 
     after = None  # fast mode makes no call between steps
     if reference is not None or step_callback is not None:
         def after(step):
-            counters.aux_updates += 1
-            state.t = g.t
+            counters.aux_updates = counters.one_neighbor_calls + step + 1
             if reference is not None:
-                check_conservation(g, m)
-                if not evaluate_invariant(g, state.t, reference_count):
-                    u, v = seq.ends[2 * step:2 * step + 2]
-                    raise InternalInvariantError(
-                        f"invariant fails after step {step} ({u},{v})->{n + 1 + step}")
+                u, v = seq.ends[2 * step:2 * step + 2]
+                check(f"after step {step} ({u},{v})->{n + 1 + step}")
             if step_callback is not None:
-                step_callback(step, g, state)
+                step_callback(step, g, counters)
 
     def count(merged):
         return _count_step(g, merged, counters)
 
     width, sum_d_sq, _, t = g.run(seq.pairs, count=count, after=after,
                                   refused=SequenceError.refused)
-    if after is None:
-        counters.aux_updates += seq.n - 1  # after charges them one by one
     counters.contractions = seq.n - 1
+    counters.aux_updates = counters.one_neighbor_calls + counters.contractions
     counters.graph_update_work = g.update_work
     return CountResult(
         triangles=t,
@@ -376,12 +370,14 @@ def count_triangles(graph, seq: ContractionSequence, mode: str = "fast",
     contraction sequence on the side side_trigraph picks.
 
     In "checked" mode the conservation identities and the running-total
-    invariant are verified after every contraction, which costs O(n^3)
-    per step and is therefore gated to n <= checked_limit; the reference
-    triangle count is taken from the brute-force oracle, through
-    Goodman's identity on the complement side, where the corrected count
-    must equal the oracle's too.  step_callback is count_side's, and
-    sees the side that runs.
+    invariant are verified before the first contraction and after every
+    one, which costs O(n^3) per step and is therefore gated to
+    n <= checked_limit; the reference triangle count is taken from the
+    brute-force oracle, through Goodman's identity on the complement
+    side, where the corrected count must equal the oracle's too.  Both
+    sides run through count_side; step_callback is count_side's, and
+    sees the side that runs, its g.t counting the complement's
+    triangles on that side.
     """
     if mode not in ("fast", "checked"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -394,17 +390,18 @@ def count_triangles(graph, seq: ContractionSequence, mode: str = "fast",
                 f"checked mode is gated to {checked_limit} vertices, got {n}")
         reference = graph.m, count_naive(graph)
     side, g = side_trigraph(graph)
-    if side == GRAPH:
-        return count_side(g, seq, side, reference, step_callback)
-    # Goodman's identity, with the complement's degrees read before any
-    # step changes its maps; the reference takes them from the graph
-    rest = comb(n, 3) - sum(d * (n - 1 - d) for d in map(len, g.black_adj)) // 2
-    if reference is not None:
-        m, naive = reference
-        degree = Counter(chain(graph.us, graph.vs))
-        reference = (comb(n, 2) - m, comb(n, 3) - naive
-                     - sum(d * (n - 1 - d) for d in degree.values()) // 2)
+    if side == COMPLEMENT:
+        # Goodman's identity, with the complement's degrees read before
+        # any step changes its maps; the reference takes them from the graph
+        rest = comb(n, 3) - sum(d * (n - 1 - d) for d in map(len, g.black_adj)) // 2
+        if reference is not None:
+            m, naive = reference
+            degree = Counter(chain(graph.us, graph.vs))
+            reference = (comb(n, 2) - m, comb(n, 3) - naive
+                         - sum(d * (n - 1 - d) for d in degree.values()) // 2)
     result = count_side(g, seq, side, reference, step_callback)
+    if side == GRAPH:
+        return result
     result.triangles = rest - result.triangles
     if reference is not None and result.triangles != naive:
         raise InternalInvariantError(

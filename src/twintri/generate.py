@@ -319,18 +319,19 @@ def chain_sequence(n: int) -> ContractionSequence:
 
 
 # The one table of graph families, in the order the CLI lists them: each
-# name's builder, its required parameters (passed in order) and its
-# optional ones (passed by name when given).  A builder returns a
-# PlainGraph, or (graph, cotree) for the families built from a cotree.
+# name's builder, its required parameters (passed in order), its
+# optional ones (passed by name when given) and whether it is built from
+# a cotree.  A builder returns a PlainGraph, or (graph, cotree) for the
+# families built from a cotree.
 FAMILIES = {
-    "gnp": (gnp, ("n",), ("p", "seed")),
-    "cograph": (cograph, ("n",), ("block_size", "seed")),
-    "complete": (complete, ("n",), ()),
-    "path": (path, ("n",), ()),
-    "cycle": (cycle, ("n",), ()),
-    "grid": (grid, ("rows", "cols"), ()),
-    "star": (star, ("n",), ()),  # n counts the leaves
-    "petersen": (petersen, (), ()),
+    "gnp": (gnp, ("n",), ("p", "seed"), False),
+    "cograph": (cograph, ("n",), ("block_size", "seed"), True),
+    "complete": (complete, ("n",), (), True),
+    "path": (path, ("n",), (), False),
+    "cycle": (cycle, ("n",), (), False),
+    "grid": (grid, ("rows", "cols"), (), False),
+    "star": (star, ("n",), (), True),  # n counts the leaves
+    "petersen": (petersen, (), (), False),
 }
 
 
@@ -344,11 +345,11 @@ def generate_graph(family: str, seed: int = 0, **params):
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-    build, required, optional = FAMILIES[family]
+    build, required, optional, has_cotree = FAMILIES[family]
     params["seed"] = seed
     built = build(*(params[name] for name in required),
                   **{name: params[name] for name in optional if name in params})
-    return (built, None) if isinstance(built, PlainGraph) else built
+    return built if has_cotree else (built, None)
 
 
 # -- greedy sequence -------------------------------------------------------

@@ -197,6 +197,7 @@ def replay(g: Trigraph, seq: ContractionSequence, bound: int | None = None) -> S
     whose trigraph has a red degree above it fails the report, but the
     replay runs on, so width is the whole sequence's.  A negative bound
     raises ValueError before any step, since no trigraph can meet it.
+    verify_width is another name for it.
     """
     check_n(seq, g.n_original)
     if bound is not None and bound < 0:
@@ -205,10 +206,5 @@ def replay(g: Trigraph, seq: ContractionSequence, bound: int | None = None) -> S
     return SequenceReport(width, over is None, over)
 
 
-def verify_width(g: Trigraph, seq: ContractionSequence, bound: int) -> SequenceReport:
-    """Check that every intermediate trigraph keeps red degree <= bound.
-
-    replay(g, seq, bound) under another name, kept for the benchmark's
-    verify op; the package and its tests call replay.
-    """
-    return replay(g, seq, bound)
+# the benchmark's verify op calls replay under this name
+verify_width = replay

@@ -265,15 +265,18 @@ class Trigraph:
         size[s]*inner[l] + size[l]*inner[s], to the running total t,
         drops the pair's edge, adds the size product to w's inner edges
         and charges update_work 3k + 2 for k common black neighbours, as
-        the general path would.  Every other step is classified by
-        merge_neighborhoods.  Then w takes over s with its maps, rep
-        reads 0 for u and v, each black neighbour of l drops l, and each
-        vertex x turning red to w drops its entries for s and l.  The red
-        edge {w, x} weighs w_sx + w_lx, the two weights x's red entry
-        carries.  w's size is the sum of s's and l's, and its inner edges
-        are theirs plus the edges of the pair {s, l}: the size product
-        if it is black, its weight if it is red at either end (one
-        missing at s raises InternalInvariantError), none otherwise.
+        the general path would.  Every other step has a red edge at s or
+        l, or a vertex black to just one of them, which turns red to w,
+        so it is classified by merge_neighborhoods and always updates
+        the red maps and the red-degree histogram.  Then w takes over s
+        with its maps, rep reads 0 for u and v, each black neighbour of
+        l drops l, and each vertex x turning red to w drops its entries
+        for s and l.  The red edge {w, x} weighs w_sx + w_lx, the two
+        weights x's red entry carries.  w's size is the sum of s's and
+        l's, and its inner edges are theirs plus the edges of the pair
+        {s, l}: the size product if it is black, its weight if it is red
+        at either end (one missing at s raises InternalInvariantError),
+        none otherwise.
 
         count(merged) runs before each classified step, on the
         unmodified trigraph, with merge_neighborhoods' result, and what it
@@ -341,41 +344,38 @@ class Trigraph:
                         inner[s] += red_weight(self, s, l)
                     for x in bl:
                         del black_adj[x][l]
-                    if red or rs or rl:
-                        red_work = len(rs) + len(rl) + len(red)
-                        work += red_work
-                        red_total += red_work
-                        black_to_s = len(bs)
-                        red_w = {}
-                        for x, cs, cl, ws, wl in red:
-                            rx = red_adj[x]
-                            old = len(rx)
-                            if cs is BLACK:
-                                del black_adj[x][s], bs[x]
-                            # l's map took a black {l, x}; rx[s] is overwritten
-                            if cl is RED:
-                                del rx[l]
-                            if rx is EMPTY:
-                                red_adj[x] = rx = {}
-                            rx[s] = red_w[x] = ws + wl
-                            new = len(rx)
-                            if new != old:
-                                hist[old] -= 1
-                                hist[new] += 1
-                        hist[len(rs)] -= 1
-                        hist[len(rl)] -= 1
-                        hist[len(red_w)] += 1
-                        # a step raises no red degree but w's by more than one
-                        top = max(top + 1, len(red_w))
-                        while top and not hist[top]:
-                            top -= 1
-                        red_adj[s] = red_w if red_w else EMPTY
-                        if len(bs) < black_to_s:
-                            # deletions never shrink a dict, so w's map is
-                            # rebuilt to fit once some entries turned red
-                            black_adj[s] = dict.fromkeys(bs) if bs else EMPTY
-                    else:
-                        hist[0] -= 1
+                    red_work = len(rs) + len(rl) + len(red)
+                    work += red_work
+                    red_total += red_work
+                    black_to_s = len(bs)
+                    red_w = {}
+                    for x, cs, cl, ws, wl in red:
+                        rx = red_adj[x]
+                        old = len(rx)
+                        if cs is BLACK:
+                            del black_adj[x][s], bs[x]
+                        # l's map took a black {l, x}; rx[s] is overwritten
+                        if cl is RED:
+                            del rx[l]
+                        if rx is EMPTY:
+                            red_adj[x] = rx = {}
+                        rx[s] = red_w[x] = ws + wl
+                        new = len(rx)
+                        if new != old:
+                            hist[old] -= 1
+                            hist[new] += 1
+                    hist[len(rs)] -= 1
+                    hist[len(rl)] -= 1
+                    hist[len(red_w)] += 1
+                    # a step raises no red degree but w's by more than one
+                    top = max(top + 1, len(red_w))
+                    while top and not hist[top]:
+                        top -= 1
+                    red_adj[s] = red_w if red_w else EMPTY
+                    if len(bs) < black_to_s:
+                        # deletions never shrink a dict, so w's map is
+                        # rebuilt to fit once some entries turned red
+                        black_adj[s] = dict.fromkeys(bs) if bs else EMPTY
                     # bs now holds the common black neighbours
                     update_work += work + len(bs)
                 # no map outlives its step: l's, and s's where w's replaced it

@@ -162,7 +162,7 @@ def test_criterion_6_conservation_invariants():
     steps = 0
 
     def make_checker(m):
-        def check(step, g, state):
+        def check(step, g, counters):
             nonlocal steps
             check_conservation(g, m)
             steps += 1
@@ -222,9 +222,9 @@ def test_criterion_8_targeted_branch_instances():
         increments = []
         last = [0]
 
-        def on_step(step, g, state):
-            increments.append(state.t - last[0])
-            last[0] = state.t
+        def on_step(step, g, counters):
+            increments.append(g.t - last[0])
+            last[0] = g.t
 
         result = helpers.count_on_side(graph, seq, mode="checked",
                                        step_callback=on_step)

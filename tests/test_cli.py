@@ -252,6 +252,36 @@ def test_checked_count_and_verify_name_a_failing_step_deep_in_the_sequence(
         "", "internal invariant violation: invariant fails after step 50 (52,110)->111\n")
 
 
+@pytest.mark.parametrize("graph, side", [(cycle(6), "graph"),
+                                          (complete(6)[0], "complement")])
+def test_checked_count_names_a_failure_before_any_contraction(
+        tmp_path, capsys, monkeypatch, graph, side):
+    # the invariant is made to fail its first check, which runs on the
+    # side's trigraph before the first step
+    from twintri import counting
+    seq = greedy_sequence(graph)[0]
+    assert count_triangles(graph, seq).side == side
+    invariant = counting.evaluate_invariant
+    checks = []
+
+    def fails_first(*args):
+        checks.append(args)
+        return len(checks) > 1 and invariant(*args)
+
+    monkeypatch.setattr(counting, "evaluate_invariant", fails_first)
+    with pytest.raises(counting.InternalInvariantError) as err:
+        count_triangles(graph, seq, mode="checked")
+    assert str(err.value) == "invariant fails before any contraction"
+    assert len(checks) == 1
+    checks.clear()
+    gpath = _write(tmp_path, "g.gr", format_graph(graph))
+    spath = _write(tmp_path, "g.seq", format_sequence(seq))
+    assert main(["count", gpath, "--sequence", spath, "--checked"]) == 4
+    assert capsys.readouterr() == (
+        "", "internal invariant violation: invariant fails before any contraction\n")
+    assert len(checks) == 1
+
+
 @pytest.mark.parametrize("pairs, message", [
     # 2 names 6, so the id 2 is dead though its group lives on
     (((2, 3), (2, 4), (6, 5), (1, 7)), "step 1 contracts (2, 4) but vertex 2 is not live"),
@@ -418,14 +448,24 @@ def test_gen_graph_cograph_with_sequence(tmp_path, capsys):
     assert stats["width"] == "0"
 
 
-def test_gen_graph_sequence_out_needs_cotree(tmp_path, capsys):
-    # refused before anything is written, to a file or to stdout
-    for output in (["-o", str(tmp_path / "x.gr")], []):
-        assert main(["gen", "graph", "--family", "gnp", "--n", "5", *output,
-                     "--sequence-out", str(tmp_path / "x.seq")]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "carries no cotree" in captured.err
+def test_gen_graph_sequence_out_needs_cotree(tmp_path, capsys, monkeypatch):
+    # refused from the family's FAMILIES row before the graph is built,
+    # however large, and before anything is written, to a file or to stdout
+    from twintri import generate
+
+    def never_built(*args, **kwargs):
+        raise AssertionError("a family with no cotree was built")
+
+    for family, size in (("gnp", ["--n", "4000", "--p", "0.5"]),
+                         ("grid", ["--rows", "2000", "--cols", "2000"])):
+        _, required, optional, has_cotree = generate.FAMILIES[family]
+        monkeypatch.setitem(generate.FAMILIES, family,
+                            (never_built, required, optional, has_cotree))
+        for output in (["-o", str(tmp_path / "x.gr")], []):
+            assert main(["gen", "graph", "--family", family, *size, *output,
+                         "--sequence-out", str(tmp_path / "x.seq")]) == 3
+            assert capsys.readouterr() == (
+                "", f"family {family} carries no cotree, cannot emit a width-0 sequence\n")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -109,8 +109,8 @@ def _check_steps(n, edges, pairs, states):
     # the representatives before the step; the step clears its ends' entries
     before = list(Trigraph(n).rep)
 
-    def on_step(step, g, state):
-        increments.append(state.t - sum(increments))
+    def on_step(step, g, counters):
+        increments.append(g.t - sum(increments))
         # one end's representative names the new vertex, the other's is
         # merged away and holds nothing, and neither end is live
         ends = {before[end] for end in pairs[step]}
@@ -168,8 +168,8 @@ def test_step_callback_sees_the_counters_of_a_stepwise_driver():
               for n, edges, pairs, _ in STEP_CASES.values()]
     for graph, seq in cases:
         seen = []
-        helpers.count_on_side(graph, seq, step_callback=lambda step, g, state:
-                              seen.append((state.t, dataclasses.asdict(state.counters))))
+        helpers.count_on_side(graph, seq, step_callback=lambda step, g, counters:
+                              seen.append((g.t, dataclasses.asdict(counters))))
         assert seen == _stepwise_counters(graph, seq)
 
 
@@ -221,7 +221,7 @@ def test_missing_cross_entry_is_diagnosed():
     pairs = ((1, 2), (3, 4))
     with pytest.raises(InternalInvariantError) as counted:
         count_triangles(path(3), helpers.sequence_of(3, pairs),
-                        step_callback=lambda step, g, state: drop(g, step))
+                        step_callback=lambda step, g, counters: drop(g, step))
     g = Trigraph.from_graph(path(3).edges, 3)
     with pytest.raises(InternalInvariantError) as alone:
         g.run(pairs, after=lambda step: drop(g, step))
@@ -260,9 +260,9 @@ def test_collapse_counts_all_k4_triangles():
     increments = []
     last = [0]
 
-    def on_step(step, g, state):
-        increments.append(state.t - last[0])
-        last[0] = state.t
+    def on_step(step, g, counters):
+        increments.append(g.t - last[0])
+        last[0] = g.t
 
     result = helpers.count_on_side(graph, seq, step_callback=on_step)
     assert result.triangles == 4
@@ -544,10 +544,10 @@ def test_only_twin_steps_skip_the_classifier(monkeypatch):
             colors.update(_check_red_entries(g, merged))
             return merged
 
-        def on_step(step, g, state):
+        def on_step(step, g, counters):
             helpers.check_consistent(g)
             calls_after.append(len(calls))
-            seen.append((state.t, dataclasses.asdict(state.counters)))
+            seen.append((g.t, dataclasses.asdict(counters)))
 
         with monkeypatch.context() as patch:
             patch.setattr(Trigraph, "merge_neighborhoods", recording)
@@ -635,7 +635,7 @@ def test_conservation_on_random_runs():
         seq, _ = greedy_sequence(graph)
         m = graph.m
 
-        def check(step, g, state):
+        def check(step, g, counters):
             check_conservation(g, m)
 
         helpers.count_on_side(graph, seq, step_callback=check)
@@ -675,7 +675,7 @@ def test_red_weights_match_brute_force_cross_counts(n, seed, p):
         adj[b].add(a)
     members = {v: [v] for v in range(1, n + 1)}
 
-    def on_step(step, g, state):
+    def on_step(step, g, counters):
         u, v = seq.ends[2 * step:2 * step + 2]
         members[n + 1 + step] = members.pop(u) + members.pop(v)
         assert sorted(members) == helpers.live_vertices(g)
@@ -709,8 +709,7 @@ def test_per_step_counter_budgets():
         prev = [0, 0, 0]
         degree_before = [0]
 
-        def on_step(step, g, state):
-            c = state.counters
+        def on_step(step, g, c):
             d_after = helpers.max_red_degree(g)
             one = c.one_neighbor_calls - prev[0]
             pairs = c.two_neighbor_pair_visits - prev[1]
@@ -733,7 +732,7 @@ def test_t_never_decreases():
         seq, _ = greedy_sequence(graph)
         trace = []
         count_triangles(graph, seq,
-                        step_callback=lambda s, g, st_: trace.append(st_.t))
+                        step_callback=lambda s, g, counters: trace.append(g.t))
         assert trace == sorted(trace)
 
 
@@ -762,7 +761,7 @@ def _totals_and_result(graph, seq):
     totals = []
     result = count_triangles(
         graph, seq,
-        step_callback=lambda step, g, state: totals.append(state.t))
+        step_callback=lambda step, g, counters: totals.append(g.t))
     return totals, result
 
 
@@ -1204,9 +1203,9 @@ def _step_increments(graph, seq):
     increments = []
     last = [0]
 
-    def on_step(step, g, state):
-        increments.append(state.t - last[0])
-        last[0] = state.t
+    def on_step(step, g, counters):
+        increments.append(g.t - last[0])
+        last[0] = g.t
 
     result = helpers.count_on_side(graph, seq, step_callback=on_step)
     return result, increments
