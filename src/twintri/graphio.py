@@ -13,39 +13,48 @@ reproduces canonical text byte for byte.
 Graph files and sequence files (see sequence.py) are one format with a
 different header and record prefix, and the rules they share live here:
 the line-numbered error base FormatError, the header match
-(written_header), the checked bulk reader (read_slices), the line
-iterator the per-line parsers walk (records: lines end at "\\n", "\\r\\n"
-or "\\r" only, numbered from 1, blank and comment lines skipped), the
-single-% writer (format_records) and the UTF-8 reader (read_text).
+(written_header), the line-end rule (newlines_only: lines end at "\\n",
+"\\r\\n" or "\\r" only), the checked bulk reader (read_slices), the line
+iterator the per-line parsers walk (records: numbered from 1, blank and
+comment lines skipped), the single-% writer (format_records) and the
+UTF-8 reader (read_text).
 
 parse_graph reads text shaped like format_graph's output (a first line
 "p <n> <m>", then only "e <u> <v>" lines, single spaces, ASCII digits,
-every line ending in a newline) in bulk: read_slices checks every slice
-of about 64 KiB, cut at newlines, then makes each a JSON array of its
-endpoints for one json.loads, whose C scanner makes the ints without a
-str per token.  Each slice's ints go straight into two arrays of C ints,
-the first and the second endpoints, so only one slice's int objects are
-alive at a time, and PlainGraph keeps the arrays as its edge list when
-one loop over their pairs finds them canonical, as a written file's
-are.  The check stays in front of the scanner, which would also read
-"1e5" (a float) or "-1", or an id glued to a digit before the next mark.
-Any other text, and shaped text that fails anywhere on the bulk path (a
-number the scanner refuses, such as a leading zero or one past CPython's
-int-string limit, one too large for a C int, a wrong count, a self-loop,
-an endpoint out of range), goes to the per-line parser, so every error
-carries the same message and line number on either path.  A p line
-above oracle.MAX_N is refused like one above max_n, with ValueError.
+every line ending in a newline) in bulk.  Line ends are first made "\\n"
+by the rule records follows, so a file saved with "\\r\\n" or "\\r" ends
+is read in bulk too; text with no "\\r" is not copied.  read_slices
+checks every slice of about 16 KiB, cut at newlines, and counts its
+lines, so a p line that disagrees with the count goes to the per-line
+parser before any slice is scanned.  Then it makes each slice a JSON
+array of its endpoints for one json.loads, whose C scanner makes the
+ints without a str per token.  The two arrays of C ints, the first and
+the second endpoints, are made once at exactly m, bounded by the text,
+and struct.pack_into writes each slice's ints into them in place, so
+only one slice's int objects are alive at a time and the arrays have no
+spare capacity.  PlainGraph keeps them as its edge list when one loop
+over their pairs finds them canonical, as a written file's are.  The
+check stays in front of the scanner, which would also read "1e5" (a
+float) or "-1", or an id glued to a digit before the next mark.  Any
+other text, and shaped text that fails anywhere on the bulk path (a
+number the scanner refuses, such as a leading zero or one past
+CPython's int-string limit, one too large for a C int, a wrong count, a
+self-loop, an endpoint out of range), goes as it was given to the
+per-line parser, so every error carries the same message and line
+number on either path.  A p line above oracle.MAX_N is refused like one
+above max_n, with ValueError.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import struct
 from array import array
 
 from .oracle import PlainGraph
 
-SLICE_CHARS = 1 << 16
+SLICE_CHARS = 1 << 14
 ZERO_DIGITS = bytes.maketrans(b"0123456789", b"0" * 10)
 TOKENS = {"e ": str.maketrans({"\n": None, "e": None, " ": ","}),  # by mark
           "": str.maketrans({"\n": ",", " ": ","})}
@@ -79,41 +88,53 @@ def parse_graph(text: str, max_n: int | None = None) -> PlainGraph:
     (not GraphFormatError: the file is well formed, only too large)
     before anything of size n is allocated.
     """
-    header = written_header(text, "p ([0-9]+) ([0-9]+)")
+    written = newlines_only(text)
+    header = written_header(written, "p ([0-9]+) ([0-9]+)")
     if header is not None:
         try:
             n, declared_m = int(header[1]), int(header[2])
             _check_size(n, max_n)
-            us, vs = array("i"), array("i")
-            for ids in read_slices(text, header.end(), "e "):
-                us.fromlist(ids[0::2])
-                vs.fromlist(ids[1::2])
-            if len(us) == declared_m:
-                return PlainGraph(n, (us, vs))
-        except (ValueError, OverflowError):
-            # an OverflowError is a number a C int cannot hold; the
-            # per-line parser names the line, or refuses max_n again
+            lines, slices = read_slices(written, header.end(), "e ")
+            if lines == declared_m:
+                # sized once; pack_into writes each slice in place and
+                # refuses to write past the end, so neither array grows
+                us, vs = array("i", [0]) * lines, array("i", [0]) * lines
+                at = 0
+                for ids in slices:
+                    k = len(ids) // 2
+                    struct.pack_into(f"{k}i", us, 4 * at, *ids[0::2])
+                    struct.pack_into(f"{k}i", vs, 4 * at, *ids[1::2])
+                    at += k
+                if at == declared_m:
+                    return PlainGraph(n, (us, vs))
+        except (ValueError, struct.error):
+            # struct.error is a number a C int cannot hold; the per-line
+            # parser names the line, or refuses max_n again
             pass
     return _parse_lines(text, max_n)
 
 
 def read_slices(text: str, start: int, mark: str = ""):
-    """The ints of text[start:], written lines "<mark><a> <b>\\n", a list
-    [a, b, a, b, ...] per slice of about SLICE_CHARS characters cut at a
-    newline, so a caller that keeps only what it takes from each list
-    holds one slice's int objects at a time.
+    """(lines, slices) for text[start:], written lines "<mark><a> <b>\\n":
+    the number of lines, and an iterator of the ints of each slice of
+    about SLICE_CHARS characters cut at a newline, a list [a, b, a, b,
+    ...] per slice, so a caller that keeps only what it takes from each
+    list holds one slice's int objects at a time.
 
-    Unless every slice is written lines, ValueError comes before the first
-    list: with its digits made 0, a slice must start "<mark>0", end "0\\n"
-    and hold "0\\n<mark>0" once for each line but the first, and with the
-    0s then deleted, "<mark> \\n" once per line.  One str.translate then
-    turns each line break with its mark, and each space, into a comma; a
-    number the JSON scanner refuses raises ValueError too.
+    Unless every slice is written lines, ValueError comes before any
+    return: with its digits made 0, a slice must start "<mark>0", end
+    "0\\n" and hold "0\\n<mark>0" once for each line but the first, and
+    with the 0s then deleted, "<mark> \\n" once per line.  So a caller
+    knows the count before any slice is scanned, and can size what it
+    fills by it.  One str.translate then turns each line break with its
+    mark, and each space, into a comma; a number the JSON scanner
+    refuses raises ValueError too.
     """
     cuts = [start]
     while cuts[-1] < len(text):
         cuts.append(text.find("\n", cuts[-1] + SLICE_CHARS) + 1 or len(text))
     line, first, joint = map(str.encode, (f"{mark} \n", f"{mark}0", f"0\n{mark}0"))
+    total = 0
     for a, b in zip(cuts, cuts[1:]):
         shape = text[a:b].encode().translate(ZERO_DIGITS)
         skeleton = shape.translate(None, b"0")
@@ -121,15 +142,24 @@ def read_slices(text: str, start: int, mark: str = ""):
         if (lines * len(line) != len(skeleton) or not shape.startswith(first)
                 or not shape.endswith(b"0\n") or shape.count(joint) != lines - 1):
             raise ValueError("text breaks the written shape")
-    for a, b in zip(cuts, cuts[1:]):
-        yield json.loads(f"[{text[a + len(mark):b - 1].translate(TOKENS[mark])}]")
+        total += lines
+    return total, (json.loads(f"[{text[a + len(mark):b - 1].translate(TOKENS[mark])}]")
+                   for a, b in zip(cuts, cuts[1:]))
+
+
+def newlines_only(text: str) -> str:
+    """text with each line end, "\\r\\n" or a lone "\\r", made "\\n";
+    text itself when it holds no "\\r"."""
+    if "\r" in text:
+        return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _lines(text: str) -> list[str]:
     """text's lines.  They end at "\\n", "\\r\\n" or "\\r" only:
     str.splitlines also ends them at a form feed, "\\x85" and other
     separators, so a comment holding one would split in two."""
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return newlines_only(text).split("\n")
 
 
 def records(text: str):

@@ -22,13 +22,16 @@ own: the s line's arity, the checks on each pair and their messages.
 
 parse_sequence reads text shaped like format_sequence's output ("s <n>",
 then only "<u> <v>" lines, single spaces, ASCII digits, every line
-ending in a newline) in bulk, as parse_graph does: once every slice of
-about 64 KiB is checked, each becomes a JSON array read by the json C
-scanner, its ids go onto one flat list, and ContractionSequence checks
-the pairs.  Any other text, and shaped text that fails anywhere on the
-bulk path, a number the scanner refuses (a leading zero, more digits
-than CPython's int-string limit) included, goes to the per-line parser,
-so every error carries the same message and line number on either path.
+ending in a newline, "\\r\\n" and "\\r" made "\\n" first) in bulk, as
+parse_graph does: every slice of about 16 KiB is checked and its lines
+counted, an s line that disagrees with the count goes to the per-line
+parser before any slice is scanned, and then each slice becomes a JSON
+array read by the json C scanner, its ids go onto one flat list, and
+ContractionSequence checks the pairs.  Any other text, and shaped text
+that fails anywhere on the bulk path, a number the scanner refuses (a
+leading zero, more digits than CPython's int-string limit) included,
+goes as it was given to the per-line parser, so every error carries the
+same message and line number on either path.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from operator import index
-from .graphio import (FormatError, format_records, read_slices, read_text,
-                      records, written_header)
+from .graphio import (FormatError, format_records, newlines_only, read_slices,
+                      read_text, records, written_header)
 from .trigraph import Trigraph, not_an_int
 
 
@@ -113,13 +116,17 @@ class SequenceReport:
 
 def parse_sequence(text: str) -> ContractionSequence:
     """Parse a sequence file's text; see the module docstring."""
-    header = written_header(text, "s ([0-9]+)")
+    written = newlines_only(text)
+    header = written_header(written, "s ([0-9]+)")
     if header is not None:
         try:
-            ends = []
-            for ids in read_slices(text, header.end()):
-                ends += ids
-            return ContractionSequence(int(header[1]), tuple(ends))
+            n = int(header[1])
+            lines, slices = read_slices(written, header.end())
+            if lines == n - 1:
+                ends = []
+                for ids in slices:
+                    ends += ids
+                return ContractionSequence(n, tuple(ends))
         except ValueError:
             pass  # the per-line parser names the line
     return _parse_lines(text)

@@ -1,8 +1,10 @@
 import functools
 import json
 import random
+import sys
 import tracemalloc
 import types
+from array import array
 
 import pytest
 
@@ -90,6 +92,11 @@ def _k400_text():
     return format_graph(complete(400)[0])
 
 
+@functools.cache
+def _k800_text():
+    return format_graph(complete(800)[0])
+
+
 def _with_last_edge(text, edge, end="\n"):
     head, _ = text[:-1].rsplit("\n", 1)
     return f"{head}\ne {edge}{end}"
@@ -128,9 +135,10 @@ def _with_last_edge(text, edge, end="\n"):
     # the shape broken on the last line of a text of more than 8 slices
     pytest.param(_with_last_edge(_k400_text(), "399 400 1"), id="k400-extra-token-last"),
     pytest.param(_with_last_edge(_k400_text(), "399\t400"), id="k400-tab-last"),
-    pytest.param(_with_last_edge(_k400_text(), "399 400", "\r\n"), id="k400-crlf-last"),
     pytest.param(_with_last_edge(_k400_text(), "399  400"), id="k400-empty-field-last"),
     pytest.param(_with_last_edge(_k400_text(), "399 400", ""), id="k400-no-final-newline"),
+    # a line end the reader makes "\n" before it checks the shape
+    pytest.param(_with_last_edge(_k400_text(), "399 400", "\r\n"), id="k400-crlf-last"),
     # ints the scanner reads but a C int of the edge arrays cannot hold
     pytest.param("p 3 1\ne 1 2147483648\n", id="endpoint-2**31"),
     pytest.param(f"p 3 1\ne 1 {2 ** 63}\n", id="endpoint-2**63"),
@@ -211,6 +219,16 @@ def test_n_past_the_edge_arrays_is_refused_like_max_n():
     assert parse_graph("p 2147483647 0\n").n == MAX_N
 
 
+def _traced_peak(call):
+    """call's result and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_reading_k400_holds_under_32_bytes_an_edge():
     # the edge list is two arrays of C ints, 8 bytes an edge; one tuple
     # and two ints an edge took about 100.  Pairs, as a caller may pass
@@ -222,19 +240,79 @@ def test_reading_k400_holds_under_32_bytes_an_edge():
     for path, bound in ((lambda: parse_graph(text), 32),
                         (lambda: count_triangles(parse_graph(text), seq), 32),
                         (lambda: PlainGraph(graph.n, pairs), 12)):
-        tracemalloc.start()
-        try:
-            path()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound * graph.m
+        assert _traced_peak(path)[1] < bound * graph.m
+
+
+def test_reading_k400_holds_the_edge_arrays_and_one_small_slice():
+    # the arrays take 8 bytes an edge; past them the reader holds one
+    # slice in flight: its text, its JSON list and that list's ints
+    text = _k400_text()
+    g, peak = _traced_peak(lambda: parse_graph(text))
+    assert peak < 8 * g.m + 0.4 * 2 ** 20
+
+
+def test_edge_arrays_are_sized_once_with_no_slack():
+    # the line count comes before the scan, so the arrays are made at
+    # exactly m, where growing them slice by slice left spare capacity
+    g = parse_graph(_k400_text())
+    empty = sys.getsizeof(array("i"))
+    assert sys.getsizeof(g.us) == sys.getsizeof(g.vs) == empty + 4 * g.m
 
 
 # -- both file kinds: every per-line message, and line ends --------------------
 
 GRAPH = (parse_graph, graphio._parse_lines, GraphFormatError, load_graph)
 SEQUENCE = (parse_sequence, sequence._parse_lines, SequenceFormatError, load_sequence)
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    (GRAPH, "p 3 3\ne 1 2\ne 2 3\n", "p line declares 3 edges, found 2"),
+    (GRAPH, "p 3 1\ne 1 2\ne 2 3\n", "p line declares 1 edges, found 2"),
+    (GRAPH, "p 3 1000000000\ne 1 2\ne 2 3\n", "p line declares 1000000000 edges, found 2"),
+    (SEQUENCE, "s 4\n1 2\n5 3\n", "expected 3 pairs, got 2"),
+    (SEQUENCE, "s 3\n1 2\n4 3\n5 1\n", "expected 2 pairs, got 3"),
+    (SEQUENCE, "s 1000000000\n1 2\n", "expected 999999999 pairs, got 1"),
+], ids=["p-above", "p-below", "p-billion", "s-above", "s-below", "s-billion"])
+def test_a_count_at_odds_with_the_lines_never_reaches_the_scanner(kind, text, message,
+                                                                 monkeypatch):
+    # the shape check counts the lines, so a p or s line that disagrees
+    # goes to the per-line parser before any slice is scanned, and
+    # nothing is sized by the count it declares
+    parse, parse_lines, error, _ = kind
+
+    def loads(s):
+        raise AssertionError("scanned a text whose count is wrong")
+
+    monkeypatch.setattr(graphio, "json", types.SimpleNamespace(loads=loads))
+    outcome, peak = _traced_peak(lambda: _outcome(parse, text, error))
+    assert outcome == (message, None) == _outcome(parse_lines, text, error)
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("kind", [GRAPH, SEQUENCE], ids=["graph", "sequence"])
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_written_text_with_crlf_or_cr_ends_takes_the_bulk_path(kind, end, monkeypatch):
+    parse, parse_lines, error, _ = kind
+    if kind is GRAPH:
+        expected, text = complete(800)[0], _k800_text()
+    else:
+        text = _cograph_sequence_text(20000, 2)
+        expected = parse_sequence(text)
+    assert len(text) > 8 * graphio.SLICE_CHARS
+    module = graphio if kind is GRAPH else sequence
+
+    def refuse(*args):
+        raise AssertionError("fell back to the per-line parser")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "_parse_lines", refuse)
+        assert parse(text.replace("\n", end)) == expected
+    # a pair at fault on the last line is read in bulk, then named by the
+    # per-line parser in the text as given
+    mark = "e " if kind is GRAPH else ""
+    bad = (text[:-1].rsplit("\n", 1)[0] + f"\n{mark}9 9\n").replace("\n", end)
+    assert _outcome(parse, bad, error) == _outcome(parse_lines, bad, error)
+    assert _outcome(parse, bad, error)[1] == text.count("\n")
 
 
 @pytest.mark.parametrize("kind, text, line, message", [
@@ -320,6 +398,7 @@ MUTANT_CHARS = "\r\t e-+0٢\n"
 FELL_BACK = object()
 
 
+@functools.cache
 def _cograph_sequence_text(n, seed):
     graph, cotree = cograph(n, seed=seed)
     return format_sequence(twin_sequence(cotree, graph.n))
@@ -372,7 +451,10 @@ def test_slices_reach_the_scanner_exactly_when_the_regex_admits_them(
     for mutant in _mutants(text, start, 5000, random.Random(7)):
         scanned.clear()
         fell_back.clear()
-        shaped = helpers.written_shape_reference(mutant, header, mark) is not None
+        # a "\r" before a "\n", or in its place, is a line end the reader
+        # normalises before it checks the shape
+        shaped = helpers.written_shape_reference(
+            graphio.newlines_only(mutant), header, mark) is not None
         outcome = _outcome(parse, mutant, error)
         assert bool(scanned) == shaped, repr(mutant)
         admitted += shaped

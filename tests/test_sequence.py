@@ -382,9 +382,10 @@ def _chain_with_last_line(n, pair, end="\n"):
     # the shape broken on the last line of a text of more than 3 slices
     pytest.param(_chain_with_last_line(20000, "{} {} 1"), id="chain-extra-token-last"),
     pytest.param(_chain_with_last_line(20000, "{}\t{}"), id="chain-tab-last"),
-    pytest.param(_chain_with_last_line(20000, "{} {}", "\r\n"), id="chain-crlf-last"),
     pytest.param(_chain_with_last_line(20000, "{}  {}"), id="chain-empty-field-last"),
     pytest.param(_chain_with_last_line(20000, "{} {}", ""), id="chain-no-final-newline"),
+    # a line end the reader makes "\n" before it checks the shape
+    pytest.param(_chain_with_last_line(20000, "{} {}", "\r\n"), id="chain-crlf-last"),
 ])
 def test_bulk_path_agrees_with_per_line_parser(text):
     bulk = _outcome(parse_sequence, text)
