@@ -71,19 +71,22 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="verify the counting invariants after every step")
     p_count.add_argument("--checked-limit", type=int, default=CHECKED_LIMIT,
                          help=f"largest n allowed in checked mode (default {CHECKED_LIMIT})")
+    p_count.set_defaults(handler=_cmd_count)
 
     p_width = sub.add_parser("width", help="width of a contraction sequence")
     p_width.add_argument("graph")
     p_width.add_argument("--sequence", required=True)
-    p_width.set_defaults(max_width=None)
+    p_width.set_defaults(handler=_cmd_replay, max_width=None)
 
     p_verify = sub.add_parser("verify", help="check a sequence against a width bound")
     p_verify.add_argument("graph")
     p_verify.add_argument("--sequence", required=True)
     p_verify.add_argument("--max-width", type=int, required=True)
+    p_verify.set_defaults(handler=_cmd_replay)
 
     p_oracle = sub.add_parser("oracle", help="brute-force triangle count")
     p_oracle.add_argument("graph")
+    p_oracle.set_defaults(handler=_cmd_oracle)
 
     p_gen = sub.add_parser("gen", help="generate graphs and sequences")
     gen_sub = p_gen.add_subparsers(dest="gen_command", required=True)
@@ -102,7 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="cograph block size"),
         p_graph.add_argument("--seed", type=int,
                              help="RNG seed (gnp, cograph; default TWINTRI_SEED or 0)")]
-    p_graph.set_defaults(flags={a.dest: a.option_strings[0] for a in flags})
+    p_graph.set_defaults(handler=_cmd_gen_graph,
+                         flags={a.dest: a.option_strings[0] for a in flags})
     p_graph.add_argument("-o", "--output", help="graph file (stdout when absent)")
     p_graph.add_argument("--sequence-out",
                          help="also write the cotree's width-0 sequence here "
@@ -115,6 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="largest n the exact strategy searches "
                             f"(exit 3 above it; default {EXACT_MAX_N})")
     p_seq.add_argument("-o", "--output", help="sequence file (stdout when absent)")
+    p_seq.set_defaults(handler=_cmd_gen_seq)
 
     for reader in (p_count, p_width, p_verify, p_oracle, p_seq):
         reader.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
@@ -224,20 +229,9 @@ def _cmd_gen_seq(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "count": _cmd_count,
-        "width": _cmd_replay,
-        "verify": _cmd_replay,
-        "oracle": _cmd_oracle,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "gen":
-            handler = _cmd_gen_graph if args.gen_command == "graph" else _cmd_gen_seq
-        else:
-            handler = handlers[args.command]
-        status = handler(args)
+        status = args.handler(args)
         # a reader that closed stdout early fails this flush, not the one at exit
         sys.stdout.flush()
         return status

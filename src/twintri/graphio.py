@@ -41,8 +41,16 @@ number the scanner refuses, such as a leading zero or one past
 CPython's int-string limit, one too large for a C int, a wrong count, a
 self-loop, an endpoint out of range), goes as it was given to the
 per-line parser, so every error carries the same message and line
-number on either path.  A p line above oracle.MAX_N is refused like one
-above max_n, with ValueError.
+number on either path.
+
+The size rule has one owner, _check_size: a p line above max_n, or
+above oracle.MAX_N, is refused with ValueError.  parse_graph applies it
+to a written header before read_slices, outside the bulk path's
+fallback, so a file past the limit is refused before any slice is
+checked or scanned and the per-line parser never splits it.  A header
+whose numbers int() cannot read, past CPython's int-string limit, goes
+to the per-line parser, which names line 1.  The edge rule is
+oracle's, which PlainGraph applies.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ import re
 import struct
 from array import array
 
-from .oracle import PlainGraph
+from .oracle import PlainGraph, check_max_n, edge_refusal
 
 SLICE_CHARS = 1 << 14
 ZERO_DIGITS = bytes.maketrans(b"0123456789", b"0" * 10)
@@ -86,14 +94,20 @@ def parse_graph(text: str, max_n: int | None = None) -> PlainGraph:
 
     With max_n set, a p line declaring more vertices raises ValueError
     (not GraphFormatError: the file is well formed, only too large)
-    before anything of size n is allocated.
+    before anything of size n is allocated, as does one above
+    oracle.MAX_N.  A written header is checked before the text is
+    scanned, so a refused file costs no more than its text.
     """
     written = newlines_only(text)
     header = written_header(written, "p ([0-9]+) ([0-9]+)")
     if header is not None:
         try:
             n, declared_m = int(header[1]), int(header[2])
-            _check_size(n, max_n)
+        except ValueError:
+            # past CPython's int-string limit: the per-line parser names line 1
+            return _parse_lines(text, max_n)
+        _check_size(n, max_n)
+        try:
             lines, slices = read_slices(written, header.end(), "e ")
             if lines == declared_m:
                 # sized once; pack_into writes each slice in place and
@@ -109,7 +123,7 @@ def parse_graph(text: str, max_n: int | None = None) -> PlainGraph:
                     return PlainGraph(n, (us, vs))
         except (ValueError, struct.error):
             # struct.error is a number a C int cannot hold; the per-line
-            # parser names the line, or refuses max_n again
+            # parser names the line
             pass
     return _parse_lines(text, max_n)
 
@@ -172,8 +186,11 @@ def records(text: str):
 
 
 def _check_size(n: int, max_n: int | None):
+    """Refuse a p line's n with ValueError: more than max_n, then more
+    than a PlainGraph holds."""
     if max_n is not None and n > max_n:
         raise ValueError(f"graph declares n = {n} vertices, more than max_n = {max_n}")
+    check_max_n(n)
 
 
 def _parse_lines(text: str, max_n: int | None = None) -> PlainGraph:
@@ -206,7 +223,8 @@ def _parse_lines(text: str, max_n: int | None = None) -> PlainGraph:
             except ValueError:
                 raise GraphFormatError("edge endpoints must be integers", lineno)
             if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}", lineno)
+                # the edge rule's own message, with the line
+                raise GraphFormatError(str(edge_refusal(n, u, v)), lineno)
             if not (1 <= u <= n and 1 <= v <= n):
                 raise GraphFormatError(f"endpoint outside 1..{n}", lineno)
             edges.append((u, v))

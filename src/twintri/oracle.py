@@ -15,6 +15,14 @@ a generator builds, passes one plain loop over its pairs and skips the
 set and the sort.  The arrays cap vertex ids, and so n, at
 MAX_N.
 
+This module owns the edge rule, which PlainGraph and
+Trigraph.from_graph both apply: edge_refusal is its one statement and
+the one place its three messages are written.  An edge is refused for
+an endpoint that is not an int (one that cannot index a list, as a
+float cannot), then for a self-loop, then for an endpoint outside
+1..n, so both constructors give one answer for each bad edge: the
+first edge of the list that breaks the rule names the error.
+
 Everything is a pure function of its inputs and safe to call
 concurrently.
 """
@@ -26,6 +34,33 @@ from operator import index, itemgetter
 
 # the largest C int: an id the edge arrays can hold, and so the largest n
 MAX_N = 2 ** 31 - 1
+
+
+def not_an_int(u, v):
+    """ValueError("vertex X is not an int") for the first of u and v that
+    cannot index a list, as an int id can and a float cannot, or None
+    when both can."""
+    for x in (u, v):
+        try:
+            index(x)
+        except TypeError:
+            return ValueError(f"vertex {x!r} is not an int")
+    return None
+
+
+def edge_refusal(n, u, v):
+    """The ValueError that refuses the edge (u, v) on vertices 1..n, or
+    None: the edge rule, whose tests run in this order.  An endpoint that
+    is not an int comes first, then a self-loop, then an endpoint outside
+    1..n.  PlainGraph and Trigraph.from_graph test edges inline and call
+    this only to build the error."""
+    if not_an_int(u, v):
+        return ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
+    if u == v:
+        return ValueError(f"self-loop at vertex {u}")
+    if not (1 <= u <= n and 1 <= v <= n):
+        return ValueError(f"edge ({u}, {v}) leaves the vertex range 1..{n}")
+    return None
 
 
 def check_max_n(n):
@@ -40,9 +75,9 @@ class PlainGraph:
 
     edges is an iterable of pairs (u, v), or the pair of endpoint arrays
     (us, vs) that parse_graph fills, which must be two array('i') of
-    equal length.  Pairs are symmetrized and deduplicated.  Self-loops,
-    endpoints outside 1..n, n above MAX_N, and an n or an endpoint that
-    is not an int are rejected with ValueError.  The graph keeps the
+    equal length.  Pairs are symmetrized and deduplicated.  The first
+    edge the edge rule refuses (see edge_refusal), n above MAX_N, and an
+    n that is not an int are rejected with ValueError.  The graph keeps the
     edges sorted, u < v in each, in the arrays us and vs, which callers
     must not change.  Canonical arrays are kept as given, and canonical
     pairs are converted without a sort; _is_canonical tells them apart
@@ -68,14 +103,15 @@ class PlainGraph:
             try:
                 columns = (_columns(pairs) if _is_canonical(n, pairs)
                            else _normalized(n, pairs))
-            except TypeError:
-                # an endpoint that is not an int, such as a float, fails a
-                # comparison or the C int arrays
-                edge = _non_int_edge(pairs)
-                if edge is None:
+            except (TypeError, ValueError):
+                # an endpoint that is not an int, such as a float, can pass
+                # the tests and fail only a comparison or the C int arrays,
+                # or a later pair's test: the first pair the edge rule
+                # refuses names the error, as in Trigraph.from_graph
+                exc = next(filter(None, (edge_refusal(n, u, v) for u, v in pairs)), None)
+                if exc is None:
                     raise
-                raise ValueError(f"edge ({edge[0]!r}, {edge[1]!r}) has an "
-                                 "endpoint that is not an int") from None
+                raise exc from None
         self.n = n
         self.us, self.vs = columns
 
@@ -124,26 +160,13 @@ def _columns(pairs):
 
 def _normalized(n, pairs):
     """The endpoint arrays of any pairs, normalized to canonical order;
-    a self-loop or an endpoint outside 1..n raises ValueError."""
+    an edge the edge rule refuses raises its ValueError."""
     normalized = set()
     for u, v in pairs:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ValueError(f"edge ({u}, {v}) leaves the vertex range 1..{n}")
+        if u == v or not (1 <= u <= n and 1 <= v <= n):
+            raise edge_refusal(n, u, v)
         normalized.add((u, v) if u < v else (v, u))
     return _columns(sorted(normalized))
-
-
-def _non_int_edge(pairs):
-    """The first pair (u, v) of pairs with an endpoint that cannot index
-    a list, as an int can and a float cannot, or None."""
-    for u, v in pairs:
-        try:
-            index(u), index(v)
-        except TypeError:
-            return u, v
-    return None
 
 
 def count_naive(g: PlainGraph) -> int:

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 from operator import index
 from .graphio import (FormatError, format_records, newlines_only, read_slices,
                       read_text, records, written_header)
-from .trigraph import Trigraph, not_an_int
+from .oracle import not_an_int
+from .trigraph import Trigraph
 
 
 class SequenceFormatError(FormatError):

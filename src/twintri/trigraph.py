@@ -46,6 +46,10 @@ versions and bounds what is done.  red_work keeps the red part on its
 own; it is the same on a graph and on its complement, whose red edges
 are the same.
 
+Trigraph.from_graph applies the edge rule oracle owns: it tests each
+edge inline and builds a refusal with oracle.edge_refusal, so it and
+PlainGraph refuse the same edge with the same message.
+
 The structure is single-writer: queries may run concurrently between
 contractions, but mutation is not thread safe.
 """
@@ -53,8 +57,9 @@ contractions, but mutation is not thread safe.
 from __future__ import annotations
 
 from enum import Enum
-from operator import index
 from types import MappingProxyType
+
+from .oracle import edge_refusal, not_an_int
 
 
 class EdgeColor(Enum):
@@ -87,22 +92,6 @@ def red_weight(g: "Trigraph", a, b) -> int:
         name = {r: v for v, r in enumerate(g.rep) if r}  # merged away: 0
         raise InternalInvariantError("no cross-edge count for red edge "
                                      f"{{{name.get(a, 0)}, {name.get(b, 0)}}}") from None
-
-
-def _is_id(x) -> bool:
-    """Whether x can index a list, as an int id can and a float cannot."""
-    try:
-        index(x)
-    except TypeError:
-        return False
-    return True
-
-
-def not_an_int(u, v):
-    """ValueError("vertex X is not an int") for the first of u and v that
-    is not an int id, or None when both are."""
-    bad = next((x for x in (u, v) if not _is_id(x)), None)
-    return None if bad is None else ValueError(f"vertex {bad!r} is not an int")
 
 
 class Trigraph:
@@ -150,9 +139,10 @@ class Trigraph:
     def from_graph(cls, edges, n: int) -> "Trigraph":
         """Build a red-free trigraph from an undirected edge list.
 
-        Repeated and mirrored pairs collapse into one edge; self-loops,
-        endpoints outside 1..n and endpoints that are not ints are
-        rejected, naming the edge.  Construction is O(n+m).
+        Repeated and mirrored pairs collapse into one edge; the first
+        edge the edge rule refuses raises its ValueError, the one
+        oracle.edge_refusal builds, so PlainGraph gives the same answer
+        for the same edges.  Construction is O(n+m).
 
         Each map key is the int object rep holds for that vertex, not the
         one the edge brought, which would cost 32 more bytes a key: the
@@ -165,10 +155,8 @@ class Trigraph:
         u = v = 0  # ints, so a TypeError before the first edge is re-raised
         try:
             for u, v in edges:
-                if u == v:
-                    raise ValueError(f"self-loop at vertex {u}")
-                if not (1 <= u <= n and 1 <= v <= n):
-                    raise ValueError(f"edge ({u}, {v}) leaves the vertex range 1..{n}")
+                if u == v or not (1 <= u <= n and 1 <= v <= n):
+                    raise edge_refusal(n, u, v)
                 au = adj[u]
                 if au is EMPTY:
                     adj[u] = au = {}
@@ -178,10 +166,11 @@ class Trigraph:
                     adj[v] = av = {}
                 av[rep[u]] = None
         except TypeError:
-            if _is_id(u) and _is_id(v):
+            # an endpoint that is not an int fails a comparison, as a str
+            # does, or the list index, as a float in range does
+            if not_an_int(u, v) is None:
                 raise
-            raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint "
-                             "that is not an int") from None
+            raise edge_refusal(n, u, v) from None
         return g
 
     # -- queries ---------------------------------------------------------

@@ -321,6 +321,11 @@ def test_max_n_refuses_huge_headers(tmp_path, capsys):
                  ["verify", gpath, "--sequence", spath, "--max-width", "0"]):
         assert main(argv) == 3
         assert "n = 1000000000000" in capsys.readouterr().err
+    # a header number past CPython's int-string limit is a parse error of
+    # line 1, not a size refusal
+    gpath = _write(tmp_path, "long.gr", f"p {'9' * 5000} 1\ne 1 2\n")
+    assert main(["oracle", gpath]) == 2
+    assert capsys.readouterr().err == "parse error: line 1: p line fields must be integers\n"
 
 
 def test_max_n_sets_the_limit(k4_files, capsys):

@@ -10,7 +10,7 @@ import pytest
 
 from twintri import graphio, sequence
 from twintri.counting import count_triangles
-from twintri.generate import cograph, complete, twin_sequence
+from twintri.generate import cograph, complete, path, twin_sequence
 from twintri.graphio import GraphFormatError, format_graph, load_graph, parse_graph
 from twintri.oracle import MAX_N, PlainGraph, count_naive
 from twintri.sequence import (SequenceFormatError, format_sequence, load_sequence,
@@ -217,6 +217,31 @@ def test_n_past_the_edge_arrays_is_refused_like_max_n():
             parse_graph(text, max_n=3 * 10 ** 9)
         assert not isinstance(err.value, GraphFormatError)
     assert parse_graph("p 2147483647 0\n").n == MAX_N
+
+
+def test_an_over_size_written_header_is_refused_at_the_header(monkeypatch):
+    # the size rule runs once, on the header: neither the bulk reader nor
+    # the per-line parser sees a file past the limit, so the refusal costs
+    # no scan of its text
+    cases = [(format_graph(path(2_000_000)), 10 ** 6,
+              "graph declares n = 2000000 vertices, more than max_n = 1000000"),
+             ("p 2147483648 1\ne 1 2\n", 3 * 10 ** 9,
+              "graph declares n = 2147483648 vertices, more than the "
+              "2147483647 an edge array can hold")]
+
+    def scanned(*args):
+        raise AssertionError("the text was scanned")
+
+    monkeypatch.setattr(graphio, "read_slices", scanned)
+    monkeypatch.setattr(graphio, "_parse_lines", scanned)
+    for text, max_n, message in cases:
+        with pytest.raises(ValueError) as err:
+            parse_graph(text, max_n=max_n)
+        assert str(err.value) == message and type(err.value) is ValueError
+    monkeypatch.undo()
+    # a header int() cannot read still reaches the per-line parser
+    with pytest.raises(GraphFormatError, match=r"^line 1: p line fields must be integers$"):
+        parse_graph(f"p {'9' * 5000} 1\ne 1 2\n", max_n=10 ** 6)
 
 
 def _traced_peak(call):

@@ -8,6 +8,7 @@ from twintri.generate import cycle, complete, gnp, greedy_sequence, star, twin_s
 from twintri.counting import count_triangles
 from twintri.oracle import PlainGraph, count_naive
 from twintri.sequence import ContractionSequence
+from twintri.trigraph import Trigraph
 
 import helpers
 
@@ -55,6 +56,27 @@ def test_plain_graph_refuses_a_non_int_count_or_endpoint():
         with pytest.raises(ValueError,
                            match=rf"^edge {named} has an endpoint that is not an int$"):
             PlainGraph(3, edges)
+
+
+def test_both_constructors_give_one_answer_for_each_bad_edge():
+    # oracle owns the edge rule: not an int first, then a self-loop, then
+    # outside 1..n, for an edge alone, after (1, 2) and before it, and the
+    # first bad edge of a list names the error
+    table = {(0.5, 2): "edge (0.5, 2) has an endpoint that is not an int",
+             (1.5, 1.5): "edge (1.5, 1.5) has an endpoint that is not an int",
+             ("2", 3): "edge ('2', 3) has an endpoint that is not an int",
+             (1, 5): "edge (1, 5) leaves the vertex range 1..3",
+             (2, 2): "self-loop at vertex 2"}
+    cases = [([bad], message) for bad, message in table.items()]
+    cases += [([(1, 2), bad], message) for bad, message in table.items()]
+    cases += [([bad, (1, 2)], message) for bad, message in table.items()]
+    cases += [([(1, 1.5), (2, 2)], "edge (1, 1.5) has an endpoint that is not an int"),
+              ([(2, 2), (1, 1.5)], "self-loop at vertex 2")]
+    for edges, message in cases:
+        for build in (lambda: PlainGraph(3, edges), lambda: Trigraph.from_graph(edges, 3)):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == message, edges
 
 
 def test_plain_graph_refuses_malformed_edge_columns():
