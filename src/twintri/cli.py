@@ -28,7 +28,6 @@ from .generate import (
 from .graphio import FormatError, format_graph, load_graph, save_graph
 from .oracle import count_naive
 from .sequence import (
-    SequenceError,
     check_n,
     format_sequence,
     load_sequence,
@@ -56,14 +55,24 @@ def _default_seed() -> int:
         raise ValueError(f"TWINTRI_SEED={raw!r} is not an integer") from None
 
 
+def _reader(parent, name: str, handler, help: str) -> argparse.ArgumentParser:
+    """The subparser of a command that reads a graph file: graph is its
+    first argument, so argparse names it first among the missing ones,
+    and handler is called with the args and the graph loaded under
+    --max-n, which _build_parser adds last to every reader."""
+    reader = parent.add_parser(name, help=help)
+    reader.add_argument("graph")
+    reader.set_defaults(handler=lambda args: handler(args, load_graph(args.graph, args.max_n)))
+    return reader
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twintri",
         description="Count triangles using a twin-width contraction sequence.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_count = sub.add_parser("count", help="count triangles of a graph")
-    p_count.add_argument("graph")
+    p_count = _reader(sub, "count", _cmd_count, help="count triangles of a graph")
     p_count.add_argument("--sequence", required=True, help="contraction sequence file")
     p_count.add_argument("--stats", action="store_true",
                          help="print the instrumentation counters")
@@ -71,22 +80,17 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="verify the counting invariants after every step")
     p_count.add_argument("--checked-limit", type=int, default=CHECKED_LIMIT,
                          help=f"largest n allowed in checked mode (default {CHECKED_LIMIT})")
-    p_count.set_defaults(handler=_cmd_count)
 
-    p_width = sub.add_parser("width", help="width of a contraction sequence")
-    p_width.add_argument("graph")
+    p_width = _reader(sub, "width", _cmd_replay, help="width of a contraction sequence")
     p_width.add_argument("--sequence", required=True)
-    p_width.set_defaults(handler=_cmd_replay, max_width=None)
+    p_width.set_defaults(max_width=None)
 
-    p_verify = sub.add_parser("verify", help="check a sequence against a width bound")
-    p_verify.add_argument("graph")
+    p_verify = _reader(sub, "verify", _cmd_replay,
+                       help="check a sequence against a width bound")
     p_verify.add_argument("--sequence", required=True)
     p_verify.add_argument("--max-width", type=int, required=True)
-    p_verify.set_defaults(handler=_cmd_replay)
 
-    p_oracle = sub.add_parser("oracle", help="brute-force triangle count")
-    p_oracle.add_argument("graph")
-    p_oracle.set_defaults(handler=_cmd_oracle)
+    p_oracle = _reader(sub, "oracle", _cmd_oracle, help="brute-force triangle count")
 
     p_gen = sub.add_parser("gen", help="generate graphs and sequences")
     gen_sub = p_gen.add_subparsers(dest="gen_command", required=True)
@@ -112,14 +116,12 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="also write the cotree's width-0 sequence here "
                               "(cotree-backed families only)")
 
-    p_seq = gen_sub.add_parser("seq", help="generate a contraction sequence")
-    p_seq.add_argument("graph")
-    p_seq.add_argument("--strategy", required=True, choices=("exact", "greedy", "twin"))
+    p_seq = _reader(gen_sub, "seq", _cmd_gen_seq, help="generate a contraction sequence")
+    p_seq.add_argument("--strategy", required=True, choices=("exact", "greedy"))
     p_seq.add_argument("--exact-max-n", type=int, default=EXACT_MAX_N,
                        help="largest n the exact strategy searches "
                             f"(exit 3 above it; default {EXACT_MAX_N})")
     p_seq.add_argument("-o", "--output", help="sequence file (stdout when absent)")
-    p_seq.set_defaults(handler=_cmd_gen_seq)
 
     for reader in (p_count, p_width, p_verify, p_oracle, p_seq):
         reader.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
@@ -140,8 +142,7 @@ def _write_out(text: str) -> None:
         data = data[sys.stdout.buffer.write(data):]
 
 
-def _cmd_count(args) -> int:
-    graph = load_graph(args.graph, args.max_n)
+def _cmd_count(args, graph) -> int:
     seq = load_sequence(args.sequence)
     mode = "checked" if args.checked else "fast"
     result = count_triangles(graph, seq, mode=mode, checked_limit=args.checked_limit)
@@ -156,10 +157,9 @@ def _cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _cmd_replay(args) -> int:
+def _cmd_replay(args, graph) -> int:
     """width and verify: replay the sequence on the side a count would
     use; width has no bound, so its max_width is None."""
-    graph = load_graph(args.graph, args.max_n)
     seq = load_sequence(args.sequence)
     check_n(seq, graph.n)
     report = replay(side_trigraph(graph)[1], seq, args.max_width)
@@ -174,8 +174,7 @@ def _cmd_replay(args) -> int:
     return EXIT_SEMANTIC
 
 
-def _cmd_oracle(args) -> int:
-    graph = load_graph(args.graph, args.max_n)
+def _cmd_oracle(args, graph) -> int:
     print(f"triangles {count_naive(graph)}")
     return EXIT_OK
 
@@ -209,13 +208,7 @@ def _cmd_gen_graph(args) -> int:
     return EXIT_OK
 
 
-def _cmd_gen_seq(args) -> int:
-    graph = load_graph(args.graph, args.max_n)
-    if args.strategy == "twin":
-        print("the twin strategy needs the generating cotree; regenerate the "
-              "graph with 'gen graph --sequence-out' or use greedy",
-              file=sys.stderr)
-        return EXIT_SEMANTIC
+def _cmd_gen_seq(args, graph) -> int:
     if args.strategy == "exact":
         seq, width = exact_sequence(graph, max_n=args.exact_max_n)
     else:
@@ -251,7 +244,7 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (SequenceError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
     except MemoryError:

@@ -69,8 +69,7 @@ from operator import mul
 
 from .oracle import count_naive
 from .sequence import ContractionSequence, SequenceError, check_n
-# red_weight stays importable from here, where the tests' helpers take it
-from .trigraph import BLACK, RED, InternalInvariantError, Trigraph, red_weight  # noqa: F401
+from .trigraph import BLACK, RED, InternalInvariantError, Trigraph
 
 
 # checked mode costs O(n^3) per step, so it is refused above this n

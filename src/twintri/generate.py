@@ -69,8 +69,11 @@ class Cotree:
         self.children = children
 
 
-def _leaf(v):
-    return Cotree("leaf", v)
+def _check_vertex_count(n: int):
+    """Refuse a vertex count below 1, then one above MAX_N."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    check_max_n(n)
 
 
 def cotree_graph(root: Cotree, n: int) -> PlainGraph:
@@ -178,7 +181,7 @@ def twin_sequence(root: Cotree, n: int) -> ContractionSequence:
 
 def _random_cotree(ids, rng, join_prob):
     if len(ids) == 1:
-        return _leaf(ids[0])
+        return Cotree("leaf", ids[0])
     cut = rng.randint(1, len(ids) - 1)
     kind = "join" if rng.random() < join_prob else "union"
     return Cotree(kind, children=(
@@ -195,9 +198,7 @@ def cograph(n: int, seed: int = 0, join_prob: float = 0.5,
     blocks of at most that many vertices, which keeps the edge count
     linear in n; otherwise the cotree is a single random binary split.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    check_max_n(n)
+    _check_vertex_count(n)
     rng = random.Random(seed)
     ids = list(range(1, n + 1))
     if block_size is None or n <= block_size:
@@ -220,10 +221,8 @@ def cograph(n: int, seed: int = 0, join_prob: float = 0.5,
 
 def complete(n: int):
     """K_n with its one-join cotree, the graph built from the cotree."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    check_max_n(n)
-    root = Cotree("join", children=[_leaf(v) for v in range(1, n + 1)])
+    _check_vertex_count(n)
+    root = Cotree("join", children=[Cotree("leaf", v) for v in range(1, n + 1)])
     return cotree_graph(root, n), root
 
 
@@ -235,8 +234,8 @@ def star(leaves: int):
     n = leaves + 1
     check_max_n(n)
     root = Cotree("join", children=(
-        _leaf(1),
-        Cotree("union", children=[_leaf(v) for v in range(2, n + 1)]),
+        Cotree("leaf", 1),
+        Cotree("union", children=[Cotree("leaf", v) for v in range(2, n + 1)]),
     ))
     return cotree_graph(root, n), root
 
@@ -247,9 +246,7 @@ def star(leaves: int):
 
 
 def path(n: int) -> PlainGraph:
-    if n < 1:
-        raise ValueError("need n >= 1")
-    check_max_n(n)
+    _check_vertex_count(n)
     return PlainGraph(n, (array("i", range(1, n)), array("i", range(2, n + 1))))
 
 

@@ -44,13 +44,15 @@ per-line parser, so every error carries the same message and line
 number on either path.
 
 The size rule has one owner, _check_size: a p line above max_n, or
-above oracle.MAX_N, is refused with ValueError.  parse_graph applies it
-to a written header before read_slices, outside the bulk path's
-fallback, so a file past the limit is refused before any slice is
-checked or scanned and the per-line parser never splits it.  A header
-whose numbers int() cannot read, past CPython's int-string limit, goes
-to the per-line parser, which names line 1.  The edge rule is
-oracle's, which PlainGraph applies.
+above oracle.MAX_N, is refused with ValueError.  _sized_header applies
+it to a written header.  load_graph calls it on the file's first
+SLICE_CHARS bytes, peeked at in the read buffer, so a file past the
+limit is refused before the rest is read; parse_graph calls it before
+read_slices, outside the bulk path's fallback, so a text past the limit
+is refused before any slice is checked or scanned and the per-line
+parser never splits it.  A header whose numbers int() cannot read, past
+CPython's int-string limit, goes to the per-line parser, which names
+line 1.  The edge rule is oracle's, which PlainGraph applies.
 """
 
 from __future__ import annotations
@@ -99,16 +101,11 @@ def parse_graph(text: str, max_n: int | None = None) -> PlainGraph:
     scanned, so a refused file costs no more than its text.
     """
     written = newlines_only(text)
-    header = written_header(written, "p ([0-9]+) ([0-9]+)")
+    header = _sized_header(written, max_n)
     if header is not None:
+        n, declared_m, start = header
         try:
-            n, declared_m = int(header[1]), int(header[2])
-        except ValueError:
-            # past CPython's int-string limit: the per-line parser names line 1
-            return _parse_lines(text, max_n)
-        _check_size(n, max_n)
-        try:
-            lines, slices = read_slices(written, header.end(), "e ")
+            lines, slices = read_slices(written, start, "e ")
             if lines == declared_m:
                 # sized once; pack_into writes each slice in place and
                 # refuses to write past the end, so neither array grows
@@ -185,6 +182,22 @@ def records(text: str):
             yield lineno, fields
 
 
+def _sized_header(text: str, max_n: int | None):
+    """(n, m, end) of the written header "p <n> <m>\\n" that starts text,
+    once _check_size has passed n.  None when text starts with no written
+    header, or with numbers past CPython's int-string limit, which the
+    per-line parser names at line 1."""
+    header = written_header(text, "p ([0-9]+) ([0-9]+)")
+    if header is None:
+        return None
+    try:
+        n, m = int(header[1]), int(header[2])
+    except ValueError:
+        return None
+    _check_size(n, max_n)
+    return n, m, header.end()
+
+
 def _check_size(n: int, max_n: int | None):
     """Refuse a p line's n with ValueError: more than max_n, then more
     than a PlainGraph holds."""
@@ -251,11 +264,10 @@ def format_records(header: str, mark: str, ends) -> str:
     return f"{header}\n" + f"{mark}%d %d\n" * (len(ends) // 2) % ends
 
 
-def read_text(path, error) -> str:
-    """A file's contents decoded as UTF-8; a byte that does not decode
-    raises error naming its line."""
-    with open(path, "rb") as handle:
-        data = handle.read()
+def read_text(handle, error) -> str:
+    """The rest of a binary file handle, decoded as UTF-8; a byte that
+    does not decode raises error naming its line."""
+    data = handle.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -264,7 +276,13 @@ def read_text(path, error) -> str:
 
 
 def load_graph(path, max_n: int | None = None) -> PlainGraph:
-    return parse_graph(read_text(path, GraphFormatError), max_n)
+    """parse_graph of a file's text.  The size rule is first applied to a
+    written header in the file's first SLICE_CHARS bytes, peeked at in
+    the read buffer, so a file past the limit is refused unread."""
+    with open(path, "rb", buffering=SLICE_CHARS) as handle:
+        _sized_header(newlines_only(handle.peek().decode("utf-8", "replace")), max_n)
+        text = read_text(handle, GraphFormatError)
+    return parse_graph(text, max_n)
 
 
 def save_graph(g: PlainGraph, path):

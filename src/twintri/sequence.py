@@ -26,18 +26,19 @@ ending in a newline, "\\r\\n" and "\\r" made "\\n" first) in bulk, as
 parse_graph does: every slice of about 16 KiB is checked and its lines
 counted, an s line that disagrees with the count goes to the per-line
 parser before any slice is scanned, and then each slice becomes a JSON
-array read by the json C scanner, its ids go onto one flat list, and
-ContractionSequence checks the pairs.  Any other text, and shaped text
-that fails anywhere on the bulk path, a number the scanner refuses (a
-leading zero, more digits than CPython's int-string limit) included,
-goes as it was given to the per-line parser, so every error carries the
-same message and line number on either path.
+array read by the json C scanner, the ids of all slices make one flat
+tuple in one pass, and ContractionSequence checks the pairs.  Any other
+text, and shaped text that fails anywhere on the bulk path, a number the
+scanner refuses (a leading zero, more digits than CPython's int-string
+limit) included, goes as it was given to the per-line parser, so every
+error carries the same message and line number on either path.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from operator import index
 from .graphio import (FormatError, format_records, newlines_only, read_slices,
                       read_text, records, written_header)
@@ -124,10 +125,7 @@ def parse_sequence(text: str) -> ContractionSequence:
             n = int(header[1])
             lines, slices = read_slices(written, header.end())
             if lines == n - 1:
-                ends = []
-                for ids in slices:
-                    ends += ids
-                return ContractionSequence(n, tuple(ends))
+                return ContractionSequence(n, tuple(chain.from_iterable(slices)))
         except ValueError:
             pass  # the per-line parser names the line
     return _parse_lines(text)
@@ -186,7 +184,9 @@ def format_sequence(seq: ContractionSequence) -> str:
 
 
 def load_sequence(path) -> ContractionSequence:
-    return parse_sequence(read_text(path, SequenceFormatError))
+    with open(path, "rb") as handle:
+        text = read_text(handle, SequenceFormatError)
+    return parse_sequence(text)
 
 
 def save_sequence(seq: ContractionSequence, path):

@@ -29,11 +29,11 @@ import re
 import types
 from array import array
 
-from twintri.counting import COMPLEMENT, GRAPH, Counters, count_side, red_weight
+from twintri.counting import COMPLEMENT, GRAPH, Counters, count_side
 from twintri.generate import Cotree, cograph, gnp, greedy_sequence, twin_sequence
 from twintri.oracle import PlainGraph, count_naive
 from twintri.sequence import ContractionSequence
-from twintri.trigraph import BLACK, EMPTY, NONE, RED, Trigraph
+from twintri.trigraph import BLACK, EMPTY, NONE, RED, Trigraph, red_weight
 
 
 def sequence_of(n, pairs):

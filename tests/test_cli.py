@@ -488,9 +488,24 @@ def test_gen_seq_strategies(tmp_path, capsys):
         assert report.valid
 
 
-def test_gen_seq_twin_refused_for_plain_files(tmp_path):
+def test_gen_seq_twin_refused_for_plain_files(tmp_path, capsys):
+    # no file carries a cotree, so twin is not a strategy gen seq offers
     gpath = _write(tmp_path, "c6.gr", format_graph(cycle(6)))
-    assert main(["gen", "seq", gpath, "--strategy", "twin"]) == 3
+    with pytest.raises(SystemExit) as exit_:
+        main(["gen", "seq", gpath, "--strategy", "twin"])
+    assert exit_.value.code == 2
+    assert "argument --strategy: invalid choice: 'twin'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["count"], ["width"], ["verify"], ["oracle"],
+                                     ["gen", "seq"]])
+def test_a_reading_command_names_its_missing_graph_first(command, capsys):
+    # graph is each reading command's first argument, ahead of its
+    # required options, as argparse lists what is missing
+    with pytest.raises(SystemExit) as exit_:
+        main(command)
+    assert exit_.value.code == 2
+    assert "the following arguments are required: graph" in capsys.readouterr().err
 
 
 def test_gen_seq_greedy_refuses_huge_graphs(tmp_path, capsys):

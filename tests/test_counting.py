@@ -20,7 +20,6 @@ from twintri.counting import (
     count_side,
     count_triangles,
     evaluate_invariant,
-    red_weight,
     side_trigraph,
 )
 from twintri.generate import (
@@ -40,7 +39,7 @@ from twintri.generate import (
 from twintri.graphio import parse_graph
 from twintri.oracle import PlainGraph, count_naive
 from twintri.sequence import ContractionSequence, SequenceError, replay
-from twintri.trigraph import BLACK, EMPTY, NONE, RED, Trigraph
+from twintri.trigraph import BLACK, EMPTY, NONE, RED, Trigraph, red_weight
 
 import helpers
 

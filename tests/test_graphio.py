@@ -1,5 +1,6 @@
 import functools
 import json
+import os
 import random
 import sys
 import tracemalloc
@@ -244,6 +245,53 @@ def test_an_over_size_written_header_is_refused_at_the_header(monkeypatch):
         parse_graph(f"p {'9' * 5000} 1\ne 1 2\n", max_n=10 ** 6)
 
 
+def test_load_graph_refuses_an_over_size_header_before_reading_the_file(
+        tmp_path, monkeypatch, capsys):
+    # the header is peeked at in the file's first bytes, so a file past
+    # the limit is refused, by load_graph and by the CLI, unread
+    from twintri.cli import main
+    file = tmp_path / "big.gr"
+    message = "graph declares n = 2000000 vertices, more than max_n = 1000000"
+
+    def unread(*args):
+        raise AssertionError("the file was read")
+
+    monkeypatch.setattr(graphio, "read_text", unread)
+    for end in ("\n", "\r\n", "\r"):
+        file.write_bytes(f"p 2000000 1{end}e 1 2{end}".encode())
+        with pytest.raises(ValueError) as err:
+            load_graph(file, 10 ** 6)
+        assert str(err.value) == message and type(err.value) is ValueError
+        assert main(["oracle", str(file)]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    monkeypatch.undo()
+    # a header int() cannot read still reaches the per-line parser
+    file.write_text(f"p {'9' * 5000} 1\ne 1 2\n")
+    with pytest.raises(GraphFormatError, match=r"^line 1: p line fields must be integers$"):
+        load_graph(file, 10 ** 6)
+    # an accepted file, longer than the bytes peeked at, loads as its text
+    # parses, with either line end
+    text = format_graph(complete(80)[0])
+    assert len(text) > graphio.SLICE_CHARS
+    for end in ("\n", "\r\n"):
+        file.write_bytes(text.replace("\n", end).encode())
+        assert load_graph(file, 10 ** 6) == parse_graph(text)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_graph_reads_a_pipe_once():
+    # the header is peeked at, not read, so a file that can be read only
+    # once, such as a pipe, still loads whole
+    text = format_graph(complete(40)[0])
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, text.encode())
+        os.close(write_end)
+        assert load_graph(f"/dev/fd/{read_end}", 10 ** 6) == parse_graph(text)
+    finally:
+        os.close(read_end)
+
+
 def _traced_peak(call):
     """call's result and its tracemalloc peak in bytes."""
     tracemalloc.start()
@@ -321,7 +369,9 @@ def test_written_text_with_crlf_or_cr_ends_takes_the_bulk_path(kind, end, monkey
     if kind is GRAPH:
         expected, text = complete(800)[0], _k800_text()
     else:
-        text = _cograph_sequence_text(20000, 2)
+        # blocks of 8 keep the cograph sparse, so the text costs no
+        # half-dense graph to build
+        text = _cograph_sequence_text(20000, 2, block_size=8)
         expected = parse_sequence(text)
     assert len(text) > 8 * graphio.SLICE_CHARS
     module = graphio if kind is GRAPH else sequence
@@ -424,8 +474,8 @@ FELL_BACK = object()
 
 
 @functools.cache
-def _cograph_sequence_text(n, seed):
-    graph, cotree = cograph(n, seed=seed)
+def _cograph_sequence_text(n, seed, block_size=None):
+    graph, cotree = cograph(n, seed=seed, block_size=block_size)
     return format_sequence(twin_sequence(cotree, graph.n))
 
 
