@@ -24,7 +24,7 @@ import itertools
 import random
 from array import array
 
-from .oracle import MAX_N, PlainGraph, check_max_n
+from .oracle import MAX_N, PlainGraph, check_max_n, id_typecode
 from .sequence import ContractionSequence
 
 EXACT_MAX_N = 9
@@ -40,7 +40,7 @@ class Cotree:
     nodes combine their children by disjoint union or complete join.
 
     kind is "leaf", "union" or "join".  A leaf holds an int vertex in
-    1..MAX_N, which an edge array can hold, and no children; an internal
+    1..MAX_N, which a C int edge array can hold, and no children; an internal
     node holds no vertex and at least one child.  Children are kept as a
     tuple, so a generator of them can be walked again.  Anything else
     raises ValueError when the node is built.  The walks, cotree_graph
@@ -90,11 +90,13 @@ def cotree_graph(root: Cotree, n: int) -> PlainGraph:
     When the leaves read 1..n from left to right, as in every cotree the
     package builds, that is canonical order and PlainGraph keeps the
     arrays after its check loop; any other leaf order takes its set and
-    sort.  The leaves are checked before the graph is built.  O(n + m):
-    only non-empty slices are kept open.
+    sort.  The leaves are checked before the graph is built, a leaf past n
+    as the walk meets it, since the arrays' type, id_typecode(n), need not
+    hold it.  O(n + m): only non-empty slices are kept open.
     """
-    order = array("i")  # the leaves met so far, right to left
-    us, vs = array("i"), array("i")
+    code = id_typecode(n)
+    order = array(code)  # the leaves met so far, right to left
+    us, vs = array(code), array(code)
     slices = []  # (lo, hi) of order, one per open join child with a later sibling
     stack = []  # (joins, remaining children, start, opened a slice) of the open nodes
     joins, children, start, opened = False, iter((root,)), 0, False
@@ -109,6 +111,8 @@ def cotree_graph(root: Cotree, n: int) -> PlainGraph:
                                           len(order))
                 break
             v = node.vertex
+            if v > n:
+                raise ValueError("cotree leaves must be exactly 1..n")
             for a, b in slices:
                 vs.extend(order[a:b])
                 us.extend(itertools.repeat(v, b - a))
@@ -247,7 +251,8 @@ def star(leaves: int):
 
 def path(n: int) -> PlainGraph:
     _check_vertex_count(n)
-    return PlainGraph(n, (array("i", range(1, n)), array("i", range(2, n + 1))))
+    code = id_typecode(n)
+    return PlainGraph(n, (array(code, range(1, n)), array(code, range(2, n + 1))))
 
 
 def cycle(n: int) -> PlainGraph:
@@ -255,7 +260,8 @@ def cycle(n: int) -> PlainGraph:
     if n < 3:
         raise ValueError("cycles need n >= 3")
     check_max_n(n)
-    us, vs = array("i", (1, 1)), array("i", (2, n))
+    code = id_typecode(n)
+    us, vs = array(code, (1, 1)), array(code, (2, n))
     us.extend(range(2, n))
     vs.extend(range(3, n + 1))
     return PlainGraph(n, (us, vs))
@@ -265,8 +271,9 @@ def grid(rows: int, cols: int) -> PlainGraph:
     """rows x cols grid, vertices numbered row-major from 1."""
     if rows < 1 or cols < 1:
         raise ValueError("grid needs positive dimensions")
-    check_max_n(rows * cols)
-    us, vs = array("i"), array("i")
+    n = rows * cols
+    check_max_n(n)
+    us, vs = array(id_typecode(n)), array(id_typecode(n))
     for r in range(rows):
         for c in range(cols):
             v = r * cols + c + 1
@@ -276,7 +283,7 @@ def grid(rows: int, cols: int) -> PlainGraph:
             if r + 1 < rows:
                 us.append(v)
                 vs.append(v + cols)
-    return PlainGraph(rows * cols, (us, vs))
+    return PlainGraph(n, (us, vs))
 
 
 def petersen() -> PlainGraph:
@@ -294,7 +301,7 @@ def gnp(n: int, p: float = 0.5, seed: int = 0) -> PlainGraph:
         raise ValueError("p must lie in [0, 1]")
     check_max_n(n)
     rng = random.Random(seed)
-    us, vs = array("i"), array("i")
+    us, vs = array(id_typecode(n)), array(id_typecode(n))
     for u in range(1, n + 1):
         row = [v for v in range(u + 1, n + 1) if rng.random() < p]
         vs.fromlist(row)

@@ -28,18 +28,19 @@ checks every slice of about 16 KiB, cut at newlines, and counts its
 lines, so a p line that disagrees with the count goes to the per-line
 parser before any slice is scanned.  Then it makes each slice a JSON
 array of its endpoints for one json.loads, whose C scanner makes the
-ints without a str per token.  The two arrays of C ints, the first and
-the second endpoints, are made once at exactly m, bounded by the text,
-and struct.pack_into writes each slice's ints into them in place, so
-only one slice's int objects are alive at a time and the arrays have no
-spare capacity.  PlainGraph keeps them as its edge list when one loop
+ints without a str per token.  The two edge arrays, the first and the
+second endpoints, take the typecode oracle.id_typecode(n), the narrowest
+C type that holds n.  They are made once at exactly m, bounded by the
+text, and struct.pack_into writes each slice's ints into them in place,
+so only one slice's int objects are alive at a time and the arrays have
+no spare capacity.  PlainGraph keeps them as its edge list when one loop
 over their pairs finds them canonical, as a written file's are.  The
 check stays in front of the scanner, which would also read "1e5" (a
 float) or "-1", or an id glued to a digit before the next mark.  Any
 other text, and shaped text that fails anywhere on the bulk path (a
 number the scanner refuses, such as a leading zero or one past
-CPython's int-string limit, one too large for a C int, a wrong count, a
-self-loop, an endpoint out of range), goes as it was given to the
+CPython's int-string limit, one too large for the arrays' type, a wrong
+count, a self-loop, an endpoint out of range), goes as it was given to the
 per-line parser, so every error carries the same message and line
 number on either path.
 
@@ -62,7 +63,7 @@ import re
 import struct
 from array import array
 
-from .oracle import PlainGraph, check_max_n, edge_refusal
+from .oracle import PlainGraph, check_max_n, edge_refusal, id_typecode
 
 SLICE_CHARS = 1 << 14
 ZERO_DIGITS = bytes.maketrans(b"0123456789", b"0" * 10)
@@ -109,18 +110,19 @@ def parse_graph(text: str, max_n: int | None = None) -> PlainGraph:
             if lines == declared_m:
                 # sized once; pack_into writes each slice in place and
                 # refuses to write past the end, so neither array grows
-                us, vs = array("i", [0]) * lines, array("i", [0]) * lines
+                code = id_typecode(n)
+                us, vs = array(code, [0]) * lines, array(code, [0]) * lines
                 at = 0
                 for ids in slices:
                     k = len(ids) // 2
-                    struct.pack_into(f"{k}i", us, 4 * at, *ids[0::2])
-                    struct.pack_into(f"{k}i", vs, 4 * at, *ids[1::2])
+                    struct.pack_into(f"{k}{code}", us, us.itemsize * at, *ids[0::2])
+                    struct.pack_into(f"{k}{code}", vs, vs.itemsize * at, *ids[1::2])
                     at += k
                 if at == declared_m:
                     return PlainGraph(n, (us, vs))
         except (ValueError, struct.error):
-            # struct.error is a number a C int cannot hold; the per-line
-            # parser names the line
+            # struct.error is a number the arrays' type cannot hold; the
+            # per-line parser names the line
             pass
     return _parse_lines(text, max_n)
 
@@ -252,7 +254,7 @@ def _parse_lines(text: str, max_n: int | None = None) -> PlainGraph:
 
 def format_graph(g: PlainGraph) -> str:
     """g's written text, its endpoints interleaved in an array."""
-    ends = array("i", [0]) * (2 * g.m)
+    ends = array(id_typecode(g.n), [0]) * (2 * g.m)
     ends[0::2], ends[1::2] = g.us, g.vs
     return format_records(f"p {g.n} {g.m}", "e ", ends)
 

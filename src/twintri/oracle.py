@@ -5,15 +5,19 @@ adjacency is rebuilt here from the raw edge list, so a bug in the fast
 path cannot hide inside shared code.  Only count_naive builds it, so the
 count path, which reads only the edge list, never pays for it.
 
-A PlainGraph keeps its canonical edge list in two arrays of C ints, us
-and vs, one entry per edge: 8 bytes an edge, where a tuple of two int
-objects per edge took about 100.  Its edges property reads them back as
-pairs (u, v), a fresh iterator on each read, so a caller that walks the
-edges twice reads the property twice.  An edge list that is already
-canonical, such as the arrays parse_graph fills from a written file or
-a generator builds, passes one plain loop over its pairs and skips the
-set and the sort.  The arrays cap vertex ids, and so n, at
-MAX_N.
+A PlainGraph keeps its canonical edge list in two arrays, us and vs,
+one entry per edge, of the narrowest C type that holds every id 1..n:
+id_typecode(n) is the one rule, and every builder of edge arrays takes
+its typecode from it.  That is 2 bytes an edge up to 255 vertices, 4
+up to 65,535 and 8 up to MAX_N, where a tuple of two int objects per
+edge took about 100.  Since the typecode is a function of n, equal
+graphs hold equal arrays and hash alike.  The edges property reads the
+arrays back as pairs (u, v), a fresh iterator on each read, so a caller
+that walks the edges twice reads the property twice.  An edge list that
+is already canonical, such as the arrays parse_graph fills from a
+written file or a generator builds, passes one plain loop over its
+pairs and skips the set and the sort.  The widest type, a C int, caps
+vertex ids, and so n, at MAX_N.
 
 This module owns the edge rule, which PlainGraph and
 Trigraph.from_graph both apply: edge_refusal is its one statement and
@@ -32,8 +36,15 @@ from __future__ import annotations
 from array import array
 from operator import index, itemgetter
 
-# the largest C int: an id the edge arrays can hold, and so the largest n
+# the largest C int: an id the widest edge arrays can hold, and so the
+# largest n
 MAX_N = 2 ** 31 - 1
+
+
+def id_typecode(n):
+    """The array typecode of a graph on vertices 1..n: the narrowest of
+    "B", "H" and "i" (1, 2 and 4 bytes) whose range holds n."""
+    return "B" if n <= 0xFF else "H" if n <= 0xFFFF else "i"
 
 
 def not_an_int(u, v):
@@ -74,14 +85,15 @@ class PlainGraph:
     """Simple undirected graph: vertices 1..n plus a normalized edge list.
 
     edges is an iterable of pairs (u, v), or the pair of endpoint arrays
-    (us, vs) that parse_graph fills, which must be two array('i') of
-    equal length.  Pairs are symmetrized and deduplicated.  The first
-    edge the edge rule refuses (see edge_refusal), n above MAX_N, and an
-    n that is not an int are rejected with ValueError.  The graph keeps the
-    edges sorted, u < v in each, in the arrays us and vs, which callers
-    must not change.  Canonical arrays are kept as given, and canonical
-    pairs are converted without a sort; _is_canonical tells them apart
-    in one loop.
+    (us, vs) that parse_graph fills, which must be two arrays of
+    typecode id_typecode(n) and equal length.  Pairs are symmetrized and
+    deduplicated.  The first edge the edge rule refuses (see
+    edge_refusal), n above MAX_N, and an n that is not an int are
+    rejected with ValueError.  The graph keeps the edges sorted, u < v in
+    each, in the arrays us and vs, which callers must not change.
+    Canonical arrays are kept as given, and canonical pairs are
+    converted without a sort; _is_canonical tells them apart in one
+    loop.
     """
 
     __slots__ = ("n", "us", "vs")
@@ -94,18 +106,19 @@ class PlainGraph:
         check_max_n(n)
         if type(edges) is tuple and len(edges) == 2 and type(edges[0]) is array:
             us, vs = edges
-            if not (type(vs) is array and us.typecode == vs.typecode == "i"
+            code = id_typecode(n)
+            if not (type(vs) is array and us.typecode == vs.typecode == code
                     and len(us) == len(vs)):
-                raise ValueError("edge columns must be two array('i') of equal length")
+                raise ValueError(f"edge columns must be two array('{code}') of equal length")
             columns = edges if _is_canonical(n, zip(us, vs)) else _normalized(n, zip(us, vs))
         else:
             pairs = edges if type(edges) in (list, tuple) else tuple(edges)
             try:
-                columns = (_columns(pairs) if _is_canonical(n, pairs)
+                columns = (_columns(n, pairs) if _is_canonical(n, pairs)
                            else _normalized(n, pairs))
             except (TypeError, ValueError):
                 # an endpoint that is not an int, such as a float, can pass
-                # the tests and fail only a comparison or the C int arrays,
+                # the tests and fail only a comparison or the edge arrays,
                 # or a later pair's test: the first pair the edge rule
                 # refuses names the error, as in Trigraph.from_graph
                 exc = next(filter(None, (edge_refusal(n, u, v) for u, v in pairs)), None)
@@ -153,9 +166,10 @@ def _is_canonical(n, pairs) -> bool:
     return True
 
 
-def _columns(pairs):
-    """The endpoint arrays (us, vs) of canonical pairs."""
-    return array("i", map(itemgetter(0), pairs)), array("i", map(itemgetter(1), pairs))
+def _columns(n, pairs):
+    """The endpoint arrays (us, vs) of canonical pairs on vertices 1..n."""
+    code = id_typecode(n)
+    return array(code, map(itemgetter(0), pairs)), array(code, map(itemgetter(1), pairs))
 
 
 def _normalized(n, pairs):
@@ -166,7 +180,7 @@ def _normalized(n, pairs):
         if u == v or not (1 <= u <= n and 1 <= v <= n):
             raise edge_refusal(n, u, v)
         normalized.add((u, v) if u < v else (v, u))
-    return _columns(sorted(normalized))
+    return _columns(n, sorted(normalized))
 
 
 def count_naive(g: PlainGraph) -> int:

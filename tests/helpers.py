@@ -31,7 +31,7 @@ from array import array
 
 from twintri.counting import COMPLEMENT, GRAPH, Counters, count_side
 from twintri.generate import Cotree, cograph, gnp, greedy_sequence, twin_sequence
-from twintri.oracle import PlainGraph, count_naive
+from twintri.oracle import PlainGraph, count_naive, id_typecode
 from twintri.sequence import ContractionSequence
 from twintri.trigraph import BLACK, EMPTY, NONE, RED, Trigraph, red_weight
 
@@ -101,7 +101,7 @@ def complement(graph):
     higher = [[] for _ in range(n + 1)]
     for u, v in zip(graph.us, graph.vs):
         higher[u].append(v)
-    us, vs = array("i"), array("i")
+    us, vs = array(id_typecode(n)), array(id_typecode(n))
     for u in range(1, n + 1):
         row, last = [], u
         for v in higher[u] + [n + 1]:

@@ -30,7 +30,7 @@ from twintri.generate import (
 )
 from twintri.counting import count_triangles
 from twintri.graphio import format_graph
-from twintri.oracle import PlainGraph, _is_canonical, count_naive
+from twintri.oracle import PlainGraph, _is_canonical, count_naive, id_typecode
 from twintri.sequence import ContractionSequence, format_sequence, replay
 from twintri.trigraph import Trigraph
 
@@ -110,6 +110,18 @@ def test_array_builders_match_their_pair_built_graphs(monkeypatch):
         build()
         n, (us, vs) = seen.pop()
         assert type(us) is array and type(vs) is array and _is_canonical(n, zip(us, vs))
+    # each builder hands over arrays of id_typecode(n), on both sides of
+    # the 1-byte ids' 255 vertices and the 2-byte ids' 65,535
+    grids = {255: (15, 17), 256: (16, 16), 65535: (255, 257), 65536: (256, 256)}
+    for n, (rows, cols) in grids.items():
+        seen.clear()
+        made = [path(n), cycle(n), grid(1, n), grid(rows, cols), star(n - 1)[0]]
+        if n < 1000:
+            made += [gnp(n, 0.05, 3), complete(n)[0], cograph(n, seed=2)[0]]
+        assert len(seen) == len(made)
+        for graph, (seen_n, (us, vs)) in zip(made, seen):
+            assert seen_n == graph.n == n
+            assert us.typecode == vs.typecode == id_typecode(n)
 
 
 def test_gnp_builds_no_pair_per_edge():
@@ -200,11 +212,14 @@ def test_cotree_graph_rejects_bad_leaves():
     # it builds the graph, so a repeated joined leaf is not a self-loop
     bad = Cotree("union", children=(Cotree("leaf", vertex=1), Cotree("leaf", vertex=3)))
     twice = Cotree("join", children=(Cotree("leaf", vertex=1), Cotree("leaf", vertex=1)))
-    for root in (bad, twice):
+    # leaves past what n's 1-byte or 2-byte ids hold are refused alike
+    wide = [(Cotree("join", children=(Cotree("leaf", vertex=1), Cotree("leaf", vertex=v))),
+             n) for v, n in ((300, 2), (70000, 300))]
+    for root, n in [(bad, 2), (twice, 2)] + wide:
         with pytest.raises(ValueError, match="exactly 1..n"):
-            cotree_graph(root, 2)
+            cotree_graph(root, n)
         with pytest.raises(ValueError, match="exactly 1..n"):
-            twin_sequence(root, 2)
+            twin_sequence(root, n)
 
 
 def test_cograph_block_variant_is_sparse():

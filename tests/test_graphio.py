@@ -2,6 +2,7 @@ import functools
 import json
 import os
 import random
+import struct
 import sys
 import tracemalloc
 import types
@@ -13,7 +14,7 @@ from twintri import graphio, sequence
 from twintri.counting import count_triangles
 from twintri.generate import cograph, complete, path, twin_sequence
 from twintri.graphio import GraphFormatError, format_graph, load_graph, parse_graph
-from twintri.oracle import MAX_N, PlainGraph, count_naive
+from twintri.oracle import MAX_N, PlainGraph, count_naive, id_typecode
 from twintri.sequence import (SequenceFormatError, format_sequence, load_sequence,
                               parse_sequence)
 
@@ -98,6 +99,11 @@ def _k800_text():
     return format_graph(complete(800)[0])
 
 
+# an endpoint past the 1-byte ids of n = 200, and past the 2-byte ids of
+# n = 300
+_NARROW_OVERFLOWS = ("p 200 1\ne 1 300\n", "p 300 1\ne 1 70000\n")
+
+
 def _with_last_edge(text, edge, end="\n"):
     head, _ = text[:-1].rsplit("\n", 1)
     return f"{head}\ne {edge}{end}"
@@ -140,10 +146,13 @@ def _with_last_edge(text, edge, end="\n"):
     pytest.param(_with_last_edge(_k400_text(), "399 400", ""), id="k400-no-final-newline"),
     # a line end the reader makes "\n" before it checks the shape
     pytest.param(_with_last_edge(_k400_text(), "399 400", "\r\n"), id="k400-crlf-last"),
-    # ints the scanner reads but a C int of the edge arrays cannot hold
+    # ints the scanner reads but the edge arrays' type cannot hold: past a
+    # C int, or past the 1 or 2 bytes that n's ids take
     pytest.param("p 3 1\ne 1 2147483648\n", id="endpoint-2**31"),
     pytest.param(f"p 3 1\ne 1 {2 ** 63}\n", id="endpoint-2**63"),
     pytest.param("p 2147483647 1\ne 1 2147483648\n", id="endpoint-past-max-n"),
+    pytest.param(_NARROW_OVERFLOWS[0], id="endpoint-past-1-byte"),
+    pytest.param(_NARROW_OVERFLOWS[1], id="endpoint-past-2-bytes"),
 ])
 def test_bulk_path_agrees_with_per_line_parser(text):
     bulk, lines = _both_paths(text)
@@ -152,9 +161,31 @@ def test_bulk_path_agrees_with_per_line_parser(text):
         assert all(type(x) is int for edge in bulk.edges for x in edge)
 
 
+@pytest.mark.parametrize("text", _NARROW_OVERFLOWS)
+def test_an_endpoint_past_the_narrow_type_is_named_by_line(text, monkeypatch):
+    # the shaped text reaches pack_into, whose struct.error sends it to the
+    # per-line parser, so both paths name line 2
+    refused = []
+    pack_into = struct.pack_into
+
+    def spy(fmt, *args):
+        try:
+            return pack_into(fmt, *args)
+        except struct.error:
+            refused.append(fmt)
+            raise
+
+    monkeypatch.setattr(graphio.struct, "pack_into", spy)
+    n = int(text.split()[1])
+    message = f"line 2: endpoint outside 1..{n}"
+    assert _both_paths(text) == ((message, 2), (message, 2))
+    assert refused == [f"1{id_typecode(n)}"]
+
+
 @pytest.mark.parametrize("edge, line, message", [
     ("400 400", 79801, "self-loop at vertex 400"),
     ("399 401", 79801, "endpoint outside 1..400"),
+    ("399 70000", 79801, "endpoint outside 1..400"),  # past K_400's 2-byte ids
 ])
 def test_bad_late_edge_in_written_text(edge, line, message):
     # the text has the written shape and spans many slices, so the bulk
@@ -210,7 +241,7 @@ def test_max_n_is_checked_on_the_p_line():
 
 
 def test_n_past_the_edge_arrays_is_refused_like_max_n():
-    # the edge arrays hold C ints, so n stops at MAX_N = 2**31 - 1; the
+    # the widest edge arrays hold C ints, so n stops at MAX_N = 2**31 - 1; the
     # refusal is max_n's kind, ValueError, not a parse error
     for text in ("p 2147483648 0\n", "p 2147483648 1\ne 1 2\n",
                  "c big\np 2147483648 1\ne 1 2147483648\n"):
@@ -303,9 +334,10 @@ def _traced_peak(call):
 
 
 def test_reading_k400_holds_under_32_bytes_an_edge():
-    # the edge list is two arrays of C ints, 8 bytes an edge; one tuple
-    # and two ints an edge took about 100.  Pairs, as a caller may pass
-    # them, go straight into the arrays, with no list of 2m ints between
+    # the edge list is two arrays of 2-byte ids at K_400, 4 bytes an edge;
+    # one tuple and two ints an edge took about 100.  Pairs, as a caller
+    # may pass them, go straight into the arrays, with no list of 2m ints
+    # between
     graph, cotree = complete(400)
     text = format_graph(graph)
     seq = twin_sequence(cotree, graph.n)
@@ -317,19 +349,22 @@ def test_reading_k400_holds_under_32_bytes_an_edge():
 
 
 def test_reading_k400_holds_the_edge_arrays_and_one_small_slice():
-    # the arrays take 8 bytes an edge; past them the reader holds one
-    # slice in flight: its text, its JSON list and that list's ints
+    # the arrays take 2 itemsize bytes an edge, 4 at K_400's 2-byte ids;
+    # past them the reader holds one slice in flight: its text, its JSON
+    # list and that list's ints
     text = _k400_text()
     g, peak = _traced_peak(lambda: parse_graph(text))
-    assert peak < 8 * g.m + 0.4 * 2 ** 20
+    assert peak < 2 * g.us.itemsize * g.m + 0.4 * 2 ** 20
 
 
 def test_edge_arrays_are_sized_once_with_no_slack():
     # the line count comes before the scan, so the arrays are made at
-    # exactly m, where growing them slice by slice left spare capacity
+    # exactly m, where growing them slice by slice left spare capacity;
+    # K_400's ids fit in 2 bytes
     g = parse_graph(_k400_text())
-    empty = sys.getsizeof(array("i"))
-    assert sys.getsizeof(g.us) == sys.getsizeof(g.vs) == empty + 4 * g.m
+    assert g.us.typecode == g.vs.typecode == "H"
+    empty = sys.getsizeof(array("H"))
+    assert sys.getsizeof(g.us) == sys.getsizeof(g.vs) == empty + g.us.itemsize * g.m
 
 
 # -- both file kinds: every per-line message, and line ends --------------------

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from twintri.generate import cycle, complete, gnp, greedy_sequence, star, twin_sequence
 from twintri.counting import count_triangles
-from twintri.oracle import PlainGraph, count_naive
+from twintri.oracle import MAX_N, PlainGraph, count_naive, id_typecode
 from twintri.sequence import ContractionSequence
 from twintri.trigraph import Trigraph
 
@@ -49,7 +49,7 @@ def test_plain_graph_refuses_a_non_int_count_or_endpoint():
     with pytest.raises(ValueError, match=r"^graph needs an int vertex count, got 3\.5$"):
         PlainGraph(3.5, [(1, 2)])
     # a non-canonical list reaches the normalizing set, a canonical one
-    # the C int arrays, and a str fails the first comparison
+    # the edge arrays, and a str fails the first comparison
     for edges, named in [([(1.0, 2.0), (2, 3), (1, 3)], r"\(1\.0, 2\.0\)"),
                          ([(1, 2), (2.0, 3.0)], r"\(2\.0, 3\.0\)"),
                          ([(1, 2), ("2", 3)], r"\('2', 3\)")]:
@@ -79,20 +79,32 @@ def test_both_constructors_give_one_answer_for_each_bad_edge():
             assert str(err.value) == message, edges
 
 
+def test_id_typecode_is_the_narrowest_that_holds_n():
+    for n, code in ((1, "B"), (255, "B"), (256, "H"), (65535, "H"), (65536, "i"),
+                    (MAX_N, "i")):
+        assert id_typecode(n) == code
+        assert array(code, [n])[0] == n
+
+
 def test_plain_graph_refuses_malformed_edge_columns():
     # columns of unequal length once passed as canonical, m = 3 over two
-    # edges, and the count took the complement side and found a triangle
-    for columns in ((array("i", [1, 1, 2]), array("i", [2, 3])),
-                    (array("i", [1]), array("i", [2, 3])),
+    # edges, and the count took the complement side and found a triangle;
+    # columns of any typecode but n's own are refused too, so equal graphs
+    # hold equal arrays
+    code = id_typecode(3)
+    for columns in ((array(code, [1, 1, 2]), array(code, [2, 3])),
+                    (array(code, [1]), array(code, [2, 3])),
                     (array("l", [1, 1]), array("l", [2, 3])),
                     (array("d", [1.0]), array("d", [2.0])),
-                    (array("i", [1, 1]), array("l", [2, 3])),
-                    (array("i", [1, 1]), [2, 3]),
-                    (array("i", [1, 1]), (2, 3))):
+                    (array(code, [1, 1]), array("l", [2, 3])),
+                    (array(code, [1, 1]), [2, 3]),
+                    (array(code, [1, 1]), (2, 3)),
+                    (array("i", [1, 1]), array("i", [2, 3])),
+                    (array("H", [1, 1]), array("H", [2, 3]))):
         with pytest.raises(ValueError, match=r"^edge columns must be two "
-                                             r"array\('i'\) of equal length$"):
+                                             r"array\('B'\) of equal length$"):
             PlainGraph(3, columns)
-    columns = array("i", [1, 1]), array("i", [2, 3])
+    columns = array(code, [1, 1]), array(code, [2, 3])
     graph = PlainGraph(3, columns)
     assert graph.us is columns[0]
     assert (graph.m, count_naive(graph), count_triangles(
@@ -141,8 +153,15 @@ def test_edge_arrays_are_kept_only_when_canonical(n, pairs, shape):
         if shape == "by second end":
             pairs.sort(key=lambda edge: edge[::-1])
     want = _normalized(n, pairs)
-    columns = array("i", [u for u, _ in pairs]), array("i", [v for _, v in pairs])
-    for edges in (columns, pairs):
+    code = id_typecode(n)
+    try:
+        columns = array(code, [u for u, _ in pairs]), array(code, [v for _, v in pairs])
+    except OverflowError:
+        # an id n's typecode cannot hold lies outside 1..n, so it cannot
+        # reach PlainGraph as a column; the pairs must still be refused
+        assert want is ValueError
+        columns = None
+    for edges in (pairs,) if columns is None else (columns, pairs):
         if want is ValueError:
             with pytest.raises(ValueError):
                 PlainGraph(n, edges)
