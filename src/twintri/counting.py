@@ -63,6 +63,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, repeat
 from math import comb
 from operator import mul
@@ -345,11 +346,8 @@ def count_side(g: Trigraph, seq: ContractionSequence, side: str,
             if step_callback is not None:
                 step_callback(step, g, counters)
 
-    def count(merged):
-        return _count_step(g, merged, counters)
-
-    width, sum_d_sq, _, t = g.run(seq.pairs, count=count, after=after,
-                                  refused=SequenceError.refused)
+    width, sum_d_sq, _, t = g.run(seq.pairs, after=after, refused=SequenceError.refused,
+                                  count=partial(_count_step, g, counters=counters))
     counters.contractions = seq.n - 1
     counters.aux_updates = counters.one_neighbor_calls + counters.contractions
     counters.graph_update_work = g.update_work

@@ -41,12 +41,14 @@ class Cotree:
 
     kind is "leaf", "union" or "join".  A leaf holds an int vertex in
     1..MAX_N, which a C int edge array can hold, and no children; an internal
-    node holds no vertex and at least one child.  Children are kept as a
-    tuple, so a generator of them can be walked again.  Anything else
-    raises ValueError when the node is built.  The walks, cotree_graph
-    and twin_sequence, keep their own stacks, so a cotree of any depth is
-    fine, and check the leaves; equality and hashing are by identity and
-    repr is object's, so none of them walks the children.
+    node holds no vertex and at least one child, each a Cotree node.
+    Children are kept as a tuple, so a generator of them can be walked
+    again.  Anything else raises ValueError when the node is built; a
+    child is checked only for being a Cotree node, as its own checks ran
+    when it was built.  The walks, cotree_graph and twin_sequence, keep
+    their own stacks, so a cotree of any depth is fine, and check the
+    leaves; equality and hashing are by identity and repr is object's,
+    so none of them walks the children.
     """
 
     __slots__ = ("kind", "vertex", "children")
@@ -62,6 +64,9 @@ class Cotree:
                 raise ValueError(f"{kind} node holds a vertex")
             if not children:
                 raise ValueError(f"{kind} node has no children")
+            for child in children:
+                if not isinstance(child, Cotree):
+                    raise ValueError(f"{kind} node has a child that is not a Cotree node")
         else:
             raise ValueError(f"cotree node kind {kind!r}; known: leaf, union, join")
         self.kind = kind
@@ -315,10 +320,9 @@ def chain_sequence(n: int) -> ContractionSequence:
     where greedy search would be wasteful."""
     if n < 1:
         raise ValueError("need n >= 1")
-    ends = []
-    for step in range(n - 1):
-        left = 1 if step == 0 else n + step
-        ends += min(left, step + 2), max(left, step + 2)
+    ends = [1, 2] if n > 1 else []
+    for step in range(1, n - 1):
+        ends += step + 2, n + step
     return ContractionSequence(n, tuple(ends))
 
 
@@ -520,9 +524,6 @@ def greedy_sequence(graph: PlainGraph):
         black[a] = bb_mask
         red[a] = rr_mask
         red_deg[a] = wdeg
-        black[b] = 0
-        red[b] = 0
-        red_deg[b] = 0
         ids[a] = next_id
         next_id += 1
         live.remove(b)
@@ -547,7 +548,8 @@ def exact_sequence(graph: PlainGraph, max_n: int = EXACT_MAX_N):
 
     The live trigraph is fully determined by the partition of original
     vertices into groups, so states are memoized by the partition (a
-    sorted tuple of bitmasks) and pair colors are cached per mask pair.
+    sorted tuple of bitmasks), and whether a pair of groups is red is
+    cached per mask pair.
     Search decides d = 0, 1, ... in turn, pruning any contraction whose
     trigraph exceeds d, and returns the first d that succeeds; one does
     below n, as no red degree reaches the number of live vertices.  No
@@ -565,16 +567,15 @@ def exact_sequence(graph: PlainGraph, max_n: int = EXACT_MAX_N):
         adj[v] |= 1 << u
 
     @functools.cache
-    def color(p, q):  # 0 none, 1 black, 2 red
+    def red(p, q):  # some but not all of the pairs between the groups are edges
         crossing = sum((adj[v] & q).bit_count()
                        for v in range(1, n + 1) if p >> v & 1)
-        return (0 if crossing == 0 else
-                1 if crossing == p.bit_count() * q.bit_count() else 2)
+        return 0 < crossing < p.bit_count() * q.bit_count()
 
-    def max_red(parts):  # parts is sorted, so color meets a pair in one order
+    def max_red(parts):  # parts is sorted, so red meets a pair in one order
         deg = [0] * len(parts)
         for i, j in itertools.combinations(range(len(parts)), 2):
-            if color(parts[i], parts[j]) == 2:
+            if red(parts[i], parts[j]):
                 deg[i] += 1
                 deg[j] += 1
         return max(deg)

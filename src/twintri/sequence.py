@@ -68,7 +68,9 @@ class ContractionSequence:
     equal.  pairs reads the ids back as pairs (u, v), a fresh iterator
     on each read that reuses its result tuple while the caller drops
     each pair, so a walk allocates none.  The checks walk pairs once, in
-    step order, so each message names the first pair at fault.
+    step order, so each message names the first pair at fault.  An id no
+    int compares with, a str or None, is refused there; a float id passes
+    the range check, and replay and format_sequence refuse it.
     """
 
     n: int
@@ -87,11 +89,14 @@ class ContractionSequence:
             raise ValueError(f"expected {self.n - 1} pairs, got {got}"
                              + (" and one id" if len(self.ends) % 2 else ""))
         top = 2 * self.n - 1
-        for u, v in self.pairs:
-            if u == v:
-                raise ValueError(f"self-contraction of vertex {u}")
-            if not (1 <= u <= top and 1 <= v <= top):
-                raise ValueError(f"pair ({u}, {v}) leaves the id range 1..{top}")
+        try:
+            for u, v in self.pairs:
+                if u == v:
+                    raise ValueError(f"self-contraction of vertex {u}")
+                if not (1 <= u <= top and 1 <= v <= top):
+                    raise ValueError(f"pair ({u}, {v}) leaves the id range 1..{top}")
+        except TypeError:
+            raise ValueError(f"pair ({u!r}, {v!r}) has an id that is not an int") from None
 
     @property
     def pairs(self):

@@ -559,6 +559,22 @@ def test_internal_invariant_maps_to_exit_4(k4_files, monkeypatch):
     assert cli.main(["count", gpath, "--sequence", spath]) == 4
 
 
+def test_count_that_runs_out_of_memory_exits_3_with_one_line(k4_files, capsys, monkeypatch):
+    # the handler's MemoryError is reported after main's except clauses,
+    # once the frames that held the memory are gone; stdout stays empty
+    import twintri.cli as cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "count_triangles", out_of_memory)
+    gpath, spath = k4_files
+    assert main(["count", gpath, "--sequence", spath]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: ran out of memory\n"
+    assert captured.out == ""
+
+
 def test_env_var_supplies_default_seed(tmp_path, monkeypatch):
     out1, out2, out3 = (str(tmp_path / f"{i}.gr") for i in range(3))
     monkeypatch.setenv("TWINTRI_SEED", "5")

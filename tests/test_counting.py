@@ -983,6 +983,20 @@ def test_checked_mode_catches_a_wrong_complement(monkeypatch):
         count_triangles(graph, seq, mode="checked")
 
 
+def test_checked_mode_catches_a_complement_with_other_degrees(monkeypatch):
+    # the star on 6 vertices has the 5 edges and 0 triangles of the path
+    # that G complements, so every step's checks pass; only its degrees
+    # differ, and Goodman's identity then corrects to a count the oracle
+    # refuses after the last step
+    graph = helpers.complement(path(6))
+    assert (graph.m, count_naive(graph)) == (10, 4)
+    monkeypatch.setattr(counting, "_complement_edges",
+                        lambda n, us, vs: ((1, v) for v in range(2, n + 1)))
+    with pytest.raises(InternalInvariantError, match=r"^the complement's count "
+                                                     r"corrects to 10, the oracle counts 4$"):
+        count_triangles(graph, chain_sequence(6), mode="checked")
+
+
 # -- closed forms on cotrees ---------------------------------------------
 
 

@@ -277,6 +277,16 @@ def test_cotree_walks_match_recursive_reference():
         assert twin_sequence(root, n) == helpers.twin_sequence_recursive(root, n)
 
 
+def test_twin_sequence_puts_the_smaller_id_first_after_a_finished_child():
+    # the finished union's representative, leaf 1, is below the join's
+    # representative so far, leaf 2, so the fold swaps them; cotrees with
+    # their leaves in order, as the package builds them, never do
+    root = Cotree("join", children=(Cotree("leaf", 2),
+                                    Cotree("union", children=(Cotree("leaf", 1),))))
+    assert twin_sequence(root, 2).ends == (1, 2)
+    assert twin_sequence(root, 2) == helpers.twin_sequence_recursive(root, 2)
+
+
 def test_deep_cotrees_do_not_recurse():
     # a caterpillar is as deep as it has leaves; the recursive walks
     # raised RecursionError at 3000
@@ -635,6 +645,13 @@ def test_internal_cotree_node_needs_children():
     with pytest.raises(ValueError, match="no children"):
         Cotree("union", children=(Cotree("leaf", vertex=1), Cotree("join"),
                                   Cotree("leaf", vertex=2)))
+    # a child that is not a node is refused at its parent, not met by the
+    # walks as an AttributeError
+    for kind in ("union", "join"):
+        for child in (2, None, "leaf"):
+            with pytest.raises(ValueError, match=rf"^{kind} node has a child that is "
+                                                 rf"not a Cotree node$"):
+                Cotree(kind, children=(Cotree("leaf", 1), child))
 
 
 def test_cotree_keeps_its_children_as_a_tuple():

@@ -189,6 +189,17 @@ def test_replay_single_vertex():
     assert report.valid and report.width == 0 and report.failing_step is None
 
 
+def test_a_vertex_count_below_1_is_refused():
+    # the readers refuse "s 0" and "p 0 0" with their own message, so only
+    # a caller of the Python API meets these three
+    with pytest.raises(ValueError, match=r"^sequence needs n >= 1$"):
+        ContractionSequence(0, ())
+    with pytest.raises(ValueError, match=r"^vertex count must be at least 1$"):
+        Trigraph(0)
+    with pytest.raises(ValueError, match=r"^need n >= 1$"):
+        chain_sequence(0)
+
+
 def test_replay_reports_dead_reference():
     g = Trigraph.from_graph([(1, 2), (2, 3), (3, 4)], 4)
     with pytest.raises(SequenceError) as err:
@@ -219,6 +230,12 @@ def test_replay_reports_every_vertex_that_is_not_live(pairs, step):
 def test_a_non_int_n_or_id_is_refused_by_name():
     with pytest.raises(ValueError, match=r"^sequence needs an int n, got 3\.0$"):
         ContractionSequence(3.0, (1, 2, 4, 3))
+    # an id no int compares with is refused when the sequence is made,
+    # naming its pair, as edge_refusal names an edge
+    for ends, pair in [(("1", 2, 4, 3), r"\('1', 2\)"),
+                       ((1, 2, None, 3), r"\(None, 3\)")]:
+        with pytest.raises(ValueError, match=rf"^pair {pair} has an id that is not an int$"):
+            ContractionSequence(3, ends)
     # float ids pass the range checks; the contraction loop that replay
     # and count_triangles share names the step, the pair and the id
     graph = path(3)
