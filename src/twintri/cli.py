@@ -25,14 +25,14 @@ from .generate import (
     greedy_sequence,
     twin_sequence,
 )
-from .graphio import FormatError, format_graph, load_graph, save_graph
+from .graphio import FormatError, graph_slices, load_graph, save_graph
 from .oracle import count_naive
 from .sequence import (
     check_n,
-    format_sequence,
     load_sequence,
     replay,
     save_sequence,
+    sequence_slices,
 )
 
 EXIT_OK = 0
@@ -131,15 +131,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_out(text: str) -> None:
-    """Write text to stdout whole.  Under `python -u` stdout's bytes layer
-    is a raw file whose write may take only part of the bytes, and the text
-    layer drops the rest without a word; writing the bytes in a loop makes
-    the write after a short one raise BrokenPipeError instead."""
+def _write_out(slices) -> None:
+    """Write each str of slices to stdout whole, one at a time.  Under
+    `python -u` stdout's bytes layer is a raw file whose write may take
+    only part of the bytes, and the text layer drops the rest without a
+    word; writing each slice's bytes in a loop makes the write after a
+    short one raise BrokenPipeError instead."""
     sys.stdout.flush()
-    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
-    while data:
-        data = data[sys.stdout.buffer.write(data):]
+    for text in slices:
+        data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:
+            data = data[sys.stdout.buffer.write(data):]
 
 
 def _cmd_count(args, graph) -> int:
@@ -202,7 +204,7 @@ def _cmd_gen_graph(args) -> int:
     if args.output:
         save_graph(graph, args.output)
     else:
-        _write_out(format_graph(graph))
+        _write_out(graph_slices(graph))
     if args.sequence_out:
         save_sequence(twin_sequence(cotree, graph.n), args.sequence_out)
     return EXIT_OK
@@ -216,7 +218,7 @@ def _cmd_gen_seq(args, graph) -> int:
     if args.output:
         save_sequence(seq, args.output)
     else:
-        _write_out(format_sequence(seq))
+        _write_out(sequence_slices(seq))
     print(f"width {width}", file=sys.stderr)
     return EXIT_OK
 

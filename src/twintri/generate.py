@@ -90,8 +90,10 @@ def cotree_graph(root: Cotree, n: int) -> PlainGraph:
     children, all met just before the leaf: one slice of order, known
     when the walk enters the child that holds the leaf and kept open
     while the walk is inside it.  So each leaf's edges go in together,
-    one slice per join ancestor, the farthest first, and reversing both
-    arrays at the end puts each vertex's edges together, nearest first.
+    one slice per join ancestor, the farthest first, into vs, while us
+    takes the leaf once for all of them, a one-item array repeated in C;
+    a leaf with no edges costs one test.  Reversing both arrays at the
+    end puts each vertex's edges together, nearest first.
     When the leaves read 1..n from left to right, as in every cotree the
     package builds, that is canonical order and PlainGraph keeps the
     arrays after its check loop; any other leaf order takes its set and
@@ -102,6 +104,7 @@ def cotree_graph(root: Cotree, n: int) -> PlainGraph:
     code = id_typecode(n)
     order = array(code)  # the leaves met so far, right to left
     us, vs = array(code), array(code)
+    one = array(code, [0])  # the leaf, repeated once per edge into us
     slices = []  # (lo, hi) of order, one per open join child with a later sibling
     stack = []  # (joins, remaining children, start, opened a slice) of the open nodes
     joins, children, start, opened = False, iter((root,)), 0, False
@@ -118,12 +121,14 @@ def cotree_graph(root: Cotree, n: int) -> PlainGraph:
             v = node.vertex
             if v > n:
                 raise ValueError("cotree leaves must be exactly 1..n")
-            for a, b in slices:
-                vs.extend(order[a:b])
-                us.extend(itertools.repeat(v, b - a))
-            if joins and start < len(order):
-                vs.extend(order[start:])
-                us.extend(itertools.repeat(v, len(order) - start))
+            if slices or joins and start < len(order):
+                k = len(vs)
+                for a, b in slices:
+                    vs.extend(order[a:b])
+                if joins and start < len(order):
+                    vs.extend(order[start:])
+                one[0] = v
+                us.extend(one * (len(vs) - k))
             order.append(v)
         else:
             if not stack:

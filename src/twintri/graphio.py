@@ -16,8 +16,16 @@ the line-numbered error base FormatError, the header match
 (written_header), the line-end rule (newlines_only: lines end at "\\n",
 "\\r\\n" or "\\r" only), the checked bulk reader (read_slices), the line
 iterator the per-line parsers walk (records: numbered from 1, blank and
-comment lines skipped), the single-% writer (format_records) and the
-UTF-8 reader (read_text).
+comment lines skipped), the number rule of the per-line parsers
+(ascii_int: an optional "-" and ASCII digits), the slice writer
+(format_records) and the UTF-8 reader (read_text).
+
+The writer yields the header line, then one slice of WRITE_LINES lines
+at a time, each from one % format over that slice's ids, which
+formats each int in C.  So only one slice's ids are boxed and one
+slice's text is alive at a time: save_graph and save_sequence write
+each slice as it is made, and format_graph and format_sequence join
+them.
 
 parse_graph reads text shaped like format_graph's output (a first line
 "p <n> <m>", then only "e <u> <v>" lines, single spaces, ASCII digits,
@@ -66,6 +74,7 @@ from array import array
 from .oracle import PlainGraph, check_max_n, edge_refusal, id_typecode
 
 SLICE_CHARS = 1 << 14
+WRITE_LINES = 1 << 10  # lines of one slice the writer formats
 ZERO_DIGITS = bytes.maketrans(b"0123456789", b"0" * 10)
 TOKENS = {"e ": str.maketrans({"\n": None, "e": None, " ": ","}),  # by mark
           "": str.maketrans({"\n": ",", " ": ","})}
@@ -200,6 +209,17 @@ def _sized_header(text: str, max_n: int | None):
     return n, m, header.end()
 
 
+def ascii_int(field: str) -> int:
+    """The int of a field that is an optional "-" and ASCII digits.
+    Anything else raises ValueError, also what int() would read, such as
+    "+1", "1_0" or a digit of another script, so a typo is refused, not
+    read as another number."""
+    digits = field[1:] if field[:1] == "-" else field
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {field!r}")
+    return int(field)
+
+
 def _check_size(n: int, max_n: int | None):
     """Refuse a p line's n with ValueError: more than max_n, then more
     than a PlainGraph holds."""
@@ -220,7 +240,7 @@ def _parse_lines(text: str, max_n: int | None = None) -> PlainGraph:
             if len(fields) != 3:
                 raise GraphFormatError("expected 'p <n> <m>'", lineno)
             try:
-                n, declared_m = int(fields[1]), int(fields[2])
+                n, declared_m = ascii_int(fields[1]), ascii_int(fields[2])
             except ValueError:
                 raise GraphFormatError("p line fields must be integers", lineno)
             if n < 1:
@@ -234,7 +254,7 @@ def _parse_lines(text: str, max_n: int | None = None) -> PlainGraph:
             if len(fields) != 3:
                 raise GraphFormatError("expected 'e <u> <v>'", lineno)
             try:
-                u, v = int(fields[1]), int(fields[2])
+                u, v = ascii_int(fields[1]), ascii_int(fields[2])
             except ValueError:
                 raise GraphFormatError("edge endpoints must be integers", lineno)
             if u == v:
@@ -252,18 +272,30 @@ def _parse_lines(text: str, max_n: int | None = None) -> PlainGraph:
     return PlainGraph(n, edges)
 
 
-def format_graph(g: PlainGraph) -> str:
-    """g's written text, its endpoints interleaved in an array."""
+def graph_slices(g: PlainGraph):
+    """g's written text as format_records' slices, its endpoints
+    interleaved in one array."""
     ends = array(id_typecode(g.n), [0]) * (2 * g.m)
     ends[0::2], ends[1::2] = g.us, g.vs
     return format_records(f"p {g.n} {g.m}", "e ", ends)
 
 
-def format_records(header: str, mark: str, ends) -> str:
-    """A written file: the line header, then one line "<mark><a> <b>" for
-    each two ints of ends, from one % format, which formats each int in C."""
-    ends = tuple(ends)
-    return f"{header}\n" + f"{mark}%d %d\n" * (len(ends) // 2) % ends
+def format_graph(g: PlainGraph) -> str:
+    """g's written text."""
+    return "".join(graph_slices(g))
+
+
+def format_records(header: str, mark: str, ends):
+    """A written file in slices: the line header, then one line
+    "<mark><a> <b>" for each two ints of ends, WRITE_LINES lines to a
+    slice, each from one % format, which formats each int in C.  So a
+    slice's ints are boxed only while it is made."""
+    yield f"{header}\n"
+    line = f"{mark}%d %d\n"
+    full, step = line * WRITE_LINES, 2 * WRITE_LINES
+    for at in range(0, len(ends), step):
+        part = tuple(ends[at:at + step])
+        yield (full if len(part) == step else line * (len(part) // 2)) % part
 
 
 def read_text(handle, error) -> str:
@@ -288,5 +320,6 @@ def load_graph(path, max_n: int | None = None) -> PlainGraph:
 
 
 def save_graph(g: PlainGraph, path):
+    """Write g's text to path one slice at a time."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(format_graph(g))
+        handle.writelines(graph_slices(g))

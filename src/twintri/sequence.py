@@ -40,8 +40,8 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from operator import index
-from .graphio import (FormatError, format_records, newlines_only, read_slices,
-                      read_text, records, written_header)
+from .graphio import (FormatError, ascii_int, format_records, newlines_only,
+                      read_slices, read_text, records, written_header)
 from .oracle import not_an_int
 from .trigraph import Trigraph
 
@@ -147,7 +147,7 @@ def _parse_lines(text: str) -> ContractionSequence:
             if len(fields) != 2:
                 raise SequenceFormatError("expected 's <n>'", lineno)
             try:
-                n = int(fields[1])
+                n = ascii_int(fields[1])
             except ValueError:
                 raise SequenceFormatError("vertex count must be an integer", lineno)
             if n < 1:
@@ -158,7 +158,7 @@ def _parse_lines(text: str) -> ContractionSequence:
             if len(fields) != 2:
                 raise SequenceFormatError("expected '<u> <v>'", lineno)
             try:
-                u, v = int(fields[0]), int(fields[1])
+                u, v = ascii_int(fields[0]), ascii_int(fields[1])
             except ValueError:
                 raise SequenceFormatError("pair entries must be integers", lineno)
             if u == v:
@@ -174,10 +174,11 @@ def _parse_lines(text: str) -> ContractionSequence:
     return ContractionSequence(n, tuple(ends))
 
 
-def format_sequence(seq: ContractionSequence) -> str:
-    """seq's written text.  An id that is not an int, which %d would write
-    truncated, raises SequenceError naming the first step and pair that
-    hold one, as replay does."""
+def sequence_slices(seq: ContractionSequence):
+    """seq's written text as format_records' slices.  An id that is not an
+    int, which %d would write truncated, raises SequenceError naming the
+    first step and pair that hold one, as replay does, before any slice
+    is made."""
     try:
         deque(map(index, seq.ends), 0)  # every id an int, checked in C
     except TypeError:
@@ -188,6 +189,11 @@ def format_sequence(seq: ContractionSequence) -> str:
     return format_records(f"s {seq.n}", "", seq.ends)
 
 
+def format_sequence(seq: ContractionSequence) -> str:
+    """seq's written text; see sequence_slices."""
+    return "".join(sequence_slices(seq))
+
+
 def load_sequence(path) -> ContractionSequence:
     with open(path, "rb") as handle:
         text = read_text(handle, SequenceFormatError)
@@ -195,9 +201,10 @@ def load_sequence(path) -> ContractionSequence:
 
 
 def save_sequence(seq: ContractionSequence, path):
-    text = format_sequence(seq)  # a refused id leaves no file
+    """Write seq's text to path one slice at a time."""
+    slices = sequence_slices(seq)  # a refused id leaves no file
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        handle.writelines(slices)
 
 
 def replay(g: Trigraph, seq: ContractionSequence, bound: int | None = None) -> SequenceReport:

@@ -15,7 +15,8 @@ the package's earlier id-keyed contraction, greedy loop and per-step
 pair loop; `cotree_graph_recursive` and `twin_sequence_recursive`
 are the package's earlier recursive cotree walks; and
 `written_shape_reference` is the readers' earlier whole-text shape
-check.  The last three groups are kept as the yardsticks their
+check; and `written_text_reference` is the writer's earlier one-%
+format.  The last four groups are kept as the yardsticks their
 rewrites must match.
 `leaves_recursive` is the tests' own leaf lister: the package has none,
 since each of its walks checks the leaves it meets.  `cotree_counts`
@@ -772,6 +773,29 @@ def written_shape_reference(text, header, mark):
     if first is None or unwritten.search(text, first.end() - 1) is not None:
         return None
     return first
+
+
+# -- written-text reference ------------------------------------------------
+
+
+def written_text_reference(header, mark, ends):
+    """The one-% writer that `graphio.format_records`' slices replaced:
+    the line header, then one line "<mark><a> <b>" for each two ints of
+    ends, all from one % format over a tuple of every id.  Kept word for
+    word, so the rewrite can be held to writing the same bytes."""
+    ends = tuple(ends)
+    return f"{header}\n" + f"{mark}%d %d\n" * (len(ends) // 2) % ends
+
+
+def graph_text_reference(g):
+    """g's written text from the one-% writer."""
+    return written_text_reference(f"p {g.n} {g.m}", "e ",
+                                  itertools.chain.from_iterable(zip(g.us, g.vs)))
+
+
+def sequence_text_reference(seq):
+    """seq's written text from the one-% writer."""
+    return written_text_reference(f"s {seq.n}", "", seq.ends)
 
 
 # -- greedy sequence reference ---------------------------------------------

@@ -813,3 +813,19 @@ def test_a_reader_that_stops_after_one_line_exits_141():
             child.stdout.close()
             assert child.stderr.read() == b""
             assert child.wait() == 141, f"unbuffered={unbuffered}"
+
+
+def test_stdout_gets_the_bytes_a_file_gets(tmp_path):
+    # without -o the text goes to stdout one slice at a time; K_80's
+    # 3,160 edge lines span four slices
+    gpath, spath = tmp_path / "k80.gr", tmp_path / "k80.seq"
+    graph_argv = ["gen", "graph", "--family", "complete", "--n", "80"]
+    seq_argv = ["gen", "seq", str(gpath), "--strategy", "greedy"]
+    assert main([*graph_argv, "-o", str(gpath)]) == 0
+    assert main([*seq_argv, "-o", str(spath)]) == 0
+    for unbuffered in (False, True):
+        for argv, path in ((graph_argv, gpath), (seq_argv, spath)):
+            result = subprocess.run([sys.executable, "-m", "twintri", *argv],
+                                    capture_output=True, env=_child_env(unbuffered))
+            assert result.returncode == 0, result.stderr
+            assert result.stdout == path.read_bytes(), f"{argv[1]} unbuffered={unbuffered}"
