@@ -24,7 +24,7 @@ import itertools
 import random
 from array import array
 
-from .oracle import MAX_N, PlainGraph, check_max_n, id_typecode
+from .oracle import MAX_N, PlainGraph, check_max_n, check_vertex_count, id_typecode
 from .sequence import ContractionSequence
 
 EXACT_MAX_N = 9
@@ -72,13 +72,6 @@ class Cotree:
         self.kind = kind
         self.vertex = vertex
         self.children = children
-
-
-def _check_vertex_count(n: int):
-    """Refuse a vertex count below 1, then one above MAX_N."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    check_max_n(n)
 
 
 def cotree_graph(root: Cotree, n: int) -> PlainGraph:
@@ -212,7 +205,7 @@ def cograph(n: int, seed: int = 0, join_prob: float = 0.5,
     blocks of at most that many vertices, which keeps the edge count
     linear in n; otherwise the cotree is a single random binary split.
     """
-    _check_vertex_count(n)
+    check_vertex_count(n)
     rng = random.Random(seed)
     ids = list(range(1, n + 1))
     if block_size is None or n <= block_size:
@@ -235,7 +228,7 @@ def cograph(n: int, seed: int = 0, join_prob: float = 0.5,
 
 def complete(n: int):
     """K_n with its one-join cotree, the graph built from the cotree."""
-    _check_vertex_count(n)
+    check_vertex_count(n)
     root = Cotree("join", children=[Cotree("leaf", v) for v in range(1, n + 1)])
     return cotree_graph(root, n), root
 
@@ -243,8 +236,7 @@ def complete(n: int):
 def star(leaves: int):
     """K_{1,leaves}: center 1 joined to leaves 2..leaves+1, with its
     cotree, the graph built from the cotree."""
-    if leaves < 1:
-        raise ValueError("need at least one leaf")
+    check_vertex_count(leaves, 1, "need at least one leaf")
     n = leaves + 1
     check_max_n(n)
     root = Cotree("join", children=(
@@ -260,16 +252,14 @@ def star(leaves: int):
 
 
 def path(n: int) -> PlainGraph:
-    _check_vertex_count(n)
+    check_vertex_count(n)
     code = id_typecode(n)
     return PlainGraph(n, (array(code, range(1, n)), array(code, range(2, n + 1))))
 
 
 def cycle(n: int) -> PlainGraph:
     """The path 1..n closed by the edge {1, n}, which sorts second."""
-    if n < 3:
-        raise ValueError("cycles need n >= 3")
-    check_max_n(n)
+    check_vertex_count(n, 3, "cycles need n >= 3")
     code = id_typecode(n)
     us, vs = array(code, (1, 1)), array(code, (2, n))
     us.extend(range(2, n))
@@ -279,8 +269,8 @@ def cycle(n: int) -> PlainGraph:
 
 def grid(rows: int, cols: int) -> PlainGraph:
     """rows x cols grid, vertices numbered row-major from 1."""
-    if rows < 1 or cols < 1:
-        raise ValueError("grid needs positive dimensions")
+    for side in (rows, cols):
+        check_vertex_count(side, 1, "grid needs positive dimensions")
     n = rows * cols
     check_max_n(n)
     us, vs = array(id_typecode(n)), array(id_typecode(n))
@@ -305,11 +295,9 @@ def petersen() -> PlainGraph:
 
 def gnp(n: int, p: float = 0.5, seed: int = 0) -> PlainGraph:
     """Erdos-Renyi G(n, p), deterministic for a given seed."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    check_vertex_count(n)
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
-    check_max_n(n)
     rng = random.Random(seed)
     us, vs = array(id_typecode(n)), array(id_typecode(n))
     for u in range(1, n + 1):
@@ -323,8 +311,7 @@ def chain_sequence(n: int) -> ContractionSequence:
     """Left-to-right fold: contract (1,2), then the product with 3, and so
     on.  Width 1 on paths and 2 on cycles; handy for long sparse chains
     where greedy search would be wasteful."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    check_vertex_count(n)
     ends = [1, 2] if n > 1 else []
     for step in range(1, n - 1):
         ends += step + 2, n + step

@@ -19,13 +19,20 @@ written file or a generator builds, passes one plain loop over its
 pairs and skips the set and the sort.  The widest type, a C int, caps
 vertex ids, and so n, at MAX_N.
 
-This module owns the edge rule, which PlainGraph and
-Trigraph.from_graph both apply: edge_refusal is its one statement and
-the one place its three messages are written.  An edge is refused for
-an endpoint that is not an int (one that cannot index a list, as a
-float cannot), then for a self-loop, then for an endpoint outside
-1..n, so both constructors give one answer for each bad edge: the
-first edge of the list that breaks the rule names the error.
+This module owns the vertex-count rule: check_vertex_count is its one
+statement, which PlainGraph, ContractionSequence, Trigraph and every
+builder in generate apply.  A count is an int but not a bool, at least
+1 (or the family's own least, with its own message) and at most MAX_N.
+The file readers keep their own line-numbered lower bound and apply
+check_max_n alone.
+
+It owns the edge rule too, which PlainGraph and Trigraph.from_graph
+both apply: edge_refusal is its one statement and the one place its
+three messages are written.  An edge is refused for an endpoint that
+is not an int (one that cannot index a list, as a float cannot), then
+for a self-loop, then for an endpoint outside 1..n, so both
+constructors give one answer for each bad edge: the first edge of the
+list that breaks the rule names the error.
 
 Everything is a pure function of its inputs and safe to call
 concurrently.
@@ -81,29 +88,37 @@ def check_max_n(n):
                          f"the {MAX_N} an edge array can hold")
 
 
+def check_vertex_count(n, least=1, refusal="need n >= 1"):
+    """The vertex-count rule: raise ValueError unless n is an int but not
+    a bool, then ValueError(refusal) if n is below least, then
+    check_max_n's.  A family with a larger least, or whose n counts
+    something else, passes its own bound and message."""
+    if type(n) is bool or not isinstance(n, int):
+        raise ValueError(f"vertex count {n!r} is not an int")
+    if n < least:
+        raise ValueError(refusal)
+    check_max_n(n)
+
+
 class PlainGraph:
     """Simple undirected graph: vertices 1..n plus a normalized edge list.
 
     edges is an iterable of pairs (u, v), or the pair of endpoint arrays
     (us, vs) that parse_graph fills, which must be two arrays of
     typecode id_typecode(n) and equal length.  Pairs are symmetrized and
-    deduplicated.  The first edge the edge rule refuses (see
-    edge_refusal), n above MAX_N, and an n that is not an int are
-    rejected with ValueError.  The graph keeps the edges sorted, u < v in
-    each, in the arrays us and vs, which callers must not change.
-    Canonical arrays are kept as given, and canonical pairs are
-    converted without a sort; _is_canonical tells them apart in one
-    loop.
+    deduplicated.  An n the vertex-count rule refuses (see
+    check_vertex_count) and the first edge the edge rule refuses (see
+    edge_refusal) are rejected with ValueError.  The graph keeps the
+    edges sorted, u < v in each, in the arrays us and vs, which callers
+    must not change.  Canonical arrays are kept as given, and canonical
+    pairs are converted without a sort; _is_canonical tells them apart
+    in one loop.
     """
 
     __slots__ = ("n", "us", "vs")
 
     def __init__(self, n, edges=()):
-        if not isinstance(n, int):
-            raise ValueError(f"graph needs an int vertex count, got {n!r}")
-        if n < 1:
-            raise ValueError("graph needs at least one vertex")
-        check_max_n(n)
+        check_vertex_count(n)
         if type(edges) is tuple and len(edges) == 2 and type(edges[0]) is array:
             us, vs = edges
             code = id_typecode(n)

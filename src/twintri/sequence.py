@@ -42,7 +42,7 @@ from itertools import chain
 from operator import index
 from .graphio import (FormatError, ascii_int, format_records, newlines_only,
                       read_slices, read_text, records, written_header)
-from .oracle import not_an_int
+from .oracle import check_vertex_count, not_an_int
 from .trigraph import Trigraph
 
 
@@ -67,8 +67,9 @@ class ContractionSequence:
     tuple per pair took about 120.  Equal sequences compare and hash
     equal.  pairs reads the ids back as pairs (u, v), a fresh iterator
     on each read that reuses its result tuple while the caller drops
-    each pair, so a walk allocates none.  The checks walk pairs once, in
-    step order, so each message names the first pair at fault.  An id no
+    each pair, so a walk allocates none.  n must pass
+    oracle.check_vertex_count.  The checks walk pairs once, in step
+    order, so each message names the first pair at fault.  An id no
     int compares with, a str or None, is refused there; a float id passes
     the range check, and replay and format_sequence refuse it.
     """
@@ -80,10 +81,7 @@ class ContractionSequence:
         # a list of ids is copied, so a caller's later change cannot
         # reach past the checks; a tuple is kept as it is
         object.__setattr__(self, "ends", tuple(self.ends))
-        if not isinstance(self.n, int):
-            raise ValueError(f"sequence needs an int n, got {self.n!r}")
-        if self.n < 1:
-            raise ValueError("sequence needs n >= 1")
+        check_vertex_count(self.n)
         if len(self.ends) != 2 * (self.n - 1):
             got = len(self.ends) // 2
             raise ValueError(f"expected {self.n - 1} pairs, got {got}"

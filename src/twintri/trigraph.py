@@ -48,7 +48,9 @@ are the same.
 
 Trigraph.from_graph applies the edge rule oracle owns: it tests each
 edge inline and builds a refusal with oracle.edge_refusal, so it and
-PlainGraph refuse the same edge with the same message.
+PlainGraph refuse the same edge with the same message.  A Trigraph
+takes its vertex count under oracle.check_vertex_count, as PlainGraph
+does.
 
 The structure is single-writer: queries may run concurrently between
 contractions, but mutation is not thread safe.
@@ -59,7 +61,7 @@ from __future__ import annotations
 from enum import Enum
 from types import MappingProxyType
 
-from .oracle import edge_refusal, not_an_int
+from .oracle import check_vertex_count, edge_refusal, not_an_int
 
 
 class EdgeColor(Enum):
@@ -116,8 +118,7 @@ class Trigraph:
     """
 
     def __init__(self, n_original: int):
-        if n_original < 1:
-            raise ValueError("vertex count must be at least 1")
+        check_vertex_count(n_original)
         n = n_original
         self.n_original = n
         self.black_adj: list = [EMPTY] * (n + 1)
@@ -176,11 +177,20 @@ class Trigraph:
     # -- queries ---------------------------------------------------------
 
     def edge_color(self, u: int, v: int) -> EdgeColor:
-        """Color of the pair {u, v}: black, red, or none."""
+        """Color of the pair {u, v}: black, red, or none.  An id that is
+        not live raises ValueError, u's first, as run does, and so does
+        an id that is not an int."""
         rep = self.rep
-        for x in (u, v):
-            if not (0 < x < self._next_id and rep[x]):
-                raise ValueError(f"vertex {x} is not live")
+        try:
+            for x in (u, v):
+                if not (0 < x < self._next_id and rep[x]):
+                    raise ValueError(f"vertex {x} is not live")
+        except TypeError:
+            # a float fails the index and a str the comparison
+            exc = not_an_int(u, v)
+            if exc is None:
+                raise
+            raise exc from None
         if u == v:
             raise ValueError("self-pairs have no color")
         ru, rv = rep[u], rep[v]

@@ -32,7 +32,7 @@ from array import array
 
 from twintri.counting import COMPLEMENT, GRAPH, Counters, count_side
 from twintri.generate import Cotree, cograph, gnp, greedy_sequence, twin_sequence
-from twintri.oracle import PlainGraph, count_naive, id_typecode
+from twintri.oracle import PlainGraph, check_vertex_count, count_naive, id_typecode
 from twintri.sequence import ContractionSequence
 from twintri.trigraph import BLACK, EMPTY, NONE, RED, Trigraph, red_weight
 
@@ -258,8 +258,7 @@ class IdKeyedTrigraph:
     """
 
     def __init__(self, n_original: int):
-        if n_original < 1:
-            raise ValueError("vertex count must be at least 1")
+        check_vertex_count(n_original)
         ids = 2 * n_original  # ids run 1 .. 2n-1
         self.n_original = n_original
         self.black_adj: list = [EMPTY] * ids

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twintri.generate import cycle, complete, gnp, greedy_sequence, star, twin_sequence
+from twintri.generate import (FAMILIES, chain_sequence, cycle, complete, generate_graph, gnp,
+                               greedy_sequence, path, star, twin_sequence)
+from twintri.graphio import format_graph
 from twintri.counting import count_triangles
 from twintri.oracle import MAX_N, PlainGraph, count_naive, id_typecode
-from twintri.sequence import ContractionSequence
+from twintri.sequence import ContractionSequence, format_sequence
 from twintri.trigraph import Trigraph
 
 import helpers
@@ -45,8 +47,46 @@ def test_plain_graph_rejects_bad_edges():
                 PlainGraph(3, edges)
 
 
+# Every public entry that takes a vertex count, with the lowest int it
+# refuses: the family's own bound for star, cycle and grid, 0 elsewhere
+_COUNT_TAKERS = [
+    ("PlainGraph", lambda n: PlainGraph(n), 0),
+    ("ContractionSequence", lambda n: ContractionSequence(n, ()), 0),
+    ("Trigraph", Trigraph, 0),
+    ("Trigraph.from_graph", lambda n: Trigraph.from_graph([], n), 0),
+    ("chain_sequence", chain_sequence, 0),
+    ("grid-rows", lambda n: generate_graph("grid", rows=n, cols=3), 0),
+    ("grid-cols", lambda n: generate_graph("grid", rows=3, cols=n), 0),
+] + [(family, lambda n, family=family: generate_graph(family, n=n),
+      {"cycle": 2}.get(family, 0))
+     for family, (_, required, _, _) in FAMILIES.items() if required == ("n",)]
+
+
+@pytest.mark.parametrize("build, lowest", [row[1:] for row in _COUNT_TAKERS],
+                         ids=[row[0] for row in _COUNT_TAKERS])
+def test_each_count_taker_refuses_a_bad_count_with_value_error(build, lowest):
+    # oracle.check_vertex_count is the one rule: a bool, a float and a str
+    # are refused by name, and so are the lowest int and MAX_N + 1, never
+    # with a TypeError and never by building something
+    for n in (True, False, 2.5, "3", lowest, MAX_N + 1):
+        with pytest.raises(ValueError) as err:
+            build(n)
+        if type(n) is not int:
+            assert str(err.value) == f"vertex count {n!r} is not an int"
+
+
+def test_no_bool_count_reaches_a_writer():
+    # a bool n would be written as "p True 0", which parse_graph refuses
+    for write in (lambda: format_graph(PlainGraph(True)),
+                  lambda: format_graph(path(True)),
+                  lambda: format_sequence(ContractionSequence(True, ())),
+                  lambda: format_sequence(chain_sequence(True))):
+        with pytest.raises(ValueError, match="^vertex count True is not an int$"):
+            write()
+
+
 def test_plain_graph_refuses_a_non_int_count_or_endpoint():
-    with pytest.raises(ValueError, match=r"^graph needs an int vertex count, got 3\.5$"):
+    with pytest.raises(ValueError, match=r"^vertex count 3\.5 is not an int$"):
         PlainGraph(3.5, [(1, 2)])
     # a non-canonical list reaches the normalizing set, a canonical one
     # the edge arrays, and a str fails the first comparison

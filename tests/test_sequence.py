@@ -191,10 +191,10 @@ def test_replay_single_vertex():
 
 def test_a_vertex_count_below_1_is_refused():
     # the readers refuse "s 0" and "p 0 0" with their own message, so only
-    # a caller of the Python API meets these three
-    with pytest.raises(ValueError, match=r"^sequence needs n >= 1$"):
+    # a caller of the Python API meets this one, oracle.check_vertex_count's
+    with pytest.raises(ValueError, match=r"^need n >= 1$"):
         ContractionSequence(0, ())
-    with pytest.raises(ValueError, match=r"^vertex count must be at least 1$"):
+    with pytest.raises(ValueError, match=r"^need n >= 1$"):
         Trigraph(0)
     with pytest.raises(ValueError, match=r"^need n >= 1$"):
         chain_sequence(0)
@@ -228,7 +228,7 @@ def test_replay_reports_every_vertex_that_is_not_live(pairs, step):
 
 
 def test_a_non_int_n_or_id_is_refused_by_name():
-    with pytest.raises(ValueError, match=r"^sequence needs an int n, got 3\.0$"):
+    with pytest.raises(ValueError, match=r"^vertex count 3\.0 is not an int$"):
         ContractionSequence(3.0, (1, 2, 4, 3))
     # an id no int compares with is refused when the sequence is made,
     # naming its pair, as edge_refusal names an edge

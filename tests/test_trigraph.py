@@ -63,6 +63,18 @@ def test_edge_color_after_path_contraction():
         g.edge_color(1, 3)  # 1 is dead
 
 
+def test_edge_color_names_a_non_int_id():
+    # a float fails the index and a str the comparison; a dead id ahead
+    # of it is named first, as run names u's error first
+    g = Trigraph.from_graph([(1, 2), (2, 3)], 3)
+    for u, v, named in [(1.5, 2, r"1\.5"), ("1", 2, "'1'"), (1, 2.0, r"2\.0"),
+                        (2, None, "None")]:
+        with pytest.raises(ValueError, match=rf"^vertex {named} is not an int$"):
+            g.edge_color(u, v)
+    with pytest.raises(ValueError, match=r"^vertex 5 is not live$"):
+        g.edge_color(5, 1.5)
+
+
 def test_contract_triangle_keeps_black():
     g = Trigraph.from_graph([(1, 2), (2, 3), (1, 3)], 3)
     g.contract(1, 2)
