@@ -375,6 +375,11 @@ def count_triangles(graph, seq: ContractionSequence, mode: str = "fast",
     sides run through count_side; step_callback is count_side's, and
     sees the side that runs, its g.t counting the complement's
     triangles on that side.
+
+    Both modes end with a check that needs no oracle: after the last
+    step the one live group, rep[2n - 1]'s, must hold n vertices and
+    every edge of its side, m on the graph side and C(n, 2) - m on the
+    complement's, or InternalInvariantError names both numbers.
     """
     if mode not in ("fast", "checked"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -397,6 +402,14 @@ def count_triangles(graph, seq: ContractionSequence, mode: str = "fast",
             reference = (comb(n, 2) - m, comb(n, 3) - naive
                          - sum(d * (n - 1 - d) for d in degree.values()) // 2)
     result = count_side(g, seq, side, reference, step_callback)
+    # the end check, O(1): the one live group holds every vertex and
+    # every edge of its side, or some step lost inner or red-weight mass
+    r = g.rep[2 * n - 1]
+    m_side = graph.m if side == GRAPH else comb(n, 2) - graph.m
+    if g.size[r] != n or g.inner[r] != m_side:
+        raise InternalInvariantError(
+            f"the last group holds {g.size[r]} vertices and {g.inner[r]} edges, "
+            f"expected {n} vertices and {m_side} edges")
     if side == GRAPH:
         return result
     result.triangles = rest - result.triangles

@@ -24,7 +24,8 @@ import itertools
 import random
 from array import array
 
-from .oracle import MAX_N, PlainGraph, check_max_n, check_vertex_count, id_typecode
+from .oracle import (MAX_N, PlainGraph, check_count, check_max_n, check_probability,
+                     check_vertex_count, id_typecode)
 from .sequence import ContractionSequence
 
 EXACT_MAX_N = 9
@@ -206,13 +207,14 @@ def cograph(n: int, seed: int = 0, join_prob: float = 0.5,
     linear in n; otherwise the cotree is a single random binary split.
     """
     check_vertex_count(n)
+    check_probability(join_prob, "join_prob")
+    if block_size is not None:
+        check_count(block_size, "block_size")
     rng = random.Random(seed)
     ids = list(range(1, n + 1))
     if block_size is None or n <= block_size:
         root = _random_cotree(ids, rng, join_prob)
     else:
-        if block_size < 1:
-            raise ValueError("block_size must be positive")
         blocks = []
         at = 0
         while at < n:
@@ -296,8 +298,7 @@ def petersen() -> PlainGraph:
 def gnp(n: int, p: float = 0.5, seed: int = 0) -> PlainGraph:
     """Erdos-Renyi G(n, p), deterministic for a given seed."""
     check_vertex_count(n)
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("p must lie in [0, 1]")
+    check_probability(p, "p")
     rng = random.Random(seed)
     us, vs = array(id_typecode(n)), array(id_typecode(n))
     for u in range(1, n + 1):

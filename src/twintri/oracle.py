@@ -1,9 +1,15 @@
 """Brute-force triangle counter used as ground truth, and PlainGraph.
 
 This module is deliberately independent of the contraction machinery:
-adjacency is rebuilt here from the raw edge list, so a bug in the fast
-path cannot hide inside shared code.  Only count_naive builds it, so the
-count path, which reads only the edge list, never pays for it.
+count_naive reads only a PlainGraph's edge list, so a bug in the fast
+path cannot hide inside shared code.  It counts each triangle once, at
+its lowest corner (Schank & Wagner 2005; Latapy 2008).  One pass over
+the canonical pairs u < v fills each vertex's list H(u) of higher
+neighbours, and each edge {u < v} adds |H(u) & H(v)|, one set
+intersection in C.  That costs O(n + m) plus the sum over edges
+{u < v} of |H(v)|, and holds one list a vertex, one entry an edge and
+one set of H(u) at a time.  Only count_naive builds them, so the count
+path, which reads only the edge list, never pays for them.
 
 A PlainGraph keeps its canonical edge list in two arrays, us and vs,
 one entry per edge, of the narrowest C type that holds every id 1..n:
@@ -19,12 +25,16 @@ written file or a generator builds, passes one plain loop over its
 pairs and skips the set and the sort.  The widest type, a C int, caps
 vertex ids, and so n, at MAX_N.
 
-This module owns the vertex-count rule: check_vertex_count is its one
-statement, which PlainGraph, ContractionSequence, Trigraph and every
-builder in generate apply.  A count is an int but not a bool, at least
-1 (or the family's own least, with its own message) and at most MAX_N.
-The file readers keep their own line-numbered lower bound and apply
-check_max_n alone.
+This module owns the argument rules, one a kind, each refusing with a
+ValueError that names the argument.  check_count is the count rule: an
+int but not a bool, at least 1, which generate's block_size takes.
+check_probability is the probability rule: an int or a float but not a
+bool, in [0, 1], which gnp's p and cograph's join_prob take.
+check_vertex_count is the vertex-count rule, which PlainGraph,
+ContractionSequence, Trigraph and every builder in generate apply: a
+count at least 1 (or the family's own least, with its own message) and
+at most MAX_N.  The file readers keep their own line-numbered lower
+bound and apply check_max_n alone.
 
 It owns the edge rule too, which PlainGraph and Trigraph.from_graph
 both apply: edge_refusal is its one statement and the one place its
@@ -88,15 +98,32 @@ def check_max_n(n):
                          f"the {MAX_N} an edge array can hold")
 
 
+def check_count(value, name, least=1, refusal=None):
+    """The count rule: raise ValueError("<name> X is not an int") unless
+    value is an int but not a bool, then ValueError(refusal) if value is
+    below least, by default "<name> must be positive"."""
+    if type(value) is bool or not isinstance(value, int):
+        raise ValueError(f"{name} {value!r} is not an int")
+    if value < least:
+        raise ValueError(refusal or f"{name} must be positive")
+
+
+def check_probability(value, name):
+    """The probability rule: raise ValueError("<name> X is not a number")
+    unless value is an int or a float but not a bool, then
+    ValueError("<name> must lie in [0, 1]") unless it does; NaN does not."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} {value!r} is not a number")
+    if not 0 <= value <= 1:
+        raise ValueError(f"{name} must lie in [0, 1]")
+
+
 def check_vertex_count(n, least=1, refusal="need n >= 1"):
-    """The vertex-count rule: raise ValueError unless n is an int but not
-    a bool, then ValueError(refusal) if n is below least, then
-    check_max_n's.  A family with a larger least, or whose n counts
-    something else, passes its own bound and message."""
-    if type(n) is bool or not isinstance(n, int):
-        raise ValueError(f"vertex count {n!r} is not an int")
-    if n < least:
-        raise ValueError(refusal)
+    """The vertex-count rule: check_count's for the "vertex count" n,
+    whose refusal below least is refusal, then check_max_n's.  A family
+    with a larger least, or whose n counts something else, passes its
+    own bound and message."""
+    check_count(n, "vertex count", least, refusal)
     check_max_n(n)
 
 
@@ -199,27 +226,26 @@ def _normalized(n, pairs):
 
 
 def count_naive(g: PlainGraph) -> int:
-    """Exact triangle count by intersecting sorted neighbor lists per edge."""
-    adjacency = [[] for _ in range(g.n + 1)]
+    """Exact triangle count, each triangle once at its lowest corner.
+
+    With H(u) the neighbours of u above u, a triangle u < v < w is the
+    one common member w of H(u) and H(v), so the count is the sum over
+    edges {u < v} of |H(u) & H(v)|.  Each intersection probes a set of
+    H(u) with the list H(v) in C, so the cost is O(n + m) plus the sum
+    over edges {u < v} of |H(v)|, at most m * (largest |H|); a hub whose
+    id is high has a short H and costs nothing.  The lists hold each
+    edge once, and one set of H(u) is alive at a time.
+    """
+    higher = [[] for _ in range(g.n + 1)]
     for u, v in g.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    for neighbors in adjacency:
-        neighbors.sort()
+        higher[u].append(v)
     total = 0
-    for u, v in g.edges:
-        a, b = adjacency[u], adjacency[v]
-        i = j = 0
-        la, lb = len(a), len(b)
-        while i < la and j < lb:
-            if a[i] < b[j]:
-                i += 1
-            elif a[i] > b[j]:
-                j += 1
-            else:
-                total += 1
-                i += 1
-                j += 1
-    # every triangle was seen once per incident edge
-    return total // 3
+    for hu in higher:
+        if len(hu) > 1:  # a lowest corner has two higher neighbours
+            su = set(hu)
+            for v in hu:
+                hv = higher[v]
+                if hv:
+                    total += len(su.intersection(hv))
+    return total
 

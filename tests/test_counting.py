@@ -660,6 +660,25 @@ def test_whole_runs_fold_every_edge_into_the_last_group(n, p, seed, side):
     assert folded[0] == folded[1]
 
 
+def test_fast_mode_end_check_catches_a_lost_inner_edge():
+    # too large for checked mode, but the O(1) end check of fast mode
+    # still sees one inner edge taken from a live group
+    graph, cotree = cograph(2000, seed=1, block_size=8)
+    taken = []
+
+    def take(step, g, counters):
+        r = g.rep[graph.n + 1 + step]
+        if not taken and g.inner[r]:
+            g.inner[r] -= 1
+            taken.append(step)
+
+    with pytest.raises(InternalInvariantError,
+                       match=rf"^the last group holds 2000 vertices and {graph.m - 1} "
+                             rf"edges, expected 2000 vertices and {graph.m} edges$"):
+        count_triangles(graph, twin_sequence(cotree, graph.n), step_callback=take)
+    assert taken
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 30), st.integers(0, 10 ** 6),
        st.sampled_from([0.1, 0.3, 0.5, 0.8]))

@@ -1,11 +1,15 @@
+import math
+import random
+import time
 from array import array
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twintri.generate import (FAMILIES, chain_sequence, cycle, complete, generate_graph, gnp,
-                               greedy_sequence, path, star, twin_sequence)
+from twintri.generate import (FAMILIES, chain_sequence, cograph, cycle, complete,
+                               generate_graph, gnp, greedy_sequence, path, star,
+                               twin_sequence)
 from twintri.graphio import format_graph
 from twintri.counting import count_triangles
 from twintri.oracle import MAX_N, PlainGraph, count_naive, id_typecode
@@ -47,32 +51,56 @@ def test_plain_graph_rejects_bad_edges():
                 PlainGraph(3, edges)
 
 
-# Every public entry that takes a vertex count, with the lowest int it
-# refuses: the family's own bound for star, cycle and grid, 0 elsewhere
+_NOT_INTS = (True, False, 2.5, "3")
+_NOT_NUMBERS = (True, False, "x", None)
+
+
+def _vertex_count(entry, build, lowest=0):
+    """A row for an entry that takes a vertex count: lowest is the
+    largest int below the entry's bound."""
+    return entry, build, "vertex count", "an int", _NOT_INTS, (lowest, MAX_N + 1)
+
+
+# Every public entry that takes a vertex count: the lowest int it refuses
+# is the family's own bound for star, cycle and grid, 0 elsewhere.  Then
+# each builder argument that is a count or a probability.  Each row has
+# the argument's name and kind, as its messages say them, the values of
+# the wrong type and the values out of range
 _COUNT_TAKERS = [
-    ("PlainGraph", lambda n: PlainGraph(n), 0),
-    ("ContractionSequence", lambda n: ContractionSequence(n, ()), 0),
-    ("Trigraph", Trigraph, 0),
-    ("Trigraph.from_graph", lambda n: Trigraph.from_graph([], n), 0),
-    ("chain_sequence", chain_sequence, 0),
-    ("grid-rows", lambda n: generate_graph("grid", rows=n, cols=3), 0),
-    ("grid-cols", lambda n: generate_graph("grid", rows=3, cols=n), 0),
-] + [(family, lambda n, family=family: generate_graph(family, n=n),
-      {"cycle": 2}.get(family, 0))
-     for family, (_, required, _, _) in FAMILIES.items() if required == ("n",)]
+    _vertex_count("PlainGraph", lambda n: PlainGraph(n)),
+    _vertex_count("ContractionSequence", lambda n: ContractionSequence(n, ())),
+    _vertex_count("Trigraph", Trigraph),
+    _vertex_count("Trigraph.from_graph", lambda n: Trigraph.from_graph([], n)),
+    _vertex_count("chain_sequence", chain_sequence),
+    _vertex_count("grid-rows", lambda n: generate_graph("grid", rows=n, cols=3)),
+    _vertex_count("grid-cols", lambda n: generate_graph("grid", rows=3, cols=n)),
+] + [_vertex_count(family, lambda n, family=family: generate_graph(family, n=n),
+                   {"cycle": 2}.get(family, 0))
+     for family, (_, required, _, _) in FAMILIES.items() if required == ("n",)] + [
+    ("cograph-block_size", lambda b: cograph(20, block_size=b), "block_size", "an int",
+     _NOT_INTS, (0, -1)),
+    ("cograph-join_prob", lambda q: cograph(20, join_prob=q), "join_prob", "a number",
+     _NOT_NUMBERS, (-0.5, 1.5, float("nan"))),
+    ("gnp-p", lambda p: gnp(5, p=p), "p", "a number", _NOT_NUMBERS, (-0.5, 1.5, float("nan"))),
+]
 
 
-@pytest.mark.parametrize("build, lowest", [row[1:] for row in _COUNT_TAKERS],
+@pytest.mark.parametrize("build, name, kind, wrong_type, out_of_range",
+                         [row[1:] for row in _COUNT_TAKERS],
                          ids=[row[0] for row in _COUNT_TAKERS])
-def test_each_count_taker_refuses_a_bad_count_with_value_error(build, lowest):
-    # oracle.check_vertex_count is the one rule: a bool, a float and a str
-    # are refused by name, and so are the lowest int and MAX_N + 1, never
-    # with a TypeError and never by building something
-    for n in (True, False, 2.5, "3", lowest, MAX_N + 1):
+def test_each_count_taker_refuses_a_bad_count_with_value_error(build, name, kind,
+                                                               wrong_type, out_of_range):
+    # oracle has one rule a kind of argument, a vertex count, a count or a
+    # probability: a value of the wrong type is refused by name, and so is
+    # one out of range, never with a TypeError and never by building
+    # something
+    for value in wrong_type:
         with pytest.raises(ValueError) as err:
-            build(n)
-        if type(n) is not int:
-            assert str(err.value) == f"vertex count {n!r} is not an int"
+            build(value)
+        assert str(err.value) == f"{name} {value!r} is not {kind}"
+    for value in out_of_range:
+        with pytest.raises(ValueError):
+            build(value)
 
 
 def test_no_bool_count_reaches_a_writer():
@@ -213,9 +241,20 @@ def test_edge_arrays_are_kept_only_when_canonical(n, pairs, shape):
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 16), st.integers(0, 10 ** 6),
-       st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]))
-def test_two_variants_agree(n, seed, p):
-    g = gnp(n, p, seed=seed)
+       st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]), st.booleans(), st.booleans())
+@example(n=16, seed=1, p=0.2, shuffle=True, hub=True)
+@example(n=16, seed=2, p=0.9, shuffle=True, hub=False)
+def test_two_variants_agree(n, seed, p, shuffle, hub):
+    # ids shuffled, so the lowest corner of a triangle is anywhere in the
+    # gnp order, and vertex n joined to every other vertex: a hub whose
+    # id is the highest, which is no triangle's lowest corner
+    ids = list(range(1, n + 1))
+    if shuffle:
+        random.Random(seed).shuffle(ids)
+    edges = [(ids[u - 1], ids[v - 1]) for u, v in gnp(n, p, seed=seed).edges]
+    if hub:
+        edges += [(v, n) for v in range(1, n)]
+    g = PlainGraph(n, edges)
     assert count_naive(g) == len(helpers.brute_triangles(n, g.edges))
 
 
@@ -223,6 +262,26 @@ def test_two_variants_agree_up_to_64():
     for n in (32, 64):
         g = gnp(n, 0.3, seed=n)
         assert count_naive(g) == len(helpers.brute_triangles(n, g.edges))
+
+
+def test_a_star_whose_hub_has_the_highest_id_counts_fast():
+    # every leaf's one higher neighbour is the hub, whose own list is
+    # empty, so each edge costs one look; a count that walks the hub's
+    # list for every leaf edge is quadratic, about 30 s at this size on
+    # Python 3.11 where this one takes under 10 ms
+    leaves = 20000
+    n = leaves + 1
+    code = id_typecode(n)
+    g = PlainGraph(n, (array(code, range(1, n)), array(code, [n] * leaves)))
+    start = time.perf_counter()
+    assert count_naive(g) == 0
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_half_dense_cograph_counts_its_closed_form():
+    graph, root = cograph(600, seed=1)
+    assert 0.4 < graph.m / math.comb(600, 2) < 0.6
+    assert helpers.cotree_counts(root) == (600, graph.m, count_naive(graph))
 
 
 def test_cross_check_trivial_cases():
